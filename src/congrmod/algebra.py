@@ -92,11 +92,6 @@ class AugmentedAlgebra:
         """The augmentation, applied to any representative polynomial."""
         return poly.evaluate(self.augmentation)
 
-    def lam_matrix(self, columns):
-        """Entry-wise augmentation of a column list; rows-major result."""
-        nrows = len(columns[0]) if columns else 0
-        return [[self.lam(col[i]) for col in columns] for i in range(nrows)]
-
     def p_gens(self):
         return [self.ring.var(i) - self.ring.const(a)
                 for i, a in enumerate(self.augmentation)]
@@ -146,9 +141,6 @@ class AugmentedAlgebra:
         if not self.relations:
             return False
         return not mora_normal_form(poly, self.gb_local.gens, LOCAL, self.config).terms
-
-    def reduce_columns(self, columns):
-        return [tuple(self.nf(p) for p in col) for col in columns]
 
     # -- bounded linear algebra over the quotient --
     def _degree_bound(self, bound):

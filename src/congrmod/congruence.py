@@ -38,6 +38,9 @@ class RegularityWarning(UserWarning):
 
 @dataclass
 class ExtModule:
+    """One Ext^i_A(O, M); ext_module hands the same instance to every
+    caller, so it is read-only once built."""
+
     degree: int
     structure: FinOModule
     reps: list
@@ -46,7 +49,6 @@ class ExtModule:
     cert: Cert
     ker_basis: list = field(default_factory=list)
     _class_solver: object = None
-    _class_cols: list = field(default_factory=list)
     _nz: int = 0
 
     # -- O-valued classes --
@@ -86,13 +88,23 @@ class ExtModule:
 
 
 def ext_module(A: AugmentedAlgebra, M, i: int, res: FreeResolution) -> ExtModule:
-    """Ext^i_A(O, M) with structure, representatives and witnesses."""
+    """Ext^i_A(O, M) with structure, representatives and witnesses.
+
+    M=None (or any module with is_O) means M = O.  The result is computed
+    once per (degree, module presentation) and kept on res, so every caller
+    gets the same ExtModule: read it, never mutate it."""
     if i + 1 > res.length:
         raise ResolutionTooShort(
             f"need d_{i + 1}; resolution has length {res.length}")
-    if isinstance(M, FpModule) and not M.is_O:
-        return _ext_general(A, M, i, res)
-    return _ext_O(A, i, res)
+    general = isinstance(M, FpModule) and not M.is_O
+    key = (i, M.gens, tuple(M.columns)) if general else (i, None)
+    with res.algebra._lock:
+        ext = res._ext.get(key)
+    if ext is None:
+        ext = _ext_general(A, M, i, res) if general else _ext_O(A, i, res)
+        with res.algebra._lock:
+            ext = res._ext.setdefault(key, ext)
+    return ext
 
 
 def _ext_O(A, i, res):
@@ -125,10 +137,6 @@ def _ext_O(A, i, res):
                      ker_basis=list(ker))
 
 
-def _flat_index(g, r, l, k):
-    return l * r + k
-
-
 def _ext_general(A, M, i, res):
     ring = A.ring
     g = M.gens
@@ -146,7 +154,7 @@ def _ext_general(A, M, i, res):
         for l in range(g):
             for k in range(r_i):
                 vec = [zero] * (g * r_i)
-                vec[_flat_index(g, r_i, l, k)] = ring.one
+                vec[l * r_i + k] = ring.one
                 reps.append(tuple(vec))
     else:
         dnext = res.differential(i + 1)
@@ -188,7 +196,7 @@ def _ext_general(A, M, i, res):
                 vec = [zero] * (g * r_i)
                 for k, col in enumerate(dprev):
                     if col[kp].terms:
-                        vec[_flat_index(g, r_i, l, k)] = col[kp]
+                        vec[l * r_i + k] = col[kp]
                 cob.append(tuple(vec))
     pblocks = []
     for k in range(r_i):
@@ -196,7 +204,7 @@ def _ext_general(A, M, i, res):
             vec = [zero] * (g * r_i)
             for l in range(g):
                 if pcol[l].terms:
-                    vec[_flat_index(g, r_i, l, k)] = pcol[l]
+                    vec[l * r_i + k] = pcol[l]
             pblocks.append(tuple(vec))
 
     all_cols = list(reps) + cob + pblocks
@@ -222,7 +230,6 @@ def _ext_general(A, M, i, res):
     ext._class_solver = SpanSolver(ring, A.gb_global, all_cols, g * r_i, b,
                                    config=A.config,
                                    per_bounds=[0] * s + [b] * (len(all_cols) - s))
-    ext._class_cols = all_cols
     ext._nz = s
     return ext
 
@@ -250,7 +257,7 @@ def _push_values(A, ext_OM, ext_OO, M, rep, row):
         for k in range(r_c):
             acc = dvr.zero
             for l in range(g):
-                p = rep[_flat_index(g, r_c, l, k)]
+                p = rep[l * r_c + k]
                 if p.terms:
                     acc = acc + row[l] * A.lam(p)
             w.append(acc)
@@ -261,7 +268,7 @@ def eta_raw(A: AugmentedAlgebra, M, c: int, res: FreeResolution):
     """The congruence ideal as the image of the Ext pairing; no regularity
     gate, so a zero ideal is a possible (meaningful) outcome."""
     MA = _as_module(A, M)
-    ext_OO = ext_module(A, FpModule.o_module(A), c, res)
+    ext_OO = ext_module(A, None, c, res)
     ext_OM = ext_OO if MA.is_O else ext_module(A, MA, c, res)
     cert = ext_OO.cert.merge(ext_OM.cert)
     rows = MA.hom_to_O_generators()
@@ -286,7 +293,7 @@ def eta_raw(A: AugmentedAlgebra, M, c: int, res: FreeResolution):
 def psi_raw(A: AugmentedAlgebra, M, c: int, res: FreeResolution):
     """Cokernel of Ext^c(O,M) -> tfree Ext^c(O, M/pM), in normal form."""
     MA = _as_module(A, M)
-    ext_OO = ext_module(A, FpModule.o_module(A), c, res)
+    ext_OO = ext_module(A, None, c, res)
     ext_OM = ext_OO if MA.is_O else ext_module(A, MA, c, res)
     cert = ext_OO.cert.merge(ext_OM.cert)
     if ext_OO.structure.free_rank != 1:
@@ -389,7 +396,7 @@ def kappa_defect(A: AugmentedAlgebra, M, c=None, res=None) -> dict:
     if res is None:
         res = resolve_O(A, length=max(c + 2, 2))
     MA = _as_module(A, M)
-    ext_OO = ext_module(A, FpModule.o_module(A), c, res)
+    ext_OO = ext_module(A, None, c, res)
     ext_OA = ext_module(A, FpModule.ring_module(A), c, res)
     dvr = A.dvr
     if ext_OA.structure.free_rank != 1:
@@ -601,7 +608,7 @@ def serre_check(A: AugmentedAlgebra, res=None, with_products=False) -> dict:
     top = min(res.length - 1, c + 1)
     ok = True
     for i in range(top + 1):
-        ext = ext_module(A, FpModule.o_module(A), i, res)
+        ext = ext_module(A, None, i, res)
         r = ext.structure.free_rank
         ranks.append(r)
         if r != comb(c, i):
@@ -618,7 +625,7 @@ def serre_check(A: AugmentedAlgebra, res=None, with_products=False) -> dict:
 def _product_check(A, res, c):
     """Lift a basis of degree-one classes to chain self-maps and test that
     the c-fold composite generates the top torsion-free part."""
-    ext1 = ext_module(A, FpModule.o_module(A), 1, res)
+    ext1 = ext_module(A, None, 1, res)
     gens = []
     for coords in ext1.structure.free_generator_reps():
         w = [A.dvr.zero] * res.rank(1)
@@ -656,7 +663,7 @@ def _product_check(A, res, c):
     for t in range(c - 2, -1, -1):
         upper = lifts[t][t]
         composite = [tuple(_apply_columns(ring, upper, col)) for col in composite]
-    ext_c = ext_module(A, FpModule.o_module(A), c, res)
+    ext_c = ext_module(A, None, c, res)
     w = [A.lam(col[0]) for col in composite]
     vals = ext_c.o_class_free_values(w)
     return any(x and A.dvr.val(x) == 0 for x in vals)

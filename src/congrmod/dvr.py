@@ -34,16 +34,15 @@ def is_prime(n: int) -> bool:
 
 
 def split_prime_power(q: int):
-    """Return (p, k) with q = p**k, or raise."""
-    for p in range(2, q + 1):
-        if is_prime(p) and q % p == 0:
-            k = 0
-            m = q
-            while m % p == 0:
-                m //= p
-                k += 1
-            if m != 1:
-                raise EngineError(f"{q} is not a prime power")
+    """Return (p, k) with q = p**k, or raise.  p is the smallest divisor
+    above 1, found by trial division up to sqrt(q)."""
+    if q >= 2:
+        p = next((d for d in range(2, math.isqrt(q) + 1) if q % d == 0), q)
+        k, m = 0, q
+        while m % p == 0:
+            m //= p
+            k += 1
+        if m == 1:
             return p, k
     raise EngineError(f"{q} is not a prime power")
 
@@ -501,10 +500,6 @@ class IdealO:
     @classmethod
     def zero(cls, dvr):
         return cls(dvr, INF)
-
-    @classmethod
-    def of_valuation(cls, dvr, v):
-        return cls(dvr, v)
 
     @property
     def is_unit(self):

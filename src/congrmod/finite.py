@@ -12,7 +12,6 @@ from __future__ import annotations
 
 from itertools import product
 
-from .errors import NotFiniteOverBase
 from .omodule import FinOModule, o_kernel, o_solve
 from .poly import Poly, monomial_divides
 from .stdbasis import reduce_strong
@@ -126,12 +125,6 @@ class FiniteModule:
             vec[l * n + k] = c
         return vec
 
-    def element_coords(self, vec_polys):
-        out = []
-        for l in range(self.gens):
-            out.extend(self.fs.coords(vec_polys[l]))
-        return out
-
     def as_module(self) -> FinOModule:
         return FinOModule.from_presentation(
             self.dvr, _cols_to_rows(self.dvr, self.rel_cols, self.dim))
@@ -206,8 +199,3 @@ def _cols_to_rows(dvr, cols, nrows):
     if not cols:
         return [[] for _ in range(nrows)]
     return [[col[i] for col in cols] for i in range(nrows)]
-
-
-def require_finite(fstruct, what="this operation"):
-    if fstruct is None:
-        raise NotFiniteOverBase(f"{what} needs a module-finite algebra over O")

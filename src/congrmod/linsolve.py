@@ -129,6 +129,8 @@ class _System:
         return scol
 
     def _to_target(self, target):
+        """The target on the row index; None when it touches a monomial no
+        column reaches, so that it lies outside the span."""
         rhs = {}
         for i, p in enumerate(target):
             if not p.terms:
@@ -137,11 +139,9 @@ class _System:
             if self.linear_nf:
                 q = reduce_strong(q, self.gb.gens, self.gb.order, self.config)
             for e, c in q.terms.items():
-                key = (i, e)
-                rid = self.row_index.get(key)
+                rid = self.row_index.get((i, e))
                 if rid is None:
-                    # target touches a monomial no column can reach
-                    rid = self._rid(i, e)
+                    return None
                 rhs[rid] = rhs.get(rid, self.dvr.zero) + c
         return {k: v for k, v in rhs.items() if v}
 
@@ -179,6 +179,8 @@ class _System:
 
     def solve(self, target, ncols):
         rhs = self._to_target(target)
+        if rhs is None:
+            return None
         sol = self._ech().solve(rhs)
         if sol is None:
             return None

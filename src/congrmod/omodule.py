@@ -211,9 +211,6 @@ class FinOModule:
     def signature(self):
         return (self.torsion_exponents, self.free_rank)
 
-    def same_module(self, other) -> bool:
-        return self.signature == other.signature
-
     @property
     def is_zero(self):
         return not self.torsion_exponents and self.free_rank == 0
@@ -512,43 +509,6 @@ def k_rank(dvr, rows):
         if rank == nrows:
             break
     return rank
-
-
-def k_kernel(dvr, rows):
-    """Kernel basis over K of a dense row matrix."""
-    nrows = len(rows)
-    ncols = len(rows[0]) if nrows else 0
-    m = [list(r) for r in rows]
-    pivots = []
-    rank = 0
-    for j in range(ncols):
-        piv = None
-        for i in range(rank, nrows):
-            if m[i][j]:
-                piv = i
-                break
-        if piv is None:
-            continue
-        m[rank], m[piv] = m[piv], m[rank]
-        pv = m[rank][j]
-        m[rank] = [a / pv for a in m[rank]]
-        for i in range(nrows):
-            if i != rank and m[i][j]:
-                f = m[i][j]
-                m[i] = [a - f * b for a, b in zip(m[i], m[rank])]
-        pivots.append(j)
-        rank += 1
-        if rank == nrows:
-            break
-    free = [j for j in range(ncols) if j not in pivots]
-    basis = []
-    for j in free:
-        v = [dvr.zero] * ncols
-        v[j] = dvr.one
-        for r, pj in enumerate(pivots):
-            v[pj] = -m[r][j]
-        basis.append(v)
-    return basis
 
 
 def k_invert(dvr, rows):

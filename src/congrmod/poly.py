@@ -261,9 +261,6 @@ class MonomialOrder:
         e = max(poly.terms, key=self.key)
         return e, poly.terms[e]
 
-    def sorted_terms(self, poly: Poly):
-        return sorted(poly.terms.items(), key=lambda t: self.key(t[0]), reverse=True)
-
     def __repr__(self):
         return self.kind
 

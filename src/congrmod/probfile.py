@@ -110,12 +110,30 @@ class ProblemFile:
     surjection: dict = None
 
 
+def _parse_int(text):
+    try:
+        return int(text)
+    except ValueError:
+        raise InputError(f"expected an integer, got {text!r}") from None
+
+
 def _parse_in(section, key, parser, text):
     """Run a field parser, attaching section and key to any complaint."""
     try:
         return parser(text)
     except InputError as exc:
         raise InputError(f"[{section}] {key}: {exc}") from None
+
+
+def _required(section, data, key):
+    if key not in data:
+        raise InputError(f"[{section}] missing key {key!r}")
+    return data[key]
+
+
+def _int_in(section, data, key):
+    """A required integer field."""
+    return _parse_in(section, key, _parse_int, _required(section, data, key))
 
 
 def load_problem(text, config=None) -> ProblemFile:
@@ -133,11 +151,11 @@ def load_problem(text, config=None) -> ProblemFile:
     if kind == "p_adic":
         if set(dvr_data) - {"kind", "p"}:
             raise InputError("unknown keys in [dvr]")
-        dvr = Dvr.p_adic(int(dvr_data["p"]))
+        dvr = Dvr.p_adic(_int_in("dvr", dvr_data, "p"))
     elif kind == "power_series":
         if set(dvr_data) - {"kind", "q"}:
             raise InputError("unknown keys in [dvr]")
-        dvr = Dvr.power_series(int(dvr_data["q"]))
+        dvr = Dvr.power_series(_int_in("dvr", dvr_data, "q"))
     else:
         raise InputError("dvr kind must be p_adic or power_series")
 
@@ -159,19 +177,20 @@ def load_problem(text, config=None) -> ProblemFile:
         aug_data = dict(by_name["augmentation"][0])
         flags = {}
         kwargs = {}
-        if "codim" not in aug_data:
-            raise InputError("[augmentation] must declare codim")
-        codim = int(aug_data.pop("codim"))
+        codim = _int_in("augmentation", aug_data, "codim")
+        del aug_data["codim"]
         if "ci" in aug_data:
             kwargs["claimed_ci"] = _parse_bool(aug_data.pop("ci"))
         if "depth" in aug_data:
-            kwargs["claimed_depth"] = int(aug_data.pop("depth"))
+            kwargs["claimed_depth"] = _parse_in("augmentation", "depth", _parse_int,
+                                                aug_data.pop("depth"))
         if "mcm" in aug_data:
             kwargs["claimed_mcm"] = _parse_bool(aug_data.pop("mcm"))
         if "gorenstein" in aug_data:
             kwargs["claimed_gorenstein"] = _parse_bool(aug_data.pop("gorenstein"))
         if "dim" in aug_data:
-            kwargs["claimed_dim"] = int(aug_data.pop("dim"))
+            kwargs["claimed_dim"] = _parse_in("augmentation", "dim", _parse_int,
+                                              aug_data.pop("dim"))
         values = []
         for name in names:
             if name not in aug_data:
@@ -196,7 +215,7 @@ def load_problem(text, config=None) -> ProblemFile:
                 raise InputError(f"unknown keys in [{name}]")
             if out.algebra is None:
                 raise InputError("module sections need a [ring] section")
-            depth = int(data["depth"]) if "depth" in data else None
+            depth = _int_in(name, data, "depth") if "depth" in data else None
             mcm = _parse_bool(data["mcm"]) if "mcm" in data else False
             pres = data.get("presentation", "ring").strip()
             if pres == "ring":
@@ -241,9 +260,9 @@ def load_problem(text, config=None) -> ProblemFile:
             raise InputError("unknown keys in [lattice]")
         scal = lambda t: parse_scalar(dvr, t)
         out.lattice = {
-            "basis": _parse_matrix(data["basis"], scal),
-            "v1": _parse_matrix(data["v1"], scal),
-            "v2": _parse_matrix(data["v2"], scal),
+            "basis": _parse_matrix(_required("lattice", data, "basis"), scal),
+            "v1": _parse_matrix(_required("lattice", data, "v1"), scal),
+            "v2": _parse_matrix(_required("lattice", data, "v2"), scal),
             "pairing": _parse_matrix(data["pairing"], scal) if "pairing" in data else None,
         }
 
@@ -265,6 +284,9 @@ def load_problem(text, config=None) -> ProblemFile:
                 raise InputError("surjection augmentation entries are var: value")
             k, v = item.split(":", 1)
             aug_map[k.strip()] = parse_scalar(dvr, v)
+        for n in names:
+            if n not in aug_map:
+                raise InputError(f"[surjection] augmentation missing a value for {n}")
         values = [aug_map[n] for n in names]
         kwargs = {}
         if "ci" in data:
@@ -275,7 +297,8 @@ def load_problem(text, config=None) -> ProblemFile:
             kwargs["claimed_gorenstein"] = _parse_bool(data["gorenstein"])
         if config is not None:
             kwargs["config"] = config
-        B = build_algebra(bring, rels, values, int(data["codim"]),
+        B = build_algebra(bring, rels, values,
+                          _int_in("surjection", data, "codim"),
                           name="B", **kwargs)
         image_map = {}
         for item in _split_top_level(data.get("images", "")):

@@ -35,6 +35,7 @@ class FreeResolution:
         self.ranks = ranks  # ranks[i] = rank of F_i, i = 0..length
         self.strategy = strategy
         self.cert = cert
+        self._ext = {}  # (degree, module key) -> ExtModule, see ext_module
 
     @property
     def length(self):

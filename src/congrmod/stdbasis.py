@@ -51,8 +51,6 @@ class StdBasis:
     always coefficient-strong: s-pairs match leading coefficients through
     pi-divisions, and reducibility requires coefficient divisibility."""
 
-    coefficient_strong = True
-
     def __init__(self, ring: PolyRing, order: MonomialOrder, gens, config=DEFAULT_CONFIG):
         self.ring = ring
         self.order = order
@@ -202,7 +200,7 @@ def _interreduce(G, order, config):
         ei, ci = leads[i]
         redundant = False
         for j, other in enumerate(G):
-            if i == j or (j in kept and False):
+            if i == j:
                 continue
             ej, cj = leads[j]
             if (monomial_divides(ej, ei) and dvr.val(cj) <= dvr.val(ci)

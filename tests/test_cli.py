@@ -214,6 +214,12 @@ def test_input_errors_exit_2(tmp_path, capsys):
     unknown_key.write_text(A2_FILE + "\n[augmentation]\n")
     assert main(["analyze", str(unknown_key)]) == 2
     capsys.readouterr()
+    for bad_text in (A2_FILE.replace("p = 5", "p = five"),
+                     A2_FILE.replace("p = 5", ""),
+                     A2_FILE.replace("codim = 0", "codim = zero")):
+        bad.write_text(bad_text)
+        assert main(["analyze", str(bad)]) == 2
+        assert "Traceback" not in capsys.readouterr().err
 
 
 def test_bound_exceeded_exit_3(tmp_path, capsys):
@@ -338,13 +344,19 @@ codim = 1
 
 
 def test_subprocess_entrypoint(tmp_path):
+    import os
     import subprocess
     import sys
+
+    import congrmod
     f = tmp_path / "a.cm"
     f.write_text(A2_FILE)
+    # the child imports the same package, installed or not
+    src = os.path.dirname(os.path.dirname(congrmod.__file__))
+    path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
     proc = subprocess.run(
         [sys.executable, "-m", "congrmod", "eta", str(f),
          "--format", "structured"],
-        capture_output=True, text=True)
+        capture_output=True, text=True, env={**os.environ, "PYTHONPATH": path})
     assert proc.returncode == 0
     assert json.loads(proc.stdout)["eta"] == "(pi^2)"

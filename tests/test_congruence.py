@@ -1,3 +1,5 @@
+import sys
+import threading
 from fractions import Fraction as F
 
 import pytest
@@ -61,6 +63,101 @@ class TestExtModules:
         M = FpModule.ring_module(A).direct_sum(FpModule.ring_module(A))
         ext = ext_module(A, M, 0, res)
         assert ext.structure.free_rank == M.reduce_mod_p()["mu"] == 2
+
+
+class TestExtMemo:
+    """ext_module computes each (resolution, degree, module presentation)
+    once and hands every caller the same ExtModule."""
+
+    def test_same_key_same_object(self):
+        A = make_An(5, 2)
+        res = resolve_O(A)
+        ring = ext_module(A, FpModule.ring_module(A), 0, res)
+        assert ext_module(A, FpModule.ring_module(A, name="other"), 0, res) is ring
+        o = ext_module(A, None, 0, res)
+        assert ext_module(A, FpModule.o_module(A), 0, res) is o
+        assert o is not ring
+
+    def test_distinct_keys_distinct_entries(self):
+        A = make_An(5, 2)
+        res = resolve_O(A, strategy="matrix_factorization")
+        x = A.ring.var(0)
+        ring = ext_module(A, FpModule.ring_module(A), 0, res)
+        cut = ext_module(A, FpModule(A, 1, [(x,)]), 0, res)
+        both = FpModule.ring_module(A).direct_sum(FpModule.ring_module(A))
+        summed = ext_module(A, both, 0, res)
+        assert cut is not ring and summed is not ring and summed is not cut
+        assert ext_module(A, FpModule.ring_module(A), 1, res) is not ring
+        res2 = resolve_O(A, strategy="syzygy")
+        assert res2 is not res
+        other = ext_module(A, FpModule.ring_module(A), 0, res2)
+        assert other is not ring
+        assert other.structure.signature == ring.structure.signature
+
+    @staticmethod
+    def _summary(A, M, kappa_first):
+        res = resolve_O(A)
+        c = A.codim
+
+        def pairing():
+            eta_M, cert = eta_raw(A, M, c, res)
+            psi_M, cert2, mu = psi_raw(A, M, c, res)
+            return (eta_M, cert, psi_M.signature, cert2, mu)
+
+        if kappa_first:
+            kd = kappa_defect(A, M, res=res)
+            vals = pairing()
+        else:
+            vals = pairing()
+            kd = kappa_defect(A, M, res=res)
+        return vals, kd
+
+    def test_order_independence(self):
+        for make in (lambda: make_An(5, 2),
+                     lambda: make_hypersurface_2var(5, 1)):
+            for with_sum in (False, True):
+                A1, A2 = make(), make()
+                M1 = M2 = None
+                if with_sum:
+                    M1, M2 = (FpModule.ring_module(B).direct_sum(
+                        FpModule.ring_module(B)) for B in (A1, A2))
+                assert (self._summary(A1, M1, kappa_first=True) ==
+                        self._summary(A2, M2, kappa_first=False))
+
+    def test_threads_share_one_entry(self):
+        """Threads racing on a fresh key all get the entry stored first."""
+        old = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            for _ in range(10):
+                self._race()
+        finally:
+            sys.setswitchinterval(old)
+
+    @staticmethod
+    def _race():
+        A = make_An(5, 2)
+        res = resolve_O(A)
+        M = FpModule.ring_module(A).direct_sum(FpModule.ring_module(A))
+        got, errors = [], []
+        start = threading.Barrier(6)
+
+        def work():
+            try:
+                start.wait(timeout=60)
+                got.append((ext_module(A, M, 0, res),
+                            kappa_defect(A, M, res=res)["kappa"]))
+            except Exception as exc:  # pragma: no cover
+                errors.append(exc)
+
+        threads = [threading.Thread(target=work) for _ in range(6)]
+        for t in threads:
+            t.start()
+        for t in threads:
+            t.join(timeout=120)
+        assert not any(t.is_alive() for t in threads)
+        assert not errors and len(got) == 6
+        assert all(ext is got[0][0] and kappa == got[0][1] for ext, kappa in got)
 
 
 class TestEta:

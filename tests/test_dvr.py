@@ -5,7 +5,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from congrmod import Dvr, IdealO, INF
-from congrmod.dvr import Field
+from congrmod.dvr import Field, split_prime_power
 from congrmod.errors import EngineError
 
 
@@ -29,6 +29,10 @@ def test_prime_validation():
         Dvr.p_adic(6)
     with pytest.raises(EngineError):
         Dvr.power_series(6)
+    assert split_prime_power(1000000007) == (1000000007, 1)
+    assert split_prime_power(3**13) == (3, 13)
+    with pytest.raises(EngineError):
+        split_prime_power(2 * 3**5)
 
 
 nonzero_rationals = st.fractions(
