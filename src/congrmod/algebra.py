@@ -17,8 +17,7 @@ from .dvr import IdealO
 from .errors import (AugmentationNotWellDefined, InconsistentCodim,
                      NonIntegralEntry, NonLocalAugmentation)
 from .finite import FiniteStructure
-from .linsolve import (CERTIFIED, SpanSolver, bounded, poly_kernel, poly_solve,
-                       prune_generators, span_contains)
+from .linsolve import CERTIFIED, SpanSolver, bounded, prune_generators
 from .omodule import FinOModule, fitting_ideal
 from .poly import GLOBAL, LOCAL, Poly, PolyRing, taylor_division
 from .stdbasis import StdBasis, mora_normal_form, reduce_strong, std_basis
@@ -149,33 +148,22 @@ class AugmentedAlgebra:
         b = bound if bound is not None else self.config.search_degree
         return b, bounded(b)
 
-    def kernel_columns(self, columns, nrows, bound=None, per_bounds=None):
-        """Generators of {a : sum a_j col_j = 0 over A}; certified when the
-        algebra is module-finite, bounded search otherwise."""
+    def span_solver(self, columns, nrows, bound=None, per_bounds=None,
+                    target_degree=None):
+        """The A-span of the columns with its certificate: certified when
+        the algebra is module-finite, bounded search otherwise.  A None in
+        per_bounds takes the common bound.  A solver built for one target
+        passes that target's degree, which its absorber columns must reach
+        as well as the columns'."""
         b, cert = self._degree_bound(bound)
         if per_bounds is not None:
             per_bounds = [b if x is None else x for x in per_bounds]
-        vecs = poly_kernel(self.ring, self.gb_global, columns, nrows, b,
-                           config=self.config, per_bounds=per_bounds)
-        return vecs, cert
-
-    def solve_columns(self, columns, target, bound=None):
-        b, cert = self._degree_bound(bound)
-        sol = poly_solve(self.ring, self.gb_global, columns, target, b,
-                         config=self.config)
-        return sol, cert
-
-    def span_contains(self, columns, target, bound=None):
-        b, cert = self._degree_bound(bound)
-        ok = span_contains(self.ring, self.gb_global, columns, target, b,
-                           config=self.config)
-        return ok, cert
-
-    def span_solver(self, columns, nrows, bound=None):
-        """Reusable membership oracle; pair with the matching certificate."""
-        b, cert = self._degree_bound(bound)
+        absorb = None
+        if target_degree is not None:
+            absorb = b + max([0, target_degree]
+                             + [p.degree() for col in columns for p in col])
         solver = SpanSolver(self.ring, self.gb_global, columns, nrows, b,
-                            config=self.config)
+                            absorb, self.config, per_bounds)
         return solver, cert
 
     def prune(self, vectors, bound=None):

@@ -22,9 +22,8 @@ from .errors import (InSymbolicSquare, InputError,
                      NotASurjection, NotSameCodim, ProductLiftFailed,
                      ResolutionTooShort, ZeroDivisorSuspected)
 from .fpmodule import FpModule
-from .linsolve import CERTIFIED, Cert, SpanSolver
-from .omodule import (FinOModule, k_rank, o_kernel_dense, o_solve_dense,
-                      smith_form)
+from .linsolve import CERTIFIED, Cert
+from .omodule import _Echelon, FinOModule, k_rank, o_kernel_dense, smith_form
 from .poly import Poly
 from .resolution import FreeResolution, _apply_columns, resolve_O
 
@@ -48,6 +47,7 @@ class ExtModule:
     resolution: FreeResolution
     cert: Cert
     ker_basis: list = field(default_factory=list)
+    _ker_echelon: object = None
     _class_solver: object = None
     _nz: int = 0
 
@@ -59,9 +59,7 @@ class ExtModule:
             if any(w):
                 raise InternalInvariantViolation("cocycle outside the kernel")
             return []
-        dvr = self.structure.dvr
-        rows = [[kb[i] for kb in self.ker_basis] for i in range(len(w))]
-        y = o_solve_dense(dvr, rows, list(w))
+        y = _ker_coords(self._ker_echelon, w)
         if y is None:
             raise InternalInvariantViolation("cocycle outside the kernel")
         coords = self.structure.normal_coords(y)
@@ -107,6 +105,15 @@ def ext_module(A: AugmentedAlgebra, M, i: int, res: FreeResolution) -> ExtModule
     return ext
 
 
+def _ker_coords(echelon, w):
+    """Coordinates of w on the columns of echelon, or None when w is outside
+    their O-span."""
+    y = echelon.solve({t: x for t, x in enumerate(w) if x})
+    if y is None:
+        return None
+    return [y.get(j, echelon.dvr.zero) for j in range(echelon.ncols)]
+
+
 def _ext_O(A, i, res):
     dvr = A.dvr
     r_i = res.rank(i)
@@ -119,14 +126,16 @@ def _ext_O(A, i, res):
     else:
         ker = [[dvr.one if k == j else dvr.zero for k in range(r_i)]
                for j in range(r_i)]
+    # one echelon of the cocycle lattice serves the coboundaries here and
+    # every later o_class_free_values
+    echelon = _Echelon(dvr, len(ker),
+                       [{t: x for t, x in enumerate(kb) if x} for kb in ker])
     im_coords = []
     if i > 0 and res.rank(i - 1):
-        dprev = res.lam_rows(i)  # r_(i-1) x r_i
-        rows = [[kb[t] for kb in ker] for t in range(r_i)]
-        for row in dprev:
+        for row in res.lam_rows(i):  # r_(i-1) x r_i
             if not any(row):
                 continue
-            y = o_solve_dense(dvr, rows, list(row))
+            y = _ker_coords(echelon, row)
             if y is None:
                 raise InternalInvariantViolation(
                     "coboundary escapes the cocycle lattice")
@@ -134,7 +143,7 @@ def _ext_O(A, i, res):
     pres = [[v[j] for v in im_coords] for j in range(len(ker))]
     structure = FinOModule.from_presentation(dvr, pres, generators=len(ker))
     return ExtModule(i, structure, list(ker), "O", res, res.cert,
-                     ker_basis=list(ker))
+                     ker_basis=list(ker), _ker_echelon=echelon)
 
 
 def _ext_general(A, M, i, res):
@@ -174,11 +183,11 @@ def _ext_general(A, M, i, res):
                     if pcol[l].terms:
                         vec[l * r_n + j] = pcol[l]
                 cols.append(tuple(vec))
-        vecs, c1 = A.kernel_columns(cols, nrows=g * r_n)
+        solver, c1 = A.span_solver(cols, g * r_n)
         cert = cert.merge(c1)
         reps = []
         seen = set()
-        for v in vecs:
+        for v in solver.kernel():
             head = tuple(v[:nvar])
             if all(p.is_zero for p in head):
                 continue
@@ -213,25 +222,19 @@ def _ext_general(A, M, i, res):
         return ExtModule(i, FinOModule.zero(dvr), [], "M", res, cert)
     # p kills Ext classes, so constant multipliers on the generators reach
     # every relation image; only coboundary and relation multipliers need
-    # polynomial degrees
+    # polynomial degrees.  The same solver later gives class coordinates.
     per_bounds = [0] * s + [None] * (len(all_cols) - s)
-    rel_vecs, c2 = A.kernel_columns(all_cols, nrows=g * r_i,
-                                    per_bounds=per_bounds)
+    class_solver, c2 = A.span_solver(all_cols, g * r_i, per_bounds=per_bounds)
     cert = cert.merge(c2)
     rel_cols = []
-    for v in rel_vecs:
+    for v in class_solver.kernel():
         coeffs = [A.lam(v[j]) for j in range(s)]
         if any(coeffs):
             rel_cols.append(coeffs)
     pres = [[col[j] for col in rel_cols] for j in range(s)]
     structure = FinOModule.from_presentation(dvr, pres, generators=s)
-    ext = ExtModule(i, structure, reps, "M", res, cert)
-    b, _ = A._degree_bound(None)
-    ext._class_solver = SpanSolver(ring, A.gb_global, all_cols, g * r_i, b,
-                                   config=A.config,
-                                   per_bounds=[0] * s + [b] * (len(all_cols) - s))
-    ext._nz = s
-    return ext
+    return ExtModule(i, structure, reps, "M", res, cert,
+                     _class_solver=class_solver, _nz=s)
 
 
 # ---------------------------------------------------------------------------
@@ -562,14 +565,18 @@ def deformation_step(A: AugmentedAlgebra, M, f: Poly) -> dict:
         vec[l] = f
         cols.append(tuple(vec))
     cols_p = [tuple(col) for col in MA.columns]
-    vecs, cert = A.kernel_columns(cols + cols_p, nrows=g)
+    solver, cert = A.span_solver(cols + cols_p, g)
     reg_cert = cert
-    for v in vecs:
+    for v in solver.kernel():
         head = tuple(v[:g])
         if all(p.is_zero for p in head):
             continue
-        ok, c2 = A.span_contains(cols_p, head) if cols_p else (
-            all(A.in_ideal(p) for p in head), CERTIFIED)
+        if cols_p:
+            pres, c2 = A.span_solver(
+                cols_p, g, target_degree=max(p.degree() for p in head))
+            ok = pres.contains(head)
+        else:
+            ok, c2 = all(A.in_ideal(p) for p in head), CERTIFIED
         reg_cert = reg_cert.merge(c2)
         if not ok:
             raise ZeroDivisorSuspected(

@@ -20,29 +20,51 @@ from .errors import EngineError
 INF = math.inf
 
 
+# Miller-Rabin with these bases is exact below 2^64; p and q are kept below it.
+_MR_BASES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37)
+_PARAM_LIMIT = 2 ** 64
+
+
 def is_prime(n: int) -> bool:
+    """Deterministic Miller-Rabin, exact for n < 2^64."""
     if n < 2:
         return False
-    if n % 2 == 0:
-        return n == 2
-    d = 3
-    while d * d <= n:
-        if n % d == 0:
+    for b in _MR_BASES:
+        if n % b == 0:
+            return n == b
+    d, s = n - 1, 0
+    while d % 2 == 0:
+        d //= 2
+        s += 1
+    for b in _MR_BASES:
+        x = pow(b, d, n)
+        if x == 1 or x == n - 1:
+            continue
+        for _ in range(s - 1):
+            x = x * x % n
+            if x == n - 1:
+                break
+        else:
             return False
-        d += 2
     return True
 
 
+def _iroot(n: int, k: int) -> int:
+    """The largest r with r**k <= n, for n >= 0 (Newton's method from above)."""
+    r = 1 << -(-n.bit_length() // k)
+    while True:
+        s = ((k - 1) * r + n // r ** (k - 1)) // k
+        if s >= r:
+            return r
+        r = s
+
+
 def split_prime_power(q: int):
-    """Return (p, k) with q = p**k, or raise.  p is the smallest divisor
-    above 1, found by trial division up to sqrt(q)."""
-    if q >= 2:
-        p = next((d for d in range(2, math.isqrt(q) + 1) if q % d == 0), q)
-        k, m = 0, q
-        while m % p == 0:
-            m //= p
-            k += 1
-        if m == 1:
+    """Return (p, k) with q = p**k and p prime, or raise.  p is the exact
+    integer k-th root of q for the one k that gives a prime."""
+    for k in range(1, q.bit_length() if q >= 2 else 0):
+        p = _iroot(q, k)
+        if p ** k == q and is_prime(p):
             return p, k
     raise EngineError(f"{q} is not a prime power")
 
@@ -380,6 +402,8 @@ class Dvr:
     """The base ring O together with its fraction field K."""
 
     def __init__(self, kind: str, param: int):
+        if param >= _PARAM_LIMIT:
+            raise EngineError(f"p or q = {param} is not below 2^64")
         if kind == "p_adic":
             if not is_prime(param):
                 raise EngineError(f"p = {param} is not prime")

@@ -12,6 +12,7 @@ from __future__ import annotations
 
 from itertools import product
 
+from .linsolve import SpanSolver
 from .omodule import FinOModule, o_kernel, o_solve
 from .poly import Poly, monomial_divides
 from .stdbasis import reduce_strong
@@ -73,17 +74,12 @@ class FiniteStructure:
         """O-relations among the box monomials inside A (nonzero only when
         the quotient has O-torsion, e.g. a relation pi^m * x)."""
         if self._relations is None:
-            from .linsolve import _System
-            cols = [(self.to_poly([self.dvr.one if i == j else self.dvr.zero
-                                   for i in range(self.rank)]),)
-                    for j in range(self.rank)]
+            cols = [(Poly(self.ring, {e: self.dvr.one}),) for e in self.box]
             maxg = max((g.degree() for g in self.gb.gens), default=0)
-            sys_ = _System(self.ring, self.gb, cols, 1,
-                           [0] * self.rank, self.maxdeg + maxg, self.config)
-            rels = []
-            for vec in sys_.kernel(self.rank):
-                rels.append([p.constant_value() for p in vec])
-            self._relations = rels
+            solver = SpanSolver(self.ring, self.gb, cols, 1, 0,
+                                self.maxdeg + maxg, self.config)
+            self._relations = [[p.constant_value() for p in vec]
+                               for vec in solver.kernel()]
         return self._relations
 
     def mult_matrix(self, poly: Poly):

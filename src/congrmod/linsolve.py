@@ -1,10 +1,11 @@
 """Bounded-degree linear algebra over polynomial quotient rings.
 
-Kernels and solves of matrices over A = O[x]/I are reduced to exact
-O-linear algebra on monomial coefficient vectors.  Quotient conditions are
-encoded either by explicit ideal-multiple absorber columns, or, when every
-element of the global standard basis has a unit leading coefficient (so
-strong normal forms are O-linear), by reducing products to normal form
+One class, SpanSolver, holds a matrix over A = O[x]/I as an exact O-linear
+system on monomial coefficient vectors, and answers its kernel, solves and
+membership queries; prune_generators is built on it.  Quotient conditions
+are encoded either by explicit ideal-multiple absorber columns, or, when
+every element of the global standard basis has a unit leading coefficient
+(so strong normal forms are O-linear), by reducing products to normal form
 first.  Completeness holds only up to the multiplier degree bound; callers
 supply bounds that are provably sufficient for module-finite algebras and
 record a bounded certification status otherwise.
@@ -16,6 +17,7 @@ from dataclasses import dataclass
 
 from .config import DEFAULT_CONFIG
 from .errors import DegreeBoundExceeded
+from .omodule import _Echelon
 from .poly import Poly, monomial_mul, monomials_up_to
 from .stdbasis import reduce_strong
 
@@ -58,31 +60,39 @@ def _max_degree(columns):
     return d
 
 
-class _System:
-    """Sparse O-linear system for sum_j a_j * col_j = target (mod I).
+class SpanSolver:
+    """The A-span of a fixed column set, as one sparse O-linear system for
+    sum_j a_j * col_j = target (mod I) with deg a_j <= the column's bound.
 
-    The column echelon is computed once and reused across solves, so one
-    instance answers many membership queries against the same span cheaply.
+    The columns are expanded once, on construction; the echelon is built on
+    the first query and reused, so one instance answers kernel(), solve()
+    and contains() for many targets.  The absorber degree defaults to
+    deg_bound plus the largest column degree; a solver meant for a target of
+    higher degree must pass a larger one, or that target reads as outside.
     """
 
-    def __init__(self, ring, gb_global, columns, nrows, deg_bounds, absorb_degree,
-                 config=DEFAULT_CONFIG):
+    def __init__(self, ring, gb_global, columns, nrows, deg_bound,
+                 absorb_degree=None, config=DEFAULT_CONFIG, per_bounds=None):
+        self.columns = list(columns)
         self.ring = ring
         self.dvr = ring.dvr
-        self.nrows = nrows
         self.config = config
         self._echelon = None
-        if max(deg_bounds, default=0) > config.degree_cap:
+        bounds = per_bounds if per_bounds is not None else \
+            [deg_bound] * len(self.columns)
+        if max(bounds, default=0) > config.degree_cap:
             raise DegreeBoundExceeded(
-                f"multiplier degree {max(deg_bounds)} above cap {config.degree_cap}")
+                f"multiplier degree {max(bounds)} above cap {config.degree_cap}")
+        if absorb_degree is None:
+            absorb_degree = deg_bound + _max_degree(self.columns)
         self.gb = gb_global
         self.linear_nf = gb_global is not None and all(
             self.dvr.val(self.gb.order.leading(g)[1]) == 0 for g in gb_global.gens)
         self.row_index = {}
         self.sparse_cols = []
         self.meta = []  # ("var", j, exps) | ("abs", ...)
-        for j, col in enumerate(columns):
-            for u in monomials_up_to(ring.nvars, deg_bounds[j]):
+        for j, col in enumerate(self.columns):
+            for u in monomials_up_to(ring.nvars, bounds[j]):
                 scol = self._expand(col, u)
                 self.sparse_cols.append(scol)
                 self.meta.append(("var", j, u))
@@ -145,8 +155,8 @@ class _System:
                 rhs[rid] = rhs.get(rid, self.dvr.zero) + c
         return {k: v for k, v in rhs.items() if v}
 
-    def _vector_to_polys(self, vec, ncols):
-        polys = [dict() for _ in range(ncols)]
+    def _vector_to_polys(self, vec):
+        polys = [dict() for _ in self.columns]
         for cid, c in vec.items():
             tag = self.meta[cid]
             if tag[0] != "var":
@@ -158,16 +168,16 @@ class _System:
 
     def _ech(self):
         if self._echelon is None:
-            from .omodule import _Echelon
             self._echelon = _Echelon(self.dvr, len(self.sparse_cols),
                                      self.sparse_cols)
         return self._echelon
 
-    def kernel(self, ncols):
+    def kernel(self):
+        """Generators of {a : sum a_j col_j = 0 mod I}, without repeats."""
         out = []
         seen = set()
         for vec in self._ech().kernel():
-            polys = self._vector_to_polys(vec, ncols)
+            polys = self._vector_to_polys(vec)
             if all(p.is_zero for p in polys):
                 continue
             key = tuple(tuple(sorted(p.terms.items())) for p in polys)
@@ -177,70 +187,20 @@ class _System:
             out.append(polys)
         return out
 
-    def solve(self, target, ncols):
+    def solve(self, target):
+        """Multipliers a with sum a_j col_j = target mod I, or None."""
         rhs = self._to_target(target)
         if rhs is None:
             return None
         sol = self._ech().solve(rhs)
         if sol is None:
             return None
-        return self._vector_to_polys(sol, ncols)
-
-
-def poly_kernel(ring, gb_global, columns, nrows, deg_bound, absorb_degree=None,
-                config=DEFAULT_CONFIG, per_bounds=None):
-    """Generators of {a : sum a_j col_j = 0 mod I} with deg a_j <= deg_bound."""
-    if not columns:
-        return []
-    bounds = per_bounds if per_bounds is not None else [deg_bound] * len(columns)
-    if absorb_degree is None:
-        absorb_degree = deg_bound + _max_degree(columns)
-    sys_ = _System(ring, gb_global, columns, nrows, bounds, absorb_degree, config)
-    return sys_.kernel(len(columns))
-
-
-def poly_solve(ring, gb_global, columns, target, deg_bound, absorb_degree=None,
-               config=DEFAULT_CONFIG):
-    """Multipliers a with sum a_j col_j = target mod I, or None."""
-    bounds = [deg_bound] * len(columns)
-    if absorb_degree is None:
-        absorb_degree = deg_bound + max(_max_degree(columns),
-                                        _max_degree([target]))
-    sys_ = _System(ring, gb_global, columns, nrows=len(target),
-                   deg_bounds=bounds, absorb_degree=absorb_degree, config=config)
-    return sys_.solve(target, len(columns))
-
-
-class SpanSolver:
-    """Reusable membership oracle for the A-span of a fixed column set."""
-
-    def __init__(self, ring, gb_global, columns, nrows, deg_bound,
-                 absorb_degree=None, config=DEFAULT_CONFIG, per_bounds=None):
-        self.columns = list(columns)
-        self.nrows = nrows
-        if absorb_degree is None:
-            absorb_degree = deg_bound + _max_degree(self.columns)
-        bounds = per_bounds if per_bounds is not None else \
-            [deg_bound] * len(self.columns)
-        self._sys = _System(ring, gb_global, self.columns, nrows,
-                            bounds, absorb_degree, config)
-
-    def solve(self, target):
-        return self._sys.solve(target, len(self.columns))
+        return self._vector_to_polys(sol)
 
     def contains(self, target):
         if all(p.is_zero for p in target):
             return True
         return self.solve(target) is not None
-
-
-def span_contains(ring, gb_global, columns, target, deg_bound, config=DEFAULT_CONFIG):
-    if all(p.is_zero for p in target):
-        return True
-    solver = SpanSolver(ring, gb_global, columns, len(target), deg_bound,
-                        deg_bound + max(_max_degree(columns), _max_degree([target])),
-                        config)
-    return solver.contains(target)
 
 
 def prune_generators(ring, gb_global, vectors, deg_bound, config=DEFAULT_CONFIG):
@@ -257,7 +217,7 @@ def prune_generators(ring, gb_global, vectors, deg_bound, config=DEFAULT_CONFIG)
     if not vecs:
         return []
     nrows = len(vecs[0])
-    absorb = deg_bound + max(_max_degree(vecs), 0)
+    absorb = deg_bound + _max_degree(vecs)
     kept = []
     solver = None
     for v in vecs:

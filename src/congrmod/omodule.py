@@ -454,33 +454,24 @@ def o_solve(dvr, ncols, columns, rhs):
     return _Echelon(dvr, ncols, columns).solve(rhs)
 
 
+def _dense_columns(rows):
+    """The columns of a dense row matrix, as sparse dicts row -> entry."""
+    return [{i: x for i, x in enumerate(col) if x} for col in zip(*rows)]
+
+
 def o_kernel_dense(dvr, rows):
     """Kernel basis (dense vectors) of a dense row matrix over O."""
-    ncols = len(rows[0]) if rows else 0
-    columns = []
-    for j in range(ncols):
-        col = {}
-        for i, row in enumerate(rows):
-            if row[j]:
-                col[i] = row[j]
-        columns.append(col)
-    ker = o_kernel(dvr, ncols, columns)
-    return [[v.get(j, dvr.zero) for j in range(ncols)] for v in ker]
+    columns = _dense_columns(rows)
+    ker = o_kernel(dvr, len(columns), columns)
+    return [[v.get(j, dvr.zero) for j in range(len(columns))] for v in ker]
 
 
 def o_solve_dense(dvr, rows, rhs):
-    ncols = len(rows[0]) if rows else 0
-    columns = []
-    for j in range(ncols):
-        col = {}
-        for i, row in enumerate(rows):
-            if row[j]:
-                col[i] = row[j]
-        columns.append(col)
-    sol = o_solve(dvr, ncols, columns, {i: x for i, x in enumerate(rhs) if x})
+    columns = _dense_columns(rows)
+    sol = o_solve(dvr, len(columns), columns, {i: x for i, x in enumerate(rhs) if x})
     if sol is None:
         return None
-    return [sol.get(j, dvr.zero) for j in range(ncols)]
+    return [sol.get(j, dvr.zero) for j in range(len(columns))]
 
 
 # ---------------------------------------------------------------------------

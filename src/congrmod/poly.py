@@ -10,7 +10,7 @@ identifiers, ``pi``, ``+ - * ^``, integer literals and parentheses
 from __future__ import annotations
 
 from .dvr import Dvr, INF
-from .errors import InputError
+from .errors import DegreeBoundExceeded, InputError
 
 
 class PolyRing:
@@ -173,8 +173,8 @@ class Poly:
         for e, c in self.terms.items():
             v = c
             for i, k in enumerate(e):
-                for _ in range(k):
-                    v = v * point[i]
+                if k:
+                    v = v * point[i] ** k
             acc = acc + v
         return acc
 
@@ -349,12 +349,18 @@ def _tokenize(text):
 
 
 class _Parser:
-    def __init__(self, ring, text, allow_div=False):
+    def __init__(self, ring, text, allow_div=False, degree_cap=None):
         self.ring = ring
         self.toks = _tokenize(text)
         self.pos = 0
         self.allow_div = allow_div
+        self.degree_cap = degree_cap
         self.text = text
+
+    def check_degree(self, degree):
+        if self.degree_cap is not None and degree > self.degree_cap:
+            raise DegreeBoundExceeded(
+                f"degree {degree} in {self.text.strip()!r} above cap {self.degree_cap}")
 
     def peek(self):
         return self.toks[self.pos]
@@ -371,6 +377,7 @@ class _Parser:
         if self.peek()[0] != "end":
             tok = self.peek()
             raise InputError(f"trailing input at position {tok[2]} in {self.text!r}")
+        self.check_degree(p.degree())
         return p
 
     def expr(self):
@@ -407,6 +414,7 @@ class _Parser:
         if self.peek()[0] == "^":
             self.take()
             e = self.take("num")[1]
+            self.check_degree(p.degree() * e)  # before the power is built
             p = p ** e
         return p
 
@@ -430,8 +438,10 @@ class _Parser:
         raise InputError(f"unexpected token at position {pos} in {self.text!r}")
 
 
-def parse_poly(ring: PolyRing, text: str) -> Poly:
-    return _Parser(ring, text).parse()
+def parse_poly(ring: PolyRing, text: str, degree_cap=None) -> Poly:
+    """Parse a polynomial; with degree_cap, one of higher degree raises
+    DegreeBoundExceeded before any step evaluates or multiplies it."""
+    return _Parser(ring, text, degree_cap=degree_cap).parse()
 
 
 def parse_scalar(dvr: Dvr, text: str):

@@ -11,6 +11,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 
 from .algebra import AugmentedAlgebra, build_algebra
+from .config import DEFAULT_CONFIG
 from .dvr import Dvr
 from .errors import InputError
 from .fpmodule import FpModule
@@ -137,6 +138,11 @@ def _int_in(section, data, key):
 
 
 def load_problem(text, config=None) -> ProblemFile:
+    cap = (config or DEFAULT_CONFIG).degree_cap
+
+    def poly(ring, t):
+        return parse_poly(ring, t, degree_cap=cap)
+
     sections = parse_sections(text)
     by_name = {}
     for name, data in sections:
@@ -169,7 +175,7 @@ def load_problem(text, config=None) -> ProblemFile:
         ring = PolyRing(dvr, names)
         out.ring = ring
         rel_text = ring_data.get("relations", "").strip()
-        relations = [_parse_in("ring", "relations", lambda s: parse_poly(ring, s), t)
+        relations = [_parse_in("ring", "relations", lambda s: poly(ring, s), t)
                      for t in _split_top_level(rel_text)] if rel_text else []
 
         if "augmentation" not in by_name:
@@ -226,7 +232,7 @@ def load_problem(text, config=None) -> ProblemFile:
             else:
                 rows = _parse_in(name, "presentation",
                                  lambda s: _parse_matrix(
-                                     s, lambda t: parse_poly(out.ring, t)),
+                                     s, lambda t: poly(out.ring, t)),
                                  pres)
                 gens = len(rows)
                 cols = [tuple(rows[i][j] for i in range(gens))
@@ -246,7 +252,7 @@ def load_problem(text, config=None) -> ProblemFile:
                 raise InputError("[resolution] keys must be d1, d2, ... without gaps")
             rows = _parse_in("resolution", key,
                              lambda s: _parse_matrix(
-                                 s, lambda t: parse_poly(out.ring, t)),
+                                 s, lambda t: poly(out.ring, t)),
                              data[key])
             nrows = len(rows)
             cols = [tuple(rows[r][j] for r in range(nrows))
@@ -277,7 +283,7 @@ def load_problem(text, config=None) -> ProblemFile:
         names = [v.strip() for v in data.get("vars", "").split(",") if v.strip()]
         bring = PolyRing(dvr, names)
         rel_text = data.get("relations", "").strip()
-        rels = [parse_poly(bring, t) for t in _split_top_level(rel_text)] if rel_text else []
+        rels = [poly(bring, t) for t in _split_top_level(rel_text)] if rel_text else []
         aug_map = {}
         for item in _split_top_level(data.get("augmentation", "")):
             if ":" not in item:
@@ -305,7 +311,7 @@ def load_problem(text, config=None) -> ProblemFile:
             if ":" not in item:
                 raise InputError("surjection images entries are var: poly")
             k, v = item.split(":", 1)
-            image_map[k.strip()] = parse_poly(bring, v)
+            image_map[k.strip()] = poly(bring, v)
         images = []
         for n in out.ring.names:
             if n not in image_map:

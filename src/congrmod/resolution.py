@@ -23,7 +23,7 @@ from itertools import combinations
 from .algebra import AugmentedAlgebra
 from .errors import (InternalInvariantViolation, ResolutionTooShort,
                      StrategyInapplicable, VerificationFailed)
-from .linsolve import CERTIFIED, USER_VERIFIED, Cert, bounded, poly_kernel, poly_solve
+from .linsolve import CERTIFIED, USER_VERIFIED, Cert, SpanSolver, bounded
 from .omodule import o_solve
 from .poly import Poly, monomials_up_to, taylor_division
 
@@ -376,7 +376,7 @@ def _regular_sequence_check(A):
     m = len(fs)
     bound = A.config.search_degree
     cols = [(f,) for f in fs]
-    syz = poly_kernel(A.ring, None, cols, 1, bound, config=A.config)
+    syz = SpanSolver(A.ring, None, cols, 1, bound, config=A.config).kernel()
     trivial = []
     for i in range(m):
         for j in range(i + 1, m):
@@ -384,15 +384,9 @@ def _regular_sequence_check(A):
             vec[i] = fs[j]
             vec[j] = -fs[i]
             trivial.append(tuple(vec))
-    for v in syz:
-        if trivial:
-            sol = poly_solve(A.ring, None, trivial, v,
-                             bound + max(f.degree() for f in fs), config=A.config)
-        else:
-            sol = None if any(p.terms for p in v) else ()
-        if sol is None:
-            return False
-    return True
+    solver = SpanSolver(A.ring, None, trivial, m,
+                        bound + max(f.degree() for f in fs), config=A.config)
+    return all(solver.contains(v) for v in syz)
 
 
 # ---------------------------------------------------------------------------
@@ -411,8 +405,9 @@ def _syzygy_resolution(A, length):
             diffs.append([])
             ranks.append(0)
             continue
-        vecs, c = A.kernel_columns(prev, nrows=ranks[-2])
+        solver, c = A.span_solver(prev, ranks[-2])
         cert = cert.merge(c)
+        vecs = solver.kernel()
         pruned = A.prune(vecs)
         cols = [tuple(A.nf(p) for p in v) for v in pruned]
         # soundness: the previous differential kills every column, exactly
@@ -512,23 +507,23 @@ def verify_resolution(res: FreeResolution) -> Cert:
     for col in d1:
         if A.lam(col[0]):
             raise VerificationFailed("a column of d_1 is not in the augmentation ideal")
-    for g in A.p_gens():
-        sol, cert = A.solve_columns(d1, (g,))
-        evidence = evidence.merge(cert)
-        if sol is None:
-            raise VerificationFailed(
-                "image of d_1 does not generate the augmentation ideal")
+    # the generators x_i - a_i all have degree one
+    solver, cert = A.span_solver(d1, 1, target_degree=1)
+    evidence = evidence.merge(cert)
+    if not all(solver.contains((g,)) for g in A.p_gens()):
+        raise VerificationFailed(
+            "image of d_1 does not generate the augmentation ideal")
     top = min(res.length - 1, A.codim + 1)
     for i in range(1, top + 1):
         di = res.differential(i)
         if not di:
             continue
-        kernel, cert = A.kernel_columns(di, nrows=res.rank(i - 1))
+        kernel_solver, cert = A.span_solver(di, res.rank(i - 1))
         evidence = evidence.merge(cert)
         nxt = res.differential(i + 1)
         solver, cert2 = A.span_solver(nxt, res.rank(i))
         evidence = evidence.merge(cert2)
-        for v in kernel:
+        for v in kernel_solver.kernel():
             if not solver.contains(v):
                 raise VerificationFailed(
                     f"exactness fails at homological degree {i}")
@@ -543,8 +538,8 @@ def syzygy_module(A: AugmentedAlgebra, columns, nrows=None, bound=None):
     exactly verified."""
     if nrows is None:
         nrows = len(columns[0]) if columns else 0
-    vecs, cert = A.kernel_columns(columns, nrows=nrows, bound=bound)
-    pruned = A.prune(vecs, bound=bound)
+    solver, cert = A.span_solver(columns, nrows, bound=bound)
+    pruned = A.prune(solver.kernel(), bound=bound)
     out = [tuple(A.nf(p) for p in v) for v in pruned]
     for col in out:
         image = _apply_columns(A.ring, columns, col)

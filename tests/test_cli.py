@@ -239,6 +239,63 @@ codim = 0
     capsys.readouterr()
 
 
+def run_child(args, seconds):
+    """Run the CLI in a child interpreter, killed (and the test failed) after
+    `seconds`; returns the completed process."""
+    import os
+    import subprocess
+    import sys
+
+    import congrmod
+    # the child imports the same package, installed or not
+    src = os.path.dirname(os.path.dirname(congrmod.__file__))
+    path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+    return subprocess.run([sys.executable, "-m", "congrmod", *args],
+                          capture_output=True, text=True, timeout=seconds,
+                          env={**os.environ, "PYTHONPATH": path})
+
+
+@pytest.mark.parametrize("aug", ["0", "pi"])
+def test_huge_exponent_exit_3(tmp_path, aug):
+    f = tmp_path / "huge.cm"
+    f.write_text(A2_FILE.replace("x*(x - pi^2)", "x^99999999")
+                 .replace("x = 0", f"x = {aug}"))
+    proc = run_child(["analyze", str(f)], seconds=5)
+    assert proc.returncode == 3
+    assert "Traceback" not in proc.stderr
+
+
+def test_huge_surjection_image_exit_3(tmp_path):
+    f = tmp_path / "surj.cm"
+    f.write_text(A2_FILE + """
+[surjection]
+vars = y
+relations = y*(y - pi^2)
+codim = 0
+augmentation = y: 0
+images = x: y^99999999
+""")
+    proc = run_child(["criterion", str(f), "--mode", "iso"], seconds=5)
+    assert proc.returncode == 3
+    assert "Traceback" not in proc.stderr
+
+
+@pytest.mark.parametrize("kind", ["p_adic", "power_series"])
+def test_large_prime_base(tmp_path, kind):
+    """2^61 - 1 is prime; a p or q at or above 2^64 is refused."""
+    f = tmp_path / "big.cm"
+    text = A2_FILE.replace("kind = p_adic", f"kind = {kind}")
+    key = "p" if kind == "p_adic" else "q"
+    f.write_text(text.replace("p = 5", f"{key} = {2**61 - 1}"))
+    proc = run_child(["analyze", str(f), "--format", "structured"], seconds=10)
+    assert proc.returncode == 0
+    assert json.loads(proc.stdout)["modules"]["ring"]["eta"] == "(pi^2)"
+    f.write_text(text.replace("p = 5", f"{key} = {2**64 + 13}"))
+    proc = run_child(["analyze", str(f)], seconds=10)
+    assert proc.returncode == 2
+    assert "Traceback" not in proc.stderr
+
+
 def test_resolution_file_strategy(tmp_path, capsys):
     f = tmp_path / "res.cm"
     f.write_text("""
@@ -344,19 +401,8 @@ codim = 1
 
 
 def test_subprocess_entrypoint(tmp_path):
-    import os
-    import subprocess
-    import sys
-
-    import congrmod
     f = tmp_path / "a.cm"
     f.write_text(A2_FILE)
-    # the child imports the same package, installed or not
-    src = os.path.dirname(os.path.dirname(congrmod.__file__))
-    path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
-    proc = subprocess.run(
-        [sys.executable, "-m", "congrmod", "eta", str(f),
-         "--format", "structured"],
-        capture_output=True, text=True, env={**os.environ, "PYTHONPATH": path})
+    proc = run_child(["eta", str(f), "--format", "structured"], seconds=120)
     assert proc.returncode == 0
     assert json.loads(proc.stdout)["eta"] == "(pi^2)"

@@ -5,7 +5,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from congrmod import Dvr, IdealO, INF
-from congrmod.dvr import Field, split_prime_power
+from congrmod.dvr import Field, is_prime, split_prime_power
 from congrmod.errors import EngineError
 
 
@@ -33,6 +33,27 @@ def test_prime_validation():
     assert split_prime_power(3**13) == (3, 13)
     with pytest.raises(EngineError):
         split_prime_power(2 * 3**5)
+    big = 2**61 - 1
+    assert split_prime_power(big) == (big, 1)
+    assert split_prime_power((2**31 - 1) ** 2) == (2**31 - 1, 2)
+    assert split_prime_power(2**63) == (2, 63)
+    with pytest.raises(EngineError):
+        split_prime_power(big * 3)
+    with pytest.raises(EngineError):
+        Dvr.p_adic(2**64 + 13)
+    with pytest.raises(EngineError):
+        Dvr.power_series(2**64 + 13)
+
+
+def test_is_prime_exact():
+    """Trial division below 5000, and strong pseudoprimes to the bases
+    2..7 and to every prime base up to 23."""
+    trial = [n for n in range(5000)
+             if n > 1 and all(n % d for d in range(2, int(n**0.5) + 1))]
+    assert [n for n in range(5000) if is_prime(n)] == trial
+    assert not is_prime(3215031751)
+    assert not is_prime(3825123056546413051)
+    assert is_prime(2**61 - 1) and is_prime(2**64 - 59)
 
 
 nonzero_rationals = st.fractions(

@@ -132,16 +132,28 @@ class TestSyzygyModule:
         cols, cert = syzygy_module(A, [(R.parse("x"),), (R.parse("y"),)])
         assert cert.kind == "bounded"
         # the Koszul relation (-y, x) is in the span of the output
-        ok, _ = A.span_contains(cols, (R.parse("-y"), R.parse("x")))
-        assert ok
+        solver, _ = A.span_solver(cols, 2, target_degree=1)
+        assert solver.contains((R.parse("-y"), R.parse("x")))
 
     def test_annihilator_syzygy(self):
         A = make_An(5, 1)
         R = A.ring
         cols, cert = syzygy_module(A, [(R.parse("x"),)])
         assert cert.label() == "certified"
-        ok, _ = A.span_contains(cols, (R.parse("x - pi"),))
-        assert ok
+        solver, _ = A.span_solver(cols, 1, target_degree=1)
+        assert solver.contains((R.parse("x - pi"),))
+
+    def test_membership_reaches_target_degree(self, O5):
+        """In O[x]/(pi*x), pi*x^6 is zero, so it lies in the span of x; the
+        absorber columns must reach degree 6 to see that, beyond the
+        columns' own degree plus the search degree 4.  x^6 = x^5 * x needs
+        a multiplier of degree 5, so it is outside the bounded span."""
+        R = PolyRing(O5, ("x",))
+        A = build_algebra(R, [R.parse("pi*x")], [O5.zero], 0, name="O[x]/(pi*x)")
+        solver, cert = A.span_solver([(R.parse("x"),)], 1, target_degree=6)
+        assert cert.label() == "bounded_search(degree 4)"
+        assert solver.contains((R.parse("pi*x^6"),))
+        assert not solver.contains((R.parse("x^6"),))
 
     def test_identity_has_no_syzygies(self, O5):
         R = PolyRing(O5, ("x",))

@@ -1,0 +1,36 @@
+"""The benchmark's per-layer tracer (bench/tracing.py) still finds the span
+solver it reads by name, and tracing does not change any output."""
+
+import sys
+from pathlib import Path
+
+import congrmod.cli
+from congrmod import resolve_O
+from conftest import make_ring_B
+from test_cli import A2_FILE
+
+sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "bench"))
+from tracing import Tracer  # noqa: E402
+
+
+def _analyze_a2(path, capsys):
+    assert congrmod.cli.main(["analyze", str(path), "--format", "structured"]) == 0
+    return capsys.readouterr().out
+
+
+def _resolve_b():
+    res = resolve_O(make_ring_B(5), length=3, strategy="syzygy")
+    return res.ranks, [[tuple(map(str, col)) for col in d] for d in res.diffs]
+
+
+def test_tracer_reads_span_solver(tmp_path, capsys):
+    path = tmp_path / "a2.cm"
+    path.write_text(A2_FILE)
+    plain = _analyze_a2(path, capsys), _resolve_b()
+    tracer = Tracer()
+    with tracer:
+        traced = _analyze_a2(path, capsys), _resolve_b()
+    assert traced == plain
+    assert tracer.stats["linsolve.SpanSolver.__init__"][0] > 0
+    assert tracer.stats["linsolve.SpanSolver.solve"][0] > 0
+    assert tracer.counts["linsolve.columns_expanded"] > 0
