@@ -19,7 +19,7 @@ from .poly import (GLOBAL, LOCAL, MonomialOrder, Poly, PolyRing, parse_poly,
                    parse_scalar, taylor_division)
 from .resolution import (FreeResolution, resolve_O, syzygy_module,
                          verify_resolution)
-from .stdbasis import StdBasis, in_ideal, normal_form, std_basis
+from .stdbasis import StdBasis, std_basis
 
 __all__ = [
     "AugmentedAlgebra", "CongruenceReport", "CotangentData", "DEFAULT_CONFIG",
@@ -28,11 +28,10 @@ __all__ = [
     "MonomialOrder", "Poly", "PolyRing", "RegularityWarning", "StdBasis",
     "analyze", "build_algebra", "cotangent_invariants", "deformation_step",
     "eta", "eta_codim0_oracle", "eta_raw", "ext_module", "fitting_ideal",
-    "in_ideal", "invariance_check", "kappa_defect", "normal_form",
-    "numerical_criterion", "o_module_from_presentation", "order_ideal",
-    "pairing_discriminant", "parse_poly", "parse_scalar", "psi",
-    "psi_direct_codim0", "psi_raw", "regularity_at_lambda", "resolve_O",
-    "serre_check", "smith_form", "split_and_congruence", "std_basis",
-    "symbolic_power_test", "syzygy_module", "taylor_division",
-    "verify_resolution",
+    "invariance_check", "kappa_defect", "numerical_criterion",
+    "o_module_from_presentation", "order_ideal", "pairing_discriminant",
+    "parse_poly", "parse_scalar", "psi", "psi_direct_codim0", "psi_raw",
+    "regularity_at_lambda", "resolve_O", "serre_check", "smith_form",
+    "split_and_congruence", "std_basis", "symbolic_power_test",
+    "syzygy_module", "taylor_division", "verify_resolution",
 ]

@@ -20,7 +20,7 @@ from .finite import FiniteStructure
 from .linsolve import CERTIFIED, SpanSolver, bounded, prune_generators
 from .omodule import FinOModule, fitting_ideal
 from .poly import GLOBAL, LOCAL, Poly, PolyRing, taylor_division
-from .stdbasis import StdBasis, mora_normal_form, reduce_strong, std_basis
+from .stdbasis import StdBasis, std_basis
 
 _NOTSET = object()
 
@@ -131,15 +131,11 @@ class AugmentedAlgebra:
     # -- reduction and membership --
     def nf(self, poly: Poly) -> Poly:
         """Global-order strong normal form: a canonical representative."""
-        return reduce_strong(poly, self.gb_global.gens, GLOBAL, self.config)
+        return self.gb_global.nf(poly)
 
     def in_ideal(self, poly: Poly) -> bool:
         """Membership in the localized ideal (Mora normal form)."""
-        if not poly.terms:
-            return True
-        if not self.relations:
-            return False
-        return not mora_normal_form(poly, self.gb_local.gens, LOCAL, self.config).terms
+        return self.gb_local.contains(poly)
 
     # -- bounded linear algebra over the quotient --
     def _degree_bound(self, bound):

@@ -140,7 +140,7 @@ def cmd_deform(args):
     problem = _load(args)
     _require_algebra(problem)
     A = problem.algebra
-    f = parse_poly(A.ring, args.element, degree_cap=A.config.degree_cap)
+    f = parse_poly(A.ring, args.element, A.config)
     M = _module_for(problem, args)
     out = deformation_step(A, M, f)
     record = {

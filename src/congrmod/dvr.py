@@ -143,50 +143,37 @@ class Field:
     @staticmethod
     def _find_irreducible(p: int, k: int):
         """Lexicographically first monic irreducible of degree k over F_p,
-        stored as the low coefficients (the x^k coefficient is implicit 1)."""
+        stored as the low coefficients (the x^k coefficient is implicit 1).
 
-        def poly_eval(coeffs, x):
-            acc = 0
-            for c in reversed(coeffs + [1]):
-                acc = (acc * x + c) % p
-            return acc
+        Rabin's test: f of degree k is irreducible iff f divides
+        x^(p^k) - x and is coprime to x^(p^(k/r)) - x for each prime r | k."""
+        fp = Field(p)
+        mul, mod = RF._polymul, RF._polymod
+        minus_x = [0, p - 1]
+        checks = {k // r for r in range(2, k + 1) if k % r == 0 and is_prime(r)}
 
-        def divides(d, f):
-            # trial division of monic f (low coeffs + implicit lead 1)
-            rem = list(f) + [1]
-            dd = list(d) + [1]
-            while len(rem) >= len(dd):
-                c = rem[-1]
-                if c:
-                    shift = len(rem) - len(dd)
-                    for i, dc in enumerate(dd):
-                        rem[shift + i] = (rem[shift + i] - c * dc) % p
-                rem.pop()
-            return all(r == 0 for r in rem)
+        def frobenius(h, f):
+            """h^p mod f, by repeated squaring."""
+            out, base, e = [1], h, p
+            while True:
+                if e & 1:
+                    out = mod(fp, mul(fp, out, base), f)
+                e >>= 1
+                if not e:
+                    return out
+                base = mod(fp, mul(fp, base, base), f)
 
-        def candidates(deg):
-            total = p ** deg
-            for code in range(total):
-                cs, m = [], code
-                for _ in range(deg):
-                    cs.append(m % p)
-                    m //= p
-                yield cs
+        def irreducible(f):
+            h = [0, 1]  # x^(p^j) mod f, for j = 0, 1, ..., k
+            for j in range(1, k + 1):
+                h = frobenius(h, f)
+                if j in checks and len(RF._gcd(fp, f, RF._polyadd(fp, h, minus_x))) > 1:
+                    return False
+            return h == [0, 1]
 
-        for coeffs in candidates(k):
-            if coeffs[0] == 0:
-                continue
-            if any(poly_eval(coeffs, x) == 0 for x in range(p)):
-                continue
-            ok = True
-            for d in range(2, k // 2 + 1):
-                for dc in candidates(d):
-                    if divides(dc, coeffs):
-                        ok = False
-                        break
-                if not ok:
-                    break
-            if ok:
+        for code in range(p ** k):
+            coeffs = [code // p ** i % p for i in range(k)]
+            if coeffs[0] and irreducible(coeffs + [1]):
                 return tuple(coeffs)
         raise EngineError("no irreducible polynomial found")
 

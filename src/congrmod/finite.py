@@ -15,7 +15,6 @@ from itertools import product
 from .linsolve import SpanSolver
 from .omodule import FinOModule, o_kernel, o_solve
 from .poly import Poly, monomial_divides
-from .stdbasis import reduce_strong
 
 
 class FiniteStructure:
@@ -26,19 +25,13 @@ class FiniteStructure:
         self.dvr = ring.dvr
         self.gb = gb_global
         self.box = box
-        self.index = {e: i for i, e in enumerate(box)}
         self.maxdeg = max((sum(e) for e in box), default=0)
         self.config = config
         self._relations = None
 
     @classmethod
     def try_build(cls, ring, gb_global, config):
-        dvr = ring.dvr
-        unit_leads = []
-        for g in gb_global.gens:
-            e, c = gb_global.order.leading(g)
-            if dvr.val(c) == 0:
-                unit_leads.append(e)
+        unit_leads = gb_global.unit_leads
         bounds = []
         for i in range(ring.nvars):
             k = None
@@ -59,14 +52,6 @@ class FiniteStructure:
     def rank(self):
         return len(self.box)
 
-    def coords(self, poly: Poly):
-        """O-coordinates of the class of poly on the box monomials."""
-        nf = reduce_strong(poly, self.gb.gens, self.gb.order, self.config)
-        out = [self.dvr.zero] * len(self.box)
-        for e, c in nf.terms.items():
-            out[self.index[e]] = c
-        return out
-
     def to_poly(self, vec):
         return Poly(self.ring, {e: c for e, c in zip(self.box, vec) if c})
 
@@ -83,12 +68,14 @@ class FiniteStructure:
         return self._relations
 
     def mult_matrix(self, poly: Poly):
-        """Columns: coordinates of poly * m_k for each box monomial m_k."""
+        """Columns: the O-coordinates on the box monomials of the class of
+        poly * m_k, for each box monomial m_k."""
+        zero = self.dvr.zero
         cols = []
         for e in self.box:
-            m = Poly(self.ring, {e: self.dvr.one})
-            cols.append(self.coords(poly * m))
-        return cols  # list of columns
+            nf = self.gb.nf(poly * Poly(self.ring, {e: self.dvr.one})).terms
+            cols.append([nf.get(b, zero) for b in self.box])
+        return cols
 
 
 class FiniteModule:
@@ -106,12 +93,9 @@ class FiniteModule:
             for r in arel:
                 rel.append(self._block_vector(l, r))
         for col in pres_columns:
-            for e in fstruct.box:
-                m = Poly(fstruct.ring, {e: self.dvr.one})
-                vec = []
-                for l in range(gens):
-                    vec.extend(fstruct.coords(m * col[l]))
-                rel.append(vec)
+            mults = [fstruct.mult_matrix(p) for p in col]
+            for k in range(fstruct.rank):
+                rel.append([c for m in mults for c in m[k]])
         self.rel_cols = rel
 
     def _block_vector(self, l, coords):

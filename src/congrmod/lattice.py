@@ -13,7 +13,7 @@ from .dvr import Dvr, IdealO
 from .errors import (DegenerateLattice, InternalInvariantViolation,
                      NotADirectSum, RankMismatch, TorsionQuotient)
 from .omodule import (FinOModule, k_det, k_invert, k_rank, mat_mul,
-                      o_kernel_dense, smith_form)
+                      o_kernel_dense, o_solve_dense, smith_form)
 
 
 @dataclass
@@ -77,51 +77,19 @@ def _lattice_basis_of_span(dvr, vectors, n):
 
 
 def _quotient_of_lattices(dvr, big, small, n):
-    """small ⊆ big sublattices of K^n of equal rank: coker as FinOModule."""
+    """small ⊆ big sublattices of K^n of equal rank: coker as FinOModule.
+    The columns of big are independent, so an O-solution exists exactly
+    when the unique K-solution is integral."""
     r = len(big)
     rows_big = [[b[i] for b in big] for i in range(n)]
     coords = []
     for s in small:
-        sol = _solve_over_K(dvr, rows_big, s)
+        sol = o_solve_dense(dvr, rows_big, s)
         if sol is None:
             raise InternalInvariantViolation("sublattice escapes the big lattice")
-        for x in sol:
-            if dvr.val(x) < 0:
-                raise InternalInvariantViolation("sublattice escapes the big lattice")
         coords.append(sol)
     pres = [[c[i] for c in coords] for i in range(r)]
     return FinOModule.from_presentation(dvr, pres, generators=r)
-
-
-def _solve_over_K(dvr, rows, rhs):
-    m = [list(r) + [b] for r, b in zip(rows, rhs)]
-    ncols = len(rows[0]) if rows else 0
-    piv_cols = []
-    rank = 0
-    for j in range(ncols):
-        piv = None
-        for i in range(rank, len(m)):
-            if m[i][j]:
-                piv = i
-                break
-        if piv is None:
-            continue
-        m[rank], m[piv] = m[piv], m[rank]
-        pv = m[rank][j]
-        m[rank] = [a / pv for a in m[rank]]
-        for i in range(len(m)):
-            if i != rank and m[i][j]:
-                f = m[i][j]
-                m[i] = [a - f * b for a, b in zip(m[i], m[rank])]
-        piv_cols.append(j)
-        rank += 1
-    sol = [dvr.zero] * ncols
-    for r, j in enumerate(piv_cols):
-        sol[j] = m[r][ncols]
-    for i in range(rank, len(m)):
-        if m[i][ncols]:
-            return None
-    return sol
 
 
 def split_and_congruence(split: LatticeSplit) -> dict:

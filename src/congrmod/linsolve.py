@@ -6,9 +6,10 @@ membership queries; prune_generators is built on it.  Quotient conditions
 are encoded either by explicit ideal-multiple absorber columns, or, when
 every element of the global standard basis has a unit leading coefficient
 (so strong normal forms are O-linear), by reducing products to normal form
-first.  Completeness holds only up to the multiplier degree bound; callers
-supply bounds that are provably sufficient for module-finite algebras and
-record a bounded certification status otherwise.
+first, through the basis's table of monomial normal forms.  Completeness
+holds only up to the multiplier degree bound; callers supply bounds that
+are provably sufficient for module-finite algebras and record a bounded
+certification status otherwise.
 """
 
 from __future__ import annotations
@@ -19,7 +20,6 @@ from .config import DEFAULT_CONFIG
 from .errors import DegreeBoundExceeded
 from .omodule import _Echelon
 from .poly import Poly, monomial_mul, monomials_up_to
-from .stdbasis import reduce_strong
 
 
 @dataclass(frozen=True)
@@ -76,7 +76,6 @@ class SpanSolver:
         self.columns = list(columns)
         self.ring = ring
         self.dvr = ring.dvr
-        self.config = config
         self._echelon = None
         bounds = per_bounds if per_bounds is not None else \
             [deg_bound] * len(self.columns)
@@ -86,29 +85,23 @@ class SpanSolver:
         if absorb_degree is None:
             absorb_degree = deg_bound + _max_degree(self.columns)
         self.gb = gb_global
-        self.linear_nf = gb_global is not None and all(
-            self.dvr.val(self.gb.order.leading(g)[1]) == 0 for g in gb_global.gens)
+        self.linear = gb_global is not None and gb_global.linear
         self.row_index = {}
         self.sparse_cols = []
         self.meta = []  # ("var", j, exps) | ("abs", ...)
         for j, col in enumerate(self.columns):
             for u in monomials_up_to(ring.nvars, bounds[j]):
-                scol = self._expand(col, u)
-                self.sparse_cols.append(scol)
+                self.sparse_cols.append(self._vector(col, u))
                 self.meta.append(("var", j, u))
-        if not self.linear_nf and gb_global is not None:
+        if not self.linear and gb_global is not None:
             for i in range(nrows):
                 for g in gb_global.gens:
-                    gdeg = g.degree()
-                    lim = absorb_degree - gdeg
+                    lim = absorb_degree - g.degree()
                     if lim < 0:
                         continue
+                    unit = (ring.zero,) * i + (g,)
                     for u in monomials_up_to(ring.nvars, lim):
-                        scol = {}
-                        for e, c in g.terms.items():
-                            rid = self._rid(i, monomial_mul(e, u))
-                            scol[rid] = c
-                        self.sparse_cols.append(scol)
+                        self.sparse_cols.append(self._vector(unit, u))
                         self.meta.append(("abs", i, u))
 
     def _rid(self, i, exps):
@@ -119,41 +112,29 @@ class SpanSolver:
             self.row_index[key] = rid
         return rid
 
-    def _expand(self, col, u):
-        """Coefficient vector of u * col, NF-reduced when that is linear."""
-        scol = {}
+    def _vector(self, col, u=None):
+        """Coefficient vector of u * col, in normal form when that is
+        linear.  A target (u None) does not extend the row index: it gives
+        None when it touches a monomial no column reaches, so that it lies
+        outside the span.  Rows are numbered in the order the terms come."""
+        vec = {}
         for i, p in enumerate(col):
             if not p.terms:
                 continue
-            q = Poly(self.ring, {monomial_mul(e, u): c for e, c in p.terms.items()})
-            if self.linear_nf:
-                q = reduce_strong(q, self.gb.gens, self.gb.order, self.config)
-            for e, c in q.terms.items():
-                rid = self._rid(i, e)
-                prev = scol.get(rid)
-                nv = c if prev is None else prev + c
-                if nv:
-                    scol[rid] = nv
+            if u is not None:
+                p = Poly(self.ring, {monomial_mul(e, u): c for e, c in p.terms.items()})
+            if self.linear:
+                p = self.gb.nf(p)
+            for e, c in p.terms.items():
+                if u is None:
+                    rid = self.row_index.get((i, e))
+                    if rid is None:
+                        return None
                 else:
-                    scol.pop(rid, None)
-        return scol
-
-    def _to_target(self, target):
-        """The target on the row index; None when it touches a monomial no
-        column reaches, so that it lies outside the span."""
-        rhs = {}
-        for i, p in enumerate(target):
-            if not p.terms:
-                continue
-            q = p
-            if self.linear_nf:
-                q = reduce_strong(q, self.gb.gens, self.gb.order, self.config)
-            for e, c in q.terms.items():
-                rid = self.row_index.get((i, e))
-                if rid is None:
-                    return None
-                rhs[rid] = rhs.get(rid, self.dvr.zero) + c
-        return {k: v for k, v in rhs.items() if v}
+                    rid = self._rid(i, e)
+                if c:
+                    vec[rid] = c
+        return vec
 
     def _vector_to_polys(self, vec):
         polys = [dict() for _ in self.columns]
@@ -189,7 +170,7 @@ class SpanSolver:
 
     def solve(self, target):
         """Multipliers a with sum a_j col_j = target mod I, or None."""
-        rhs = self._to_target(target)
+        rhs = self._vector(target)
         if rhs is None:
             return None
         sol = self._ech().solve(rhs)

@@ -349,18 +349,19 @@ def _tokenize(text):
 
 
 class _Parser:
-    def __init__(self, ring, text, allow_div=False, degree_cap=None):
+    def __init__(self, ring, text, allow_div=False, config=None):
         self.ring = ring
         self.toks = _tokenize(text)
         self.pos = 0
         self.allow_div = allow_div
-        self.degree_cap = degree_cap
+        self.config = config
         self.text = text
 
     def check_degree(self, degree):
-        if self.degree_cap is not None and degree > self.degree_cap:
+        if self.config is not None and degree > self.config.degree_cap:
             raise DegreeBoundExceeded(
-                f"degree {degree} in {self.text.strip()!r} above cap {self.degree_cap}")
+                f"degree {degree} in {self.text.strip()!r} above cap "
+                f"{self.config.degree_cap}")
 
     def peek(self):
         return self.toks[self.pos]
@@ -414,7 +415,13 @@ class _Parser:
         if self.peek()[0] == "^":
             self.take()
             e = self.take("num")[1]
-            self.check_degree(p.degree() * e)  # before the power is built
+            # both checks come before the power is built
+            self.check_degree(p.degree() * e)
+            if (self.config is not None and p.is_constant
+                    and e > self.config.valuation_cap):
+                raise DegreeBoundExceeded(
+                    f"constant power ^{e} in {self.text.strip()!r} above "
+                    f"valuation cap {self.config.valuation_cap}")
             p = p ** e
         return p
 
@@ -438,14 +445,16 @@ class _Parser:
         raise InputError(f"unexpected token at position {pos} in {self.text!r}")
 
 
-def parse_poly(ring: PolyRing, text: str, degree_cap=None) -> Poly:
-    """Parse a polynomial; with degree_cap, one of higher degree raises
-    DegreeBoundExceeded before any step evaluates or multiplies it."""
-    return _Parser(ring, text, degree_cap=degree_cap).parse()
+def parse_poly(ring: PolyRing, text: str, config=None) -> Poly:
+    """Parse a polynomial.  With an EngineConfig, a polynomial above its
+    degree_cap, or a constant raised to a power above its valuation_cap,
+    raises DegreeBoundExceeded before any step evaluates or multiplies it."""
+    return _Parser(ring, text, config=config).parse()
 
 
-def parse_scalar(dvr: Dvr, text: str):
-    """A K-scalar: the polynomial grammar with no variables plus '/'."""
+def parse_scalar(dvr: Dvr, text: str, config=None):
+    """A K-scalar: the polynomial grammar with no variables plus '/'; the
+    config caps powers as in parse_poly."""
     ring = PolyRing(dvr, ())
-    p = _Parser(ring, text, allow_div=True).parse()
+    p = _Parser(ring, text, allow_div=True, config=config).parse()
     return p.constant_value()

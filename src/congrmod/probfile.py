@@ -138,10 +138,13 @@ def _int_in(section, data, key):
 
 
 def load_problem(text, config=None) -> ProblemFile:
-    cap = (config or DEFAULT_CONFIG).degree_cap
+    caps = config or DEFAULT_CONFIG
 
     def poly(ring, t):
-        return parse_poly(ring, t, degree_cap=cap)
+        return parse_poly(ring, t, caps)
+
+    def scalar(t):
+        return parse_scalar(dvr, t, caps)
 
     sections = parse_sections(text)
     by_name = {}
@@ -201,8 +204,7 @@ def load_problem(text, config=None) -> ProblemFile:
         for name in names:
             if name not in aug_data:
                 raise InputError(f"[augmentation] missing a value for {name}")
-            values.append(_parse_in("augmentation", name,
-                                    lambda s: parse_scalar(dvr, s),
+            values.append(_parse_in("augmentation", name, scalar,
                                     aug_data.pop(name)))
         if aug_data:
             raise InputError(f"unknown keys in [augmentation]: {sorted(aug_data)}")
@@ -264,12 +266,11 @@ def load_problem(text, config=None) -> ProblemFile:
         data = by_name["lattice"][0]
         if set(data) - {"basis", "v1", "v2", "pairing"}:
             raise InputError("unknown keys in [lattice]")
-        scal = lambda t: parse_scalar(dvr, t)
         out.lattice = {
-            "basis": _parse_matrix(_required("lattice", data, "basis"), scal),
-            "v1": _parse_matrix(_required("lattice", data, "v1"), scal),
-            "v2": _parse_matrix(_required("lattice", data, "v2"), scal),
-            "pairing": _parse_matrix(data["pairing"], scal) if "pairing" in data else None,
+            "basis": _parse_matrix(_required("lattice", data, "basis"), scalar),
+            "v1": _parse_matrix(_required("lattice", data, "v1"), scalar),
+            "v2": _parse_matrix(_required("lattice", data, "v2"), scalar),
+            "pairing": _parse_matrix(data["pairing"], scalar) if "pairing" in data else None,
         }
 
     if "surjection" in by_name:
@@ -289,7 +290,7 @@ def load_problem(text, config=None) -> ProblemFile:
             if ":" not in item:
                 raise InputError("surjection augmentation entries are var: value")
             k, v = item.split(":", 1)
-            aug_map[k.strip()] = parse_scalar(dvr, v)
+            aug_map[k.strip()] = scalar(v)
         for n in names:
             if n not in aug_map:
                 raise InputError(f"[surjection] augmentation missing a value for {n}")

@@ -47,16 +47,57 @@ def _normalize_lead(poly: Poly, order) -> Poly:
 
 
 class StdBasis:
-    """A strong standard basis together with its order.  Bases here are
-    always coefficient-strong: s-pairs match leading coefficients through
-    pi-divisions, and reducibility requires coefficient divisibility."""
+    """A strong standard basis together with its order, and the one owner of
+    normal forms modulo it.  Bases here are always coefficient-strong:
+    s-pairs match leading coefficients through pi-divisions, and
+    reducibility requires coefficient divisibility.
+
+    When every leading coefficient is a unit (``linear``), whether a term
+    reduces depends on its monomial alone, so the global normal form is
+    O-linear: nf keeps the normal form of each monomial in a table, filled
+    by reduce_strong on the first request."""
 
     def __init__(self, ring: PolyRing, order: MonomialOrder, gens, config=DEFAULT_CONFIG):
         self.ring = ring
         self.order = order
         self.gens = list(gens)
         self.config = config
-        self._leads = [order.leading(g) for g in self.gens]
+        leads = [order.leading(g) for g in self.gens]
+        self.unit_leads = [e for e, c in leads if ring.dvr.val(c) == 0]
+        self.linear = len(self.unit_leads) == len(leads)
+        self._table = {}
+
+    def nf(self, f: Poly) -> Poly:
+        """Irreducible remainder of f: the strong normal form for a global
+        order, Mora's weak normal form (zero exactly on local-ideal members)
+        for a local one.  A global normal form lists its terms in descending
+        order, as reduce_strong finds them."""
+        if self.order.is_local:
+            return mora_normal_form(f, self.gens, self.order, self.config)
+        if not self.linear:
+            return reduce_strong(f, self.gens, self.order, self.config)
+        _check_caps(f, self.config)
+        table = self._table
+        acc = {}
+        for e, c in f.terms.items():
+            r = table.get(e)
+            if r is None:
+                # a racing thread stores the same normal form
+                r = table[e] = reduce_strong(
+                    Poly(self.ring, {e: self.ring.dvr.one}), self.gens,
+                    self.order, self.config)
+            for e2, c2 in r.terms.items():
+                prev = acc.get(e2)
+                acc[e2] = c * c2 if prev is None else prev + c * c2
+        out = Poly(self.ring, {e: acc[e] for e in
+                               sorted(acc, key=self.order.key, reverse=True)
+                               if acc[e]})
+        _check_caps(out, self.config)
+        return out
+
+    def contains(self, f: Poly) -> bool:
+        """Membership in the ideal (the localized ideal for a local order)."""
+        return not self.nf(f).terms
 
     def __iter__(self):
         return iter(self.gens)
@@ -305,14 +346,3 @@ def _minimalize_local(G, order, config):
     out.sort(key=lambda g: order.key(order.leading(g)[0]))
     return out
 
-
-def normal_form(f: Poly, basis: StdBasis) -> Poly:
-    """Irreducible remainder of f against the basis; for local orders this is
-    Mora's weak normal form (zero exactly on local-ideal members)."""
-    if basis.order.is_local:
-        return mora_normal_form(f, basis.gens, basis.order, basis.config)
-    return reduce_strong(f, basis.gens, basis.order, basis.config)
-
-
-def in_ideal(f: Poly, basis: StdBasis) -> bool:
-    return not normal_form(f, basis).terms

@@ -296,6 +296,30 @@ def test_large_prime_base(tmp_path, kind):
     assert "Traceback" not in proc.stderr
 
 
+def test_large_field_exponent(tmp_path):
+    """F_q[[t]] with q = 2^40: the modulus of F_q is found in well under a
+    second."""
+    f = tmp_path / "f2_40.cm"
+    f.write_text(A2_FILE.replace("kind = p_adic", "kind = power_series")
+                 .replace("p = 5", f"q = {2**40}"))
+    proc = run_child(["analyze", str(f), "--format", "structured"], seconds=10)
+    assert proc.returncode == 0
+    assert json.loads(proc.stdout)["modules"]["ring"]["eta"] == "(pi^2)"
+
+
+@pytest.mark.parametrize("command,text", [
+    ("analyze", A2_FILE.replace("x*(x - pi^2)", "x*(x - pi^99999999)")),
+    ("analyze", A2_FILE.replace("x = 0", "x = pi^99999999")),
+    ("lattice", LATTICE_FILE.replace("[691]", "[2^99999999]")),
+], ids=["relation", "augmentation", "lattice"])
+def test_huge_constant_power_exit_3(tmp_path, command, text):
+    f = tmp_path / "power.cm"
+    f.write_text(text)
+    proc = run_child([command, str(f)], seconds=5)
+    assert proc.returncode == 3
+    assert "Traceback" not in proc.stderr
+
+
 def test_resolution_file_strategy(tmp_path, capsys):
     f = tmp_path / "res.cm"
     f.write_text("""

@@ -56,6 +56,41 @@ def test_is_prime_exact():
     assert is_prime(2**61 - 1) and is_prime(2**64 - 59)
 
 
+
+def _first_irreducible_by_trial_division(p, k):
+    """The lexicographically first monic irreducible of degree k over F_p,
+    found by trying every monic divisor of degree <= k/2 (the reference for
+    Rabin's test)."""
+
+    def candidates(deg):
+        for code in range(p ** deg):
+            yield [code // p ** i % p for i in range(deg)]
+
+    def divides(d, f):
+        rem, dd = list(f) + [1], list(d) + [1]
+        while len(rem) >= len(dd):
+            c = rem[-1]
+            if c:
+                shift = len(rem) - len(dd)
+                for i, dc in enumerate(dd):
+                    rem[shift + i] = (rem[shift + i] - c * dc) % p
+            rem.pop()
+        return not any(rem)
+
+    for coeffs in candidates(k):
+        if all(not divides(d, coeffs) for deg in range(1, k // 2 + 1)
+               for d in candidates(deg)):
+            return tuple(coeffs)
+
+
+def test_find_irreducible_matches_trial_division():
+    cases = [(p, k) for p in range(2, 32) if is_prime(p)
+             for k in range(2, 11) if p ** k <= 1024]
+    assert len(cases) == 26
+    for p, k in cases:
+        assert Field._find_irreducible(p, k) == \
+            _first_irreducible_by_trial_division(p, k), (p, k)
+
 nonzero_rationals = st.fractions(
     min_value=-10**6, max_value=10**6).filter(lambda q: q != 0)
 

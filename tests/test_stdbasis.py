@@ -1,11 +1,17 @@
+import sys
+import threading
 from fractions import Fraction as F
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from congrmod import GLOBAL, LOCAL, PolyRing, in_ideal, normal_form, std_basis
+from congrmod import GLOBAL, LOCAL, Dvr, PolyRing, std_basis
+from congrmod import stdbasis
 from congrmod.config import EngineConfig
 from congrmod.errors import DegreeBoundExceeded, NonIntegralEntry
-from congrmod.stdbasis import _spoly
+from congrmod.poly import Poly
+from congrmod.stdbasis import _spoly, reduce_strong
 
 
 @pytest.fixture
@@ -21,7 +27,7 @@ def R2(O5):
 def test_single_variable(R1):
     B = std_basis([R1.parse("x")], LOCAL)
     assert [str(g) for g in B.gens] == ["x"]
-    assert str(normal_form(R1.parse("pi"), B)) == "5"
+    assert str(B.nf(R1.parse("pi"))) == "5"
 
 
 def test_principal_local_basis(R1):
@@ -29,29 +35,29 @@ def test_principal_local_basis(R1):
     assert len(B.gens) == 1
     # leading term under the local order is the low-degree part
     assert LOCAL.leading(B.gens[0])[0] == (1,)
-    assert normal_form(R1.parse("x^2 - pi*x"), B).is_zero
+    assert B.nf(R1.parse("x^2 - pi*x")).is_zero
     # the canonical irreducible representative of the class of x^2
-    nf = normal_form(R1.parse("x^2"), B)
+    nf = B.nf(R1.parse("x^2"))
     assert nf == R1.parse("x^2")
-    assert normal_form(R1.parse("pi*x"), B) == R1.parse("x^2")
-    assert normal_form(nf, B) == nf  # idempotent
+    assert B.nf(R1.parse("pi*x")) == R1.parse("x^2")
+    assert B.nf(nf) == nf  # idempotent
 
 
 def test_local_membership_sees_local_units(R1):
     # 1 - x is invertible locally, so x lies in (x - x^2)
     B = std_basis([R1.parse("x - x^2")], LOCAL)
-    assert in_ideal(R1.parse("x"), B)
+    assert B.contains(R1.parse("x"))
     Bg = std_basis([R1.parse("x - x^2")], GLOBAL)
-    assert not in_ideal(R1.parse("x"), Bg)
+    assert not Bg.contains(R1.parse("x"))
 
 
 def test_ring_b_membership(R2):
     gens = [R2.parse("x*(x - pi)"), R2.parse("y*(y - pi)"), R2.parse("x*y")]
     for order in (LOCAL, GLOBAL):
         B = std_basis(gens, order)
-        assert in_ideal(R2.parse("x*y*(y - pi)"), B)
+        assert B.contains(R2.parse("x*y*(y - pi)"))
         for g in gens:
-            assert in_ideal(g, B)
+            assert B.contains(g)
 
 
 def test_strong_spairs_reduce_to_zero(R2):
@@ -61,14 +67,14 @@ def test_strong_spairs_reduce_to_zero(R2):
         for i in range(len(B.gens)):
             for j in range(i + 1, len(B.gens)):
                 s = _spoly(B.gens[i], B.gens[j], order)
-                assert normal_form(s, B).is_zero
+                assert B.nf(s).is_zero
 
 
 def test_coefficient_divisibility(R1):
     # pi*x does not reduce x
     B = std_basis([R1.parse("pi*x")], GLOBAL)
-    assert str(normal_form(R1.parse("x"), B)) == "x"
-    assert normal_form(R1.parse("pi*x^3"), B).is_zero
+    assert str(B.nf(R1.parse("x"))) == "x"
+    assert B.nf(R1.parse("pi*x^3")).is_zero
 
 
 def test_randomized_membership(R2, rng):
@@ -81,7 +87,7 @@ def test_randomized_membership(R2, rng):
             f = sum((rng.choice(mons) * rng.choice(gens) for _ in range(2)),
                     R2.zero)
             g = rng.choice(mons) * rng.choice(gens)
-            assert normal_form(f + g, B).is_zero
+            assert B.nf(f + g).is_zero
 
 
 def test_nf_idempotent_and_difference_in_ideal(R2, rng):
@@ -90,9 +96,9 @@ def test_nf_idempotent_and_difference_in_ideal(R2, rng):
     mons = [R2.one, R2.parse("x"), R2.parse("y"), R2.parse("x^2 - y")]
     for _ in range(25):
         f = sum((rng.choice(mons) * rng.choice(mons) for _ in range(2)), R2.zero)
-        nf = normal_form(f, B)
-        assert normal_form(nf, B) == nf
-        assert in_ideal(f - nf, B)
+        nf = B.nf(f)
+        assert B.nf(nf) == nf
+        assert B.contains(f - nf)
 
 
 def test_empty_generators_rejected(R1):
@@ -112,3 +118,99 @@ def test_valuation_cap(R1):
     cfg = EngineConfig(valuation_cap=3)
     with pytest.raises(DegreeBoundExceeded):
         std_basis([R1.parse("pi^62*x")], GLOBAL, cfg)
+
+
+# Bases of O5[x, y] by name, built once so that their tables fill up across
+# examples; the first three have unit leading coefficients.
+NF_BASES = {
+    "x*(x - pi^k)": ["x*(x - pi^3)"],
+    "ring B": ["x*(x - pi)", "y*(y - pi)", "x*y"],
+    "x^2 - pi*y": ["x^2 - pi*y"],
+    "pi*x": ["pi*x"],
+    "pi^2*x, x*(x - pi)": ["pi^2*x", "x*(x - pi)"],
+}
+_R = PolyRing(Dvr.p_adic(5), ("x", "y"))
+_BUILT = {}
+
+
+def _nf_basis(name):
+    if name not in _BUILT:
+        _BUILT[name] = std_basis([_R.parse(g) for g in NF_BASES[name]], GLOBAL)
+    return _BUILT[name]
+
+
+polys = st.dictionaries(
+    st.tuples(st.integers(0, 4), st.integers(0, 3)),
+    st.builds(F, st.integers(-250, 250).filter(bool), st.sampled_from([1, 2, 3])),
+    max_size=6).map(lambda terms: Poly(_R, terms))
+
+
+@pytest.mark.parametrize("name", list(NF_BASES))
+@given(f=polys)
+@settings(max_examples=60, deadline=None)
+def test_nf_equals_reduce_strong(name, f):
+    B = _nf_basis(name)
+    assert B.linear == (name in ("x*(x - pi^k)", "ring B", "x^2 - pi*y"))
+    expected = reduce_strong(f, B.gens, GLOBAL)
+    assert list(B.nf(f).terms.items()) == list(expected.terms.items())
+
+
+def test_nf_table_reduces_each_monomial_once(R1, monkeypatch):
+    B = std_basis([R1.parse("x*(x - pi^2)")], GLOBAL)
+    calls = []
+
+    def counting(f, gens, order, config=None):
+        calls.append(f)
+        return reduce_strong(f, gens, order, config)
+
+    monkeypatch.setattr(stdbasis, "reduce_strong", counting)
+    first = B.nf(R1.parse("x^3"))
+    assert len(calls) == 1
+    assert B.nf(R1.parse("x^3")) == first
+    assert B.nf(R1.parse("3*x^3")) == first.scale(F(3))
+    assert len(calls) == 1
+
+
+def test_nf_table_respects_valuation_cap(R1):
+    cfg = EngineConfig(valuation_cap=5)
+    B = std_basis([R1.parse("x^2 - pi^3*x")], GLOBAL, cfg)
+    assert B.linear
+    assert B.nf(R1.parse("x^2")) == R1.parse("pi^3*x")
+    with pytest.raises(DegreeBoundExceeded):
+        B.nf(R1.parse("x^3"))  # a table miss: x^3 -> pi^3*x^2 -> pi^6*x
+    with pytest.raises(DegreeBoundExceeded):
+        B.nf(R1.parse("pi^3*x^2"))  # a table hit whose result is past the cap
+
+
+def test_nf_table_shared_by_racing_threads(R2):
+    """Six threads filling one fresh table all get the reference normal
+    forms, term order included."""
+    gens = [R2.parse("x*(x - pi)"), R2.parse("y*(y - pi)"), R2.parse("x*y")]
+    fs = [R2.parse(f"x^{a}*y^{b} + pi*x^{b}*y^{a}")
+          for a in range(5) for b in range(5)]
+    ref = std_basis(gens, GLOBAL)
+    expected = [list(reduce_strong(f, ref.gens, GLOBAL).terms.items()) for f in fs]
+    old = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        for _ in range(5):
+            B = std_basis(gens, GLOBAL)
+            got, errors = [], []
+            start = threading.Barrier(6)
+
+            def work():
+                try:
+                    start.wait(timeout=60)
+                    got.append([list(B.nf(f).terms.items()) for f in fs])
+                except Exception as exc:  # pragma: no cover
+                    errors.append(exc)
+
+            threads = [threading.Thread(target=work) for _ in range(6)]
+            for t in threads:
+                t.start()
+            for t in threads:
+                t.join(timeout=60)
+            assert not any(t.is_alive() for t in threads)
+            assert not errors and got == [expected] * 6
+    finally:
+        sys.setswitchinterval(old)
