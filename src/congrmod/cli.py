@@ -1,7 +1,8 @@
 """File-driven front end.
 
-Exit codes: 0 computed, 1 a verdict fails, 2 input error, 3 a degree or
-valuation bound was exceeded.  Structured output is a single JSON record;
+Exit codes: 0 computed, 1 a verdict fails, 2 input error (or an internal
+error, reported as one `error: internal:` line), 3 a degree or valuation
+bound was exceeded.  Structured output is a single JSON record;
 the text rendering prints exactly the same data.
 """
 
@@ -328,6 +329,10 @@ def main(argv=None) -> int:
         return 2
     except EngineError as exc:
         print(f"error: {type(exc).__name__}: {exc}", file=sys.stderr)
+        return 2
+    except Exception as exc:  # a bug, still reported as one line, not a traceback
+        message = " ".join(str(exc).splitlines())
+        print(f"error: internal: {type(exc).__name__}: {message}", file=sys.stderr)
         return 2
     _emit(record, args)
     return code

@@ -1,9 +1,10 @@
 """Structure theory of finitely generated O-modules via Smith normal form.
 
-All matrices are lists of rows unless a function says otherwise.  The dense
-Smith form tracks full row witnesses (L, L^-1) so cokernels remember how to
-transport element coordinates into normal form; the sparse column echelon
-only tracks column operations and backs the big kernel/solve computations.
+All matrices are lists of rows unless a function says otherwise.  The Smith
+form eliminates sparsely, over the nonzero entries only, and tracks full
+witnesses (L, L^-1, R) so cokernels remember how to transport element
+coordinates into normal form; the sparse column echelon only tracks column
+operations and backs the big kernel/solve computations.
 """
 
 from __future__ import annotations
@@ -14,10 +15,6 @@ from .errors import DimensionMismatch, NonIntegralEntry
 
 # ---------------------------------------------------------------------------
 # generic dense helpers (entries in the fraction field K)
-
-def identity_matrix(dvr, n):
-    return [[dvr.one if i == j else dvr.zero for j in range(n)] for i in range(n)]
-
 
 def mat_mul(dvr, a, b):
     rows, inner, cols = len(a), len(b), len(b[0]) if b else 0
@@ -48,19 +45,17 @@ def mat_vec(dvr, a, v):
     return out
 
 
-def transpose(rows):
-    return [list(col) for col in zip(*rows)] if rows else []
-
-
 # ---------------------------------------------------------------------------
-# dense Smith normal form over O with witnesses
+# sparse Smith normal form over O with witnesses
 
 class SmithForm:
     """L * A * R = D with L, R unimodular over O and D = diag(pi^v_1, ...).
 
     diag_vals are the pivot valuations, non-decreasing.  normal coordinates
     of a column vector x are L*x; Linv columns are representatives of the
-    normal-form generators on the original ones.
+    normal-form generators on the original ones.  L, Linv and R are dense
+    lists of rows, built once from the sparse elimination's dicts when it
+    ends.
     """
 
     def __init__(self, dvr, diag_vals, L, Linv, R, nrows, ncols):
@@ -77,71 +72,116 @@ class SmithForm:
         return len(self.diag_vals)
 
 
+def _axpy(dst, f, src, zero):
+    """dst += f * src on sparse vectors (dicts), dropping the zeros."""
+    for k, x in src.items():
+        y = dst.get(k, zero) + f * x
+        if y:
+            dst[k] = y
+        else:
+            del dst[k]
+
+
 def smith_form(dvr: Dvr, matrix) -> SmithForm:
     """Diagonalize over O, pivoting on a minimal-valuation entry with ties
-    broken by lowest (row, column)."""
+    broken by lowest current (row, column) position.
+
+    The elimination is sparse: it visits only nonzero entries, so its cost
+    follows the fill rather than the matrix size.  Rows of A and of L are
+    dicts keyed by the original row label, and the columns of L^-1 and R
+    are dicts keyed by the original row or column label.  Each row of A
+    keeps the valuations of its entries, each column the set of rows where
+    it is nonzero, and two permutations record the current row and column
+    positions.  The pivot rule reads those positions, so the pivots, and
+    with exact arithmetic every witness entry, are those of the dense
+    elimination that swaps rows and columns in place."""
     m = len(matrix)
     n = len(matrix[0]) if m else 0
-    A = [list(r) for r in matrix]
-    L = identity_matrix(dvr, m)
-    Linv = identity_matrix(dvr, m)
-    R = identity_matrix(dvr, n)
-    val = dvr.val
+    val, zero, one = dvr.val, dvr.zero, dvr.one
+    A, vals, L, Linv, live = [], [], [], [], set()
+    cols = [set() for _ in range(n)]
+    for r, row in enumerate(matrix):
+        Ar, Vr = {}, {}
+        for c, x in enumerate(row):
+            if x:
+                Ar[c], Vr[c] = x, val(x)
+                cols[c].add(r)
+        if Ar:
+            live.add(r)
+        A.append(Ar)
+        vals.append(Vr)
+        L.append({r: one})
+        Linv.append({r: one})
+    R = [{c: one} for c in range(n)]
+    row_at, col_at = list(range(m)), list(range(n))
+    row_pos, col_pos = row_at[:], col_at[:]
     diag = []
     for s in range(min(m, n)):
         best = None
-        for i in range(s, m):
-            Ai = A[i]
-            for j in range(s, n):
-                if Ai[j]:
-                    v = val(Ai[j])
-                    if best is None or v < best[0]:
-                        best = (v, i, j)
+        for r in live:
+            key = (min(vals[r].values()), row_pos[r])
+            if best is None or key < best:
+                best, pr = key, r
         if best is None:
             break
-        v, bi, bj = best
-        if bi != s:
-            A[s], A[bi] = A[bi], A[s]
-            L[s], L[bi] = L[bi], L[s]
-            for row in Linv:
-                row[s], row[bi] = row[bi], row[s]
-        if bj != s:
-            for row in A:
-                row[s], row[bj] = row[bj], row[s]
-            for row in R:
-                row[s], row[bj] = row[bj], row[s]
-        piv = A[s][s]
-        u = dvr.unit_part(piv)
-        if u != dvr.one:
-            uinv = dvr.one / u
-            A[s] = [x * uinv for x in A[s]]
-            L[s] = [x * uinv for x in L[s]]
-            for row in Linv:
-                row[s] = row[s] * u
-        piv = A[s][s]
-        # clear column s with row ops, then row s with column ops
-        for i in range(m):
-            if i != s and A[i][s]:
-                f = A[i][s] / piv
-                As, Ai, Ls, Li = A[s], A[i], L[s], L[i]
-                for j in range(s, n):
-                    if As[j]:
-                        Ai[j] = Ai[j] - f * As[j]
-                for j in range(m):
-                    if Ls[j]:
-                        Li[j] = Li[j] - f * Ls[j]
-                for row in Linv:
-                    if row[i]:
-                        row[s] = row[s] + f * row[i]
-        for j in range(n):
-            if j != s and A[s][j]:
-                f = A[s][j] / piv
-                A[s][j] = dvr.zero
-                for row in R:
-                    if row[s]:
-                        row[j] = row[j] - f * row[s]
+        v = best[0]
+        pc = min((c for c, w in vals[pr].items() if w == v), key=col_pos.__getitem__)
+        # move the pivot to position (s, s)
+        rs, cs = row_at[s], col_at[s]
+        row_at[s], row_at[row_pos[pr]] = pr, rs
+        row_pos[rs], row_pos[pr] = row_pos[pr], s
+        col_at[s], col_at[col_pos[pc]] = pc, cs
+        col_pos[cs], col_pos[pc] = col_pos[pc], s
+        Ap, Lp, Ip = A[pr], L[pr], Linv[pr]
+        u = dvr.unit_part(Ap[pc])
+        if u != one:
+            uinv = one / u
+            for vec, scale in ((Ap, uinv), (Lp, uinv), (Ip, u)):
+                for k in vec:
+                    vec[k] = vec[k] * scale
+        piv = Ap[pc]
+        # clear the pivot column with row ops, then the pivot row with column ops
+        for r in cols[pc]:
+            if r == pr:
+                continue
+            Ar, Vr = A[r], vals[r]
+            f = Ar.pop(pc) / piv
+            del Vr[pc]
+            for c, x in Ap.items():
+                if c == pc:
+                    continue
+                y = Ar.get(c, zero) - f * x
+                if y:
+                    Ar[c] = y
+                    Vr[c] = val(y)
+                    cols[c].add(r)
+                else:
+                    del Ar[c], Vr[c]
+                    cols[c].discard(r)
+            if not Ar:
+                live.discard(r)
+            _axpy(L[r], -f, Lp, zero)
+            _axpy(Ip, f, Linv[r], zero)
+        for c, x in Ap.items():
+            if c != pc:
+                _axpy(R[c], -(x / piv), R[pc], zero)
+                cols[c].discard(pr)
+        live.discard(pr)
+        cols[pc] = set()
         diag.append(v)
-    return SmithForm(dvr, diag, L, Linv, R, m, n)
+    # the dense witnesses, with rows and columns in their final positions
+    dense_L = [[zero] * m for _ in range(m)]
+    dense_Linv = [[zero] * m for _ in range(m)]
+    dense_R = [[zero] * n for _ in range(n)]
+    for s, r in enumerate(row_at):
+        for j, x in L[r].items():
+            dense_L[s][j] = x
+        for i, x in Linv[r].items():
+            dense_Linv[i][s] = x
+    for s, c in enumerate(col_at):
+        for i, x in R[c].items():
+            dense_R[i][s] = x
+    return SmithForm(dvr, diag, dense_L, dense_Linv, dense_R, m, n)
 
 
 # ---------------------------------------------------------------------------
@@ -174,11 +214,6 @@ class FinOModule:
                     raise NonIntegralEntry(f"entry {x!r} has negative valuation")
         if m == 0:
             return cls(dvr, (), 0, gens=0)
-        if not matrix[0]:
-            sf = smith_form(dvr, [[dvr.zero] for _ in range(m)])
-            sf.diag_vals = []
-            kinds = [("f", 0)] * m
-            return cls(dvr, (), m, gens=m, smith=sf, kinds=kinds)
         sf = smith_form(dvr, matrix)
         kinds = []
         tors = []

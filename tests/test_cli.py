@@ -430,3 +430,25 @@ def test_subprocess_entrypoint(tmp_path):
     proc = run_child(["eta", str(f), "--format", "structured"], seconds=120)
     assert proc.returncode == 0
     assert json.loads(proc.stdout)["eta"] == "(pi^2)"
+
+
+def test_internal_error_exit_2(a2_path, capsys, monkeypatch):
+    """An unexpected exception in a handler is one line on stderr and exit
+    2; KeyboardInterrupt still propagates."""
+    import congrmod.cli as cli
+
+    def boom(args):
+        raise ValueError("boom\nsecond line")
+
+    monkeypatch.setattr(cli, "cmd_analyze", boom)
+    assert main(["analyze", a2_path]) == 2
+    err = capsys.readouterr().err
+    assert "Traceback" not in err
+    assert err == "error: internal: ValueError: boom second line\n"
+
+    def interrupt(args):
+        raise KeyboardInterrupt
+
+    monkeypatch.setattr(cli, "cmd_analyze", interrupt)
+    with pytest.raises(KeyboardInterrupt):
+        main(["analyze", a2_path])

@@ -501,3 +501,30 @@ class TestAnalyze:
         m, _, _ = psi_raw(H, None, 1, resolve_O(H))
         if m.torsion_exponents:
             assert fitt.exponent >= m.torsion_exponents[-1]
+
+
+def _codim0_power_series_shapes(O):
+    """A(k) on both branches, B, and x1*(x1 - t^k), x2*(x2 - t^j), x1*x2."""
+    R1 = PolyRing(O, ("x",))
+    for k in (1, 2, 3):
+        f = R1.parse(f"x*(x - pi^{k})")
+        yield build_algebra(R1, [f], [O.zero], 0, name=f"A({k})")
+        yield build_algebra(R1, [f], [O.pi_pow(k)], 0, name=f"A({k})'")
+    R2 = PolyRing(O, ("x1", "x2"))
+    for k, j in ((1, 1), (1, 2), (2, 1), (2, 3)):
+        rels = [R2.parse(f"x1*(x1 - pi^{k})"), R2.parse(f"x2*(x2 - pi^{j})"),
+                R2.parse("x1*x2")]
+        yield build_algebra(R2, rels, [O.zero, O.zero], 0, name=f"B({k},{j})")
+
+
+@pytest.mark.parametrize("q", [2, 4, 9])
+def test_codim0_oracles_power_series(q):
+    """Over F_q[[t]] the pipeline's eta and psi equal the codim-0 oracles,
+    through the generic RF arithmetic of the Smith form and the echelon."""
+    O = Dvr.power_series(q)
+    for A in _codim0_power_series_shapes(O):
+        res = resolve_O(A)
+        eta_value, _ = eta_raw(A, None, 0, res)
+        psi_value, _, _ = psi_raw(A, None, 0, res)
+        assert eta_value.exponent == eta_codim0_oracle(A).exponent, A.name
+        assert psi_value.signature == psi_direct_codim0(A).signature, A.name

@@ -1,6 +1,7 @@
 from fractions import Fraction as F
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from congrmod import Dvr, fitting_ideal, o_module_from_presentation
 from congrmod.errors import DimensionMismatch, NonIntegralEntry
@@ -216,3 +217,191 @@ def test_smith_witnesses(rng):
         for i in range(rows):
             for j in range(rows):
                 assert ident[i][j] == (O.one if i == j else O.zero)
+
+
+def _identity(dvr, n):
+    return [[dvr.one if i == j else dvr.zero for j in range(n)] for i in range(n)]
+
+
+def _dense_smith_reference(dvr, matrix):
+    """The dense elimination smith_form replaced, kept as its reference:
+    (diag_vals, L, Linv, R) with the same pivot rule, swapping rows and
+    columns in place and scanning every entry."""
+    m = len(matrix)
+    n = len(matrix[0]) if m else 0
+    A = [list(r) for r in matrix]
+    L = _identity(dvr, m)
+    Linv = _identity(dvr, m)
+    R = _identity(dvr, n)
+    diag = []
+    for s in range(min(m, n)):
+        best = None
+        for i in range(s, m):
+            for j in range(s, n):
+                if A[i][j]:
+                    v = dvr.val(A[i][j])
+                    if best is None or v < best[0]:
+                        best = (v, i, j)
+        if best is None:
+            break
+        v, bi, bj = best
+        if bi != s:
+            A[s], A[bi] = A[bi], A[s]
+            L[s], L[bi] = L[bi], L[s]
+            for row in Linv:
+                row[s], row[bi] = row[bi], row[s]
+        if bj != s:
+            for row in A:
+                row[s], row[bj] = row[bj], row[s]
+            for row in R:
+                row[s], row[bj] = row[bj], row[s]
+        u = dvr.unit_part(A[s][s])
+        if u != dvr.one:
+            uinv = dvr.one / u
+            A[s] = [x * uinv for x in A[s]]
+            L[s] = [x * uinv for x in L[s]]
+            for row in Linv:
+                row[s] = row[s] * u
+        piv = A[s][s]
+        for i in range(m):
+            if i != s and A[i][s]:
+                f = A[i][s] / piv
+                for j in range(s, n):
+                    if A[s][j]:
+                        A[i][j] = A[i][j] - f * A[s][j]
+                for j in range(m):
+                    if L[s][j]:
+                        L[i][j] = L[i][j] - f * L[s][j]
+                for row in Linv:
+                    if row[i]:
+                        row[s] = row[s] + f * row[i]
+        for j in range(n):
+            if j != s and A[s][j]:
+                f = A[s][j] / piv
+                A[s][j] = dvr.zero
+                for row in R:
+                    if row[s]:
+                        row[j] = row[j] - f * row[s]
+        diag.append(v)
+    return diag, L, Linv, R
+
+
+def _assert_smith_matches_reference(dvr, matrix):
+    sf = smith_form(dvr, matrix)
+    assert (sf.diag_vals, sf.L, sf.Linv, sf.R) == _dense_smith_reference(dvr, matrix)
+
+
+@st.composite
+def _sparse_matrices(draw, dvr, entries):
+    """Up to 12x16, at most a third of the cells nonzero; all-zero and
+    empty shapes included."""
+    m, n = draw(st.integers(0, 12)), draw(st.integers(0, 16))
+    cells = st.tuples(st.integers(0, max(m - 1, 0)), st.integers(0, max(n - 1, 0)))
+    nonzero = draw(st.dictionaries(cells, entries, max_size=m * n // 3)) if m and n else {}
+    return [[nonzero.get((i, j), dvr.zero) for j in range(n)] for i in range(m)]
+
+
+def _padic_entries(p):
+    """Small valuations (so ties are common), units among the numerators
+    and p-free denominators."""
+    return st.builds(lambda a, e, d: F(a, d) * p ** e,
+                     st.integers(-6, 6).filter(bool), st.integers(0, 2),
+                     st.sampled_from((1, 1, 7, 11, 13)))
+
+
+_F4 = Dvr.power_series(4)
+_F4_UNITS = [(1, 0), (0, 1), (1, 1)]
+
+
+def _f4_entries():
+    """t^e * (a + b t) / (1 + c t) over F_4, a a unit: valuation e <= 2."""
+    from congrmod.dvr import RF
+    field = _F4.field
+    return st.builds(lambda e, a, b, c: RF(field, e, (a, b), (field.one(), c)),
+                     st.integers(0, 2), st.sampled_from(_F4_UNITS),
+                     st.sampled_from(_F4_UNITS + [(0, 0)]),
+                     st.sampled_from(_F4_UNITS + [(0, 0)]))
+
+
+@pytest.mark.parametrize("p", [2, 3, 5])
+@given(data=st.data())
+@settings(max_examples=80, deadline=None)
+def test_sparse_smith_matches_dense_reference_padic(p, data):
+    O = Dvr.p_adic(p)
+    _assert_smith_matches_reference(O, data.draw(_sparse_matrices(O, _padic_entries(p))))
+
+
+@given(matrix=_sparse_matrices(_F4, _f4_entries()))
+@settings(max_examples=80, deadline=None)
+def test_sparse_smith_matches_dense_reference_power_series(matrix):
+    _assert_smith_matches_reference(_F4, matrix)
+
+
+def test_sparse_smith_ties_follow_current_positions(O5):
+    """After the first pivot's swaps, labels and positions disagree: the
+    tied second pivot is the one at the lowest current row (first matrix)
+    and column (second matrix), as in the dense elimination."""
+    z, u, five = O5.zero, O5.one, F(5)
+    for matrix in ([[five, z, z], [z, five, z], [z, z, u]],
+                   [[five, z, u], [five, five, z]]):
+        _assert_smith_matches_reference(O5, matrix)
+
+
+@pytest.mark.parametrize("shape", [(0, 0), (0, 5), (4, 0), (1, 1), (3, 5), (6, 2)])
+def test_sparse_smith_empty_and_zero_shapes(O5, shape):
+    m, n = shape
+    matrix = [[O5.zero] * n for _ in range(m)]
+    _assert_smith_matches_reference(O5, matrix)
+    sf = smith_form(O5, matrix)
+    assert sf.rank == 0 and sf.nrows == m
+
+
+def _sparse_product(dvr, a, b):
+    """a * b for dense row matrices, skipping zero entries."""
+    out = []
+    for row in a:
+        acc = [dvr.zero] * (len(b[0]) if b else 0)
+        for k, x in enumerate(row):
+            if x:
+                for j, y in enumerate(b[k]):
+                    if y:
+                        acc[j] = acc[j] + x * y
+        out.append(acc)
+    return out
+
+
+def test_sparse_smith_witnesses_on_large_sparse_matrix():
+    """An 80x122 presentation at about 2% density, the shape of the Ext
+    presentations: L * A * R = D and L * L^-1 = I exactly."""
+    import random
+    O = Dvr.p_adic(5)
+    rng = random.Random(80122)
+    m, n = 80, 122
+    matrix = [[O.zero] * n for _ in range(m)]
+    for _ in range(195):
+        matrix[rng.randrange(m)][rng.randrange(n)] = \
+            F(rng.choice((1, -1, 2, 3, -4)), rng.choice((1, 3))) * 5 ** rng.randint(0, 1)
+    sf = smith_form(O, matrix)
+    assert sf.rank > 60
+    lar = _sparse_product(O, _sparse_product(O, sf.L, matrix), sf.R)
+    for i in range(m):
+        for j in range(n):
+            if i == j and i < sf.rank:
+                assert lar[i][j] == O.pi_pow(sf.diag_vals[i])
+            else:
+                assert not lar[i][j]
+    ident = _sparse_product(O, sf.L, sf.Linv)
+    assert ident == [[O.one if i == j else O.zero for j in range(m)] for i in range(m)]
+
+
+def test_free_module_from_zero_columns(O5):
+    """No relations: every generator is free, and the witnesses are
+    identities."""
+    from congrmod.omodule import FinOModule
+    mod = FinOModule.free(O5, 3)
+    assert mod.signature == ((), 3)
+    assert mod.kinds == [("f", 0)] * 3
+    assert mod.smith.diag_vals == []
+    assert mod.smith.L == mod.smith.Linv == _identity(O5, 3)
+    assert mod.free_generator_reps() == _identity(O5, 3)
+    assert FinOModule.free(O5, 0).signature == ((), 0)
