@@ -18,7 +18,7 @@ from .errors import (AugmentationNotWellDefined, InconsistentCodim,
                      NonIntegralEntry, NonLocalAugmentation)
 from .finite import FiniteStructure
 from .linsolve import CERTIFIED, SpanSolver, bounded, prune_generators
-from .omodule import FinOModule, fitting_ideal
+from .omodule import FinOModule
 from .poly import GLOBAL, LOCAL, Poly, PolyRing, taylor_division
 from .stdbasis import StdBasis, std_basis
 
@@ -209,7 +209,7 @@ def cotangent_invariants(A: AugmentedAlgebra) -> CotangentData:
             jac = jacobian_at_lambda(A)
             cot = FinOModule.from_presentation(A.dvr, jac, generators=A.nvars)
             phi = cot.torsion_part()
-            fitt = fitting_ideal(A.dvr, jac, A.codim)
+            fitt = cot.fitting_ideal(A.codim)
             A._cotangent = CotangentData(cot, phi, fitt)
         return A._cotangent
 

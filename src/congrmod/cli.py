@@ -9,6 +9,7 @@ the text rendering prints exactly the same data.
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import random
 import sys
@@ -303,9 +304,14 @@ def build_parser():
     return parser
 
 
+@functools.cache
+def _parser():
+    """The parser, built once per process: parsing keeps no state in it."""
+    return build_parser()
+
+
 def main(argv=None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    args = _parser().parse_args(argv)
     handlers = {
         "analyze": cmd_analyze,
         "eta": lambda a: cmd_single_invariant(a, "eta"),

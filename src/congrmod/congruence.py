@@ -23,7 +23,7 @@ from .errors import (InSymbolicSquare, InputError,
                      ResolutionTooShort, ZeroDivisorSuspected)
 from .fpmodule import FpModule
 from .linsolve import CERTIFIED, Cert
-from .omodule import _Echelon, FinOModule, k_rank, o_kernel_dense, smith_form
+from .omodule import _Echelon, FinOModule, o_kernel_dense, smith_form
 from .poly import Poly
 from .resolution import FreeResolution, _apply_columns, resolve_O
 
@@ -437,9 +437,9 @@ def kappa_defect(A: AugmentedAlgebra, M, c=None, res=None) -> dict:
                     psi_flat.append(zeta[k].scale(ms[l]) if ms[l] else A.ring.zero)
             kappa_cols.append(ext_OM.m_class_free_values(tuple(psi_flat)))
     rows = [[col[i] for col in kappa_cols] for i in range(mu)]
-    if k_rank(dvr, rows) < mu:
-        raise KappaNotInjective("the Kunneth comparison map is not injective")
     sf = smith_form(dvr, rows)
+    if sf.rank < mu:
+        raise KappaNotInjective("the Kunneth comparison map is not injective")
     coker_len = sum(sf.diag_vals)
     coker_ann = IdealO(dvr, max(sf.diag_vals) if sf.diag_vals else 0)
     eta_A, _ = eta_raw(A, None, c, res)

@@ -30,6 +30,7 @@ class FpModule:
         self.name = name
         self.is_O = is_O
         self._finite = None
+        self._reduced = None
 
     @classmethod
     def ring_module(cls, algebra, name=None, asserted_depth=None, asserted_mcm=False):
@@ -63,11 +64,15 @@ class FpModule:
         return [[A.lam(col[i]) for col in self.columns] for i in range(self.gens)]
 
     def reduce_mod_p(self):
-        """M/pM in normal form and mu = rank of its free part."""
-        q = FinOModule.from_presentation(self.algebra.dvr,
-                                         self.lam_presentation(),
-                                         generators=self.gens)
-        return {"quotient": q, "mu": q.free_rank}
+        """M/pM in normal form and mu = rank of its free part.  Computed once
+        per module: every call returns the same dict, which callers must not
+        modify."""
+        if self._reduced is None:
+            q = FinOModule.from_presentation(self.algebra.dvr,
+                                             self.lam_presentation(),
+                                             generators=self.gens)
+            self._reduced = {"quotient": q, "mu": q.free_rank}
+        return self._reduced
 
     def hom_to_O_generators(self):
         """An O-basis of Hom_O(tfree(M/pM), O) as functional rows on the

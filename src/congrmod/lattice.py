@@ -12,8 +12,8 @@ from dataclasses import dataclass
 from .dvr import Dvr, IdealO
 from .errors import (DegenerateLattice, InternalInvariantViolation,
                      NotADirectSum, RankMismatch, TorsionQuotient)
-from .omodule import (FinOModule, k_det, k_invert, k_rank, mat_mul,
-                      o_kernel_dense, o_solve_dense, smith_form)
+from .omodule import (FinOModule, mat_mul, o_kernel_dense, o_solve_dense,
+                      smith_form)
 
 
 @dataclass
@@ -98,18 +98,20 @@ def split_and_congruence(split: LatticeSplit) -> dict:
     dvr = split.dvr
     n = split.ambient_dim
     B = split.lattice_basis
-    if k_rank(dvr, B) != n:
+    sf = smith_form(dvr, B)
+    if sf.rank != n:
         raise DegenerateLattice("lattice basis is singular over K")
-    Binv = k_invert(dvr, B)
+    Binv = sf.inverse()
     d1, d2 = split.dims()
     if d1 + d2 != n:
         raise NotADirectSum("subspace dimensions do not add up to the ambient")
     Y1 = mat_mul(dvr, Binv, split.v1)  # subspaces in lattice coordinates
     Y2 = mat_mul(dvr, Binv, split.v2)
     T = [Y1[i] + Y2[i] for i in range(n)]
-    Tinv = k_invert(dvr, T)
-    if Tinv is None:
+    sf = smith_form(dvr, T)
+    if sf.rank != n:
         raise NotADirectSum("the subspaces intersect nontrivially")
+    Tinv = sf.inverse()
 
     L1 = _saturate_in_On(dvr, _columns(Y1), n)
     L2 = _saturate_in_On(dvr, _columns(Y2), n)
@@ -191,7 +193,7 @@ def pairing_discriminant(split: LatticeSplit, pairing=None) -> IdealO:
         fs = [[sum_mul(dvr, f, [pairing[i][j] for i in range(n)])
                for j in range(n)] for f in fs]
     gram = [[sum_mul(dvr, f, x) for x in L1] for f in fs]
-    det = k_det(dvr, gram)
-    if not det:
+    sf = smith_form(dvr, gram)
+    if sf.rank < d1:
         return IdealO.zero(dvr)
-    return IdealO(dvr, dvr.val(det))
+    return IdealO(dvr, sum(sf.diag_vals))

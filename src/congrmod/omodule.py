@@ -3,7 +3,9 @@
 All matrices are lists of rows unless a function says otherwise.  The Smith
 form eliminates sparsely, over the nonzero entries only, and tracks full
 witnesses (L, L^-1, R) so cokernels remember how to transport element
-coordinates into normal form; the sparse column echelon only tracks column
+coordinates into normal form.  It is the one elimination that answers rank,
+determinant valuation and inverse over K, and a module's Fitting ideals are
+read off its invariants.  The sparse column echelon only tracks column
 operations and backs the big kernel/solve computations.
 """
 
@@ -70,6 +72,14 @@ class SmithForm:
     @property
     def rank(self):
         return len(self.diag_vals)
+
+    def inverse(self):
+        """A^-1 = R * diag(pi^-v_i) * L, for A square of full rank."""
+        scaled = []
+        for v, row in zip(self.diag_vals, self.L):
+            s = self.dvr.pi_pow(-v)
+            scaled.append([x * s for x in row])
+        return mat_mul(self.dvr, self.R, scaled)
 
 
 def _axpy(dst, f, src, zero):
@@ -208,13 +218,13 @@ class FinOModule:
             generators = m
         if m != generators:
             raise DimensionMismatch(f"{m} rows for {generators} generators")
-        for row in matrix:
-            for x in row:
-                if x and dvr.val(x) < 0:
-                    raise NonIntegralEntry(f"entry {x!r} has negative valuation")
         if m == 0:
             return cls(dvr, (), 0, gens=0)
         sf = smith_form(dvr, matrix)
+        if sf.diag_vals and sf.diag_vals[0] < 0:
+            # the first pivot has the minimal valuation of all entries
+            x = next(x for row in matrix for x in row if x and dvr.val(x) < 0)
+            raise NonIntegralEntry(f"entry {x!r} has negative valuation")
         kinds = []
         tors = []
         for i in range(m):
@@ -263,6 +273,15 @@ class FinOModule:
 
     def torsion_part(self):
         return FinOModule(self.dvr, self.torsion_exponents, 0)
+
+    def fitting_ideal(self, k: int) -> IdealO:
+        """Fitt_k: zero below the free rank f, otherwise pi to the sum of
+        all but the k - f largest torsion exponents."""
+        drop = k - self.free_rank
+        if drop < 0:
+            return IdealO.zero(self.dvr)
+        tors = self.torsion_exponents
+        return IdealO(self.dvr, sum(tors[:max(len(tors) - drop, 0)]))
 
     # -- coordinate transport (requires witnesses) --
     def _require_witness(self):
@@ -328,20 +347,9 @@ def o_module_from_presentation(dvr, matrix, generators=None) -> FinOModule:
 def fitting_ideal(dvr, matrix, k: int) -> IdealO:
     """Fitt_k of the cokernel of the column span: the ideal of all
     (n-k)-minors, n the number of generators (rows)."""
-    n = len(matrix)
-    size = n - k
-    if size <= 0:
+    if len(matrix) <= k:
         return IdealO.unit(dvr)
-    for row in matrix:
-        for x in row:
-            if x and dvr.val(x) < 0:
-                raise NonIntegralEntry(f"entry {x!r} has negative valuation")
-    if not matrix or not matrix[0]:
-        return IdealO.zero(dvr)
-    sf = smith_form(dvr, matrix)
-    if size > sf.rank:
-        return IdealO.zero(dvr)
-    return IdealO(dvr, sum(sf.diag_vals[:size]))
+    return FinOModule.from_presentation(dvr, matrix).fitting_ideal(k)
 
 
 def order_ideal(module: FinOModule, vec) -> IdealO:
@@ -507,78 +515,3 @@ def o_solve_dense(dvr, rows, rhs):
     if sol is None:
         return None
     return [sol.get(j, dvr.zero) for j in range(len(columns))]
-
-
-# ---------------------------------------------------------------------------
-# linear algebra over the fraction field K
-
-def k_rank(dvr, rows):
-    m = [list(r) for r in rows]
-    nrows = len(m)
-    ncols = len(m[0]) if nrows else 0
-    rank = 0
-    for j in range(ncols):
-        piv = None
-        for i in range(rank, nrows):
-            if m[i][j]:
-                piv = i
-                break
-        if piv is None:
-            continue
-        m[rank], m[piv] = m[piv], m[rank]
-        pv = m[rank][j]
-        for i in range(nrows):
-            if i != rank and m[i][j]:
-                f = m[i][j] / pv
-                m[i] = [a - f * b for a, b in zip(m[i], m[rank])]
-        rank += 1
-        if rank == nrows:
-            break
-    return rank
-
-
-def k_invert(dvr, rows):
-    """Inverse of a square matrix over K, or None if singular."""
-    n = len(rows)
-    m = [list(r) + [dvr.one if i == j else dvr.zero for j in range(n)]
-         for i, r in enumerate(rows)]
-    for col in range(n):
-        piv = None
-        for i in range(col, n):
-            if m[i][col]:
-                piv = i
-                break
-        if piv is None:
-            return None
-        m[col], m[piv] = m[piv], m[col]
-        pv = m[col][col]
-        m[col] = [a / pv for a in m[col]]
-        for i in range(n):
-            if i != col and m[i][col]:
-                f = m[i][col]
-                m[i] = [a - f * b for a, b in zip(m[i], m[col])]
-    return [row[n:] for row in m]
-
-
-def k_det(dvr, rows):
-    n = len(rows)
-    m = [list(r) for r in rows]
-    det = dvr.one
-    for col in range(n):
-        piv = None
-        for i in range(col, n):
-            if m[i][col]:
-                piv = i
-                break
-        if piv is None:
-            return dvr.zero
-        if piv != col:
-            m[col], m[piv] = m[piv], m[col]
-            det = -det
-        pv = m[col][col]
-        det = det * pv
-        for i in range(col + 1, n):
-            if m[i][col]:
-                f = m[i][col] / pv
-                m[i] = [a - f * b for a, b in zip(m[i], m[col])]
-    return det

@@ -19,7 +19,7 @@ from congrmod import (Dvr, FpModule, LatticeSplit, PolyRing, build_algebra,
                       split_and_congruence)
 from congrmod.cli import random_grammar_algebra
 from congrmod.config import EngineConfig
-from congrmod.omodule import k_rank
+from congrmod.omodule import smith_form
 from conftest import make_An, make_depth_zero_example, make_hypersurface_2var, make_ring_B
 
 
@@ -138,10 +138,10 @@ def test_criterion_5_lattice_suite():
         Op = Dvr.p_adic(p)
         n = rng.randint(2, 4)
         B = [[F(rng.randint(-9, 9)) for _ in range(n)] for _ in range(n)]
-        if k_rank(Op, B) != n:
+        if smith_form(Op, B).rank != n:
             continue
         V = [[F(rng.randint(-15, 15)) for _ in range(n)] for _ in range(n)]
-        if k_rank(Op, V) != n:
+        if smith_form(Op, V).rank != n:
             continue
         d1 = rng.randint(1, n - 1)
         split = LatticeSplit(Op, B, [r[:d1] for r in V], [r[d1:] for r in V])

@@ -452,3 +452,34 @@ def test_internal_error_exit_2(a2_path, capsys, monkeypatch):
     monkeypatch.setattr(cli, "cmd_analyze", interrupt)
     with pytest.raises(KeyboardInterrupt):
         main(["analyze", a2_path])
+
+
+def test_parser_built_once_per_process(a2_path, tmp_path, capsys, monkeypatch):
+    """analyze, lattice, analyze in one process print what three separate
+    processes print, with the same exit codes, from one parser."""
+    import congrmod.cli as cli
+    lattice = tmp_path / "lat.cm"
+    lattice.write_text(LATTICE_FILE)
+    argvs = [["analyze", a2_path, "--format", "structured"],
+             ["lattice", str(lattice), "--format", "structured"],
+             ["analyze", a2_path, "--format", "structured"]]
+    separate = [run_child(argv, seconds=120) for argv in argvs]
+    built = []
+    real = cli.build_parser
+    monkeypatch.setattr(cli, "build_parser", lambda: built.append(1) or real())
+    cli._parser.cache_clear()
+    try:
+        for argv, proc in zip(argvs, separate):
+            assert run(capsys, argv) == (proc.returncode, proc.stdout)
+    finally:
+        cli._parser.cache_clear()
+    assert len(built) == 1
+
+
+def test_lattice_singular_basis_exit_2(tmp_path, capsys):
+    path = tmp_path / "singular.cm"
+    path.write_text(LATTICE_FILE.replace("[[1, 0], [0, 1]]", "[[1, 1], [1, 1]]"))
+    assert main(["lattice", str(path)]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == "error: DegenerateLattice: lattice basis is singular over K\n"

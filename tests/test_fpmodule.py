@@ -53,6 +53,22 @@ def test_reduce_mod_p_O_module():
     assert out["mu"] == 1
 
 
+def test_reduce_mod_p_once_per_module(monkeypatch):
+    """Two hom_to_O_generators calls on one module run one Smith form, and
+    reduce_mod_p hands back the same record."""
+    from congrmod import omodule
+    A = make_ring_B(5)
+    M = FpModule.ring_module(A).direct_sum(FpModule.o_module(A))
+    calls = []
+    real = omodule.smith_form
+    monkeypatch.setattr(omodule, "smith_form",
+                        lambda dvr, matrix: calls.append(matrix) or real(dvr, matrix))
+    first = M.hom_to_O_generators()
+    assert M.hom_to_O_generators() == first
+    assert len(calls) == 1
+    assert M.reduce_mod_p() is M.reduce_mod_p()
+
+
 def test_mu_additivity(rng):
     A = make_ring_B(5)
     mods = [FpModule.ring_module(A), FpModule.o_module(A)]

@@ -4,7 +4,7 @@ import pytest
 
 from congrmod import Dvr, LatticeSplit, pairing_discriminant, split_and_congruence
 from congrmod.errors import DegenerateLattice, NotADirectSum
-from congrmod.omodule import k_rank
+from congrmod.omodule import smith_form
 
 
 def identity(O, n):
@@ -62,14 +62,16 @@ def test_rank_mismatch_detected(O5):
     assert pairing_discriminant(s).is_unit
 
 
-def random_split(O, n, rng):
+def random_split(O, n, rng, draw_basis=None, draw_subspaces=None):
+    draw_basis = draw_basis or (lambda: F(rng.randint(-9, 9)))
+    draw_subspaces = draw_subspaces or (lambda: F(rng.randint(-20, 20)))
     while True:
-        B = [[F(rng.randint(-9, 9)) for _ in range(n)] for _ in range(n)]
-        if k_rank(O, B) == n:
+        B = [[draw_basis() for _ in range(n)] for _ in range(n)]
+        if smith_form(O, B).rank == n:
             break
     while True:
-        V = [[F(rng.randint(-20, 20)) for _ in range(n)] for _ in range(n)]
-        if k_rank(O, V) == n:
+        V = [[draw_subspaces() for _ in range(n)] for _ in range(n)]
+        if smith_form(O, V).rank == n:
             break
     d1 = rng.randint(1, n - 1)
     v1 = [row[:d1] for row in V]
@@ -103,3 +105,41 @@ def test_nontrivial_pairing_matrix(O5):
     assert pairing_discriminant(s, q_unimodular).exponent == 2
     q_scaled = [[O5.pi, O5.zero], [O5.zero, O5.pi]]
     assert pairing_discriminant(s, q_scaled).exponent == 3
+
+
+def _power_series_entry(O, rng, top):
+    """0, or t^e * (a + b t) with e <= top, a a unit of the residue field
+    and b mostly zero (every term of b raises the cost of the arithmetic)."""
+    from congrmod.dvr import RF
+    field = O.field
+    elements = [tuple(code // field.p ** i % field.p for i in range(field.k))
+                for code in range(field.q)]
+    if rng.random() < 0.3:
+        return O.zero
+    b = rng.choice(elements) if rng.random() < 0.2 else elements[0]
+    return RF(field, rng.randint(0, top), (rng.choice(elements[1:]), b))
+
+
+@pytest.mark.parametrize("q", [4, 9])
+def test_randomized_splits_power_series(q, rng):
+    """The lattice oracle over F_q[[t]]: the three quotients agree (checked
+    inside split_and_congruence) and the pairing discriminant is Fitt_0 of
+    the congruence module."""
+    O = Dvr.power_series(q)
+    for n in (2, 3, 4):
+        s = random_split(O, n, rng, lambda: _power_series_entry(O, rng, 1),
+                         lambda: _power_series_entry(O, rng, 2))
+        out = split_and_congruence(s)
+        assert out["cong"].free_rank == 0
+        assert pairing_discriminant(s).exponent == out["cong"].torsion_length
+
+
+def test_power_series_degenerate_and_intersecting():
+    O = Dvr.power_series(4)
+    t, one, zero = O.pi, O.one, O.zero
+    singular = LatticeSplit(O, [[one, t], [t, t * t]], [[one], [zero]], [[zero], [one]])
+    with pytest.raises(DegenerateLattice):
+        split_and_congruence(singular)
+    meeting = LatticeSplit(O, identity(O, 2), [[one], [t]], [[t], [t * t]])
+    with pytest.raises(NotADirectSum):
+        split_and_congruence(meeting)

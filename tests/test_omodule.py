@@ -1,11 +1,13 @@
 from fractions import Fraction as F
+from itertools import combinations
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
 from congrmod import Dvr, fitting_ideal, o_module_from_presentation
+from congrmod.dvr import INF, IdealO
 from congrmod.errors import DimensionMismatch, NonIntegralEntry
-from congrmod.omodule import o_kernel_dense, o_solve_dense, smith_form
+from congrmod.omodule import FinOModule, o_kernel_dense, o_solve_dense, smith_form
 
 
 def expected_invariants_via_sympy(p, matrix, generators):
@@ -405,3 +407,187 @@ def test_free_module_from_zero_columns(O5):
     assert mod.smith.L == mod.smith.Linv == _identity(O5, 3)
     assert mod.free_generator_reps() == _identity(O5, 3)
     assert FinOModule.free(O5, 0).signature == ((), 0)
+
+
+# ---------------------------------------------------------------------------
+# The dense eliminations over K that the Smith form replaced, kept verbatim
+# as the reference for rank, determinant and inverse.
+
+def k_rank(dvr, rows):
+    m = [list(r) for r in rows]
+    nrows = len(m)
+    ncols = len(m[0]) if nrows else 0
+    rank = 0
+    for j in range(ncols):
+        piv = None
+        for i in range(rank, nrows):
+            if m[i][j]:
+                piv = i
+                break
+        if piv is None:
+            continue
+        m[rank], m[piv] = m[piv], m[rank]
+        pv = m[rank][j]
+        for i in range(nrows):
+            if i != rank and m[i][j]:
+                f = m[i][j] / pv
+                m[i] = [a - f * b for a, b in zip(m[i], m[rank])]
+        rank += 1
+        if rank == nrows:
+            break
+    return rank
+
+
+def k_invert(dvr, rows):
+    """Inverse of a square matrix over K, or None if singular."""
+    n = len(rows)
+    m = [list(r) + [dvr.one if i == j else dvr.zero for j in range(n)]
+         for i, r in enumerate(rows)]
+    for col in range(n):
+        piv = None
+        for i in range(col, n):
+            if m[i][col]:
+                piv = i
+                break
+        if piv is None:
+            return None
+        m[col], m[piv] = m[piv], m[col]
+        pv = m[col][col]
+        m[col] = [a / pv for a in m[col]]
+        for i in range(n):
+            if i != col and m[i][col]:
+                f = m[i][col]
+                m[i] = [a - f * b for a, b in zip(m[i], m[col])]
+    return [row[n:] for row in m]
+
+
+def k_det(dvr, rows):
+    n = len(rows)
+    m = [list(r) for r in rows]
+    det = dvr.one
+    for col in range(n):
+        piv = None
+        for i in range(col, n):
+            if m[i][col]:
+                piv = i
+                break
+        if piv is None:
+            return dvr.zero
+        if piv != col:
+            m[col], m[piv] = m[piv], m[col]
+            det = -det
+        pv = m[col][col]
+        det = det * pv
+        for i in range(col + 1, n):
+            if m[i][col]:
+                f = m[i][col] / pv
+                m[i] = [a - f * b for a, b in zip(m[i], m[col])]
+    return det
+
+
+def _fitting_by_minors(dvr, matrix, k):
+    """Fitt_k from its definition: the ideal of the (m - k)-minors, each
+    determinant taken by k_det."""
+    m = len(matrix)
+    n = len(matrix[0]) if m else 0
+    size = m - k
+    if size <= 0:
+        return IdealO.unit(dvr)
+    best = INF
+    for rows in combinations(range(m), size):
+        for cols in combinations(range(n), size):
+            det = k_det(dvr, [[matrix[i][j] for j in cols] for i in rows])
+            if det:
+                best = min(best, dvr.val(det))
+    return IdealO(dvr, best)
+
+
+def _valued_entries(dvr, lo, hi):
+    """Entries of valuation lo..hi: over Z_(p) a unit numerator over a
+    p-free denominator times p^e, over F_q[[t]] t^e (a + b t) / (1 + c t)."""
+    if dvr.kind == "p_adic":
+        p = dvr.p
+        return st.builds(lambda a, d, e: F(a, d) * F(p) ** e,
+                         st.integers(-6, 6).filter(lambda a: a % p),
+                         st.sampled_from((1, 7, 11, 13)), st.integers(lo, hi))
+    from congrmod.dvr import RF
+    field = dvr.field
+    if field.k == 1:
+        elements = list(range(field.p))
+    else:
+        elements = [tuple(code // field.p ** i % field.p for i in range(field.k))
+                    for code in range(field.q)]
+    units = [x for x in elements if not field.is_zero(x)]
+    return st.builds(lambda e, a, b, c: RF(field, e, (a, b), (field.one(), c)),
+                     st.integers(lo, hi), st.sampled_from(units),
+                     st.sampled_from(elements), st.sampled_from(elements))
+
+
+@st.composite
+def _k_matrices(draw, dvr):
+    """Up to 4x4, square half the time, with zeros; some are made singular
+    by repeating a multiple of a row in another."""
+    m = draw(st.integers(0, 4))
+    n = m if draw(st.booleans()) else draw(st.integers(0, 4))
+    entry = st.one_of(st.just(dvr.zero), _valued_entries(dvr, -2, 3))
+    matrix = [[draw(entry) for _ in range(n)] for _ in range(m)]
+    if m >= 2 and draw(st.booleans()):
+        i, j = draw(st.permutations(range(m)))[:2]
+        c = draw(_valued_entries(dvr, -1, 1))
+        matrix[i] = [c * x for x in matrix[j]]
+    return matrix
+
+
+_K_BASES = {"Z_(2)": Dvr.p_adic(2), "Z_(3)": Dvr.p_adic(3), "Z_(5)": Dvr.p_adic(5),
+            "F_4[[t]]": _F4, "F_9[[t]]": Dvr.power_series(9)}
+
+
+@pytest.mark.parametrize("base", list(_K_BASES))
+@given(data=st.data())
+@settings(max_examples=40, deadline=None)
+def test_smith_form_answers_the_k_questions(base, data):
+    """Rank, determinant valuation, inverse and every Fitting ideal read off
+    the Smith form agree with the dense K-eliminations."""
+    dvr = _K_BASES[base]
+    matrix = data.draw(_k_matrices(dvr))
+    m = len(matrix)
+    n = len(matrix[0]) if m else 0
+    sf = smith_form(dvr, matrix)
+    assert sf.rank == k_rank(dvr, matrix)
+    if m == n:
+        det, inv = k_det(dvr, matrix), k_invert(dvr, matrix)
+        if sf.rank == n:
+            assert sum(sf.diag_vals) == dvr.val(det)
+            assert sf.inverse() == inv
+        else:
+            assert not det and inv is None
+    low = min((dvr.val(x) for row in matrix for x in row if x), default=0)
+    scale = dvr.pi_pow(max(-low, 0))
+    integral = [[x * scale for x in row] for row in matrix]
+    mod = FinOModule.from_presentation(dvr, integral)
+    for k in range(m + 2):
+        expected = _fitting_by_minors(dvr, integral, k)
+        assert mod.fitting_ideal(k) == expected
+        assert fitting_ideal(dvr, integral, k) == expected
+
+
+@pytest.mark.parametrize("dvr, entry", [
+    (Dvr.p_adic(5), F(1, 5)),
+    (_F4, _F4.pi_pow(-1)),
+])
+def test_non_integral_entry_names_the_first_entry(dvr, entry):
+    """The error names the first non-integral entry in row order, not the
+    one of least valuation; with k at least the number of rows the Fitting
+    ideal is the unit ideal before any entry is looked at."""
+    worse = entry * entry
+    matrix = [[dvr.one, entry], [worse, dvr.zero]]
+    message = f"entry {entry!r} has negative valuation"
+    for call in (lambda: FinOModule.from_presentation(dvr, matrix),
+                 lambda: FinOModule.from_presentation(dvr, [[dvr.one], [entry]]),
+                 lambda: fitting_ideal(dvr, matrix, 0),
+                 lambda: fitting_ideal(dvr, matrix, 1)):
+        with pytest.raises(NonIntegralEntry) as info:
+            call()
+        assert str(info.value) == message
+    assert fitting_ideal(dvr, matrix, 2).is_unit
+    assert fitting_ideal(dvr, matrix, 3).is_unit
