@@ -21,7 +21,7 @@ from .congruence import (RegularityWarning, _plain, analyze, deformation_step,
                          eta_raw, numerical_criterion, psi_raw, serre_check)
 from .dvr import Dvr
 from .errors import DegreeBoundExceeded, EngineError, InputError
-from .lattice import LatticeSplit, pairing_discriminant, split_and_congruence
+from .lattice import LatticeSplit, split_and_congruence, split_discriminant
 from .poly import PolyRing, parse_poly
 from .probfile import load_problem
 from .resolution import resolve_O
@@ -168,7 +168,7 @@ def cmd_lattice(args):
     data = problem.lattice
     split = LatticeSplit(problem.dvr, data["basis"], data["v1"], data["v2"])
     out = split_and_congruence(split)
-    disc = pairing_discriminant(split, data["pairing"])
+    disc = split_discriminant(split, out, data["pairing"])
     record = {
         "command": "lattice",
         "congruence_module": str(out["cong"]),

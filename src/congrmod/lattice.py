@@ -10,8 +10,9 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from .dvr import Dvr, IdealO
-from .errors import (DegenerateLattice, InternalInvariantViolation,
-                     NotADirectSum, RankMismatch, TorsionQuotient)
+from .errors import (DegenerateLattice, DimensionMismatch,
+                     InternalInvariantViolation, NotADirectSum, RankMismatch,
+                     TorsionQuotient)
 from .omodule import (FinOModule, mat_mul, o_kernel_dense, o_solve_dense,
                       smith_form)
 
@@ -29,6 +30,19 @@ class LatticeSplit:
 
     def dims(self):
         return len(self.v1[0]) if self.v1 else 0, len(self.v2[0]) if self.v2 else 0
+
+
+def _check_shapes(split):
+    """The basis is n x n, and v1 and v2 are n x d matrices (an empty one
+    is the zero subspace)."""
+    n = split.ambient_dim
+    if any(len(row) != n for row in split.lattice_basis):
+        raise DimensionMismatch(f"lattice basis is not {n} x {n}")
+    for name, v in (("v1", split.v1), ("v2", split.v2)):
+        if v and len(v) != n:
+            raise DimensionMismatch(f"{name} has {len(v)} rows, expected {n}")
+        if len({len(row) for row in v}) > 1:
+            raise DimensionMismatch(f"{name} has rows of unequal lengths")
 
 
 def _columns(rows):
@@ -95,6 +109,7 @@ def _quotient_of_lattices(dvr, big, small, n):
 def split_and_congruence(split: LatticeSplit) -> dict:
     """The paper's three quotients, computed independently; they must agree
     in normal form and the common value is the congruence module."""
+    _check_shapes(split)
     dvr = split.dvr
     n = split.ambient_dim
     B = split.lattice_basis
@@ -171,9 +186,17 @@ def pairing_discriminant(split: LatticeSplit, pairing=None) -> IdealO:
     """(det <f_i, x_j>) for a basis x of L_1 and f of Hom(L/L_2, O); equals
     Fitt_0 of the congruence module.  The optional pairing matrix Q twists
     the canonical evaluation to <f, x> = f^T Q x in lattice coordinates."""
+    return split_discriminant(split, split_and_congruence(split), pairing)
+
+
+def split_discriminant(split: LatticeSplit, data, pairing=None) -> IdealO:
+    """pairing_discriminant for a split whose split_and_congruence result
+    is already known, so that the lattice is split once."""
     dvr = split.dvr
     n = split.ambient_dim
-    data = split_and_congruence(split)
+    if pairing is not None and (len(pairing) != n
+                                or any(len(row) != n for row in pairing)):
+        raise DimensionMismatch(f"pairing matrix is not {n} x {n}")
     L1 = data["coords"]["L1"]
     L2 = data["coords"]["L2"]
     d1 = len(L1)

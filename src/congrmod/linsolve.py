@@ -2,14 +2,17 @@
 
 One class, SpanSolver, holds a matrix over A = O[x]/I as an exact O-linear
 system on monomial coefficient vectors, and answers its kernel, solves and
-membership queries; prune_generators is built on it.  Quotient conditions
-are encoded either by explicit ideal-multiple absorber columns, or, when
-every element of the global standard basis has a unit leading coefficient
-(so strong normal forms are O-linear), by reducing products to normal form
-first, through the basis's table of monomial normal forms.  Completeness
-holds only up to the multiplier degree bound; callers supply bounds that
-are provably sufficient for module-finite algebras and record a bounded
-certification status otherwise.
+membership queries; a membership query is one forward pass through the
+echelon's pivots.  A solver can grow: extend() appends the monomial
+multiples of one more column to its echelon, so prune_generators keeps one
+solver per call.  Quotient conditions are encoded either by explicit
+ideal-multiple absorber columns, or, when every element of the global
+standard basis has a unit leading coefficient (so strong normal forms are
+O-linear), by reducing products to normal form first, through the basis's
+table of monomial normal forms.  Completeness holds only up to the
+multiplier degree bound; callers supply bounds that are provably sufficient
+for module-finite algebras and record a bounded certification status
+otherwise.
 """
 
 from __future__ import annotations
@@ -66,9 +69,11 @@ class SpanSolver:
 
     The columns are expanded once, on construction; the echelon is built on
     the first query and reused, so one instance answers kernel(), solve()
-    and contains() for many targets.  The absorber degree defaults to
-    deg_bound plus the largest column degree; a solver meant for a target of
-    higher degree must pass a larger one, or that target reads as outside.
+    and contains() for many targets.  extend() adds a column; only the
+    solver's owner calls it, never a solver shared by later readers.  The
+    absorber degree defaults to deg_bound plus the largest column degree; a
+    solver meant for a target of higher degree must pass a larger one, or
+    that target reads as outside.
     """
 
     def __init__(self, ring, gb_global, columns, nrows, deg_bound,
@@ -76,12 +81,11 @@ class SpanSolver:
         self.columns = list(columns)
         self.ring = ring
         self.dvr = ring.dvr
+        self.config = config
         self._echelon = None
         bounds = per_bounds if per_bounds is not None else \
             [deg_bound] * len(self.columns)
-        if max(bounds, default=0) > config.degree_cap:
-            raise DegreeBoundExceeded(
-                f"multiplier degree {max(bounds)} above cap {config.degree_cap}")
+        self._check_bound(max(bounds, default=0))
         if absorb_degree is None:
             absorb_degree = deg_bound + _max_degree(self.columns)
         self.gb = gb_global
@@ -103,6 +107,23 @@ class SpanSolver:
                     for u in monomials_up_to(ring.nvars, lim):
                         self.sparse_cols.append(self._vector(unit, u))
                         self.meta.append(("abs", i, u))
+
+    def _check_bound(self, degree):
+        if degree > self.config.degree_cap:
+            raise DegreeBoundExceeded(
+                f"multiplier degree {degree} above cap {self.config.degree_cap}")
+
+    def extend(self, col, deg_bound):
+        """Add col, with multipliers of degree <= deg_bound, to the columns.
+        Only its multiples are expanded, and each is appended to the one
+        echelon; the absorber degree stays as it was built."""
+        self._check_bound(deg_bound)
+        ech = self._ech()
+        j = len(self.columns)
+        self.columns.append(col)
+        for u in monomials_up_to(self.ring.nvars, deg_bound):
+            self.meta.append(("var", j, u))
+            ech.extend(self._vector(col, u))
 
     def _rid(self, i, exps):
         key = (i, exps)
@@ -151,6 +172,7 @@ class SpanSolver:
         if self._echelon is None:
             self._echelon = _Echelon(self.dvr, len(self.sparse_cols),
                                      self.sparse_cols)
+            self.sparse_cols = None  # the echelon holds its own copies
         return self._echelon
 
     def kernel(self):
@@ -179,15 +201,21 @@ class SpanSolver:
         return self._vector_to_polys(sol)
 
     def contains(self, target):
+        """Whether target lies in the span: the forward pass alone, with no
+        multipliers built."""
         if all(p.is_zero for p in target):
             return True
-        return self.solve(target) is not None
+        rhs = self._vector(target)
+        return rhs is not None and self._ech().reduce(rhs) is not None
 
 
 def prune_generators(ring, gb_global, vectors, deg_bound, config=DEFAULT_CONFIG):
-    """Greedy removal of vectors lying in the span of the ones kept; the
-    membership oracle is rebuilt only when a vector is actually kept, and
-    candidates in between reuse its echelon."""
+    """Greedy removal of vectors lying in the span of the ones kept.  One
+    solver serves the call: it is built on the first vector when the second
+    is tested, and each later vector kept is appended to its echelon with
+    SpanSolver.extend before the next candidate is tested.  Membership in
+    an O-span does not depend on the echelon's basis, so the vectors kept
+    are those a solver built afresh on the kept list would keep."""
 
     def sort_key(v):
         return (max((p.degree() for p in v), default=-1),
@@ -197,17 +225,15 @@ def prune_generators(ring, gb_global, vectors, deg_bound, config=DEFAULT_CONFIG)
     vecs = sorted(vectors, key=sort_key)
     if not vecs:
         return []
-    nrows = len(vecs[0])
     absorb = deg_bound + _max_degree(vecs)
-    kept = []
+    kept = vecs[:1]
     solver = None
-    for v in vecs:
-        if kept:
-            if solver is None:
-                solver = SpanSolver(ring, gb_global, kept, nrows, deg_bound,
-                                    absorb, config)
-            if solver.contains(v):
-                continue
-        kept.append(v)
-        solver = None
+    for v in vecs[1:]:
+        if solver is None:
+            solver = SpanSolver(ring, gb_global, kept, len(v), deg_bound,
+                                absorb, config)
+        elif len(solver.columns) < len(kept):
+            solver.extend(kept[-1], deg_bound)
+        if not solver.contains(v):
+            kept.append(v)
     return kept

@@ -6,7 +6,8 @@ witnesses (L, L^-1, R) so cokernels remember how to transport element
 coordinates into normal form.  It is the one elimination that answers rank,
 determinant valuation and inverse over K, and a module's Fitting ideals are
 read off its invariants.  The sparse column echelon only tracks column
-operations and backs the big kernel/solve computations.
+operations and backs the big kernel/solve computations; it can grow one
+column at a time.
 """
 
 from __future__ import annotations
@@ -388,9 +389,15 @@ def _unit_content_scale(dvr, col, extra):
 
 
 class _Echelon:
-    """Column echelon over O with tracked column operations.  Each live
-    column caches its minimal-valuation entry so pivot selection is linear
-    in the number of columns."""
+    """Column echelon over O with tracked column operations: the current
+    columns are the original ones times R, and R is invertible over O.
+    Every column is either zero or a pivot column, and the column of pivot
+    k is zero in the rows of pivots 1..k-1, so one forward pass over the
+    pivots writes any vector on them.  The batch elimination picks each
+    pivot as a minimal-valuation entry of the live columns, caching each
+    column's minimum so the choice is linear in the number of columns;
+    extend() appends one column at a time by the incremental Hermite step
+    over a DVR (Kannan and Bachem, SIAM J. Comput. 8, 1979)."""
 
     def __init__(self, dvr, ncols, columns):
         self.dvr = dvr
@@ -409,8 +416,25 @@ class _Echelon:
                 best = (v, i)
         return best
 
+    def _eliminate(self, k, pj, f):
+        """Column k -= f * column pj, with R alongside; f lies in O."""
+        zero = self.dvr.zero
+        ck, rk = self.cols[k], self.R[k]
+        for r, x in self.cols[pj].items():
+            nv = ck.get(r, zero) - f * x
+            if nv:
+                ck[r] = nv
+            else:
+                ck.pop(r, None)
+        for r, x in self.R[pj].items():
+            nv = rk.get(r, zero) - f * x
+            if nv:
+                rk[r] = nv
+            else:
+                rk.pop(r, None)
+        _unit_content_scale(self.dvr, ck, rk)
+
     def _run(self):
-        dvr = self.dvr
         remaining = set(range(self.ncols))
         colmin = {j: self._colmin(self.cols[j]) for j in remaining}
         while True:
@@ -422,29 +446,39 @@ class _Echelon:
             if best is None:
                 break
             _, pi, pj = best
-            pcol = self.cols[pj]
-            pval = pcol[pi]
+            pval = self.cols[pj][pi]
             remaining.discard(pj)
             for k in remaining:
                 ck = self.cols[k]
                 if pi in ck:
-                    f = ck[pi] / pval
-                    for r, x in pcol.items():
-                        nv = ck.get(r, dvr.zero) - f * x
-                        if nv:
-                            ck[r] = nv
-                        else:
-                            ck.pop(r, None)
-                    rk = self.R[k]
-                    for r, x in self.R[pj].items():
-                        nv = rk.get(r, dvr.zero) - f * x
-                        if nv:
-                            rk[r] = nv
-                        else:
-                            rk.pop(r, None)
-                    _unit_content_scale(dvr, ck, rk)
+                    self._eliminate(k, pj, ck[pi] / pval)
                     colmin[k] = self._colmin(ck)
             self.pivots.append((pi, pj))
+
+    def extend(self, column):
+        """Append a column.  It walks the pivots in order: an entry in a
+        pivot's row whose valuation is at least the pivot's is cleared by
+        that pivot; an entry of lower valuation takes the pivot over, and
+        the old pivot column, cleared by it, walks on in its place.  What
+        is left nonzero at the end becomes the last pivot.  Every step is a
+        column operation invertible over O, so R, kernel() and solve() stay
+        valid."""
+        val = self.dvr.val
+        j = self.ncols
+        self.ncols += 1
+        self.cols.append(dict(column))
+        self.R.append({j: self.dvr.one})
+        for k, (pi, pj) in enumerate(self.pivots):
+            x = self.cols[j].get(pi)
+            if x is None:
+                continue
+            pval = self.cols[pj][pi]
+            if val(x) < val(pval):
+                self.pivots[k] = (pi, j)
+                j, pj, x, pval = pj, j, pval, x
+            self._eliminate(j, pj, x / pval)
+        if self.cols[j]:
+            self.pivots.append((self._colmin(self.cols[j])[1], j))
 
     def kernel(self):
         """O-basis (as dicts col-index -> O) of the kernel of the column map."""
@@ -455,14 +489,14 @@ class _Echelon:
                 out.append(self.R[j])
         return out
 
-    def solve(self, rhs):
-        """x (dict) with columns * x = rhs, entries in O; None if unsolvable."""
+    def reduce(self, rhs):
+        """The forward pass: (pivot column, y) pairs, y in O and nonzero,
+        with rhs = sum y * column; None if rhs is outside the O-span."""
         dvr = self.dvr
         b = {i: x for i, x in rhs.items() if x}
         ys = []
         for (pi, pj) in self.pivots:
             if pi not in b:
-                ys.append((pj, dvr.zero))
                 continue
             y = b[pi] / self.cols[pj][pi]
             if dvr.val(y) < 0:
@@ -474,17 +508,22 @@ class _Echelon:
                     b[r] = nv
                 else:
                     b.pop(r, None)
-        if b:
+        return None if b else ys
+
+    def solve(self, rhs):
+        """x (dict) with columns * x = rhs, entries in O; None if unsolvable."""
+        ys = self.reduce(rhs)
+        if ys is None:
             return None
+        dvr = self.dvr
         x = {}
         for pj, y in ys:
-            if y:
-                for r, c in self.R[pj].items():
-                    nv = x.get(r, dvr.zero) + y * c
-                    if nv:
-                        x[r] = nv
-                    else:
-                        x.pop(r, None)
+            for r, c in self.R[pj].items():
+                nv = x.get(r, dvr.zero) + y * c
+                if nv:
+                    x[r] = nv
+                else:
+                    x.pop(r, None)
         return x
 
 

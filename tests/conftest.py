@@ -1,8 +1,12 @@
+import os
 import random
+import subprocess
+import sys
 
 import pytest
 
 from congrmod import Dvr, PolyRing, build_algebra
+from congrmod.config import EngineConfig
 
 
 @pytest.fixture
@@ -56,3 +60,34 @@ def make_hypersurface_2var(p, n):
     return build_algebra(R, [R.parse(f"x*(x - pi^{n})")], [O.zero, O.zero], 1,
                          claimed_mcm=True, claimed_depth=2,
                          claimed_gorenstein=True, name=f"H({n})")
+
+
+def make_ring_C(p, l, m, n):
+    """Criterion 8's Cohen-Macaulay determinantal ring C(l, m, n) in six
+    variables, codimension 3, at search degree 2."""
+    O = Dvr.p_adic(p)
+    R = PolyRing(O, ("a", "b", "c", "al", "be", "ga"))
+    P = R.parse
+    rels = [
+        P("-al^2 - be*ga"),
+        P(f"al*c - (pi^{n} + a)*ga"),
+        P("-al*a - b*ga"),
+        P(f"be*c + (pi^{n} + a)*al"),
+        P("-be*a + b*al"),
+        P(f"-(pi^{n} + a)*a - b*c"),
+    ]
+    aug = [O.zero, O.pi_pow(l), O.zero, O.zero, O.pi_pow(m), O.zero]
+    return build_algebra(R, rels, aug, 3,
+                         config=EngineConfig(search_degree=2), name="C")
+
+
+def run_python(argv, seconds):
+    """Run a child interpreter with argv, killed (and the test failed) after
+    `seconds`; the child imports the same congrmod package, installed or
+    not, and can import these test helpers.  Returns the completed process."""
+    import congrmod
+    src = os.path.dirname(os.path.dirname(congrmod.__file__))
+    tests = os.path.dirname(os.path.abspath(__file__))
+    path = os.pathsep.join(filter(None, [src, tests, os.environ.get("PYTHONPATH")]))
+    return subprocess.run([sys.executable, *argv], capture_output=True, text=True,
+                          timeout=seconds, env={**os.environ, "PYTHONPATH": path})

@@ -18,9 +18,9 @@ from congrmod import (Dvr, FpModule, LatticeSplit, PolyRing, build_algebra,
                       eta_codim0_oracle, resolve_O, serre_check,
                       split_and_congruence)
 from congrmod.cli import random_grammar_algebra
-from congrmod.config import EngineConfig
 from congrmod.omodule import smith_form
-from conftest import make_An, make_depth_zero_example, make_hypersurface_2var, make_ring_B
+from conftest import (make_An, make_depth_zero_example, make_hypersurface_2var,
+                      make_ring_B, make_ring_C)
 
 
 def report(num, desc, ok, elapsed):
@@ -288,23 +288,6 @@ def test_criterion_7_invariance_of_domain():
     report(7, f"invariance of domain across {count} surjections", ok, dt)
 
 
-def _ring_C(p, l, m, n):
-    O = Dvr.p_adic(p)
-    R = PolyRing(O, ("a", "b", "c", "al", "be", "ga"))
-    P = R.parse
-    rels = [
-        P("-al^2 - be*ga"),
-        P(f"al*c - (pi^{n} + a)*ga"),
-        P("-al*a - b*ga"),
-        P(f"be*c + (pi^{n} + a)*al"),
-        P("-be*a + b*al"),
-        P(f"-(pi^{n} + a)*a - b*c"),
-    ]
-    aug = [O.zero, O.pi_pow(l), O.zero, O.zero, O.pi_pow(m), O.zero]
-    return build_algebra(R, rels, aug, 3,
-                         config=EngineConfig(search_degree=2), name="C")
-
-
 @pytest.mark.skipif(not os.environ.get("RUN_STRETCH"),
                     reason="stretch target (non-gating); set RUN_STRETCH=1")
 def test_criterion_8_stretch_determinantal_family():
@@ -313,7 +296,7 @@ def test_criterion_8_stretch_determinantal_family():
     t0 = time.time()
     ok = True
     for (l, m, n) in [(1, 1, 1), (2, 2, 2)]:
-        C = _ring_C(5, l, m, n)
+        C = make_ring_C(5, l, m, n)
         res = resolve_O(C, length=4)
         value, cert = eta_raw(C, None, 3, res)
         ok &= value.exponent == min(l, m, n)

@@ -3,6 +3,7 @@ import json
 import pytest
 
 from congrmod.cli import main
+from conftest import run_python
 
 A2_FILE = """
 # the congruence ring at its first branch
@@ -242,17 +243,7 @@ codim = 0
 def run_child(args, seconds):
     """Run the CLI in a child interpreter, killed (and the test failed) after
     `seconds`; returns the completed process."""
-    import os
-    import subprocess
-    import sys
-
-    import congrmod
-    # the child imports the same package, installed or not
-    src = os.path.dirname(os.path.dirname(congrmod.__file__))
-    path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
-    return subprocess.run([sys.executable, "-m", "congrmod", *args],
-                          capture_output=True, text=True, timeout=seconds,
-                          env={**os.environ, "PYTHONPATH": path})
+    return run_python(["-m", "congrmod", *args], seconds)
 
 
 @pytest.mark.parametrize("aug", ["0", "pi"])
@@ -483,3 +474,48 @@ def test_lattice_singular_basis_exit_2(tmp_path, capsys):
     captured = capsys.readouterr()
     assert captured.out == ""
     assert captured.err == "error: DegenerateLattice: lattice basis is singular over K\n"
+
+
+@pytest.mark.parametrize("key, value, message", [
+    ("basis", "[[1, 0, 1], [0, 1, 1]]", "lattice basis is not 2 x 2"),
+    ("v1", "[[1], [0], [0]]", "v1 has 3 rows, expected 2"),
+    ("v2", "[[1]]", "v2 has 1 rows, expected 2"),
+    ("pairing", "[[1, 0, 0], [0, 1, 0], [0, 0, 1]]", "pairing matrix is not 2 x 2"),
+], ids=["basis", "v1", "v2", "pairing"])
+def test_lattice_wrong_shape_exit_2(tmp_path, capsys, key, value, message):
+    """A basis that is not n x n, a subspace matrix without n rows or a
+    pairing that is not n x n is an input error, not a congruence module."""
+    entries = {"basis": "[[1, 0], [0, 1]]", "v1": "[[1], [0]]", "v2": "[[0], [1]]",
+               key: value}
+    path = tmp_path / "shape.cm"
+    path.write_text("[dvr]\nkind = p_adic\np = 5\n\n[lattice]\n"
+                    + "".join(f"{k} = {v}\n" for k, v in entries.items()))
+    assert main(["lattice", str(path)]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == f"error: DimensionMismatch: {message}\n"
+
+
+def test_lattice_split_once_per_run(tmp_path, capsys, monkeypatch):
+    """`congrmod lattice` splits the lattice once and reads the discriminant
+    off that split, with the output of the two-split computation."""
+    import congrmod.cli as cli
+    import congrmod.lattice as lattice
+    path = tmp_path / "lat.cm"
+    path.write_text(LATTICE_FILE)
+    calls = []
+    original = lattice.split_and_congruence
+
+    def counting(split):
+        calls.append(split)
+        return original(split)
+
+    monkeypatch.setattr(lattice, "split_and_congruence", counting)
+    monkeypatch.setattr(cli, "split_and_congruence", counting)
+    code, out = run(capsys, ["lattice", str(path), "--format", "structured"])
+    assert len(calls) == 1
+    assert code == 0
+    split = calls[0]
+    rec = json.loads(out)
+    assert rec["discriminant"] == str(lattice.pairing_discriminant(split))
+    assert rec["congruence_module"] == "O/pi"

@@ -528,3 +528,24 @@ def test_codim0_oracles_power_series(q):
         psi_value, _, _ = psi_raw(A, None, 0, res)
         assert eta_value.exponent == eta_codim0_oracle(A).exponent, A.name
         assert psi_value.signature == psi_direct_codim0(A).signature, A.name
+
+
+@pytest.mark.parametrize("q", [2, 4, 9])
+@pytest.mark.parametrize("n", [1, 2, 3])
+def test_strategy_independence_power_series(q, n):
+    """Over F_q[[t]], x0*(x0 - t^k) in n variables resolved by matrix
+    factorization and by syzygies gives the same eta, psi and mu, for
+    k = 1, 2, 3: the syzygy side runs the pruning echelon through the
+    generic RF arithmetic."""
+    O = Dvr.power_series(q)
+    R = PolyRing(O, tuple(f"x{j}" for j in range(n)))
+    for k in (1, 2, 3):
+        f = R.var(0) * (R.var(0) - R.const(O.pi_pow(k)))
+        A = build_algebra(R, [f], [O.zero] * n, n - 1, name=f"hyp({k})")
+        values = []
+        for strategy in ("matrix_factorization", "syzygy"):
+            res = resolve_O(A, strategy=strategy)
+            eta_value, _ = eta_raw(A, None, A.codim, res)
+            m, _, mu = psi_raw(A, None, A.codim, res)
+            values.append((eta_value.exponent, m.signature, mu))
+        assert values[0] == values[1], (q, n, k)

@@ -7,7 +7,8 @@ from hypothesis import given, settings, strategies as st
 from congrmod import Dvr, fitting_ideal, o_module_from_presentation
 from congrmod.dvr import INF, IdealO
 from congrmod.errors import DimensionMismatch, NonIntegralEntry
-from congrmod.omodule import FinOModule, o_kernel_dense, o_solve_dense, smith_form
+from congrmod.omodule import (_Echelon, FinOModule, o_kernel_dense, o_solve_dense,
+                              smith_form)
 
 
 def expected_invariants_via_sympy(p, matrix, generators):
@@ -591,3 +592,117 @@ def test_non_integral_entry_names_the_first_entry(dvr, entry):
         assert str(info.value) == message
     assert fitting_ideal(dvr, matrix, 2).is_unit
     assert fitting_ideal(dvr, matrix, 3).is_unit
+
+
+# ---------------------------------------------------------------------------
+# the column echelon grown one column at a time
+
+def _apply(dvr, columns, x):
+    """columns * x on sparse dicts, zeros dropped."""
+    out = {}
+    for j, c in x.items():
+        for i, a in columns[j].items():
+            out[i] = out.get(i, dvr.zero) + c * a
+    return {i: a for i, a in out.items() if a}
+
+
+def _assert_echelon_shape(ech):
+    """Distinct pivot rows; pivot k's column is nonzero in its row and zero
+    in the rows of pivots 1..k-1; every other column is zero."""
+    rows = [i for i, _ in ech.pivots]
+    assert len(set(rows)) == len(rows)
+    for k, (i, j) in enumerate(ech.pivots):
+        assert ech.cols[j].get(i)
+        assert not set(rows[:k]) & set(ech.cols[j])
+    pivot_cols = {j for _, j in ech.pivots}
+    assert all(not c for j, c in enumerate(ech.cols) if j not in pivot_cols)
+
+
+def _spans(dvr, gens, vectors):
+    """Whether every vector lies in the O-span of gens (all dicts)."""
+    ech = _Echelon(dvr, len(gens), gens)
+    return all(ech.solve(v) is not None for v in vectors)
+
+
+@pytest.mark.parametrize("dvr", [Dvr.p_adic(3), _F4], ids=["Z_(3)", "F_4[[t]]"])
+def test_echelon_extend_takeover(dvr):
+    """(1, 1) has a unit in the row of the pivot pi, so it takes that pivot
+    over; the old pivot column, cleared by it to (0, -pi), walks on and
+    becomes the next pivot.  (0, pi) then reduces to zero: a kernel vector."""
+    one, pi = dvr.one, dvr.pi_pow(1)
+    columns = [{0: pi}, {0: one, 1: one}, {1: pi}]
+    ech = _Echelon(dvr, 1, columns[:1])
+    assert ech.pivots == [(0, 0)]
+    ech.extend(columns[1])
+    assert ech.pivots == [(0, 1), (1, 0)]
+    assert ech.cols == [{1: -pi}, {0: one, 1: one}]
+    assert ech.R == [{0: one, 1: -pi}, {1: one}]
+    ech.extend(columns[2])
+    assert ech.pivots == [(0, 1), (1, 0)]
+    assert ech.cols[2] == {}
+    assert ech.kernel() == [{2: one, 0: one, 1: -pi}]
+    assert _apply(dvr, columns, ech.kernel()[0]) == {}
+    _assert_echelon_shape(ech)
+    batch = _Echelon(dvr, 3, columns)
+    targets = [{0: one}, {1: one}, {0: one, 1: one}, {0: pi}, {1: pi}]
+    for b, inside in zip(targets, [False, False, True, True, True]):
+        x = ech.solve(b)
+        assert (x is not None) == inside == (batch.solve(b) is not None)
+        assert (ech.reduce(b) is not None) == inside
+        if inside:
+            assert all(dvr.val(c) >= 0 for c in x.values())
+            assert _apply(dvr, columns, x) == b
+
+
+@pytest.mark.parametrize("dvr", [Dvr.p_adic(5), _F4], ids=["Z_(5)", "F_4[[t]]"])
+def test_echelon_extend_takeover_walks_on(dvr):
+    """The displaced pivot column (pi, pi) keeps an entry in the row of a
+    later pivot, (0, pi); walking on, it is cleared by that pivot too and
+    ends as a kernel vector rather than a second pivot in that row."""
+    one, pi = dvr.one, dvr.pi_pow(1)
+    columns = [{0: pi, 1: pi}, {1: pi}, {0: one}]
+    ech = _Echelon(dvr, 2, columns[:2])
+    assert ech.pivots == [(0, 0), (1, 1)]
+    ech.extend(columns[2])
+    assert ech.pivots == [(0, 2), (1, 1)]
+    _assert_echelon_shape(ech)
+    assert ech.kernel() == [{0: one, 2: -pi, 1: -one}]
+    assert _apply(dvr, columns, ech.kernel()[0]) == {}
+    assert ech.solve({1: one}) is None and ech.solve({0: one, 1: pi}) == {2: one, 1: one}
+
+
+@pytest.mark.parametrize("base", ["Z_(2)", "Z_(3)", "Z_(5)", "F_4[[t]]"])
+@given(data=st.data())
+@settings(max_examples=60, deadline=None)
+def test_grown_echelon_matches_batch(base, data):
+    """An echelon built from a prefix of the columns and extended by the
+    rest answers membership as the batch echelon does, solves exactly over
+    O, and has a kernel spanning the batch kernel's O-module."""
+    dvr = _K_BASES[base]
+    entries = _f4_entries() if dvr.kind == "power_series" else _padic_entries(dvr.p)
+    matrix = data.draw(_sparse_matrices(dvr, entries))
+    m = len(matrix)
+    n = len(matrix[0]) if m else 0
+    columns = [{i: matrix[i][j] for i in range(m) if matrix[i][j]} for j in range(n)]
+    start = data.draw(st.integers(0, n))
+    grown = _Echelon(dvr, start, columns[:start])
+    for col in columns[start:]:
+        grown.extend(col)
+    _assert_echelon_shape(grown)
+    batch = _Echelon(dvr, n, columns)
+    coef = st.one_of(st.just(dvr.zero), _valued_entries(dvr, -1, 2))
+    targets = [_apply(dvr, columns, {j: data.draw(coef) for j in range(n)})
+               for _ in range(3)]
+    targets.append({i: x for i in range(m) if (x := data.draw(coef))})
+    for b in targets:
+        x = grown.solve(b)
+        assert (x is None) == (batch.solve(b) is None) == (grown.reduce(b) is None)
+        if x is not None:
+            assert all(dvr.val(c) >= 0 for c in x.values())
+            assert _apply(dvr, columns, x) == b
+    kernel, reference = grown.kernel(), batch.kernel()
+    assert len(kernel) == len(reference)
+    for v in kernel:
+        assert all(dvr.val(c) >= 0 for c in v.values())
+        assert _apply(dvr, columns, v) == {}
+    assert _spans(dvr, reference, kernel) and _spans(dvr, kernel, reference)

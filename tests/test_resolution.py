@@ -1,3 +1,4 @@
+import json
 from math import comb
 
 import pytest
@@ -5,7 +6,8 @@ import pytest
 from congrmod import FpModule, PolyRing, build_algebra, ext_module, resolve_O, syzygy_module, verify_resolution
 from congrmod.errors import ResolutionTooShort, StrategyInapplicable, VerificationFailed
 from congrmod.resolution import _apply_columns
-from conftest import make_An, make_ring_B, make_depth_zero_example, make_hypersurface_2var
+from conftest import (make_An, make_ring_B, make_depth_zero_example, make_hypersurface_2var,
+                      run_python)
 
 
 def test_koszul_regular(O5):
@@ -168,3 +170,27 @@ class TestSyzygyModule:
         for col in cols:
             img = _apply_columns(R, [(R.parse("x"),), (R.parse("y"),)], col)
             assert all(B.in_ideal(e) for e in img)
+
+
+DETERMINANTAL_SCRIPT = """
+import hashlib, json
+from congrmod import resolve_O
+from conftest import make_ring_C
+res = resolve_O(make_ring_C(5, 1, 1, 1), length=3, strategy="syzygy")
+text = repr([[[str(p) for p in col] for col in d] for d in res.diffs])
+print(json.dumps([res.ranks, res.cert.label(), hashlib.sha256(text.encode()).hexdigest()]))
+"""
+
+
+def test_determinantal_syzygy_prune_path():
+    """Criterion 8's prune path: C(5; 1,1,1) resolved by syzygies to length
+    3, in a child interpreter killed after 5 s.  The digest of the
+    differentials was recorded when pruning still built a new span solver
+    for every vector kept, which took about 8 s on a 2-vCPU host; growing
+    one solver per call takes about 1 s."""
+    proc = run_python(["-c", DETERMINANTAL_SCRIPT], seconds=5)
+    assert proc.returncode == 0, proc.stderr
+    ranks, label, digest = json.loads(proc.stdout)
+    assert ranks == [1, 6, 21, 64]
+    assert label == "bounded_search(degree 2)"
+    assert digest == "a015d03b2008567ce2508b55e96aefb83f1950c97e70aae1187bfec7c69556c5"
