@@ -233,9 +233,10 @@ def symbolic_power_test(A: AugmentedAlgebra, f: Poly) -> dict:
             "ord_class": ord_class}
 
 
-def regularity_at_lambda(A: AugmentedAlgebra) -> dict:
+def regularity_at_lambda(A: AugmentedAlgebra, res=None) -> dict:
     """Two independent signals must agree: the torsion-free cotangent rank
-    equals the declared c, and the congruence ideal of the ring is nonzero."""
+    equals the declared c, and the congruence ideal of the ring is nonzero.
+    The ideal is read off res (by default the auto resolution of O)."""
     from .congruence import eta_raw
     from .resolution import resolve_O
 
@@ -244,7 +245,8 @@ def regularity_at_lambda(A: AugmentedAlgebra) -> dict:
     if rank < A.codim:
         raise InconsistentCodim(
             f"cotangent torsion-free rank {rank} is below declared codim {A.codim}")
-    res = resolve_O(A)
+    if res is None:
+        res = resolve_O(A)
     eta, cert = eta_raw(A, None, A.codim, res)
     rank_test = rank == A.codim
     eta_test = not eta.is_zero

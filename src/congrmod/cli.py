@@ -107,7 +107,7 @@ def cmd_single_invariant(args, which):
         return record, 0
     res = _resolution(problem, args)
     M = _module_for(problem, args)
-    regularity_at_lambda(A)
+    regularity_at_lambda(A, res)
     if which == "eta":
         value, cert = eta_raw(A, M, A.codim, res)
         record["eta"] = str(value)

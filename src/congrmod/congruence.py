@@ -146,6 +146,35 @@ def _ext_O(A, i, res):
                      ker_basis=list(ker), _ker_echelon=echelon)
 
 
+def _hom_block(zero, g, d, rows):
+    """Precomposition with d of each basis map e_k -> e_l into A^g, for l
+    over the generators and k over the rows of d: slot (l, j) of the
+    image holds entry k of column j of d."""
+    width = len(d)
+    out = []
+    for l in range(g):
+        for k in range(rows):
+            vec = [zero] * (g * width)
+            for j, col in enumerate(d):
+                if col[k].terms:
+                    vec[l * width + j] = col[k]
+            out.append(tuple(vec))
+    return out
+
+
+def _relation_block(zero, M, width):
+    """Each presentation column of M, placed in each of width slots."""
+    out = []
+    for j in range(width):
+        for pcol in M.columns:
+            vec = [zero] * (M.gens * width)
+            for l, p in enumerate(pcol):
+                if p.terms:
+                    vec[l * width + j] = p
+            out.append(tuple(vec))
+    return out
+
+
 def _ext_general(A, M, i, res):
     ring = A.ring
     g = M.gens
@@ -166,23 +195,9 @@ def _ext_general(A, M, i, res):
                 vec[l * r_i + k] = ring.one
                 reps.append(tuple(vec))
     else:
-        dnext = res.differential(i + 1)
-        cols = []
-        for l in range(g):
-            for k in range(r_i):
-                vec = [zero] * (g * r_n)
-                for j, col in enumerate(dnext):
-                    if col[k].terms:
-                        vec[l * r_n + j] = col[k]
-                cols.append(tuple(vec))
+        cols = _hom_block(zero, g, res.differential(i + 1), r_i)
         nvar = len(cols)
-        for j in range(r_n):
-            for pcol in M.columns:
-                vec = [zero] * (g * r_n)
-                for l in range(g):
-                    if pcol[l].terms:
-                        vec[l * r_n + j] = pcol[l]
-                cols.append(tuple(vec))
+        cols += _relation_block(zero, M, r_n)
         solver, c1 = A.span_solver(cols, g * r_n)
         cert = cert.merge(c1)
         reps = []
@@ -196,25 +211,11 @@ def _ext_general(A, M, i, res):
             seen.add(head)
             reps.append(head)
 
-    # coboundaries
+    # coboundaries, then the relations of M in each of the r_i slots
     cob = []
     if i > 0 and res.rank(i - 1):
-        dprev = res.differential(i)
-        for l in range(g):
-            for kp in range(res.rank(i - 1)):
-                vec = [zero] * (g * r_i)
-                for k, col in enumerate(dprev):
-                    if col[kp].terms:
-                        vec[l * r_i + k] = col[kp]
-                cob.append(tuple(vec))
-    pblocks = []
-    for k in range(r_i):
-        for pcol in M.columns:
-            vec = [zero] * (g * r_i)
-            for l in range(g):
-                if pcol[l].terms:
-                    vec[l * r_i + k] = pcol[l]
-            pblocks.append(tuple(vec))
+        cob = _hom_block(zero, g, res.differential(i), res.rank(i - 1))
+    pblocks = _relation_block(zero, M, r_i)
 
     all_cols = list(reps) + cob + pblocks
     s = len(reps)
@@ -267,51 +268,47 @@ def _push_values(A, ext_OM, ext_OO, M, rep, row):
     return ext_OO.o_class_free_values(w)
 
 
+def _pairing(A, MA, c, res):
+    """The pairing of Ext^c(O, MA) against the functionals on tfree(MA/pMA),
+    as (cert, free rank of Ext^c(O,O), number of functionals mu, values):
+    values[s][t] is the free part of representative s pushed through
+    functional t.  Built once per (resolution, degree, module) and kept on
+    res next to the Ext modules; read it, never mutate it."""
+    key = ("pairing", c, MA.is_O, MA.gens, tuple(MA.columns))
+    with res.algebra._lock:
+        pairing = res._ext.get(key)
+    if pairing is None:
+        ext_OO = ext_module(A, None, c, res)
+        ext_OM = ext_OO if MA.is_O else ext_module(A, MA, c, res)
+        rows = MA.hom_to_O_generators()
+        values = [[_push_values(A, ext_OM, ext_OO, MA, rep, row) for row in rows]
+                  for rep in ext_OM.reps]
+        pairing = (ext_OO.cert.merge(ext_OM.cert),
+                   ext_OO.structure.free_rank, len(rows), values)
+        with res.algebra._lock:
+            pairing = res._ext.setdefault(key, pairing)
+    return pairing
+
+
 def eta_raw(A: AugmentedAlgebra, M, c: int, res: FreeResolution):
     """The congruence ideal as the image of the Ext pairing; no regularity
     gate, so a zero ideal is a possible (meaningful) outcome."""
-    MA = _as_module(A, M)
-    ext_OO = ext_module(A, None, c, res)
-    ext_OM = ext_OO if MA.is_O else ext_module(A, MA, c, res)
-    cert = ext_OO.cert.merge(ext_OM.cert)
-    rows = MA.hom_to_O_generators()
-    r = ext_OO.structure.free_rank
-    best = INF
-    nonzero_vec = False
-    for rep in ext_OM.reps:
-        for row in rows:
-            vals = _push_values(A, ext_OM, ext_OO, MA, rep, row)
-            for x in vals:
-                if x:
-                    nonzero_vec = True
-                    v = A.dvr.val(x)
-                    if v < best:
-                        best = v
-    if nonzero_vec and r != 1:
+    cert, rank, _, values = _pairing(A, _as_module(A, M), c, res)
+    vals = [A.dvr.val(x) for per_rep in values for vs in per_rep for x in vs if x]
+    if vals and rank != 1:
         raise InternalInvariantViolation(
             "nonzero pairing image inside a torsion-free part of rank != 1")
-    return IdealO(A.dvr, best), cert
+    return IdealO(A.dvr, min(vals, default=INF)), cert
 
 
 def psi_raw(A: AugmentedAlgebra, M, c: int, res: FreeResolution):
     """Cokernel of Ext^c(O,M) -> tfree Ext^c(O, M/pM), in normal form."""
-    MA = _as_module(A, M)
-    ext_OO = ext_module(A, None, c, res)
-    ext_OM = ext_OO if MA.is_O else ext_module(A, MA, c, res)
-    cert = ext_OO.cert.merge(ext_OM.cert)
-    if ext_OO.structure.free_rank != 1:
+    cert, rank, mu, values = _pairing(A, _as_module(A, M), c, res)
+    if rank != 1:
         raise InternalInvariantViolation(
             "tfree Ext^c(O,O) is not of rank one at the declared codimension")
-    rows = MA.hom_to_O_generators()  # dual basis rows of tfree(M/pM)
-    mu = len(rows)
-    image_cols = []
-    for rep in ext_OM.reps:
-        col = []
-        for row in rows:
-            vals = _push_values(A, ext_OM, ext_OO, MA, rep, row)
-            col.append(vals[0] if vals else A.dvr.zero)
-        if any(col):
-            image_cols.append(col)
+    cols = [[vs[0] for vs in per_rep] for per_rep in values]  # rank one
+    image_cols = [col for col in cols if any(col)]
     pres = [[col[i] for col in image_cols] for i in range(mu)]
     out = FinOModule.from_presentation(A.dvr, pres, generators=mu)
     if out.free_rank:
@@ -324,9 +321,9 @@ def psi_raw(A: AugmentedAlgebra, M, c: int, res: FreeResolution):
 def eta(A: AugmentedAlgebra, M=None, res=None) -> IdealO:
     """Congruence ideal at the declared codimension; zero with a warning
     when the algebra is not regular at the augmentation."""
-    reg = regularity_at_lambda(A)
     if res is None:
         res = resolve_O(A)
+    reg = regularity_at_lambda(A, res)
     value, _ = eta_raw(A, M, A.codim, res)
     if not reg["regular_at_p"]:
         warnings.warn(
@@ -336,9 +333,9 @@ def eta(A: AugmentedAlgebra, M=None, res=None) -> IdealO:
 
 
 def psi(A: AugmentedAlgebra, M=None, res=None) -> FinOModule:
-    regularity_at_lambda(A)
     if res is None:
         res = resolve_O(A)
+    regularity_at_lambda(A, res)
     out, _, _ = psi_raw(A, M, A.codim, res)
     return out
 
@@ -806,9 +803,9 @@ def analyze(A: AugmentedAlgebra, modules=None, strategy="auto", length=None,
             res=None) -> CongruenceReport:
     """Full report: regularity, cotangent invariants, Serre ranks, and the
     congruence data with criterion verdicts for each module."""
-    reg = regularity_at_lambda(A)
     if res is None:
         res = resolve_O(A, length=length, strategy=strategy)
+    reg = regularity_at_lambda(A, res)
     cot = cotangent_invariants(A)
     serre = serre_check(A, res=res)
     module_map = {"ring": FpModule.ring_module(

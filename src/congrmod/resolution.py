@@ -35,7 +35,7 @@ class FreeResolution:
         self.ranks = ranks  # ranks[i] = rank of F_i, i = 0..length
         self.strategy = strategy
         self.cert = cert
-        self._ext = {}  # (degree, module key) -> ExtModule, see ext_module
+        self._ext = {}  # Ext modules and pairings, see congruence.ext_module
 
     @property
     def length(self):

@@ -2,6 +2,7 @@ import json
 
 import pytest
 
+from congrmod import resolution
 from congrmod.cli import main
 from conftest import run_python
 
@@ -311,9 +312,7 @@ def test_huge_constant_power_exit_3(tmp_path, command, text):
     assert "Traceback" not in proc.stderr
 
 
-def test_resolution_file_strategy(tmp_path, capsys):
-    f = tmp_path / "res.cm"
-    f.write_text("""
+RESOLUTION_FILE = """
 [dvr]
 kind = p_adic
 p = 5
@@ -329,13 +328,43 @@ mcm = true
 [resolution]
 d1 = [[x]]
 d2 = [[x - pi^2]]
-""")
+"""
+
+
+def test_resolution_file_strategy(tmp_path, capsys):
+    f = tmp_path / "res.cm"
+    f.write_text(RESOLUTION_FILE)
     code, out = run(capsys, ["eta", str(f), "--strategy", "file",
                              "--format", "structured"])
     assert code == 0
     rec = json.loads(out)
     assert rec["eta"] == "(pi^2)"
     assert rec["certification"] == "user_supplied_verified"
+
+
+def test_analyze_regularity_reads_the_chosen_resolution(tmp_path, capsys,
+                                                        monkeypatch):
+    """analyze checks regularity on the resolution it was asked for: the
+    user's matrices give the evidence their own label, and a syzygy run
+    never builds the matrix-factorization resolution on the side."""
+    f = tmp_path / "res.cm"
+    f.write_text(RESOLUTION_FILE)
+    code, out = run(capsys, ["analyze", str(f), "--strategy", "file",
+                             "--format", "structured"])
+    assert code == 0
+    rec = json.loads(out)
+    assert rec["resolution"]["certification"] == "user_supplied_verified"
+    assert (rec["regularity"]["evidence"]["certification"]
+            == "user_supplied_verified")
+
+    def no_shamash(*args):
+        raise AssertionError("matrix-factorization resolution was built")
+
+    monkeypatch.setattr(resolution, "_shamash_resolution", no_shamash)
+    code, out = run(capsys, ["analyze", str(f), "--strategy", "syzygy",
+                             "--format", "structured"])
+    assert code == 0
+    assert json.loads(out)["resolution"]["strategy"] == "syzygy"
 
 
 def test_module_section_and_eta_module(tmp_path, capsys):

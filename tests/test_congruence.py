@@ -1,8 +1,11 @@
 import sys
 import threading
+from collections import Counter
 from fractions import Fraction as F
 
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from congrmod import (Dvr, FpModule, PolyRing, build_algebra,
                       cotangent_invariants, ext_module, eta, eta_codim0_oracle,
@@ -12,8 +15,10 @@ from congrmod import (Dvr, FpModule, PolyRing, build_algebra,
                       symbolic_power_test, deformation_step, analyze)
 from congrmod.congruence import RegularityWarning
 from congrmod.errors import InconsistentCodim, InSymbolicSquare, NotSameCodim
+from congrmod.probfile import load_problem
 from conftest import (make_An, make_depth_zero_example, make_hypersurface_2var,
                       make_ring_B)
+from test_cli import A2_FILE
 
 
 def periodic_complex_cohomology(p, n, degree):
@@ -158,6 +163,58 @@ class TestExtMemo:
         assert not any(t.is_alive() for t in threads)
         assert not errors and len(got) == 6
         assert all(ext is got[0][0] and kappa == got[0][1] for ext, kappa in got)
+
+
+def test_pairing_built_once(monkeypatch):
+    """analyze reads every eta and psi of a module off one Ext pairing, so
+    the functionals of each (module, degree) are built and pushed once."""
+    problem = load_problem(A2_FILE + """
+[module.N]
+presentation = O
+
+[module.M2]
+presentation = [[x, 0], [0, x - pi^2]]
+""")
+    passes = Counter()
+    real = FpModule.hom_to_O_generators
+
+    def counted(self):
+        passes[(self.gens, tuple(self.columns))] += 1
+        return real(self)
+
+    monkeypatch.setattr(FpModule, "hom_to_O_generators", counted)
+    analyze(problem.algebra, problem.modules)
+    # the ring, N and M2 at the one degree c = 0
+    assert len(passes) == 3
+    assert set(passes.values()) == {1}
+
+
+def _congruence_ring(base, k):
+    O = Dvr.p_adic(base[1]) if base[0] == "p_adic" else Dvr.power_series(base[1])
+    R = PolyRing(O, ("x",))
+    return build_algebra(R, [R.parse(f"x*(x - pi^{k})")], [O.zero], 0,
+                         name=f"A({k})")
+
+
+@settings(max_examples=30, deadline=None)
+@given(base=st.sampled_from([("p_adic", 3), ("p_adic", 5)]),
+       k=st.integers(1, 3),
+       summands=st.lists(st.sampled_from("AO"), min_size=1, max_size=3))
+@example(base=("power_series", 4), k=2, summands=["A", "O", "A"])
+def test_eta_is_fitting_ideal_of_psi(base, k, summands):
+    """eta is the ideal of the pairing's values, i.e. Fitt_(mu-1) of its
+    cokernel psi, for every mu and not only mu = 1."""
+    A = _congruence_ring(base, k)
+    res = resolve_O(A)
+    parts = [FpModule.ring_module(A) if s == "A" else FpModule.o_module(A)
+             for s in summands]
+    M = parts[0]
+    for part in parts[1:]:
+        M = M.direct_sum(part)
+    value, _ = eta_raw(A, M, 0, res)
+    module, _, mu = psi_raw(A, M, 0, res)
+    assert mu == len(summands)
+    assert value == module.fitting_ideal(mu - 1)
 
 
 class TestEta:

@@ -34,3 +34,6 @@ def test_tracer_reads_span_solver(tmp_path, capsys):
     assert tracer.stats["linsolve.SpanSolver.__init__"][0] > 0
     assert tracer.stats["linsolve.SpanSolver.solve"][0] > 0
     assert tracer.counts["linsolve.columns_expanded"] > 0
+    # the benchmark's eta_raw.total_s and psi_raw.total_s rows
+    assert tracer.stats["congruence.eta_raw"][0] > 0
+    assert tracer.stats["congruence.psi_raw"][0] > 0
