@@ -1,16 +1,20 @@
 """Initial segments of free resolutions of O over an augmented algebra.
 
-Strategies:
-  koszul               regular sequence x_i - a_i (no relations): exact.
-  matrix_factorization hypersurface (one relation): the 2-periodic-tail
-                       standard construction, exact by theory.
-  shamash              claimed complete intersections: Koszul complex of the
-                       ambient ring plus a system of higher homotopies built
-                       from the augmentation division; the regular-sequence
-                       hypothesis is corroborated by a bounded check only.
+Two constructions build every complex:
+  the Shamash complex  the Koszul complex on x_i - a_i plus a system of
+                       higher homotopies built from the augmentation
+                       division, each homotopy lifted through one SpanSolver.
+                       With no relations it is the Koszul complex (strategy
+                       koszul, exact); with one relation it is the
+                       2-periodic-tail matrix factorization (exact by
+                       theory); for claimed complete intersections (strategy
+                       shamash) the regular-sequence hypothesis is
+                       corroborated by a bounded check only.
   syzygy               iterated syzygy kernels; certified when the algebra is
                        module-finite, bounded search otherwise.
-  file                 user differentials, fully re-verified.
+The file strategy takes user differentials and re-verifies them fully.
+d^2 = 0 is checked exactly once per resolution: by verify_resolution for
+user differentials, by resolve_O for the others.
 
 All differentials are stored column-major: d_i maps F_i to F_(i-1) and is a
 list of r_i columns, each a tuple of r_(i-1) polynomials.
@@ -24,8 +28,7 @@ from .algebra import AugmentedAlgebra
 from .errors import (InternalInvariantViolation, ResolutionTooShort,
                      StrategyInapplicable, VerificationFailed)
 from .linsolve import CERTIFIED, USER_VERIFIED, Cert, SpanSolver, bounded
-from .omodule import o_solve
-from .poly import Poly, monomials_up_to, taylor_division
+from .poly import taylor_division
 
 
 class FreeResolution:
@@ -96,45 +99,13 @@ def _check_d_squared(A, diffs):
 
 
 # ---------------------------------------------------------------------------
-# Koszul complex
-
-def _koszul_diff(ring, s_polys, k):
-    """Columns of K_k -> K_(k-1) for the sequence s, bases sorted subsets."""
-    n = len(s_polys)
-    lower = {S: i for i, S in enumerate(combinations(range(n), k - 1))}
-    cols = []
-    for S in combinations(range(n), k):
-        col = [ring.zero] * len(lower)
-        for t, v in enumerate(S):
-            T = tuple(x for x in S if x != v)
-            c = s_polys[v] if t % 2 == 0 else -s_polys[v]
-            col[lower[T]] = col[lower[T]] + c
-        cols.append(col)
-    return [tuple(c) for c in cols]
-
-
-def _koszul_resolution(A, length):
-    s = A.p_gens()
-    n = len(s)
-    diffs = []
-    ranks = [1]
-    from math import comb
-    for i in range(1, length + 1):
-        if i <= n:
-            diffs.append(_koszul_diff(A.ring, s, i))
-            ranks.append(comb(n, i))
-        else:
-            diffs.append([])
-            ranks.append(0)
-    return diffs, ranks
-
-
-# ---------------------------------------------------------------------------
-# Shamash / matrix factorization via higher homotopies
+# Shamash complex via higher homotopies: Koszul, matrix factorization and
+# complete intersections
 
 class _Shamash:
     """Built in shifted coordinates (x -> x + a) so the Koszul differential
-    on the x_i is graded; differentials are shifted back at the end."""
+    on the x_i is graded; differentials are shifted back at the end.  With
+    no relations there are no homotopies, and F is the Koszul complex."""
 
     def __init__(self, A: AugmentedAlgebra):
         self.A = A
@@ -169,64 +140,26 @@ class _Shamash:
         return out
 
     def _solve_boundary(self, k_plus_1, z):
-        """u in K_(k+1) with du = z; z a cycle with polynomial entries."""
-        ring = self.ring
-        dvr = ring.dvr
+        """u in K_(k+1) with du = z; z a cycle with polynomial entries.  The
+        Koszul differential raises degrees by one, so multipliers of degree
+        below the largest degree in z suffice."""
         if not z:
             return {}
-        subsets = list(combinations(range(self.n), k_plus_1))
-        if not subsets:
-            raise InternalInvariantViolation("boundary solve in zero module")
-        # slice by internal degree: |monomial| + exterior degree
-        slices = {}
-        for S, p in z.items():
-            for e, c in p.terms.items():
-                d = sum(e) + len(S)
-                slices.setdefault(d, {})[(S, e)] = c
-        u = {}
-        for d, rhs in sorted(slices.items()):
-            deg = d - k_plus_1
-            if deg < 0:
-                raise InternalInvariantViolation("boundary solve degree underflow")
-            unknowns = []
-            columns = []
-            rowindex = {}
-
-            def rid(key):
-                r = rowindex.get(key)
-                if r is None:
-                    r = len(rowindex)
-                    rowindex[key] = r
-                return r
-
-            for key in rhs:
-                rid(key)
-            for T in subsets:
-                for e in monomials_up_to(self.n, deg):
-                    if sum(e) != deg:
-                        continue
-                    col = {}
-                    for t, v in enumerate(T):
-                        S = tuple(x for x in T if x != v)
-                        ee = list(e)
-                        ee[v] += 1
-                        c = dvr.one if t % 2 == 0 else -dvr.one
-                        col[rid((S, tuple(ee)))] = c
-                    unknowns.append((T, e))
-                    columns.append(col)
-            b = {rowindex[key]: c for key, c in rhs.items()}
-            sol = o_solve(dvr, len(columns), columns, b)
-            if sol is None:
-                raise InternalInvariantViolation(
-                    "homotopy lift failed: relations are not a regular sequence")
-            for cid, c in sol.items():
-                T, e = unknowns[cid]
-                p = u.get(T, ring.zero) + Poly(ring, {e: c})
-                if p.terms:
-                    u[T] = p
-                else:
-                    u.pop(T, None)
-        return u
+        ring = self.ring
+        upper = list(combinations(range(self.n), k_plus_1))
+        lower = list(combinations(range(self.n), k_plus_1 - 1))
+        columns = []
+        for T in upper:
+            dT = self._diff_elem({T: ring.one})
+            columns.append(tuple(dT.get(S, ring.zero) for S in lower))
+        solver = SpanSolver(ring, None, columns, len(lower),
+                            max(p.degree() for p in z.values()) - 1,
+                            config=self.A.config)
+        u = solver.solve(tuple(z.get(S, ring.zero) for S in lower))
+        if u is None:
+            raise InternalInvariantViolation(
+                "homotopy lift failed: relations are not a regular sequence")
+        return {T: p for T, p in zip(upper, u) if p.terms}
 
     def _apply_sigma(self, nu, elem):
         out = {}
@@ -392,31 +325,23 @@ def _regular_sequence_check(A):
 # ---------------------------------------------------------------------------
 # syzygy strategy
 
+def _syzygies(A, columns, nrows, bound=None):
+    """Pruned generators, in normal form, of the syzygies of the columns over
+    A, with the certificate of the kernel search."""
+    solver, cert = A.span_solver(columns, nrows, bound=bound)
+    pruned = A.prune(solver.kernel(), bound=bound)
+    return [tuple(A.nf(p) for p in v) for v in pruned], cert
+
+
 def _syzygy_resolution(A, length):
-    diffs = []
-    ranks = [1]
-    cols = [(g,) for g in A.p_gens()]
-    diffs.append(cols)
-    ranks.append(len(cols))
+    diffs = [[(g,) for g in A.p_gens()]]
+    ranks = [1, len(diffs[0])]
     cert = CERTIFIED if A.is_module_finite else bounded(A.config.search_degree)
-    for i in range(2, length + 1):
-        prev = diffs[-1]
-        if not prev:
-            diffs.append([])
-            ranks.append(0)
-            continue
-        solver, c = A.span_solver(prev, ranks[-2])
-        cert = cert.merge(c)
-        vecs = solver.kernel()
-        pruned = A.prune(vecs)
-        cols = [tuple(A.nf(p) for p in v) for v in pruned]
-        # soundness: the previous differential kills every column, exactly
-        for col in cols:
-            image = _apply_columns(A.ring, prev, col)
-            for entry in image:
-                if entry.terms and not A.in_ideal(entry):
-                    raise InternalInvariantViolation(
-                        "syzygy output is not a syzygy")
+    for _ in range(2, length + 1):
+        cols = []
+        if diffs[-1]:
+            cols, c = _syzygies(A, diffs[-1], ranks[-2])
+            cert = cert.merge(c)
         diffs.append(cols)
         ranks.append(len(cols))
     return diffs, ranks, cert
@@ -426,16 +351,18 @@ def _syzygy_resolution(A, length):
 
 def resolve_O(A: AugmentedAlgebra, length=None, strategy="auto",
               user_matrices=None) -> FreeResolution:
-    """Resolution of O over A of the requested length (default c + 2)."""
+    """Resolution of O over A of the requested length (default c + 2).
+    Threads racing on one algebra all get the resolution stored first."""
     if length is None:
         length = A.codim + 2
+    checked = False  # whether the regular-sequence check has passed
     if strategy == "auto":
         if not A.relations:
             strategy = "koszul"
         elif len(A.relations) == 1:
             strategy = "matrix_factorization"
         elif A.claimed_ci and _regular_sequence_check(A):
-            strategy = "shamash"
+            strategy, checked = "shamash", True
         else:
             strategy = "syzygy"
     key = (strategy, length)
@@ -444,30 +371,27 @@ def resolve_O(A: AugmentedAlgebra, length=None, strategy="auto",
     if cached is not None:
         return cached
 
-    if strategy == "koszul":
-        if A.relations:
-            raise StrategyInapplicable(
-                "koszul strategy needs the augmentation generators to be a "
-                "regular sequence, i.e. no relations")
-        diffs, ranks = _koszul_resolution(A, length)
-        cert = CERTIFIED
-    elif strategy == "matrix_factorization":
-        if len(A.relations) != 1:
-            raise StrategyInapplicable(
-                "matrix_factorization needs exactly one relation")
-        diffs, ranks = _shamash_resolution(A, length)
-        cert = CERTIFIED
-    elif strategy == "shamash":
+    if strategy == "koszul" and A.relations:
+        raise StrategyInapplicable(
+            "koszul strategy needs the augmentation generators to be a "
+            "regular sequence, i.e. no relations")
+    if strategy == "matrix_factorization" and len(A.relations) != 1:
+        raise StrategyInapplicable(
+            "matrix_factorization needs exactly one relation")
+    if strategy == "shamash":
         if not A.relations:
             raise StrategyInapplicable("no relations; use koszul")
         if not A.claimed_ci:
             raise StrategyInapplicable(
                 "shamash requires the complete-intersection assertion")
-        if not _regular_sequence_check(A):
+        if not checked and not _regular_sequence_check(A):
             raise StrategyInapplicable(
                 "relations fail the bounded regular-sequence check")
+
+    if strategy in ("koszul", "matrix_factorization", "shamash"):
         diffs, ranks = _shamash_resolution(A, length)
-        cert = bounded(A.config.search_degree)
+        cert = (bounded(A.config.search_degree) if strategy == "shamash"
+                else CERTIFIED)
     elif strategy == "syzygy":
         diffs, ranks, cert = _syzygy_resolution(A, length)
     elif strategy == "file":
@@ -487,19 +411,20 @@ def resolve_O(A: AugmentedAlgebra, length=None, strategy="auto",
     else:
         raise StrategyInapplicable(f"unknown strategy {strategy!r}")
 
-    _check_d_squared(A, diffs)
     res = FreeResolution(A, diffs, ranks, strategy, cert)
     if strategy == "file":
         verify_resolution(res)
+    else:
+        _check_d_squared(A, diffs)
     with A._lock:
-        A._resolutions[key] = res
-    return res
+        return A._resolutions.setdefault(key, res)
 
 
 def verify_resolution(res: FreeResolution) -> Cert:
     """d^2 = 0 exactly; d_1 generates the augmentation ideal; exactness is
     witnessed through degree codim+1, by bounded search unless the algebra
-    is module-finite."""
+    is module-finite.  The solver of d_(i+1) that tests membership at step
+    i gives the kernel at step i+1."""
     A = res.algebra
     _check_d_squared(A, res.diffs)
     evidence = CERTIFIED
@@ -514,19 +439,22 @@ def verify_resolution(res: FreeResolution) -> Cert:
         raise VerificationFailed(
             "image of d_1 does not generate the augmentation ideal")
     top = min(res.length - 1, A.codim + 1)
+    kernel_solver = None
     for i in range(1, top + 1):
         di = res.differential(i)
         if not di:
+            kernel_solver = None
             continue
-        kernel_solver, cert = A.span_solver(di, res.rank(i - 1))
+        if kernel_solver is None:
+            kernel_solver, cert = A.span_solver(di, res.rank(i - 1))
+            evidence = evidence.merge(cert)
+        solver, cert = A.span_solver(res.differential(i + 1), res.rank(i))
         evidence = evidence.merge(cert)
-        nxt = res.differential(i + 1)
-        solver, cert2 = A.span_solver(nxt, res.rank(i))
-        evidence = evidence.merge(cert2)
         for v in kernel_solver.kernel():
             if not solver.contains(v):
                 raise VerificationFailed(
                     f"exactness fails at homological degree {i}")
+        kernel_solver = solver
     if res.strategy in ("koszul", "matrix_factorization", "file"):
         return res.cert
     res.cert = res.cert.merge(evidence)
@@ -538,12 +466,6 @@ def syzygy_module(A: AugmentedAlgebra, columns, nrows=None, bound=None):
     exactly verified."""
     if nrows is None:
         nrows = len(columns[0]) if columns else 0
-    solver, cert = A.span_solver(columns, nrows, bound=bound)
-    pruned = A.prune(solver.kernel(), bound=bound)
-    out = [tuple(A.nf(p) for p in v) for v in pruned]
-    for col in out:
-        image = _apply_columns(A.ring, columns, col)
-        for entry in image:
-            if entry.terms and not A.in_ideal(entry):
-                raise InternalInvariantViolation("syzygy output is not a syzygy")
+    out, cert = _syzygies(A, columns, nrows, bound)
+    _check_d_squared(A, [columns, out])
     return out, cert

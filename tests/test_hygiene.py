@@ -1,0 +1,63 @@
+"""Source hygiene of the congrmod package, read with the standard library's
+ast: no module imports a name it never uses, and no private top-level
+function or class is left without a reference."""
+
+import ast
+from pathlib import Path
+
+import congrmod
+
+SRC = Path(congrmod.__file__).resolve().parent
+MODULES = {p.name: ast.parse(p.read_text(), filename=str(p))
+           for p in sorted(SRC.glob("*.py"))}
+
+
+def _used_names(tree):
+    """Every identifier a module reads: names, attribute names, and the
+    strings of __all__."""
+    used = set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Name):
+            used.add(node.id)
+        elif isinstance(node, ast.Attribute):
+            used.add(node.attr)
+        elif (isinstance(node, ast.Assign)
+              and any(isinstance(t, ast.Name) and t.id == "__all__"
+                      for t in node.targets)):
+            used.update(c.value for c in ast.walk(node.value)
+                        if isinstance(c, ast.Constant))
+    return used
+
+
+def test_no_unused_imports():
+    unused = []
+    for name, tree in MODULES.items():
+        if name == "__init__.py":  # re-exports
+            continue
+        used = _used_names(tree)
+        for node in ast.walk(tree):
+            if isinstance(node, ast.ImportFrom) and node.module == "__future__":
+                continue
+            if isinstance(node, (ast.Import, ast.ImportFrom)):
+                for alias in node.names:
+                    bound = (alias.asname or alias.name).split(".")[0]
+                    if bound not in used:
+                        unused.append(f"{name}: {bound}")
+    assert not unused
+
+
+def test_private_top_level_definitions_are_referenced():
+    """A private function or class is read somewhere outside its own body."""
+    uses = []  # (module, top-level node, names it reads or imports)
+    for name, tree in MODULES.items():
+        for node in tree.body:
+            names = _used_names(node)
+            names.update(alias.name for sub in ast.walk(node)
+                         if isinstance(sub, ast.ImportFrom) for alias in sub.names)
+            uses.append((name, node, names))
+    orphans = [f"{name}: {node.name}" for name, node, _ in uses
+               if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef))
+               and node.name.startswith("_") and not node.name.startswith("__")
+               and not any(node.name in names for _, other, names in uses
+                           if other is not node)]
+    assert not orphans

@@ -1,13 +1,39 @@
 import json
+import sys
+import threading
+from itertools import combinations
 from math import comb
 
 import pytest
 
-from congrmod import FpModule, PolyRing, build_algebra, ext_module, resolve_O, syzygy_module, verify_resolution
-from congrmod.errors import ResolutionTooShort, StrategyInapplicable, VerificationFailed
-from congrmod.resolution import _apply_columns
+from congrmod import (Dvr, FpModule, PolyRing, build_algebra, ext_module, resolve_O,
+                      syzygy_module, verify_resolution)
+from congrmod import resolution
+from congrmod.errors import (InternalInvariantViolation, ResolutionTooShort,
+                             StrategyInapplicable, VerificationFailed)
+from congrmod.linsolve import CERTIFIED, SpanSolver
+from congrmod.poly import Poly, monomials_up_to
+from congrmod.resolution import _apply_columns, _Shamash
 from conftest import (make_An, make_ring_B, make_depth_zero_example, make_hypersurface_2var,
                       run_python)
+
+BASES = [("Z_(3)", lambda: Dvr.p_adic(3)), ("Z_(5)", lambda: Dvr.p_adic(5)),
+         ("F_4[[t]]", lambda: Dvr.power_series(4))]
+
+
+def _koszul_diff(ring, s_polys, k):
+    """Columns of K_k -> K_(k-1) for the sequence s, bases sorted subsets."""
+    n = len(s_polys)
+    lower = {S: i for i, S in enumerate(combinations(range(n), k - 1))}
+    cols = []
+    for S in combinations(range(n), k):
+        col = [ring.zero] * len(lower)
+        for t, v in enumerate(S):
+            T = tuple(x for x in S if x != v)
+            c = s_polys[v] if t % 2 == 0 else -s_polys[v]
+            col[lower[T]] = col[lower[T]] + c
+        cols.append(col)
+    return [tuple(c) for c in cols]
 
 
 def test_koszul_regular(O5):
@@ -27,6 +53,57 @@ def test_koszul_ranks_binomial(O5):
     verify_resolution(res)
 
 
+@pytest.mark.parametrize("base", BASES, ids=[b[0] for b in BASES])
+def test_koszul_is_the_shamash_complex_without_relations(base):
+    """koszul builds the Shamash complex with no relations; its
+    differentials equal the Koszul complex on x_i - a_i built directly (the
+    reference above), term for term, with zero and nonzero augmentations."""
+    O = base[1]()
+    for n in range(1, 5):
+        R = PolyRing(O, tuple(f"x{i}" for i in range(n)))
+        for aug in ([O.zero] * n, [O.pi_pow(i % 2 + 1) for i in range(n)]):
+            A = build_algebra(R, [], aug, n, name="free")
+            res = resolve_O(A, length=n + 2, strategy="koszul")
+            assert res.ranks == [comb(n, i) for i in range(n + 3)]
+            for i in range(1, n + 3):
+                want = _koszul_diff(R, A.p_gens(), i) if i <= n else []
+                assert ([[list(p.terms.items()) for p in col]
+                         for col in res.differential(i)]
+                        == [[list(p.terms.items()) for p in col] for col in want])
+
+
+def _random_poly(R, rng, degree):
+    O = R.dvr
+    terms = {}
+    for e in monomials_up_to(R.nvars, degree):
+        if rng.random() < 0.4:
+            c = O.from_int(rng.randint(-12, 12)) * O.pi_pow(rng.randint(0, 2))
+            if c:
+                terms[e] = c
+    return Poly(R, terms)
+
+
+@pytest.mark.parametrize("base", BASES, ids=[b[0] for b in BASES])
+def test_solve_boundary_lifts_boundaries(base, rng):
+    """The homotopy lift's boundary solve: for z = d(w) it returns u with
+    d(u) = z; a non-boundary raises."""
+    O = base[1]()
+    for n in range(1, 5):
+        R = PolyRing(O, tuple(f"x{i}" for i in range(n)))
+        sh = _Shamash(build_algebra(R, [], [O.zero] * n, n, name="free"))
+        for _ in range(6):
+            k = rng.randint(1, n)
+            w = {T: _random_poly(R, rng, 2) for T in combinations(range(n), k)}
+            z = sh._diff_elem(w)
+            u = sh._solve_boundary(k, z)
+            assert sh._diff_elem(u) == z
+        with pytest.raises(InternalInvariantViolation):
+            sh._solve_boundary(1, {(): R.one + R.var(0)})
+        if n >= 2:  # not a cycle, so not a boundary
+            with pytest.raises(InternalInvariantViolation):
+                sh._solve_boundary(2, {(0,): R.var(1)})
+
+
 def test_matrix_factorization_periodic_tail():
     A = make_An(5, 2)
     res = resolve_O(A, length=5)
@@ -43,6 +120,22 @@ def test_two_variable_hypersurface():
     assert res.strategy == "matrix_factorization"
     assert res.ranks == [1, 2, 2, 2, 2]
     verify_resolution(res)
+
+
+def test_verify_builds_each_solver_once(monkeypatch):
+    """The solver of d_(i+1) that tests membership at step i also gives the
+    kernel at step i+1: top + 2 builds, with top = codim + 1 = 2 here."""
+    res = resolve_O(make_hypersurface_2var(5, 2), length=4)
+    builds = []
+    real = SpanSolver.__init__
+
+    def counted(self, *args, **kwargs):
+        builds.append(1)
+        real(self, *args, **kwargs)
+
+    monkeypatch.setattr(SpanSolver, "__init__", counted)
+    assert verify_resolution(res).label() == "certified"
+    assert len(builds) == 4
 
 
 def test_syzygy_strategy_on_B():
@@ -72,6 +165,29 @@ def test_shamash_on_complete_intersection(O5):
         e1 = ext_module(A, FpModule.o_module(A), i, res)
         e2 = ext_module(A, FpModule.o_module(A), i, res2)
         assert e1.structure.signature == e2.structure.signature
+
+
+def _ci(O5):
+    R = PolyRing(O5, ("x", "y"))
+    rels = [R.parse("x*(x - pi)"), R.parse("y*(y - pi^2)")]
+    return build_algebra(R, rels, [O5.zero] * 2, 0, claimed_ci=True, name="CI")
+
+
+def test_auto_checks_regular_sequence_once(O5, monkeypatch):
+    calls = []
+    real = resolution._regular_sequence_check
+
+    def counted(A):
+        calls.append(A)
+        return real(A)
+
+    monkeypatch.setattr(resolution, "_regular_sequence_check", counted)
+    assert resolve_O(_ci(O5), length=3).strategy == "shamash"
+    assert len(calls) == 1
+    # an explicit shamash request still checks, and still refuses
+    monkeypatch.setattr(resolution, "_regular_sequence_check", lambda A: False)
+    with pytest.raises(StrategyInapplicable):
+        resolve_O(_ci(O5), length=3, strategy="shamash")
 
 
 def test_strategy_inapplicable(O5):
@@ -118,6 +234,36 @@ def test_corrupted_exactness_detected():
     ]
     with pytest.raises(VerificationFailed):
         resolve_O(A, length=2, strategy="file", user_matrices=mats)
+
+
+def test_threads_share_one_resolution():
+    """Threads racing on a fresh algebra all get the resolution stored
+    first, and with it one Ext memo."""
+    old = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        for _ in range(10):
+            A = make_An(5, 2)
+            got, errors = [], []
+            start = threading.Barrier(6)
+
+            def work():
+                try:
+                    start.wait(timeout=60)
+                    got.append(resolve_O(A))
+                except Exception as exc:  # pragma: no cover
+                    errors.append(exc)
+
+            threads = [threading.Thread(target=work) for _ in range(6)]
+            for t in threads:
+                t.start()
+            for t in threads:
+                t.join(timeout=120)
+            assert not any(t.is_alive() for t in threads)
+            assert not errors and len(got) == 6
+            assert all(res is got[0] for res in got)
+    finally:
+        sys.setswitchinterval(old)
 
 
 def test_resolution_too_short():
@@ -170,6 +316,20 @@ class TestSyzygyModule:
         for col in cols:
             img = _apply_columns(R, [(R.parse("x"),), (R.parse("y"),)], col)
             assert all(B.in_ideal(e) for e in img)
+
+
+    def test_non_syzygy_is_caught(self, monkeypatch):
+        """The d^2 check, not the syzygy step, vouches for every syzygy."""
+        def not_syzygies(A, columns, nrows, bound=None):
+            return [(A.ring.one,) + (A.ring.zero,) * (len(columns) - 1)], CERTIFIED
+
+        monkeypatch.setattr(resolution, "_syzygies", not_syzygies)
+        B = make_ring_B(5)
+        R = B.ring
+        with pytest.raises(VerificationFailed):
+            syzygy_module(B, [(R.parse("x"),), (R.parse("y"),)])
+        with pytest.raises(VerificationFailed):
+            resolve_O(make_ring_B(5), length=2, strategy="syzygy")
 
 
 DETERMINANTAL_SCRIPT = """
