@@ -134,8 +134,10 @@ class AugmentedAlgebra:
         return self.gb_global.nf(poly)
 
     def in_ideal(self, poly: Poly) -> bool:
-        """Membership in the localized ideal (Mora normal form)."""
-        return self.gb_local.contains(poly)
+        """Membership in the localized ideal.  I lies inside it, so a global
+        member is one; the local (Mora) basis is built only when the global
+        test fails."""
+        return self.gb_global.contains(poly) or self.gb_local.contains(poly)
 
     # -- bounded linear algebra over the quotient --
     def _degree_bound(self, bound):

@@ -2,10 +2,12 @@
 
 For O-valued coefficients the Hom complex of a resolution has augmented
 differentials over O and cohomology is pure Smith-form linear algebra.  For
-module coefficients, cocycles and the relations among their classes come
-from bounded kernel searches over the quotient ring; since every Ext class
-here is killed by the augmentation ideal, evaluating an A-presentation of
-the cohomology under the augmentation presents it over O.
+module coefficients, the cocycles are pruned A-generators from the one
+kernel over A (resolution._syzygies, with the relations of M as relation
+columns), and the relations among their classes come from one bounded
+class solver; since every Ext class here is killed by the augmentation
+ideal, evaluating an A-presentation of the cohomology under the
+augmentation presents it over O.
 """
 
 from __future__ import annotations
@@ -19,13 +21,14 @@ from .algebra import (AugmentedAlgebra, cotangent_invariants,
 from .dvr import IdealO, INF
 from .errors import (InSymbolicSquare, InputError,
                      InternalInvariantViolation, KappaNotInjective,
-                     NotASurjection, NotSameCodim, ProductLiftFailed,
-                     ResolutionTooShort, ZeroDivisorSuspected)
+                     NotASurjection, NotRegularAtAugmentation, NotSameCodim,
+                     ProductLiftFailed, ResolutionTooShort,
+                     ZeroDivisorSuspected)
 from .fpmodule import FpModule
-from .linsolve import CERTIFIED, Cert
+from .linsolve import Cert
 from .omodule import _Echelon, FinOModule, o_kernel_dense, smith_form
 from .poly import Poly
-from .resolution import FreeResolution, _apply_columns, resolve_O
+from .resolution import FreeResolution, _apply_columns, _syzygies, resolve_O
 
 
 class RegularityWarning(UserWarning):
@@ -176,6 +179,10 @@ def _relation_block(zero, M, width):
 
 
 def _ext_general(A, M, i, res):
+    """Ext^i(O, M) on cocycles that are pruned A-generators, from the one
+    kernel over A.  p kills every class, so the class solver (which
+    m_class_coords reuses) gives them constant multipliers and only the
+    coboundary and relation columns polynomial ones."""
     ring = A.ring
     g = M.gens
     r_i = res.rank(i)
@@ -188,28 +195,12 @@ def _ext_general(A, M, i, res):
 
     # cocycles: psi with psi . d_(i+1) = 0 in M^(r_(i+1))
     if r_n == 0:
-        reps = []
-        for l in range(g):
-            for k in range(r_i):
-                vec = [zero] * (g * r_i)
-                vec[l * r_i + k] = ring.one
-                reps.append(tuple(vec))
+        reps = [tuple(ring.one if t == s else zero for t in range(g * r_i))
+                for s in range(g * r_i)]
     else:
-        cols = _hom_block(zero, g, res.differential(i + 1), r_i)
-        nvar = len(cols)
-        cols += _relation_block(zero, M, r_n)
-        solver, c1 = A.span_solver(cols, g * r_n)
+        reps, c1 = _syzygies(A, _hom_block(zero, g, res.differential(i + 1), r_i),
+                             g * r_n, relations=_relation_block(zero, M, r_n))
         cert = cert.merge(c1)
-        reps = []
-        seen = set()
-        for v in solver.kernel():
-            head = tuple(v[:nvar])
-            if all(p.is_zero for p in head):
-                continue
-            if head in seen:
-                continue
-            seen.add(head)
-            reps.append(head)
 
     # coboundaries, then the relations of M in each of the r_i slots
     cob = []
@@ -221,17 +212,11 @@ def _ext_general(A, M, i, res):
     s = len(reps)
     if s == 0:
         return ExtModule(i, FinOModule.zero(dvr), [], "M", res, cert)
-    # p kills Ext classes, so constant multipliers on the generators reach
-    # every relation image; only coboundary and relation multipliers need
-    # polynomial degrees.  The same solver later gives class coordinates.
     per_bounds = [0] * s + [None] * (len(all_cols) - s)
     class_solver, c2 = A.span_solver(all_cols, g * r_i, per_bounds=per_bounds)
     cert = cert.merge(c2)
-    rel_cols = []
-    for v in class_solver.kernel():
-        coeffs = [A.lam(v[j]) for j in range(s)]
-        if any(coeffs):
-            rel_cols.append(coeffs)
+    coeffs = ([A.lam(x) for x in v[:s]] for v in class_solver.kernel())
+    rel_cols = [c for c in coeffs if any(c)]
     pres = [[col[j] for col in rel_cols] for j in range(s)]
     structure = FinOModule.from_presentation(dvr, pres, generators=s)
     return ExtModule(i, structure, reps, "M", res, cert,
@@ -305,6 +290,11 @@ def psi_raw(A: AugmentedAlgebra, M, c: int, res: FreeResolution):
     """Cokernel of Ext^c(O,M) -> tfree Ext^c(O, M/pM), in normal form."""
     cert, rank, mu, values = _pairing(A, _as_module(A, M), c, res)
     if rank != 1:
+        cot_rank = cotangent_invariants(A).cotangent.free_rank
+        if cot_rank != c:
+            raise NotRegularAtAugmentation(
+                f"not regular at the augmentation: tfree Ext^c(O,O) has rank "
+                f"{rank} and the cotangent module free rank {cot_rank} at codim {c}")
         raise InternalInvariantViolation(
             "tfree Ext^c(O,O) is not of rank one at the declared codimension")
     cols = [[vs[0] for vs in per_rep] for per_rep in values]  # rank one
@@ -553,31 +543,24 @@ def deformation_step(A: AugmentedAlgebra, M, f: Poly) -> dict:
             "the element lies in the second symbolic power; its cotangent "
             "class is torsion")
     MA = _as_module(A, M)
-    # bounded annihilator search for zero divisors on M
+    # bounded annihilator search for zero divisors on M: the heads a with
+    # f*a in the relations, each tested against one solver of the relations
+    # (or locally, when M is free)
     g = MA.gens
     zero = A.ring.zero
-    cols = []
-    for l in range(g):
-        vec = [zero] * g
-        vec[l] = f
-        cols.append(tuple(vec))
+    cols = [tuple(f if k == l else zero for k in range(g)) for l in range(g)]
     cols_p = [tuple(col) for col in MA.columns]
-    solver, cert = A.span_solver(cols + cols_p, g)
-    reg_cert = cert
-    for v in solver.kernel():
-        head = tuple(v[:g])
-        if all(p.is_zero for p in head):
-            continue
-        if cols_p:
-            pres, c2 = A.span_solver(
-                cols_p, g, target_degree=max(p.degree() for p in head))
-            ok = pres.contains(head)
-        else:
-            ok, c2 = all(A.in_ideal(p) for p in head), CERTIFIED
+    heads, reg_cert = _syzygies(A, cols, g, relations=cols_p)
+    if heads and cols_p:
+        pres, c2 = A.span_solver(cols_p, g, target_degree=max(
+            p.degree() for head in heads for p in head))
         reg_cert = reg_cert.merge(c2)
-        if not ok:
-            raise ZeroDivisorSuspected(
-                "a bounded search found an annihilator of the element on M")
+        ok = all(pres.contains(head) for head in heads)
+    else:
+        ok = all(A.in_ideal(p) for head in heads for p in head)
+    if not ok:
+        raise ZeroDivisorSuspected(
+            "a bounded search found an annihilator of the element on M")
     B = A.quotient_by(f)
     N = FpModule(B, MA.gens, MA.columns, asserted_depth=MA.asserted_depth,
                  asserted_mcm=MA.asserted_mcm, name=MA.name + "/f")

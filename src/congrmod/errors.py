@@ -70,6 +70,10 @@ class KappaNotInjective(InternalInvariantViolation):
     pass
 
 
+class NotRegularAtAugmentation(EngineError):
+    """Both rank tests say the algebra is not regular at the augmentation."""
+
+
 class NotASurjection(EngineError):
     pass
 

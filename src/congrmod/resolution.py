@@ -259,19 +259,8 @@ class _Shamash:
 
 
 def _multi_indices_of_weight(m, w):
-    if m == 0:
-        return [()] if w == 0 else []
-    out = []
-
-    def rec(prefix, remaining, slots):
-        if slots == 1:
-            out.append(tuple(prefix + [remaining]))
-            return
-        for v in range(remaining + 1):
-            rec(prefix + [v], remaining - v, slots - 1)
-
-    rec([], w, m)
-    return out
+    """nu in N^m with |nu| = w, in lexicographic order."""
+    return [nu for nu in _multi_indices_upto((w,) * m) if sum(nu) == w]
 
 
 def _multi_indices_upto(nu):
@@ -304,7 +293,8 @@ def _shamash_resolution(A, length):
 
 def _regular_sequence_check(A):
     """Bounded Koszul-H1 corroboration: every bounded syzygy of the
-    relations over the ambient ring lies in the span of the trivial ones."""
+    relations over the ambient ring lies in the span of the trivial ones.
+    Both kernels are over O[x], not A, so _syzygies does not serve here."""
     fs = A.relations
     m = len(fs)
     bound = A.config.search_degree
@@ -325,12 +315,20 @@ def _regular_sequence_check(A):
 # ---------------------------------------------------------------------------
 # syzygy strategy
 
-def _syzygies(A, columns, nrows, bound=None):
-    """Pruned generators, in normal form, of the syzygies of the columns over
-    A, with the certificate of the kernel search."""
-    solver, cert = A.span_solver(columns, nrows, bound=bound)
-    pruned = A.prune(solver.kernel(), bound=bound)
-    return [tuple(A.nf(p) for p in v) for v in pruned], cert
+def _syzygies(A, columns, nrows, bound=None, relations=()):
+    """The one kernel over A: pruned generators, in normal form, of the
+    vectors a with sum a_j columns_j in the A-span of the relation columns,
+    with the certificate of the kernel search.  One solver finds the kernel
+    of columns + relations; each kernel vector keeps its first len(columns)
+    coordinates.  Pruning keeps its first vector unconditionally, so zero
+    heads are dropped before it, and heads that are zero only in A after."""
+    n = len(columns)
+    solver, cert = A.span_solver(list(columns) + list(relations), nrows,
+                                 bound=bound)
+    heads = [v[:n] for v in solver.kernel()]
+    pruned = A.prune([v for v in heads if any(p.terms for p in v)], bound=bound)
+    out = (tuple(A.nf(p) for p in v) for v in pruned)
+    return [v for v in out if any(p.terms for p in v)], cert
 
 
 def _syzygy_resolution(A, length):
@@ -352,19 +350,34 @@ def _syzygy_resolution(A, length):
 def resolve_O(A: AugmentedAlgebra, length=None, strategy="auto",
               user_matrices=None) -> FreeResolution:
     """Resolution of O over A of the requested length (default c + 2).
-    Threads racing on one algebra all get the resolution stored first."""
+    Threads racing on one algebra all get the resolution stored first.  An
+    auto result is stored under ("auto", length) as well, so the strategy is
+    chosen, and the regular-sequence check run, once per length."""
     if length is None:
         length = A.codim + 2
+    if strategy != "auto":
+        return _resolution(A, strategy, length, False, user_matrices)
+    with A._lock:
+        cached = A._resolutions.get(("auto", length))
+    if cached is not None:
+        return cached
     checked = False  # whether the regular-sequence check has passed
-    if strategy == "auto":
-        if not A.relations:
-            strategy = "koszul"
-        elif len(A.relations) == 1:
-            strategy = "matrix_factorization"
-        elif A.claimed_ci and _regular_sequence_check(A):
-            strategy, checked = "shamash", True
-        else:
-            strategy = "syzygy"
+    if not A.relations:
+        strategy = "koszul"
+    elif len(A.relations) == 1:
+        strategy = "matrix_factorization"
+    elif A.claimed_ci and _regular_sequence_check(A):
+        strategy, checked = "shamash", True
+    else:
+        strategy = "syzygy"
+    res = _resolution(A, strategy, length, checked, user_matrices)
+    with A._lock:
+        return A._resolutions.setdefault(("auto", length), res)
+
+
+def _resolution(A, strategy, length, checked, user_matrices):
+    """The resolution of one named strategy, stored under (strategy,
+    length); checked says the regular-sequence check has already passed."""
     key = (strategy, length)
     with A._lock:
         cached = A._resolutions.get(key)

@@ -2,12 +2,14 @@ import threading
 
 import pytest
 
-from congrmod import (Dvr, PolyRing, build_algebra, cotangent_invariants,
-                      regularity_at_lambda, resolve_O, symbolic_power_test)
+from congrmod import (Dvr, PolyRing, analyze, build_algebra,
+                      cotangent_invariants, regularity_at_lambda, resolve_O,
+                      symbolic_power_test)
 from congrmod.congruence import eta_raw
 from congrmod.errors import (AugmentationNotWellDefined, NonIntegralEntry,
                              NonLocalAugmentation)
-from conftest import make_An, make_depth_zero_example, make_ring_B
+from conftest import (make_An, make_depth_zero_example, make_hypersurface_2var,
+                      make_ring_B)
 
 
 class TestBuildAlgebra:
@@ -92,6 +94,19 @@ def test_symbolic_power_membership_matches_torsion(O5):
     assert out["in_p"] and out["in_p2_symbolic"]
     out2 = symbolic_power_test(A, R.parse("y + x"))
     assert out2["in_p"] and not out2["in_p2_symbolic"]
+
+
+def test_global_members_build_no_local_basis():
+    """I lies inside its localization, so in_ideal answers a global member
+    without a local standard basis; on these rings no test needs one."""
+    for A in (make_An(5, 2), make_hypersurface_2var(5, 2)):
+        analyze(A)
+        assert A._gb_local is None
+    # x is a member only after localizing, where 1 + x is a unit
+    R = PolyRing(Dvr.p_adic(5), ("x",))
+    A = build_algebra(R, [R.parse("x*(1 + x)")], [R.dvr.zero], 0)
+    assert not A.gb_global.contains(R.parse("x"))
+    assert A.in_ideal(R.parse("x"))
 
 
 def test_concurrent_reads_share_caches():

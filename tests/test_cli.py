@@ -444,6 +444,30 @@ codim = 1
     assert rec["cotangent"]["phi"] == "0"
 
 
+def test_node_is_not_regular_exit_2(tmp_path, capsys):
+    """On the node O[x, y]/(x*y) in codimension 1 both rank tests fail: psi
+    and analyze name that and exit 2, while eta is the zero ideal."""
+    f = tmp_path / "node.cm"
+    f.write_text("""
+[dvr]
+kind = p_adic
+p = 5
+[ring]
+vars = x, y
+relations = x*y
+[augmentation]
+x = 0
+y = 0
+codim = 1
+""")
+    for command in ("analyze", "psi"):
+        assert main([command, str(f)]) == 2
+        err = capsys.readouterr().err
+        assert "not regular" in err and "Internal" not in err
+    code, out = run(capsys, ["eta", str(f), "--format", "structured"])
+    assert code == 0 and json.loads(out)["eta"] == "(0)"
+
+
 def test_subprocess_entrypoint(tmp_path):
     f = tmp_path / "a.cm"
     f.write_text(A2_FILE)

@@ -14,7 +14,9 @@ from congrmod import (Dvr, FpModule, PolyRing, build_algebra,
                       regularity_at_lambda, resolve_O, serre_check,
                       symbolic_power_test, deformation_step, analyze)
 from congrmod.congruence import RegularityWarning
-from congrmod.errors import InconsistentCodim, InSymbolicSquare, NotSameCodim
+from congrmod import congruence
+from congrmod.errors import (InconsistentCodim, InSymbolicSquare, NotSameCodim,
+                             ZeroDivisorSuspected)
 from congrmod.probfile import load_problem
 from conftest import (make_An, make_depth_zero_example, make_hypersurface_2var,
                       make_ring_B)
@@ -467,6 +469,28 @@ class TestDeformation:
         with pytest.raises(InSymbolicSquare):
             deformation_step(H, None, H.ring.parse("x^2"))
 
+    def test_zero_divisor_on_the_ring(self, O5):
+        """On the node O[x, y]/(x*y), y kills x."""
+        R = PolyRing(O5, ("x", "y"))
+        node = build_algebra(R, [R.parse("x*y")], [O5.zero, O5.zero], 1,
+                             name="node")
+        with pytest.raises(ZeroDivisorSuspected):
+            deformation_step(node, None, R.parse("x"))
+
+    def test_zero_divisor_on_a_module(self):
+        """y kills the class of y in A/(y^2), though not in A."""
+        H = make_hypersurface_2var(5, 2)
+        M = FpModule(H, 1, [(H.ring.parse("y^2"),)])
+        with pytest.raises(ZeroDivisorSuspected):
+            deformation_step(H, M, H.ring.parse("y"))
+
+    def test_regular_element_on_a_module(self):
+        """y stays regular on A^2/((pi*x, 0)): the relation involves no y."""
+        H = make_hypersurface_2var(5, 2)
+        M = FpModule(H, 2, [(H.ring.parse("pi*x"), H.ring.zero)])
+        out = deformation_step(H, M, H.ring.parse("y"))
+        assert out["lhs"] == out["rhs"] == 1
+
 
 class TestSerre:
     def test_regular_exterior_algebra(self, O5):
@@ -606,3 +630,64 @@ def test_strategy_independence_power_series(q, n):
             m, _, mu = psi_raw(A, None, A.codim, res)
             values.append((eta_value.exponent, m.signature, mu))
         assert values[0] == values[1], (q, n, k)
+
+
+def _unpruned_kernel(A, columns, nrows, bound=None, relations=()):
+    """Reference cocycle search: every distinct nonzero head of the bounded
+    kernel of columns + relations, neither pruned nor reduced."""
+    cols = list(columns)
+    nvar = len(cols)
+    cols += list(relations)
+    solver, c1 = A.span_solver(cols, nrows)
+    reps = []
+    seen = set()
+    for v in solver.kernel():
+        head = tuple(v[:nvar])
+        if all(p.is_zero for p in head):
+            continue
+        if head in seen:
+            continue
+        seen.add(head)
+        reps.append(head)
+    return reps, c1
+
+
+def _reference_grid():
+    for p in (3, 5):
+        for n in (1, 2, 3):
+            yield lambda p=p, n=n: make_hypersurface_2var(p, n), ("AO", "A2")
+    O = Dvr.power_series(4)
+    R = PolyRing(O, ("x", "y"))
+    yield (lambda: build_algebra(R, [R.parse("x*(x - pi^2)")], [O.zero, O.zero],
+                                 1, name="H(2) over F_4[[t]]"), ("AO",))
+
+
+def _grid_module(A, kind):
+    ring = FpModule.ring_module(A)
+    if kind == "AO":
+        return ring.direct_sum(FpModule.o_module(A))
+    return FpModule(A, 2, [(A.ring.parse("pi*x"), A.ring.zero)])
+
+
+def test_pruned_cocycles_match_the_unpruned_search(monkeypatch):
+    """Ext, eta and psi from the pruned A-generators of the cocycles equal
+    those from every head of the bounded kernel, with no more
+    representatives, and fewer somewhere."""
+    smaller = 0
+    for make, kinds in _reference_grid():
+        for kind in kinds:
+            sides = []
+            for syzygies in (congruence._syzygies, _unpruned_kernel):
+                monkeypatch.setattr(congruence, "_syzygies", syzygies)
+                A = make()
+                M = _grid_module(A, kind)
+                res = resolve_O(A)
+                ext = ext_module(A, M, A.codim, res)
+                sides.append((str(ext.structure),
+                              str(eta_raw(A, M, A.codim, res)[0]),
+                              str(psi_raw(A, M, A.codim, res)[0]), len(ext.reps)))
+            (*pruned, n_pruned), (*reference, n_reference) = sides
+            assert pruned == reference, (A.name, kind)
+            assert n_pruned <= n_reference
+            smaller += n_pruned < n_reference
+    assert smaller

@@ -190,6 +190,59 @@ def test_auto_checks_regular_sequence_once(O5, monkeypatch):
         resolve_O(_ci(O5), length=3, strategy="shamash")
 
 
+def test_auto_result_is_stored_once(O5, monkeypatch):
+    """A second auto request of the same length is a cache hit: it returns
+    the stored resolution without running the regular-sequence check."""
+    calls = []
+    real = resolution._regular_sequence_check
+    monkeypatch.setattr(resolution, "_regular_sequence_check",
+                        lambda A: calls.append(A) or real(A))
+    A = _ci(O5)
+    first = resolve_O(A, length=3)
+    assert resolve_O(A, length=3) is first
+    assert len(calls) == 1
+
+
+@pytest.mark.parametrize("make", [lambda: make_hypersurface_2var(5, 1),
+                                  lambda: make_hypersurface_2var(3, 2),
+                                  lambda: make_An(5, 1), lambda: make_An(3, 2),
+                                  lambda: make_ring_B(5)],
+                         ids=["H5(1)", "H3(2)", "A5(1)", "A3(2)", "B5"])
+def test_syzygies_modulo_relations(make, rng):
+    """Every head _syzygies returns for columns modulo relation columns R is
+    nonzero, in normal form, and maps the columns into the A-span of R."""
+    A = make()
+    R = A.ring
+    found = 0
+    for _ in range(4):
+        g = rng.choice([1, 2])
+        columns = [tuple(_random_poly(R, rng, rng.choice([1, 2]))
+                         for _ in range(g)) for _ in range(rng.choice([1, 2]))]
+        rels = [tuple(_random_poly(R, rng, 1) for _ in range(g))
+                for _ in range(rng.choice([1, 2]))]
+        rels = [col for col in rels if any(p.terms for p in col)] or [
+            (R.parse("pi*x"),) + (R.zero,) * (g - 1)]
+        heads, _ = resolution._syzygies(A, columns, g, relations=rels)
+        found += len(heads)
+        for head in heads:
+            assert any(p.terms for p in head)
+            assert all(A.nf(p) == p for p in head)
+            image = _apply_columns(R, columns, head)
+            solver, _ = A.span_solver(
+                rels, g, target_degree=max(p.degree() for p in image))
+            assert solver.contains(tuple(image))
+    assert found
+
+
+def test_syzygies_drop_heads_zero_in_A():
+    """y is a nonzerodivisor on H(2), so the column (x, y) has no syzygy;
+    the bounded kernel still holds multiples of the relation, which are
+    zero in A and must not come back as a zero generator."""
+    H = make_hypersurface_2var(5, 2)
+    R = H.ring
+    assert resolution._syzygies(H, [(R.parse("x"), R.parse("y"))], 2)[0] == []
+
+
 def test_strategy_inapplicable(O5):
     A = make_An(5, 1)
     with pytest.raises(StrategyInapplicable):
