@@ -26,7 +26,7 @@ from .errors import (InSymbolicSquare, InputError,
                      ZeroDivisorSuspected)
 from .fpmodule import FpModule
 from .linsolve import Cert
-from .omodule import _Echelon, FinOModule, o_kernel_dense, smith_form
+from .omodule import _Echelon, _sparse, FinOModule, smith_form
 from .poly import Poly
 from .resolution import FreeResolution, _apply_columns, _syzygies, resolve_O
 
@@ -111,10 +111,10 @@ def ext_module(A: AugmentedAlgebra, M, i: int, res: FreeResolution) -> ExtModule
 def _ker_coords(echelon, w):
     """Coordinates of w on the columns of echelon, or None when w is outside
     their O-span."""
-    y = echelon.solve({t: x for t, x in enumerate(w) if x})
+    y = echelon.solve(_sparse(w))
     if y is None:
         return None
-    return [y.get(j, echelon.dvr.zero) for j in range(echelon.ncols)]
+    return [y.get(j, echelon.dvr.zero) for j in range(len(echelon.cols))]
 
 
 def _ext_O(A, i, res):
@@ -122,17 +122,14 @@ def _ext_O(A, i, res):
     r_i = res.rank(i)
     if r_i == 0:
         return ExtModule(i, FinOModule.zero(dvr), [], "O", res, res.cert)
+    # cocycles: the kernel of the map whose columns are the rows of
+    # d_(i+1) (all of O^r_i when r_(i+1) = 0)
     dnext = res.lam_rows(i + 1)  # r_i x r_(i+1)
-    rows_t = [list(col) for col in zip(*dnext)] if dnext and dnext[0] else []
-    if rows_t:
-        ker = o_kernel_dense(dvr, rows_t)
-    else:
-        ker = [[dvr.one if k == j else dvr.zero for k in range(r_i)]
-               for j in range(r_i)]
+    ker = [[v.get(j, dvr.zero) for j in range(r_i)]
+           for v in _Echelon(dvr, [_sparse(row) for row in dnext]).kernel()]
     # one echelon of the cocycle lattice serves the coboundaries here and
     # every later o_class_free_values
-    echelon = _Echelon(dvr, len(ker),
-                       [{t: x for t, x in enumerate(kb) if x} for kb in ker])
+    echelon = _Echelon(dvr, [_sparse(kb) for kb in ker])
     im_coords = []
     if i > 0 and res.rank(i - 1):
         for row in res.lam_rows(i):  # r_(i-1) x r_i

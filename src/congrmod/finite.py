@@ -13,7 +13,7 @@ from __future__ import annotations
 from itertools import product
 
 from .linsolve import SpanSolver
-from .omodule import FinOModule, o_kernel, o_solve
+from .omodule import _Echelon, _sparse, FinOModule
 from .poly import Poly, monomial_divides
 
 
@@ -115,8 +115,6 @@ class FiniteModule:
         fs = self.fs
         nops = len(op_polys)
         mults = [fs.mult_matrix(q) for q in op_polys]
-        nrel = len(self.rel_cols)
-        ncols = self.dim + nops * nrel
         columns = []
         n = fs.rank
         for j in range(self.dim):
@@ -135,34 +133,25 @@ class FiniteModule:
                     if c:
                         col[t * self.dim + i] = -c
                 columns.append(col)
-        out = []
-        for vec in o_kernel(self.dvr, ncols, columns):
-            v = [vec.get(j, self.dvr.zero) for j in range(self.dim)]
-            if any(v):
-                out.append(v)
-        # drop generators that are zero in M
+        # keep the generators outside the span of the relations and of the
+        # generators kept before them; one echelon grows with what is kept
+        span = _Echelon(self.dvr, [_sparse(r) for r in self.rel_cols])
         kept = []
-        for v in out:
-            if self._in_relation_span(v, kept):
-                continue
-            kept.append(v)
+        for vec in _Echelon(self.dvr, columns).kernel():
+            v = [vec.get(j, self.dvr.zero) for j in range(self.dim)]
+            col = _sparse(v)
+            if col and span.reduce(col) is None:
+                kept.append(v)
+                span.extend(col)
         return kept
-
-    def _in_relation_span(self, v, extra):
-        cols = []
-        for w in self.rel_cols + extra:
-            cols.append({i: c for i, c in enumerate(w) if c})
-        rhs = {i: c for i, c in enumerate(v) if c}
-        return o_solve(self.dvr, len(cols), cols, rhs) is not None
 
     def present_submodule(self, vectors) -> FinOModule:
         """The submodule generated by the vectors, in invariant-factor form."""
         if not vectors:
             return FinOModule.zero(self.dvr)
-        cols = [{i: c for i, c in enumerate(v) if c} for v in vectors]
-        cols += [{i: c for i, c in enumerate(r) if c} for r in self.rel_cols]
+        cols = [_sparse(v) for v in list(vectors) + self.rel_cols]
         rels = []
-        for vec in o_kernel(self.dvr, len(cols), cols):
+        for vec in _Echelon(self.dvr, cols).kernel():
             w = [vec.get(j, self.dvr.zero) for j in range(len(vectors))]
             if any(w):
                 rels.append(w)

@@ -13,8 +13,7 @@ from .dvr import Dvr, IdealO
 from .errors import (DegenerateLattice, DimensionMismatch,
                      InternalInvariantViolation, NotADirectSum, RankMismatch,
                      TorsionQuotient)
-from .omodule import (FinOModule, mat_mul, o_kernel_dense, o_solve_dense,
-                      smith_form)
+from .omodule import _Echelon, _sparse, FinOModule, mat_mul, smith_form
 
 
 @dataclass
@@ -95,14 +94,14 @@ def _quotient_of_lattices(dvr, big, small, n):
     The columns of big are independent, so an O-solution exists exactly
     when the unique K-solution is integral."""
     r = len(big)
-    rows_big = [[b[i] for b in big] for i in range(n)]
+    echelon = _Echelon(dvr, [_sparse(b) for b in big])
     coords = []
     for s in small:
-        sol = o_solve_dense(dvr, rows_big, s)
+        sol = echelon.solve(_sparse(s))
         if sol is None:
             raise InternalInvariantViolation("sublattice escapes the big lattice")
         coords.append(sol)
-    pres = [[c[i] for c in coords] for i in range(r)]
+    pres = [[c.get(i, dvr.zero) for c in coords] for i in range(r)]
     return FinOModule.from_presentation(dvr, pres, generators=r)
 
 
@@ -202,8 +201,9 @@ def split_discriminant(split: LatticeSplit, data, pairing=None) -> IdealO:
     d1 = len(L1)
     # functionals on O^n vanishing on L_2: kernel of the transpose
     if L2:
-        rows = [list(v) for v in L2]  # d2 x n; kernel = Hom(L/L2, O)
-        fs = o_kernel_dense(dvr, rows)
+        # the columns of the d2 x n matrix with rows L2; kernel = Hom(L/L2, O)
+        ker = _Echelon(dvr, [_sparse(col) for col in zip(*L2)]).kernel()
+        fs = [[v.get(j, dvr.zero) for j in range(n)] for v in ker]
     else:
         fs = [[dvr.one if i == j else dvr.zero for i in range(n)]
               for j in range(n)]

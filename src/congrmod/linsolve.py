@@ -170,8 +170,7 @@ class SpanSolver:
 
     def _ech(self):
         if self._echelon is None:
-            self._echelon = _Echelon(self.dvr, len(self.sparse_cols),
-                                     self.sparse_cols)
+            self._echelon = _Echelon(self.dvr, self.sparse_cols)
             self.sparse_cols = None  # the echelon holds its own copies
         return self._echelon
 

@@ -1,13 +1,13 @@
 """Structure theory of finitely generated O-modules via Smith normal form.
 
-All matrices are lists of rows unless a function says otherwise.  The Smith
-form eliminates sparsely, over the nonzero entries only, and tracks full
-witnesses (L, L^-1, R) so cokernels remember how to transport element
-coordinates into normal form.  It is the one elimination that answers rank,
-determinant valuation and inverse over K, and a module's Fitting ideals are
-read off its invariants.  The sparse column echelon only tracks column
-operations and backs the big kernel/solve computations; it can grow one
-column at a time.
+All matrices are lists of rows unless a function says otherwise.  There is
+one elimination over O: the sparse column echelon, which visits only the
+nonzero entries, tracks its column operations, answers every kernel and
+solve, and can grow one column at a time.  The Smith form is that echelon
+plus one pass of row operations, with full witnesses (L, L^-1, R) so
+cokernels remember how to transport element coordinates into normal form.
+It answers rank, determinant valuation and inverse over K, and a module's
+Fitting ideals are read off its invariants.
 """
 
 from __future__ import annotations
@@ -49,6 +49,168 @@ def mat_vec(dvr, a, v):
 
 
 # ---------------------------------------------------------------------------
+# sparse column echelon: kernels and solves over O
+
+def _unit_content_scale(dvr, col, extra):
+    """Divide col (and extra, kept consistent) by a unit of O to tame
+    coefficient growth.  Only implemented for the rational case."""
+    if dvr.kind != "p_adic" or not col:
+        return
+    from math import gcd
+    g = 0
+    lden = 1
+    for x in col.values():
+        g = gcd(g, abs(x.numerator))
+        lden = lden // gcd(lden, x.denominator) * x.denominator
+    if g == 0:
+        return
+    p = dvr.p
+    while g % p == 0:
+        g //= p
+    while lden % p == 0:
+        lden //= p
+    if g == lden:
+        return
+    from fractions import Fraction
+    c = Fraction(g, lden)
+    for k in list(col):
+        col[k] = col[k] / c
+    for k in list(extra):
+        extra[k] = extra[k] / c
+
+
+def _sparse(vec):
+    """A dense vector as a dict index -> entry, zeros dropped."""
+    return {i: x for i, x in enumerate(vec) if x}
+
+
+def _axpy(dst, f, src, zero):
+    """dst += f * src on sparse vectors (dicts), dropping the zeros."""
+    for k, x in src.items():
+        y = dst.get(k, zero) + f * x
+        if y:
+            dst[k] = y
+        else:
+            dst.pop(k, None)
+
+
+class _Echelon:
+    """Column echelon over O with tracked column operations: the current
+    columns are the original ones times R, and R is invertible over O.
+    Every column is either zero or a pivot column, and the column of pivot
+    k is zero in the rows of pivots 1..k-1, so one forward pass over the
+    pivots writes any vector on them.  The batch elimination picks each
+    pivot as a minimal-valuation entry of the live columns, caching each
+    column's minimum so the choice is linear in the number of columns;
+    extend() appends one column at a time by the incremental Hermite step
+    over a DVR (Kannan and Bachem, SIAM J. Comput. 8, 1979)."""
+
+    def __init__(self, dvr, columns):
+        self.dvr = dvr
+        self.cols = [dict(c) for c in columns]
+        self.R = [{j: dvr.one} for j in range(len(self.cols))]
+        self.pivots = []  # (row, col) in retirement order
+        self._run()
+
+    def _colmin(self, col):
+        val = self.dvr.val
+        best = None
+        for i, x in col.items():
+            v = val(x)
+            if best is None or (v, i) < best:
+                best = (v, i)
+        return best
+
+    def _eliminate(self, k, pj, f):
+        """Column k -= f * column pj, with R alongside; f lies in O."""
+        zero = self.dvr.zero
+        ck, rk = self.cols[k], self.R[k]
+        _axpy(ck, -f, self.cols[pj], zero)
+        _axpy(rk, -f, self.R[pj], zero)
+        _unit_content_scale(self.dvr, ck, rk)
+
+    def _run(self):
+        remaining = set(range(len(self.cols)))
+        colmin = {j: self._colmin(self.cols[j]) for j in remaining}
+        while True:
+            best = None
+            for j in remaining:
+                m = colmin[j]
+                if m is not None and (best is None or (m[0], m[1], j) < best):
+                    best = (m[0], m[1], j)
+            if best is None:
+                break
+            _, pi, pj = best
+            pval = self.cols[pj][pi]
+            remaining.discard(pj)
+            for k in remaining:
+                ck = self.cols[k]
+                if pi in ck:
+                    self._eliminate(k, pj, ck[pi] / pval)
+                    colmin[k] = self._colmin(ck)
+            self.pivots.append((pi, pj))
+
+    def extend(self, column):
+        """Append a column.  It walks the pivots in order: an entry in a
+        pivot's row whose valuation is at least the pivot's is cleared by
+        that pivot; an entry of lower valuation takes the pivot over, and
+        the old pivot column, cleared by it, walks on in its place.  What
+        is left nonzero at the end becomes the last pivot.  Every step is a
+        column operation invertible over O, so R, kernel() and solve() stay
+        valid."""
+        val = self.dvr.val
+        j = len(self.cols)
+        self.cols.append(dict(column))
+        self.R.append({j: self.dvr.one})
+        for k, (pi, pj) in enumerate(self.pivots):
+            x = self.cols[j].get(pi)
+            if x is None:
+                continue
+            pval = self.cols[pj][pi]
+            if val(x) < val(pval):
+                self.pivots[k] = (pi, j)
+                j, pj, x, pval = pj, j, pval, x
+            self._eliminate(j, pj, x / pval)
+        if self.cols[j]:
+            self.pivots.append((self._colmin(self.cols[j])[1], j))
+
+    def kernel(self):
+        """O-basis (as dicts col-index -> O) of the kernel of the column map."""
+        pivot_cols = {j for _, j in self.pivots}
+        out = []
+        for j in range(len(self.cols)):
+            if j not in pivot_cols and not self.cols[j]:
+                out.append(self.R[j])
+        return out
+
+    def reduce(self, rhs):
+        """The forward pass: (pivot column, y) pairs, y in O and nonzero,
+        with rhs = sum y * column; None if rhs is outside the O-span."""
+        dvr = self.dvr
+        b = {i: x for i, x in rhs.items() if x}
+        ys = []
+        for (pi, pj) in self.pivots:
+            if pi not in b:
+                continue
+            y = b[pi] / self.cols[pj][pi]
+            if dvr.val(y) < 0:
+                return None
+            ys.append((pj, y))
+            _axpy(b, -y, self.cols[pj], dvr.zero)
+        return None if b else ys
+
+    def solve(self, rhs):
+        """x (dict) with columns * x = rhs, entries in O; None if unsolvable."""
+        ys = self.reduce(rhs)
+        if ys is None:
+            return None
+        x = {}
+        for pj, y in ys:
+            _axpy(x, y, self.R[pj], self.dvr.zero)
+        return x
+
+
+# ---------------------------------------------------------------------------
 # sparse Smith normal form over O with witnesses
 
 class SmithForm:
@@ -57,8 +219,8 @@ class SmithForm:
     diag_vals are the pivot valuations, non-decreasing.  normal coordinates
     of a column vector x are L*x; Linv columns are representatives of the
     normal-form generators on the original ones.  L, Linv and R are dense
-    lists of rows, built once from the sparse elimination's dicts when it
-    ends.
+    lists of rows, built once when the elimination ends.  Only diag_vals is
+    determined by the matrix: the witnesses are one valid choice among many.
     """
 
     def __init__(self, dvr, diag_vals, L, Linv, R, nrows, ncols):
@@ -83,115 +245,47 @@ class SmithForm:
         return mat_mul(self.dvr, self.R, scaled)
 
 
-def _axpy(dst, f, src, zero):
-    """dst += f * src on sparse vectors (dicts), dropping the zeros."""
-    for k, x in src.items():
-        y = dst.get(k, zero) + f * x
-        if y:
-            dst[k] = y
-        else:
-            del dst[k]
-
-
 def smith_form(dvr: Dvr, matrix) -> SmithForm:
-    """Diagonalize over O, pivoting on a minimal-valuation entry with ties
-    broken by lowest current (row, column) position.
+    """Diagonalize over O: the column echelon of the matrix, then one row
+    pass.
 
-    The elimination is sparse: it visits only nonzero entries, so its cost
-    follows the fill rather than the matrix size.  Rows of A and of L are
-    dicts keyed by the original row label, and the columns of L^-1 and R
-    are dicts keyed by the original row or column label.  Each row of A
-    keeps the valuations of its entries, each column the set of rows where
-    it is nonzero, and two permutations record the current row and column
-    positions.  The pivot rule reads those positions, so the pivots, and
-    with exact arithmetic every witness entry, are those of the dense
-    elimination that swaps rows and columns in place."""
-    m = len(matrix)
-    n = len(matrix[0]) if m else 0
-    val, zero, one = dvr.val, dvr.zero, dvr.one
-    A, vals, L, Linv, live = [], [], [], [], set()
-    cols = [set() for _ in range(n)]
-    for r, row in enumerate(matrix):
-        Ar, Vr = {}, {}
-        for c, x in enumerate(row):
-            if x:
-                Ar[c], Vr[c] = x, val(x)
-                cols[c].add(r)
-        if Ar:
-            live.add(r)
-        A.append(Ar)
-        vals.append(Vr)
-        L.append({r: one})
-        Linv.append({r: one})
-    R = [{c: one} for c in range(n)]
-    row_at, col_at = list(range(m)), list(range(n))
-    row_pos, col_pos = row_at[:], col_at[:]
+    Each echelon pivot is a minimal-valuation entry of the columns still
+    live, so pivot valuations never decrease and every entry of a pivot
+    column is divisible by its pivot; and each pivot row is already zero in
+    every later pivot column.  Taking the pivots in order, each pivot column
+    is cleared by row operations with its own pivot row (recorded in L and
+    L^-1), and the pivot is scaled to pi^v.  With the pivot rows and columns
+    listed first, L * A * R = D, where R is the echelon's R.  Rows of L and
+    the columns of L^-1 are sparse dicts until the end."""
+    zero, one = dvr.zero, dvr.one
+    ech = _Echelon(dvr, [_sparse(col) for col in zip(*matrix)])
+    m, n = len(matrix), len(ech.cols)
+    L = [{r: one} for r in range(m)]
+    Linv = [{r: one} for r in range(m)]  # column r of L^-1
     diag = []
-    for s in range(min(m, n)):
-        best = None
-        for r in live:
-            key = (min(vals[r].values()), row_pos[r])
-            if best is None or key < best:
-                best, pr = key, r
-        if best is None:
-            break
-        v = best[0]
-        pc = min((c for c, w in vals[pr].items() if w == v), key=col_pos.__getitem__)
-        # move the pivot to position (s, s)
-        rs, cs = row_at[s], col_at[s]
-        row_at[s], row_at[row_pos[pr]] = pr, rs
-        row_pos[rs], row_pos[pr] = row_pos[pr], s
-        col_at[s], col_at[col_pos[pc]] = pc, cs
-        col_pos[cs], col_pos[pc] = col_pos[pc], s
-        Ap, Lp, Ip = A[pr], L[pr], Linv[pr]
-        u = dvr.unit_part(Ap[pc])
+    for pr, pc in ech.pivots:
+        col = ech.cols[pc]
+        u = dvr.unit_part(col[pr])
         if u != one:
             uinv = one / u
-            for vec, scale in ((Ap, uinv), (Lp, uinv), (Ip, u)):
+            for vec, scale in ((L[pr], uinv), (Linv[pr], u)):
                 for k in vec:
                     vec[k] = vec[k] * scale
-        piv = Ap[pc]
-        # clear the pivot column with row ops, then the pivot row with column ops
-        for r in cols[pc]:
-            if r == pr:
-                continue
-            Ar, Vr = A[r], vals[r]
-            f = Ar.pop(pc) / piv
-            del Vr[pc]
-            for c, x in Ap.items():
-                if c == pc:
-                    continue
-                y = Ar.get(c, zero) - f * x
-                if y:
-                    Ar[c] = y
-                    Vr[c] = val(y)
-                    cols[c].add(r)
-                else:
-                    del Ar[c], Vr[c]
-                    cols[c].discard(r)
-            if not Ar:
-                live.discard(r)
-            _axpy(L[r], -f, Lp, zero)
-            _axpy(Ip, f, Linv[r], zero)
-        for c, x in Ap.items():
-            if c != pc:
-                _axpy(R[c], -(x / piv), R[pc], zero)
-                cols[c].discard(pr)
-        live.discard(pr)
-        cols[pc] = set()
-        diag.append(v)
-    # the dense witnesses, with rows and columns in their final positions
-    dense_L = [[zero] * m for _ in range(m)]
-    dense_Linv = [[zero] * m for _ in range(m)]
-    dense_R = [[zero] * n for _ in range(n)]
-    for s, r in enumerate(row_at):
-        for j, x in L[r].items():
-            dense_L[s][j] = x
-        for i, x in Linv[r].items():
-            dense_Linv[i][s] = x
-    for s, c in enumerate(col_at):
-        for i, x in R[c].items():
-            dense_R[i][s] = x
+        piv = col[pr] / u
+        for r, x in col.items():
+            if r != pr:
+                f = x / piv
+                _axpy(L[r], -f, L[pr], zero)
+                _axpy(Linv[pr], f, Linv[r], zero)
+        diag.append(dvr.val(piv))
+    # the dense witnesses, pivot rows and columns first
+    rows = [r for r, _ in ech.pivots]
+    cols = [c for _, c in ech.pivots]
+    rows += sorted(set(range(m)) - set(rows))
+    cols += sorted(set(range(n)) - set(cols))
+    dense_L = [[L[r].get(j, zero) for j in range(m)] for r in rows]
+    dense_Linv = [[Linv[r].get(i, zero) for r in rows] for i in range(m)]
+    dense_R = [[ech.R[c].get(i, zero) for c in cols] for i in range(n)]
     return SmithForm(dvr, diag, dense_L, dense_Linv, dense_R, m, n)
 
 
@@ -219,8 +313,6 @@ class FinOModule:
             generators = m
         if m != generators:
             raise DimensionMismatch(f"{m} rows for {generators} generators")
-        if m == 0:
-            return cls(dvr, (), 0, gens=0)
         sf = smith_form(dvr, matrix)
         if sf.diag_vals and sf.diag_vals[0] < 0:
             # the first pivot has the minimal valuation of all entries
@@ -355,202 +447,3 @@ def fitting_ideal(dvr, matrix, k: int) -> IdealO:
 
 def order_ideal(module: FinOModule, vec) -> IdealO:
     return module.order_ideal(vec)
-
-
-# ---------------------------------------------------------------------------
-# sparse column echelon: kernels and solves over O
-
-def _unit_content_scale(dvr, col, extra):
-    """Divide col (and extra, kept consistent) by a unit of O to tame
-    coefficient growth.  Only implemented for the rational case."""
-    if dvr.kind != "p_adic" or not col:
-        return
-    from math import gcd
-    g = 0
-    lden = 1
-    for x in col.values():
-        g = gcd(g, abs(x.numerator))
-        lden = lden // gcd(lden, x.denominator) * x.denominator
-    if g == 0:
-        return
-    p = dvr.p
-    while g % p == 0:
-        g //= p
-    while lden % p == 0:
-        lden //= p
-    if g == lden:
-        return
-    from fractions import Fraction
-    c = Fraction(g, lden)
-    for k in list(col):
-        col[k] = col[k] / c
-    for k in list(extra):
-        extra[k] = extra[k] / c
-
-
-class _Echelon:
-    """Column echelon over O with tracked column operations: the current
-    columns are the original ones times R, and R is invertible over O.
-    Every column is either zero or a pivot column, and the column of pivot
-    k is zero in the rows of pivots 1..k-1, so one forward pass over the
-    pivots writes any vector on them.  The batch elimination picks each
-    pivot as a minimal-valuation entry of the live columns, caching each
-    column's minimum so the choice is linear in the number of columns;
-    extend() appends one column at a time by the incremental Hermite step
-    over a DVR (Kannan and Bachem, SIAM J. Comput. 8, 1979)."""
-
-    def __init__(self, dvr, ncols, columns):
-        self.dvr = dvr
-        self.ncols = ncols
-        self.cols = [dict(c) for c in columns]
-        self.R = [{j: dvr.one} for j in range(ncols)]
-        self.pivots = []  # (row, col) in retirement order
-        self._run()
-
-    def _colmin(self, col):
-        val = self.dvr.val
-        best = None
-        for i, x in col.items():
-            v = val(x)
-            if best is None or (v, i) < best:
-                best = (v, i)
-        return best
-
-    def _eliminate(self, k, pj, f):
-        """Column k -= f * column pj, with R alongside; f lies in O."""
-        zero = self.dvr.zero
-        ck, rk = self.cols[k], self.R[k]
-        for r, x in self.cols[pj].items():
-            nv = ck.get(r, zero) - f * x
-            if nv:
-                ck[r] = nv
-            else:
-                ck.pop(r, None)
-        for r, x in self.R[pj].items():
-            nv = rk.get(r, zero) - f * x
-            if nv:
-                rk[r] = nv
-            else:
-                rk.pop(r, None)
-        _unit_content_scale(self.dvr, ck, rk)
-
-    def _run(self):
-        remaining = set(range(self.ncols))
-        colmin = {j: self._colmin(self.cols[j]) for j in remaining}
-        while True:
-            best = None
-            for j in remaining:
-                m = colmin[j]
-                if m is not None and (best is None or (m[0], m[1], j) < best):
-                    best = (m[0], m[1], j)
-            if best is None:
-                break
-            _, pi, pj = best
-            pval = self.cols[pj][pi]
-            remaining.discard(pj)
-            for k in remaining:
-                ck = self.cols[k]
-                if pi in ck:
-                    self._eliminate(k, pj, ck[pi] / pval)
-                    colmin[k] = self._colmin(ck)
-            self.pivots.append((pi, pj))
-
-    def extend(self, column):
-        """Append a column.  It walks the pivots in order: an entry in a
-        pivot's row whose valuation is at least the pivot's is cleared by
-        that pivot; an entry of lower valuation takes the pivot over, and
-        the old pivot column, cleared by it, walks on in its place.  What
-        is left nonzero at the end becomes the last pivot.  Every step is a
-        column operation invertible over O, so R, kernel() and solve() stay
-        valid."""
-        val = self.dvr.val
-        j = self.ncols
-        self.ncols += 1
-        self.cols.append(dict(column))
-        self.R.append({j: self.dvr.one})
-        for k, (pi, pj) in enumerate(self.pivots):
-            x = self.cols[j].get(pi)
-            if x is None:
-                continue
-            pval = self.cols[pj][pi]
-            if val(x) < val(pval):
-                self.pivots[k] = (pi, j)
-                j, pj, x, pval = pj, j, pval, x
-            self._eliminate(j, pj, x / pval)
-        if self.cols[j]:
-            self.pivots.append((self._colmin(self.cols[j])[1], j))
-
-    def kernel(self):
-        """O-basis (as dicts col-index -> O) of the kernel of the column map."""
-        pivot_cols = {j for _, j in self.pivots}
-        out = []
-        for j in range(self.ncols):
-            if j not in pivot_cols and not self.cols[j]:
-                out.append(self.R[j])
-        return out
-
-    def reduce(self, rhs):
-        """The forward pass: (pivot column, y) pairs, y in O and nonzero,
-        with rhs = sum y * column; None if rhs is outside the O-span."""
-        dvr = self.dvr
-        b = {i: x for i, x in rhs.items() if x}
-        ys = []
-        for (pi, pj) in self.pivots:
-            if pi not in b:
-                continue
-            y = b[pi] / self.cols[pj][pi]
-            if dvr.val(y) < 0:
-                return None
-            ys.append((pj, y))
-            for r, x in self.cols[pj].items():
-                nv = b.get(r, dvr.zero) - y * x
-                if nv:
-                    b[r] = nv
-                else:
-                    b.pop(r, None)
-        return None if b else ys
-
-    def solve(self, rhs):
-        """x (dict) with columns * x = rhs, entries in O; None if unsolvable."""
-        ys = self.reduce(rhs)
-        if ys is None:
-            return None
-        dvr = self.dvr
-        x = {}
-        for pj, y in ys:
-            for r, c in self.R[pj].items():
-                nv = x.get(r, dvr.zero) + y * c
-                if nv:
-                    x[r] = nv
-                else:
-                    x.pop(r, None)
-        return x
-
-
-def o_kernel(dvr, ncols, columns):
-    """Saturated kernel basis of the column map O^ncols -> O^rows."""
-    return _Echelon(dvr, ncols, columns).kernel()
-
-
-def o_solve(dvr, ncols, columns, rhs):
-    return _Echelon(dvr, ncols, columns).solve(rhs)
-
-
-def _dense_columns(rows):
-    """The columns of a dense row matrix, as sparse dicts row -> entry."""
-    return [{i: x for i, x in enumerate(col) if x} for col in zip(*rows)]
-
-
-def o_kernel_dense(dvr, rows):
-    """Kernel basis (dense vectors) of a dense row matrix over O."""
-    columns = _dense_columns(rows)
-    ker = o_kernel(dvr, len(columns), columns)
-    return [[v.get(j, dvr.zero) for j in range(len(columns))] for v in ker]
-
-
-def o_solve_dense(dvr, rows, rhs):
-    columns = _dense_columns(rows)
-    sol = o_solve(dvr, len(columns), columns, {i: x for i, x in enumerate(rhs) if x})
-    if sol is None:
-        return None
-    return [sol.get(j, dvr.zero) for j in range(len(columns))]

@@ -63,10 +63,6 @@ class Poly:
         self.ring = ring
         self.terms = terms
 
-    @classmethod
-    def _make(cls, ring, terms):
-        return cls(ring, {e: c for e, c in terms.items() if c})
-
     def __bool__(self):
         return bool(self.terms)
 
@@ -204,9 +200,6 @@ class Poly:
                     term = term * images[i] ** k
             acc = acc + term
         return acc
-
-    def monomials(self):
-        return list(self.terms)
 
     def __str__(self):
         if not self.terms:

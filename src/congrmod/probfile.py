@@ -15,7 +15,7 @@ from .config import DEFAULT_CONFIG
 from .dvr import Dvr
 from .errors import InputError
 from .fpmodule import FpModule
-from .poly import PolyRing, parse_poly, parse_scalar
+from .poly import PolyRing, _tokenize, parse_poly, parse_scalar
 
 
 def _split_top_level(text, sep=","):
@@ -137,6 +137,24 @@ def _int_in(section, data, key):
     return _parse_in(section, key, _parse_int, _required(section, data, key))
 
 
+def _variable_names(section, data):
+    """The comma-separated names of [section] vars: each one name of the
+    polynomial grammar, none of them pi (the uniformizer), none twice."""
+    names = [v.strip() for v in data.get("vars", "").split(",") if v.strip()]
+    for i, name in enumerate(names):
+        try:
+            whole = [t[:2] for t in _tokenize(name)[:-1]] == [("name", name)]
+        except InputError:
+            whole = False
+        if not whole:
+            raise InputError(f"[{section}] vars: {name!r} is not a variable name")
+        if name == "pi":
+            raise InputError(f"[{section}] vars: 'pi' names the uniformizer, not a variable")
+        if name in names[:i]:
+            raise InputError(f"[{section}] vars: {name!r} is listed twice")
+    return names
+
+
 def load_problem(text, config=None) -> ProblemFile:
     caps = config or DEFAULT_CONFIG
 
@@ -174,7 +192,7 @@ def load_problem(text, config=None) -> ProblemFile:
         ring_data = by_name["ring"][0]
         if set(ring_data) - {"vars", "relations"}:
             raise InputError("unknown keys in [ring]")
-        names = [v.strip() for v in ring_data.get("vars", "").split(",") if v.strip()]
+        names = _variable_names("ring", ring_data)
         ring = PolyRing(dvr, names)
         out.ring = ring
         rel_text = ring_data.get("relations", "").strip()
@@ -218,6 +236,10 @@ def load_problem(text, config=None) -> ProblemFile:
         if not name.startswith("module."):
             continue
         mod_name = name[len("module."):]
+        if not mod_name:
+            raise InputError(f"[{name}]: a module section needs a name")
+        if mod_name in ("ring", "O"):  # the names of A and O in every command
+            raise InputError(f"[{name}]: the module name {mod_name!r} is reserved")
         for data in datas:
             if set(data) - {"presentation", "depth", "mcm"}:
                 raise InputError(f"unknown keys in [{name}]")
@@ -281,7 +303,7 @@ def load_problem(text, config=None) -> ProblemFile:
                    "ci", "mcm", "gorenstein"}
         if set(data) - allowed:
             raise InputError("unknown keys in [surjection]")
-        names = [v.strip() for v in data.get("vars", "").split(",") if v.strip()]
+        names = _variable_names("surjection", data)
         bring = PolyRing(dvr, names)
         rel_text = data.get("relations", "").strip()
         rels = [poly(bring, t) for t in _split_top_level(rel_text)] if rel_text else []

@@ -222,6 +222,24 @@ def test_input_errors_exit_2(tmp_path, capsys):
         bad.write_text(bad_text)
         assert main(["analyze", str(bad)]) == 2
         assert "Traceback" not in capsys.readouterr().err
+    # reserved, empty, repeated and unreadable names, each named in the error
+    module = "\n[module.{}]\npresentation = [[x - pi^2]]\n"
+    surjection = ("\n[surjection]\nvars = {}\nrelations = y\ncodim = 0\n"
+                  "augmentation = y: 0\nimages = x: y\n")
+    for bad_text, names in (
+            (A2_FILE + module.format("ring"), ("[module.ring]", "'ring'")),
+            (A2_FILE + module.format("O"), ("[module.O]", "'O'")),
+            (A2_FILE + module.format(""), ("[module.]",)),
+            (A2_FILE.replace("vars = x", "vars = x, x"), ("[ring] vars", "'x'")),
+            (A2_FILE.replace("vars = x", "vars = x, pi"), ("[ring] vars", "'pi'")),
+            (A2_FILE.replace("vars = x", "vars = x y"), ("[ring] vars", "'x y'")),
+            (A2_FILE + surjection.format("y, pi"), ("[surjection] vars", "'pi'")),
+            (A2_FILE + surjection.format("y, y"), ("[surjection] vars", "'y'")),
+            (A2_FILE + surjection.format("y z"), ("[surjection] vars", "'y z'"))):
+        bad.write_text(bad_text)
+        assert main(["analyze", str(bad)]) == 2
+        err = capsys.readouterr().err
+        assert "Traceback" not in err and all(n in err for n in names), err
 
 
 def test_bound_exceeded_exit_3(tmp_path, capsys):
@@ -377,6 +395,34 @@ presentation = O
                              "--format", "structured"])
     assert code == 0
     assert json.loads(out)["eta"] == "(1)"
+
+
+def test_zero_generator_module(tmp_path, capsys):
+    """A module with no generators is the zero module: eta (0) and psi 0 at
+    codimension 0, as both codimension-0 oracles say, and it is computed in
+    codimension 1 too."""
+    from congrmod.congruence import eta_codim0_oracle, psi_direct_codim0
+    from congrmod.probfile import load_problem
+    zero = "\n[module.M]\npresentation = []\n"
+    f = tmp_path / "zero.cm"
+    f.write_text(A2_FILE + zero)
+    problem = load_problem(f.read_text())
+    M = problem.modules["M"]
+    assert str(eta_codim0_oracle(problem.algebra, M)) == "(0)"
+    assert str(psi_direct_codim0(problem.algebra, M)) == "0"
+    for command in ("eta", "psi"):
+        code, out = run(capsys, [command, str(f), "--module", "M",
+                                 "--format", "structured"])
+        assert code == 0
+        assert json.loads(out)[command] == {"eta": "(0)", "psi": "0"}[command]
+    code, out = run(capsys, ["analyze", str(f), "--format", "structured"])
+    assert code == 0
+    report = json.loads(out)["modules"]["M"]
+    assert (report["eta"], report["psi"]) == ("(0)", "0")
+    f.write_text(H3_FILE.replace("x*(x - pi^3)", "x*(x - pi)") + zero)
+    code, out = run(capsys, ["analyze", str(f), "--format", "structured"])
+    assert code == 0
+    assert json.loads(out)["modules"]["M"]["psi"] == "0"
 
 
 def test_power_series_file(tmp_path, capsys):

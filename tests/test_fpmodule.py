@@ -164,3 +164,95 @@ def test_o_torsion_in_module():
     M = FpModule.ring_module(A)
     full = M.finite_module().as_module()
     assert full.signature == ((2,), 1)  # O (+) O/pi^2 . x
+
+
+def _kernel_of_operators_rebuilding(fm, op_polys):
+    """The reference: kernel_of_operators as it was before it grew one
+    echelon, with a fresh elimination for every candidate generator."""
+    from congrmod.omodule import _Echelon
+
+    def o_kernel(dvr, ncols, columns):
+        return _Echelon(dvr, columns).kernel()
+
+    def o_solve(dvr, ncols, columns, rhs):
+        return _Echelon(dvr, columns).solve(rhs)
+
+    def _in_relation_span(v, extra):
+        cols = []
+        for w in fm.rel_cols + extra:
+            cols.append({i: c for i, c in enumerate(w) if c})
+        rhs = {i: c for i, c in enumerate(v) if c}
+        return o_solve(fm.dvr, len(cols), cols, rhs) is not None
+
+    fs = fm.fs
+    nops = len(op_polys)
+    mults = [fs.mult_matrix(q) for q in op_polys]
+    nrel = len(fm.rel_cols)
+    ncols = fm.dim + nops * nrel
+    columns = []
+    n = fs.rank
+    for j in range(fm.dim):
+        l, k = divmod(j, n)
+        col = {}
+        for t in range(nops):
+            mcol = mults[t][k]
+            for i, c in enumerate(mcol):
+                if c:
+                    col[t * fm.dim + l * n + i] = c
+        columns.append(col)
+    for t in range(nops):
+        for r in fm.rel_cols:
+            col = {}
+            for i, c in enumerate(r):
+                if c:
+                    col[t * fm.dim + i] = -c
+            columns.append(col)
+    out = []
+    for vec in o_kernel(fm.dvr, ncols, columns):
+        v = [vec.get(j, fm.dvr.zero) for j in range(fm.dim)]
+        if any(v):
+            out.append(v)
+    # drop generators that are zero in M
+    kept = []
+    for v in out:
+        if _in_relation_span(v, kept):
+            continue
+        kept.append(v)
+    return kept
+
+
+def _torsion_inputs():
+    """(module, operators) pairs: TestTorsionSubmodule's inputs, direct sums
+    of them, and the depth-zero ring with O-torsion."""
+    out = []
+    for n in (1, 2, 3):
+        A = make_An(5, n)
+        M = FpModule.ring_module(A)
+        out += [(M, [A.ring.parse("x")]), (M.direct_sum(M), [A.ring.parse("x")])]
+    A = make_An(5, 2)
+    M = FpModule.ring_module(A)
+    out += [(M, [A.ring.parse("x - pi^2")]), (M, [A.ring.zero]),
+            (M.direct_sum(FpModule.o_module(A)), [A.ring.parse("x")])]
+    B = make_ring_B(5)
+    R = B.ring
+    for M in (FpModule.ring_module(B), FpModule(B, 1, [(R.parse("x*(x - pi)"),)])):
+        out.append((M, [R.parse("x"), R.parse("y")]))
+    H = make_hypersurface_2var(5, 2)
+    out.append((FpModule(H, 1, [(H.ring.parse("y"),)]), [H.ring.parse("x")]))
+    O = Dvr.p_adic(5)
+    RT = PolyRing(O, ("x",))
+    T = build_algebra(RT, [RT.parse("x*(x - pi)"), RT.parse("pi^2*x")],
+                      [O.zero], 0, name="T")
+    MT = FpModule.ring_module(T)
+    out += [(MT, [RT.parse("x")]), (MT, [RT.parse("pi")]),
+            (MT.direct_sum(MT), [RT.parse("x - pi")])]
+    return out
+
+
+def test_grown_span_keeps_the_rebuilt_generators():
+    """kernel_of_operators grows one echelon with the generators it keeps;
+    it keeps the same vectors as the loop that rebuilt the elimination for
+    every candidate."""
+    for M, ops in _torsion_inputs():
+        fm = M.finite_module()
+        assert fm.kernel_of_operators(ops) == _kernel_of_operators_rebuilding(fm, ops)

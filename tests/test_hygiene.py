@@ -1,6 +1,6 @@
 """Source hygiene of the congrmod package, read with the standard library's
 ast: no module imports a name it never uses, and no private top-level
-function or class is left without a reference."""
+function or class, and no private method, is left without a reference."""
 
 import ast
 from pathlib import Path
@@ -59,5 +59,27 @@ def test_private_top_level_definitions_are_referenced():
                if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef))
                and node.name.startswith("_") and not node.name.startswith("__")
                and not any(node.name in names for _, other, names in uses
+                           if other is not node)]
+    assert not orphans
+
+
+def test_private_methods_are_referenced():
+    """A private method (a _name, not a dunder) of a top-level class is read
+    somewhere outside its own body: in another member of its class or
+    anywhere else in the package."""
+    units = []  # (class name or None, statement, names it reads)
+    for tree in MODULES.values():
+        for node in tree.body:
+            if isinstance(node, ast.ClassDef):
+                units.extend((node.name, member, _used_names(member))
+                             for member in node.body)
+                units.extend((None, sub, _used_names(sub))
+                             for sub in node.bases + node.decorator_list)
+            else:
+                units.append((None, node, _used_names(node)))
+    orphans = [f"{cls}.{node.name}" for cls, node, _ in units
+               if cls and isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef))
+               and node.name.startswith("_") and not node.name.startswith("__")
+               and not any(node.name in names for _, other, names in units
                            if other is not node)]
     assert not orphans

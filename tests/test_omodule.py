@@ -7,8 +7,7 @@ from hypothesis import given, settings, strategies as st
 from congrmod import Dvr, fitting_ideal, o_module_from_presentation
 from congrmod.dvr import INF, IdealO
 from congrmod.errors import DimensionMismatch, NonIntegralEntry
-from congrmod.omodule import (_Echelon, FinOModule, o_kernel_dense, o_solve_dense,
-                              smith_form)
+from congrmod.omodule import _Echelon, _sparse, FinOModule, smith_form
 
 
 def expected_invariants_via_sympy(p, matrix, generators):
@@ -188,14 +187,17 @@ def test_kernel_and_solve_roundtrip(rng):
     for _ in range(20):
         rows, cols = rng.randint(1, 3), rng.randint(1, 4)
         m = random_int_matrix(rng, rows, cols, 5)
-        for v in o_kernel_dense(O, m):
+        ech = _Echelon(O, [_sparse(c) for c in zip(*m)])
+        for kv in ech.kernel():
+            v = [kv.get(j, O.zero) for j in range(cols)]
             assert all(O.in_O(x) for x in v)
             for row in m:
                 assert sum(a * b for a, b in zip(row, v)) == 0
         x = [F(rng.randint(-3, 3)) for _ in range(cols)]
         rhs = [sum(row[j] * x[j] for j in range(cols)) for row in m]
-        sol = o_solve_dense(O, m, rhs)
+        sol = ech.solve(_sparse(rhs))
         assert sol is not None
+        sol = [sol.get(j, O.zero) for j in range(cols)]
         for row in m:
             assert sum(a * b for a, b in zip(row, sol)) == \
                 sum(a * b for a, b in zip(row, x))
@@ -227,9 +229,9 @@ def _identity(dvr, n):
 
 
 def _dense_smith_reference(dvr, matrix):
-    """The dense elimination smith_form replaced, kept as its reference:
-    (diag_vals, L, Linv, R) with the same pivot rule, swapping rows and
-    columns in place and scanning every entry."""
+    """A dense Smith elimination, kept as the reference for the diagonal:
+    (diag_vals, L, Linv, R), swapping rows and columns in place and
+    scanning every entry."""
     m = len(matrix)
     n = len(matrix[0]) if m else 0
     A = [list(r) for r in matrix]
@@ -290,8 +292,20 @@ def _dense_smith_reference(dvr, matrix):
 
 
 def _assert_smith_matches_reference(dvr, matrix):
+    """The Smith contract against the reference: the same diagonal, and
+    witnesses over O with L * A * R = diag(pi^v), L * L^-1 = I and R
+    unimodular.  Witnesses are not unique, so they are not compared."""
+    m = len(matrix)
+    n = len(matrix[0]) if m else 0
     sf = smith_form(dvr, matrix)
-    assert (sf.diag_vals, sf.L, sf.Linv, sf.R) == _dense_smith_reference(dvr, matrix)
+    assert sf.diag_vals == _dense_smith_reference(dvr, matrix)[0]
+    for witness in (sf.L, sf.Linv, sf.R):
+        assert all(not x or dvr.val(x) >= 0 for row in witness for x in row)
+    lar = _sparse_product(dvr, _sparse_product(dvr, sf.L, matrix), sf.R)
+    assert lar == [[dvr.pi_pow(sf.diag_vals[i]) if i == j and i < sf.rank else dvr.zero
+                    for j in range(n)] for i in range(m)]
+    assert _sparse_product(dvr, sf.L, sf.Linv) == _identity(dvr, m)
+    assert _dense_smith_reference(dvr, sf.R)[0] == [0] * n
 
 
 @st.composite
@@ -341,9 +355,9 @@ def test_sparse_smith_matches_dense_reference_power_series(matrix):
 
 
 def test_sparse_smith_ties_follow_current_positions(O5):
-    """After the first pivot's swaps, labels and positions disagree: the
-    tied second pivot is the one at the lowest current row (first matrix)
-    and column (second matrix), as in the dense elimination."""
+    """Tied pivots where, after the first pivot's swaps, the dense
+    elimination's row (first matrix) and column (second matrix) positions
+    disagree with the labels."""
     z, u, five = O5.zero, O5.one, F(5)
     for matrix in ([[five, z, z], [z, five, z], [z, z, u]],
                    [[five, z, u], [five, five, z]]):
@@ -620,7 +634,7 @@ def _assert_echelon_shape(ech):
 
 def _spans(dvr, gens, vectors):
     """Whether every vector lies in the O-span of gens (all dicts)."""
-    ech = _Echelon(dvr, len(gens), gens)
+    ech = _Echelon(dvr, gens)
     return all(ech.solve(v) is not None for v in vectors)
 
 
@@ -631,7 +645,7 @@ def test_echelon_extend_takeover(dvr):
     becomes the next pivot.  (0, pi) then reduces to zero: a kernel vector."""
     one, pi = dvr.one, dvr.pi_pow(1)
     columns = [{0: pi}, {0: one, 1: one}, {1: pi}]
-    ech = _Echelon(dvr, 1, columns[:1])
+    ech = _Echelon(dvr, columns[:1])
     assert ech.pivots == [(0, 0)]
     ech.extend(columns[1])
     assert ech.pivots == [(0, 1), (1, 0)]
@@ -643,7 +657,7 @@ def test_echelon_extend_takeover(dvr):
     assert ech.kernel() == [{2: one, 0: one, 1: -pi}]
     assert _apply(dvr, columns, ech.kernel()[0]) == {}
     _assert_echelon_shape(ech)
-    batch = _Echelon(dvr, 3, columns)
+    batch = _Echelon(dvr, columns)
     targets = [{0: one}, {1: one}, {0: one, 1: one}, {0: pi}, {1: pi}]
     for b, inside in zip(targets, [False, False, True, True, True]):
         x = ech.solve(b)
@@ -661,7 +675,7 @@ def test_echelon_extend_takeover_walks_on(dvr):
     ends as a kernel vector rather than a second pivot in that row."""
     one, pi = dvr.one, dvr.pi_pow(1)
     columns = [{0: pi, 1: pi}, {1: pi}, {0: one}]
-    ech = _Echelon(dvr, 2, columns[:2])
+    ech = _Echelon(dvr, columns[:2])
     assert ech.pivots == [(0, 0), (1, 1)]
     ech.extend(columns[2])
     assert ech.pivots == [(0, 2), (1, 1)]
@@ -685,11 +699,11 @@ def test_grown_echelon_matches_batch(base, data):
     n = len(matrix[0]) if m else 0
     columns = [{i: matrix[i][j] for i in range(m) if matrix[i][j]} for j in range(n)]
     start = data.draw(st.integers(0, n))
-    grown = _Echelon(dvr, start, columns[:start])
+    grown = _Echelon(dvr, columns[:start])
     for col in columns[start:]:
         grown.extend(col)
     _assert_echelon_shape(grown)
-    batch = _Echelon(dvr, n, columns)
+    batch = _Echelon(dvr, columns)
     coef = st.one_of(st.just(dvr.zero), _valued_entries(dvr, -1, 2))
     targets = [_apply(dvr, columns, {j: data.draw(coef) for j in range(n)})
                for _ in range(3)]
