@@ -114,7 +114,7 @@ def _ker_coords(echelon, w):
     y = echelon.solve(_sparse(w))
     if y is None:
         return None
-    return [y.get(j, echelon.dvr.zero) for j in range(len(echelon.cols))]
+    return [y.get(j, echelon.dvr.zero) for j in range(len(echelon))]
 
 
 def _ext_O(A, i, res):

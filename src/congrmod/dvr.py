@@ -408,6 +408,7 @@ class Dvr:
             raise EngineError(f"unknown DVR kind {kind!r}")
         self.kind = kind
         self.param = param
+        self._cap_moduli = {}  # cap -> p^(cap + 1)
 
     @classmethod
     def p_adic(cls, p: int) -> "Dvr":
@@ -469,6 +470,21 @@ class Dvr:
         if x.is_zero():
             return INF
         return x.shift
+
+    def val_above(self, values, cap: int) -> bool:
+        """Whether some value has valuation above cap, for a cap >= 0 (zero
+        never does): over Z_(p) one divisibility of each numerator by
+        p^(cap + 1)."""
+        if self.kind == "p_adic":
+            modulus = self._cap_moduli.get(cap)
+            if modulus is None:
+                modulus = self._cap_moduli[cap] = self.p ** (cap + 1)
+            for x in values:
+                n = x.numerator
+                if n and n % modulus == 0:
+                    return True
+            return False
+        return any(x and x.shift > cap for x in values)
 
     def is_zero(self, x):
         return not x if self.kind == "p_adic" else x.is_zero()

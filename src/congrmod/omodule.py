@@ -3,14 +3,23 @@
 All matrices are lists of rows unless a function says otherwise.  There is
 one elimination over O: the sparse column echelon, which visits only the
 nonzero entries, tracks its column operations, answers every kernel and
-solve, and can grow one column at a time.  The Smith form is that echelon
-plus one pass of row operations, with full witnesses (L, L^-1, R) so
-cokernels remember how to transport element coordinates into normal form.
-It answers rank, determinant valuation and inverse over K, and a module's
-Fitting ideals are read off its invariants.
+solve, and can grow one column at a time.  Over Z_(p) it computes on
+Python ints, each column a dict of integer numerators over one
+denominator, eliminating fraction-free and keeping the integers small
+with a p-free content scaling; entries leave it as Fractions.  Its pivots
+come from heaps, never from a scan of every column or every pivot.  The
+Smith form is that echelon plus one pass of row operations, with full
+witnesses (L, L^-1, R) so cokernels remember how to transport element
+coordinates into normal form.  It answers rank, determinant valuation and
+inverse over K, and a module's Fitting ideals are read off its
+invariants.
 """
 
 from __future__ import annotations
+
+from fractions import Fraction
+from heapq import heapify, heappop, heappush
+from math import gcd
 
 from .dvr import Dvr, IdealO, INF
 from .errors import DimensionMismatch, NonIntegralEntry
@@ -51,47 +60,33 @@ def mat_vec(dvr, a, v):
 # ---------------------------------------------------------------------------
 # sparse column echelon: kernels and solves over O
 
-def _unit_content_scale(dvr, col, extra):
-    """Divide col (and extra, kept consistent) by a unit of O to tame
-    coefficient growth.  Only implemented for the rational case."""
-    if dvr.kind != "p_adic" or not col:
-        return
-    from math import gcd
-    g = 0
-    lden = 1
-    for x in col.values():
-        g = gcd(g, abs(x.numerator))
-        lden = lden // gcd(lden, x.denominator) * x.denominator
-    if g == 0:
-        return
-    p = dvr.p
-    while g % p == 0:
-        g //= p
-    while lden % p == 0:
-        lden //= p
-    if g == lden:
-        return
-    from fractions import Fraction
-    c = Fraction(g, lden)
-    for k in list(col):
-        col[k] = col[k] / c
-    for k in list(extra):
-        extra[k] = extra[k] / c
-
-
 def _sparse(vec):
     """A dense vector as a dict index -> entry, zeros dropped."""
     return {i: x for i, x in enumerate(vec) if x}
 
 
-def _axpy(dst, f, src, zero):
-    """dst += f * src on sparse vectors (dicts), dropping the zeros."""
+def _combine(dst, dden, b, a, src, sden=1):
+    """dst / dden <- b * dst / dden + a * src / sden, in place on the
+    numerators dst, dropping the zeros; returns the new denominator.  With
+    equal denominators and b = 1, only a * src is multiplied."""
+    if dden != sden:
+        lcm = dden // gcd(dden, sden) * sden
+        b, a, dden = b * (lcm // dden), a * (lcm // sden), lcm
+    if b != 1:
+        for k in dst:
+            dst[k] *= b
     for k, x in src.items():
-        y = dst.get(k, zero) + f * x
-        if y:
-            dst[k] = y
+        t = a * x
+        y = dst.get(k)
+        if y is None:
+            dst[k] = t
         else:
-            dst.pop(k, None)
+            y = y + t
+            if y:
+                dst[k] = y
+            else:
+                del dst[k]
+    return dden
 
 
 class _Echelon:
@@ -99,56 +94,198 @@ class _Echelon:
     columns are the original ones times R, and R is invertible over O.
     Every column is either zero or a pivot column, and the column of pivot
     k is zero in the rows of pivots 1..k-1, so one forward pass over the
-    pivots writes any vector on them.  The batch elimination picks each
-    pivot as a minimal-valuation entry of the live columns, caching each
-    column's minimum so the choice is linear in the number of columns;
-    extend() appends one column at a time by the incremental Hermite step
-    over a DVR (Kannan and Bachem, SIAM J. Comput. 8, 1979)."""
+    pivots writes any vector on them.
+
+    Each column, and each column of R, is a dict of numerators over one
+    positive denominator.  Over Z_(p) these are Python ints; over F_q[[t]]
+    the numerators are the entries themselves and every denominator is 1,
+    so the same code does no extra arithmetic there.  An elimination by the
+    pivot ratio f = a/b (b > 0 and p-free, as f lies in O) forms
+    b*c_k - a*c_pj (Bareiss, Math. Comp. 22, 1968) and divides it, and R
+    with it, by its p-free content: what is left is the unique
+    representative of c_k - f*c_pj whose content is a power of p, so every
+    entry equals the one that arithmetic in K with the same unit scaling
+    gives.  cols, R, kernel(), reduce() and solve() hand out entries in K.
+
+    The batch elimination takes each pivot, a minimal-valuation entry of
+    the live columns (lowest row, then lowest column, among ties), from a
+    heap of (valuation, row, column) entries; a column whose minimum moves
+    pushes the new one and stale entries are skipped when popped.  A map
+    from each row to the live columns with an entry in it names the columns
+    a pivot clears.  extend() appends one column at a time by the
+    incremental Hermite step over a DVR (Kannan and Bachem, SIAM J. Comput.
+    8, 1979); it and reduce() walk only the pivots whose rows the vector
+    touches, in pivot order, from a heap of pivot indices that takes the
+    pivot of every row fill-in adds."""
 
     def __init__(self, dvr, columns):
         self.dvr = dvr
-        self.cols = [dict(c) for c in columns]
-        self.R = [{j: dvr.one} for j in range(len(self.cols))]
+        self._p = dvr.p if dvr.kind == "p_adic" else None
+        self._cols, self._den, self._R, self._Rden = [], [], [], []
+        for column in columns:
+            self._append(column)
         self.pivots = []  # (row, col) in retirement order
+        self._pivot_at = {}  # pivot row -> its index in pivots
         self._run()
 
-    def _colmin(self, col):
-        val = self.dvr.val
-        best = None
-        for i, x in col.items():
-            v = val(x)
-            if best is None or (v, i) < best:
-                best = (v, i)
-        return best
+    def __len__(self):
+        return len(self._cols)
 
-    def _eliminate(self, k, pj, f):
-        """Column k -= f * column pj, with R alongside; f lies in O."""
-        zero = self.dvr.zero
-        ck, rk = self.cols[k], self.R[k]
-        _axpy(ck, -f, self.cols[pj], zero)
-        _axpy(rk, -f, self.R[pj], zero)
-        _unit_content_scale(self.dvr, ck, rk)
+    # -- the integer representation --
+    def _split(self, vec):
+        """(numerators, denominator) of a dict of entries in K."""
+        if self._p is None:
+            return dict(vec), 1
+        den = 1
+        for x in vec.values():
+            d = x.denominator
+            if den % d:
+                den = den // gcd(den, d) * d
+        return {i: x.numerator * (den // x.denominator) for i, x in vec.items()}, den
 
+    def _join(self, num, den):
+        """The entries in K of numerators over a denominator."""
+        if self._p is None:
+            return dict(num)
+        return {i: Fraction(n, den) for i, n in num.items()}
+
+    @property
+    def cols(self):
+        """The current columns, entries in K (a copy)."""
+        return [self._join(c, d) for c, d in zip(self._cols, self._den)]
+
+    @property
+    def R(self):
+        """The columns of R, entries in O (a copy)."""
+        return [self._join(r, d) for r, d in zip(self._R, self._Rden)]
+
+    def _append(self, column):
+        j = len(self._cols)
+        num, den = self._split(column)
+        self._cols.append(num)
+        self._den.append(den)
+        self._R.append({j: 1 if self._p else self.dvr.one})
+        self._Rden.append(1)
+        return j
+
+    def _v(self, n):
+        """Valuation of a nonzero numerator or denominator."""
+        p = self._p
+        if p is None:
+            return self.dvr.val(n)
+        v = 0
+        while n % p == 0:
+            n //= p
+            v += 1
+        return v
+
+    def _val(self, j, i):
+        """Valuation of the entry of column j in row i."""
+        den = self._den[j]
+        return self._v(self._cols[j][i]) - (self._v(den) if den != 1 else 0)
+
+    def _colmin(self, j):
+        """(valuation, row) of column j's minimal-valuation entry, the
+        lowest row among ties; None for a zero column."""
+        col = self._cols[j]
+        if not col:
+            return None
+        v, i = min((self._v(x), i) for i, x in col.items())
+        den = self._den[j]
+        return (v - self._v(den), i) if den != 1 else (v, i)
+
+    def _ratio(self, x, dx, y, dy):
+        """(a, b) with a/b = (x/dx) / (y/dy): in lowest terms with b > 0
+        over Z_(p), (x/y, 1) otherwise."""
+        if self._p is None:
+            return x / y, 1
+        a, b = x * dy, y * dx
+        g = gcd(a, b)
+        if b < 0:
+            g = -g
+        return a // g, b // g
+
+    def _eliminate(self, k, pj, pi):
+        """Column k -= f * column pj, with R alongside, f the ratio of their
+        entries in row pi, which lies in O."""
+        cols, den, R, Rden = self._cols, self._den, self._R, self._Rden
+        ck, rk = cols[k], R[k]
+        a, b = self._ratio(ck[pi], den[k], cols[pj][pi], den[pj])
+        a = -a
+        den[k] = _combine(ck, den[k], b, a, cols[pj], den[pj])
+        Rden[k] = _combine(rk, Rden[k], b, a, R[pj], Rden[pj])
+        p = self._p
+        if p is None:
+            return
+        # divide the new column and R by the column's p-free content g/e
+        # (R by b when the column is zero), then cancel the powers of p the
+        # column shares with its denominator
+        e, g = 1, b
+        if ck:
+            g, s = gcd(*ck.values()), 0
+            while g % p == 0:
+                g //= p
+                s += 1
+            e, t = den[k], 0
+            while e % p == 0:
+                e //= p
+                t += 1
+            m = min(s, t)
+            q = g * p ** m
+            if q != 1:
+                for i in ck:
+                    ck[i] //= q
+            den[k] = p ** (t - m)
+        if e != 1:
+            for i in rk:
+                rk[i] *= e
+        rden = Rden[k] * g
+        h = gcd(rden, *rk.values())
+        if h != 1:
+            for i in rk:
+                rk[i] //= h
+            rden //= h
+        Rden[k] = rden
+
+    # -- the elimination --
     def _run(self):
-        remaining = set(range(len(self.cols)))
-        colmin = {j: self._colmin(self.cols[j]) for j in remaining}
-        while True:
-            best = None
-            for j in remaining:
-                m = colmin[j]
-                if m is not None and (best is None or (m[0], m[1], j) < best):
-                    best = (m[0], m[1], j)
-            if best is None:
-                break
-            _, pi, pj = best
-            pval = self.cols[pj][pi]
-            remaining.discard(pj)
-            for k in remaining:
-                ck = self.cols[k]
-                if pi in ck:
-                    self._eliminate(k, pj, ck[pi] / pval)
-                    colmin[k] = self._colmin(ck)
+        cols = self._cols
+        live = set(range(len(cols)))
+        at_row = {}  # row -> a superset of the live columns with an entry in it
+        for j, col in enumerate(cols):
+            for i in col:
+                at_row.setdefault(i, set()).add(j)
+        low = {j: self._colmin(j) for j in live}
+        heap = [(m[0], m[1], j) for j, m in low.items() if m]
+        heapify(heap)
+        while heap:
+            v, pi, pj = heappop(heap)
+            if pj not in live or low[pj] != (v, pi):
+                continue
+            live.discard(pj)
+            pcol = cols[pj]
+            for k in at_row.pop(pi):
+                if k in live and pi in cols[k]:
+                    self._eliminate(k, pj, pi)
+                    for i in pcol:
+                        if i != pi:
+                            at_row[i].add(k)
+                    m = self._colmin(k)
+                    if m != low[k]:
+                        low[k] = m
+                        if m:
+                            heappush(heap, (m[0], m[1], k))
+            self._pivot_at[pi] = len(self.pivots)
             self.pivots.append((pi, pj))
+
+    def _queue(self, heap, queued, rows):
+        """Push the index of each pivot in one of rows, once per walk."""
+        at = self._pivot_at
+        for i in rows:
+            k = at.get(i)
+            if k is not None and k not in queued:
+                queued.add(k)
+                heappush(heap, k)
 
     def extend(self, column):
         """Append a column.  It walks the pivots in order: an entry in a
@@ -158,45 +295,59 @@ class _Echelon:
         is left nonzero at the end becomes the last pivot.  Every step is a
         column operation invertible over O, so R, kernel() and solve() stay
         valid."""
-        val = self.dvr.val
-        j = len(self.cols)
-        self.cols.append(dict(column))
-        self.R.append({j: self.dvr.one})
-        for k, (pi, pj) in enumerate(self.pivots):
-            x = self.cols[j].get(pi)
-            if x is None:
+        cols, pivots = self._cols, self.pivots
+        j = self._append(column)
+        heap, queued = [], set()
+        self._queue(heap, queued, cols[j])
+        while heap:
+            k = heappop(heap)
+            pi, pj = pivots[k]
+            if pi not in cols[j]:
                 continue
-            pval = self.cols[pj][pi]
-            if val(x) < val(pval):
-                self.pivots[k] = (pi, j)
-                j, pj, x, pval = pj, j, pval, x
-            self._eliminate(j, pj, x / pval)
-        if self.cols[j]:
-            self.pivots.append((self._colmin(self.cols[j])[1], j))
+            if self._val(j, pi) < self._val(pj, pi):
+                pivots[k] = (pi, j)
+                j, pj = pj, j
+                self._queue(heap, queued, cols[j])
+            self._eliminate(j, pj, pi)
+            self._queue(heap, queued, cols[pj])
+        if cols[j]:
+            i = self._colmin(j)[1]
+            self._pivot_at[i] = len(pivots)
+            pivots.append((i, j))
 
     def kernel(self):
         """O-basis (as dicts col-index -> O) of the kernel of the column map."""
         pivot_cols = {j for _, j in self.pivots}
-        out = []
-        for j in range(len(self.cols)):
-            if j not in pivot_cols and not self.cols[j]:
-                out.append(self.R[j])
-        return out
+        return [self._join(self._R[j], self._Rden[j])
+                for j, col in enumerate(self._cols)
+                if j not in pivot_cols and not col]
 
     def reduce(self, rhs):
         """The forward pass: (pivot column, y) pairs, y in O and nonzero,
         with rhs = sum y * column; None if rhs is outside the O-span."""
-        dvr = self.dvr
-        b = {i: x for i, x in rhs.items() if x}
+        p = self._p
+        cols, den, pivots = self._cols, self._den, self.pivots
+        b, d = self._split({i: x for i, x in rhs.items() if x})
+        heap, queued = [], set()
+        self._queue(heap, queued, b)
         ys = []
-        for (pi, pj) in self.pivots:
-            if pi not in b:
+        while heap:
+            pi, pj = pivots[heappop(heap)]
+            x = b.get(pi)
+            if x is None:
                 continue
-            y = b[pi] / self.cols[pj][pi]
-            if dvr.val(y) < 0:
+            y, z = self._ratio(x, d, cols[pj][pi], den[pj])
+            if (z % p == 0) if p else (self.dvr.val(y) < 0):
                 return None
-            ys.append((pj, y))
-            _axpy(b, -y, self.cols[pj], dvr.zero)
+            ys.append((pj, Fraction(y, z) if p else y))
+            d = _combine(b, d, z, -y, cols[pj], den[pj]) * z
+            if p:
+                h = gcd(d, *b.values())
+                if h != 1:
+                    for i in b:
+                        b[i] //= h
+                    d //= h
+            self._queue(heap, queued, cols[pj])
         return None if b else ys
 
     def solve(self, rhs):
@@ -206,7 +357,7 @@ class _Echelon:
             return None
         x = {}
         for pj, y in ys:
-            _axpy(x, y, self.R[pj], self.dvr.zero)
+            _combine(x, 1, 1, y, self._join(self._R[pj], self._Rden[pj]))
         return x
 
 
@@ -259,12 +410,13 @@ def smith_form(dvr: Dvr, matrix) -> SmithForm:
     the columns of L^-1 are sparse dicts until the end."""
     zero, one = dvr.zero, dvr.one
     ech = _Echelon(dvr, [_sparse(col) for col in zip(*matrix)])
-    m, n = len(matrix), len(ech.cols)
+    ech_cols, ech_R = ech.cols, ech.R
+    m, n = len(matrix), len(ech_cols)
     L = [{r: one} for r in range(m)]
     Linv = [{r: one} for r in range(m)]  # column r of L^-1
     diag = []
     for pr, pc in ech.pivots:
-        col = ech.cols[pc]
+        col = ech_cols[pc]
         u = dvr.unit_part(col[pr])
         if u != one:
             uinv = one / u
@@ -275,8 +427,8 @@ def smith_form(dvr: Dvr, matrix) -> SmithForm:
         for r, x in col.items():
             if r != pr:
                 f = x / piv
-                _axpy(L[r], -f, L[pr], zero)
-                _axpy(Linv[pr], f, Linv[r], zero)
+                _combine(L[r], 1, 1, -f, L[pr])
+                _combine(Linv[pr], 1, 1, f, Linv[r])
         diag.append(dvr.val(piv))
     # the dense witnesses, pivot rows and columns first
     rows = [r for r, _ in ech.pivots]
@@ -285,7 +437,7 @@ def smith_form(dvr: Dvr, matrix) -> SmithForm:
     cols += sorted(set(range(n)) - set(cols))
     dense_L = [[L[r].get(j, zero) for j in range(m)] for r in rows]
     dense_Linv = [[Linv[r].get(i, zero) for r in rows] for i in range(m)]
-    dense_R = [[ech.R[c].get(i, zero) for c in cols] for i in range(n)]
+    dense_R = [[ech_R[c].get(i, zero) for c in cols] for i in range(n)]
     return SmithForm(dvr, diag, dense_L, dense_Linv, dense_R, m, n)
 
 

@@ -306,13 +306,14 @@ def load_problem(text, config=None) -> ProblemFile:
         names = _variable_names("surjection", data)
         bring = PolyRing(dvr, names)
         rel_text = data.get("relations", "").strip()
-        rels = [poly(bring, t) for t in _split_top_level(rel_text)] if rel_text else []
+        rels = [_parse_in("surjection", "relations", lambda s: poly(bring, s), t)
+                for t in _split_top_level(rel_text)] if rel_text else []
         aug_map = {}
         for item in _split_top_level(data.get("augmentation", "")):
             if ":" not in item:
                 raise InputError("surjection augmentation entries are var: value")
             k, v = item.split(":", 1)
-            aug_map[k.strip()] = scalar(v)
+            aug_map[k.strip()] = _parse_in("surjection", "augmentation", scalar, v)
         for n in names:
             if n not in aug_map:
                 raise InputError(f"[surjection] augmentation missing a value for {n}")
@@ -334,7 +335,8 @@ def load_problem(text, config=None) -> ProblemFile:
             if ":" not in item:
                 raise InputError("surjection images entries are var: poly")
             k, v = item.split(":", 1)
-            image_map[k.strip()] = poly(bring, v)
+            image_map[k.strip()] = _parse_in("surjection", "images",
+                                             lambda s: poly(bring, s), v)
         images = []
         for n in out.ring.names:
             if n not in image_map:

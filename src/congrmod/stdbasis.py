@@ -17,7 +17,6 @@ from __future__ import annotations
 import heapq
 
 from .config import DEFAULT_CONFIG
-from .dvr import INF
 from .errors import DegreeBoundExceeded, NonIntegralEntry
 from .poly import (MonomialOrder, Poly, PolyRing, monomial_div,
                    monomial_divides, monomial_lcm)
@@ -27,12 +26,13 @@ def _check_caps(poly: Poly, config):
     if poly.degree() > config.degree_cap:
         raise DegreeBoundExceeded(
             f"monomial degree cap {config.degree_cap} exceeded")
-    dvr = poly.ring.dvr
-    for c in poly.terms.values():
-        v = dvr.val(c)
-        if v is not INF and v > config.valuation_cap:
-            raise DegreeBoundExceeded(
-                f"coefficient valuation cap {config.valuation_cap} exceeded")
+    _check_valuations(poly, config)
+
+
+def _check_valuations(poly: Poly, config):
+    if poly.ring.dvr.val_above(poly.terms.values(), config.valuation_cap):
+        raise DegreeBoundExceeded(
+            f"coefficient valuation cap {config.valuation_cap} exceeded")
 
 
 def _normalize_lead(poly: Poly, order) -> Poly:
@@ -76,24 +76,33 @@ class StdBasis:
             return mora_normal_form(f, self.gens, self.order, self.config)
         if not self.linear:
             return reduce_strong(f, self.gens, self.order, self.config)
-        _check_caps(f, self.config)
-        table = self._table
-        acc = {}
-        for e, c in f.terms.items():
-            r = table.get(e)
-            if r is None:
-                # a racing thread stores the same normal form
-                r = table[e] = reduce_strong(
-                    Poly(self.ring, {e: self.ring.dvr.one}), self.gens,
-                    self.order, self.config)
-            for e2, c2 in r.terms.items():
-                prev = acc.get(e2)
-                acc[e2] = c * c2 if prev is None else prev + c * c2
-        out = Poly(self.ring, {e: acc[e] for e in
-                               sorted(acc, key=self.order.key, reverse=True)
-                               if acc[e]})
-        _check_caps(out, self.config)
+        # reduce_strong checked the degree of every monomial and of its
+        # normal form on the way into the table, so only valuations remain
+        _check_valuations(f, self.config)
+        if len(f.terms) == 1:
+            # the stored form already lists its terms in descending order
+            (e, c), = f.terms.items()
+            out = self._monomial_nf(e).scale(c)
+        else:
+            acc = {}
+            for e, c in f.terms.items():
+                for e2, c2 in self._monomial_nf(e).terms.items():
+                    prev = acc.get(e2)
+                    acc[e2] = c * c2 if prev is None else prev + c * c2
+            out = Poly(self.ring, {e: acc[e] for e in
+                                   sorted(acc, key=self.order.key, reverse=True)
+                                   if acc[e]})
+        _check_valuations(out, self.config)
         return out
+
+    def _monomial_nf(self, e):
+        r = self._table.get(e)
+        if r is None:
+            # a racing thread stores the same normal form
+            r = self._table[e] = reduce_strong(
+                Poly(self.ring, {e: self.ring.dvr.one}), self.gens,
+                self.order, self.config)
+        return r
 
     def contains(self, f: Poly) -> bool:
         """Membership in the ideal (the localized ideal for a local order)."""

@@ -235,7 +235,13 @@ def test_input_errors_exit_2(tmp_path, capsys):
             (A2_FILE.replace("vars = x", "vars = x y"), ("[ring] vars", "'x y'")),
             (A2_FILE + surjection.format("y, pi"), ("[surjection] vars", "'pi'")),
             (A2_FILE + surjection.format("y, y"), ("[surjection] vars", "'y'")),
-            (A2_FILE + surjection.format("y z"), ("[surjection] vars", "'y z'"))):
+            (A2_FILE + surjection.format("y z"), ("[surjection] vars", "'y z'")),
+            (A2_FILE + surjection.format("y").replace("relations = y", "relations = z"),
+             ("[surjection] relations", "'z'")),
+            (A2_FILE + surjection.format("y").replace("y: 0", "y: 1 +"),
+             ("[surjection] augmentation",)),
+            (A2_FILE + surjection.format("y").replace("x: y", "x: y^"),
+             ("[surjection] images",))):
         bad.write_text(bad_text)
         assert main(["analyze", str(bad)]) == 2
         err = capsys.readouterr().err

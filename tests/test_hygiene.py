@@ -1,8 +1,10 @@
 """Source hygiene of the congrmod package, read with the standard library's
-ast: no module imports a name it never uses, and no private top-level
-function or class, and no private method, is left without a reference."""
+ast: no module imports a name it never uses, no function imports from the
+standard library in its body, and no private top-level function or class,
+and no private method, is left without a reference."""
 
 import ast
+import sys
 from pathlib import Path
 
 import congrmod
@@ -44,6 +46,27 @@ def test_no_unused_imports():
                     if bound not in used:
                         unused.append(f"{name}: {bound}")
     assert not unused
+
+
+def test_no_standard_library_imports_in_function_bodies():
+    """A function body runs its imports on every call; the standard library
+    is imported once, at the top of the module.  Imports from inside the
+    package, which break import cycles, stay allowed."""
+    nested = []
+    for name, tree in MODULES.items():
+        for func in ast.walk(tree):
+            if not isinstance(func, (ast.FunctionDef, ast.AsyncFunctionDef)):
+                continue
+            for node in ast.walk(func):
+                if isinstance(node, ast.Import):
+                    modules = [alias.name for alias in node.names]
+                elif isinstance(node, ast.ImportFrom) and not node.level:
+                    modules = [node.module]
+                else:
+                    continue
+                nested.extend(f"{name}: {func.name} imports {m}" for m in modules
+                              if m.split(".")[0] in sys.stdlib_module_names)
+    assert not nested
 
 
 def test_private_top_level_definitions_are_referenced():
