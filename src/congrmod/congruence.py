@@ -111,7 +111,7 @@ def ext_module(A: AugmentedAlgebra, M, i: int, res: FreeResolution) -> ExtModule
 def _ker_coords(echelon, w):
     """Coordinates of w on the columns of echelon, or None when w is outside
     their O-span."""
-    y = echelon.solve(_sparse(w))
+    y = echelon.solve(_sparse(echelon.dvr, w))
     if y is None:
         return None
     return [y.get(j, echelon.dvr.zero) for j in range(len(echelon))]
@@ -126,10 +126,10 @@ def _ext_O(A, i, res):
     # d_(i+1) (all of O^r_i when r_(i+1) = 0)
     dnext = res.lam_rows(i + 1)  # r_i x r_(i+1)
     ker = [[v.get(j, dvr.zero) for j in range(r_i)]
-           for v in _Echelon(dvr, [_sparse(row) for row in dnext]).kernel()]
+           for v in _Echelon(dvr, [_sparse(dvr, row) for row in dnext]).kernel()]
     # one echelon of the cocycle lattice serves the coboundaries here and
     # every later o_class_free_values
-    echelon = _Echelon(dvr, [_sparse(kb) for kb in ker])
+    echelon = _Echelon(dvr, [_sparse(dvr, kb) for kb in ker])
     im_coords = []
     if i > 0 and res.rank(i - 1):
         for row in res.lam_rows(i):  # r_(i-1) x r_i

@@ -474,7 +474,8 @@ class Dvr:
     def val_above(self, values, cap: int) -> bool:
         """Whether some value has valuation above cap, for a cap >= 0 (zero
         never does): over Z_(p) one divisibility of each numerator by
-        p^(cap + 1)."""
+        p^(cap + 1).  Values may be Fractions in lowest terms or integer
+        numerators (whose own denominator the caller adds to the cap)."""
         if self.kind == "p_adic":
             modulus = self._cap_moduli.get(cap)
             if modulus is None:
@@ -485,6 +486,20 @@ class Dvr:
                     return True
             return False
         return any(x and x.shift > cap for x in values)
+
+    def split(self, vec):
+        """A dict of entries in K as (numerators, one positive denominator),
+        zeros dropped: over Z_(p) Python ints over the least common
+        denominator, over F_q[[t]] the entries themselves over 1."""
+        if self.kind != "p_adic":
+            return {i: x for i, x in vec.items() if x}, 1
+        den = 1
+        for x in vec.values():
+            d = x.denominator
+            if den % d:
+                den = den // math.gcd(den, d) * d
+        return {i: x.numerator * (den // x.denominator)
+                for i, x in vec.items() if x}, den
 
     def is_zero(self, x):
         return not x if self.kind == "p_adic" else x.is_zero()

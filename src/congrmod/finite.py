@@ -125,22 +125,22 @@ class FiniteModule:
                 for i, c in enumerate(mcol):
                     if c:
                         col[t * self.dim + l * n + i] = c
-            columns.append(col)
+            columns.append(self.dvr.split(col))
         for t in range(nops):
             for r in self.rel_cols:
                 col = {}
                 for i, c in enumerate(r):
                     if c:
                         col[t * self.dim + i] = -c
-                columns.append(col)
+                columns.append(self.dvr.split(col))
         # keep the generators outside the span of the relations and of the
         # generators kept before them; one echelon grows with what is kept
-        span = _Echelon(self.dvr, [_sparse(r) for r in self.rel_cols])
+        span = _Echelon(self.dvr, [_sparse(self.dvr, r) for r in self.rel_cols])
         kept = []
         for vec in _Echelon(self.dvr, columns).kernel():
             v = [vec.get(j, self.dvr.zero) for j in range(self.dim)]
-            col = _sparse(v)
-            if col and span.reduce(col) is None:
+            col = _sparse(self.dvr, v)
+            if col[0] and span.reduce(col) is None:
                 kept.append(v)
                 span.extend(col)
         return kept
@@ -149,7 +149,7 @@ class FiniteModule:
         """The submodule generated by the vectors, in invariant-factor form."""
         if not vectors:
             return FinOModule.zero(self.dvr)
-        cols = [_sparse(v) for v in list(vectors) + self.rel_cols]
+        cols = [_sparse(self.dvr, v) for v in list(vectors) + self.rel_cols]
         rels = []
         for vec in _Echelon(self.dvr, cols).kernel():
             w = [vec.get(j, self.dvr.zero) for j in range(len(vectors))]

@@ -94,10 +94,10 @@ def _quotient_of_lattices(dvr, big, small, n):
     The columns of big are independent, so an O-solution exists exactly
     when the unique K-solution is integral."""
     r = len(big)
-    echelon = _Echelon(dvr, [_sparse(b) for b in big])
+    echelon = _Echelon(dvr, [_sparse(dvr, b) for b in big])
     coords = []
     for s in small:
-        sol = echelon.solve(_sparse(s))
+        sol = echelon.solve(_sparse(dvr, s))
         if sol is None:
             raise InternalInvariantViolation("sublattice escapes the big lattice")
         coords.append(sol)
@@ -202,7 +202,7 @@ def split_discriminant(split: LatticeSplit, data, pairing=None) -> IdealO:
     # functionals on O^n vanishing on L_2: kernel of the transpose
     if L2:
         # the columns of the d2 x n matrix with rows L2; kernel = Hom(L/L2, O)
-        ker = _Echelon(dvr, [_sparse(col) for col in zip(*L2)]).kernel()
+        ker = _Echelon(dvr, [_sparse(dvr, col) for col in zip(*L2)]).kernel()
         fs = [[v.get(j, dvr.zero) for j in range(n)] for v in ker]
     else:
         fs = [[dvr.one if i == j else dvr.zero for i in range(n)]

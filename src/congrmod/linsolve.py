@@ -9,7 +9,10 @@ solver per call.  Quotient conditions are encoded either by explicit
 ideal-multiple absorber columns, or, when every element of the global
 standard basis has a unit leading coefficient (so strong normal forms are
 O-linear), by reducing products to normal form first, through the basis's
-table of monomial normal forms.  Completeness holds only up to the
+table of monomial normal forms.  Columns are expanded straight into the
+echelon's integer form: each table entry holds integer numerators over one
+denominator (over Z_(p)), so a monomial multiple costs integer products and
+sums, with no Poly or Fraction built.  Completeness holds only up to the
 multiplier degree bound; callers supply bounds that are provably sufficient
 for module-finite algebras and record a bounded certification status
 otherwise.
@@ -18,11 +21,13 @@ otherwise.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from math import gcd
 
 from .config import DEFAULT_CONFIG
 from .errors import DegreeBoundExceeded
 from .omodule import _Echelon
 from .poly import Poly, monomial_mul, monomials_up_to
+from .stdbasis import _check_valuations
 
 
 @dataclass(frozen=True)
@@ -67,9 +72,12 @@ class SpanSolver:
     """The A-span of a fixed column set, as one sparse O-linear system for
     sum_j a_j * col_j = target (mod I) with deg a_j <= the column's bound.
 
-    The columns are expanded once, on construction; the echelon is built on
-    the first query and reused, so one instance answers kernel(), solve()
-    and contains() for many targets.  extend() adds a column; only the
+    The columns are expanded once, on construction, into the echelon's form
+    (numerators by row over one positive denominator); the echelon is built
+    on the first query and reused, so one instance answers kernel(), solve()
+    and contains() for many targets.  The valuation cap holds for each
+    column's coefficients and for every expanded entry; the degree cap is
+    checked as the basis's table fills.  extend() adds a column; only the
     solver's owner calls it, never a solver shared by later readers.  The
     absorber degree defaults to deg_bound plus the largest column degree; a
     solver meant for a target of higher degree must pass a larger one, or
@@ -94,8 +102,9 @@ class SpanSolver:
         self.sparse_cols = []
         self.meta = []  # ("var", j, exps) | ("abs", ...)
         for j, col in enumerate(self.columns):
+            form = self._int_form(col)
             for u in monomials_up_to(ring.nvars, bounds[j]):
-                self.sparse_cols.append(self._vector(col, u))
+                self.sparse_cols.append(self._vector(form, u))
                 self.meta.append(("var", j, u))
         if not self.linear and gb_global is not None:
             for i in range(nrows):
@@ -103,9 +112,9 @@ class SpanSolver:
                     lim = absorb_degree - g.degree()
                     if lim < 0:
                         continue
-                    unit = (ring.zero,) * i + (g,)
+                    form = self._int_form((ring.zero,) * i + (g,))
                     for u in monomials_up_to(ring.nvars, lim):
-                        self.sparse_cols.append(self._vector(unit, u))
+                        self.sparse_cols.append(self._vector(form, u))
                         self.meta.append(("abs", i, u))
 
     def _check_bound(self, degree):
@@ -121,41 +130,74 @@ class SpanSolver:
         ech = self._ech()
         j = len(self.columns)
         self.columns.append(col)
+        form = self._int_form(col)
         for u in monomials_up_to(self.ring.nvars, deg_bound):
             self.meta.append(("var", j, u))
-            ech.extend(self._vector(col, u))
+            ech.extend(self._vector(form, u))
 
-    def _rid(self, i, exps):
-        key = (i, exps)
-        rid = self.row_index.get(key)
-        if rid is None:
-            rid = len(self.row_index)
-            self.row_index[key] = rid
-        return rid
+    def _int_form(self, col):
+        """col in the echelon's integer form, once for all its multiples:
+        (row, [(exps, numerator)]) for each nonzero entry, one positive
+        denominator and its valuation.  The valuation cap on the
+        coefficients is checked here, since a monomial multiplier leaves
+        them as they are."""
+        dvr = self.dvr
+        flat = {(i, e): c for i, p in enumerate(col) for e, c in p.terms.items()}
+        _check_valuations(dvr, flat.values(), self.config)
+        num, den = dvr.split(flat)
+        entries = {}
+        for (i, e), n in num.items():
+            entries.setdefault(i, []).append((e, n))
+        return list(entries.items()), den, dvr.val(den) if den != 1 else 0
 
-    def _vector(self, col, u=None):
-        """Coefficient vector of u * col, in normal form when that is
-        linear.  A target (u None) does not extend the row index: it gives
-        None when it touches a monomial no column reaches, so that it lies
-        outside the span.  Rows are numbered in the order the terms come."""
-        vec = {}
-        for i, p in enumerate(col):
-            if not p.terms:
-                continue
-            if u is not None:
-                p = Poly(self.ring, {monomial_mul(e, u): c for e, c in p.terms.items()})
-            if self.linear:
-                p = self.gb.nf(p)
-            for e, c in p.terms.items():
-                if u is None:
-                    rid = self.row_index.get((i, e))
-                    if rid is None:
+    def _vector(self, form, u=None):
+        """u * col in the echelon's form, (numerators by row, denominator),
+        from col's _int_form.  With a linear basis each term n * x^e adds n
+        times the table entry of x^e * u, the table's denominators joining
+        the common one, and every expanded entry is held to the valuation
+        cap; otherwise x^e * u is its own entry, with the coefficient
+        _int_form checked.  A target (u None) does not extend the row
+        index: it gives None when it touches a monomial no column reaches,
+        so that it lies outside the span.  Rows are numbered in the order
+        the terms come: a one-term entry in its table order, a multi-term
+        entry in the basis order, descending."""
+        entries, cden, cval = form
+        linear, gb, index = self.linear, self.gb, self.row_index
+        vec, den = {}, 1  # den: the lcm of the table denominators met
+        for i, row_terms in entries:
+            acc = {}
+            for e, n in row_terms:
+                if u is not None:
+                    e = monomial_mul(e, u)
+                if not linear:
+                    acc[e] = n
+                    continue
+                nf, d = gb.monomial_nf(e)
+                if den % d:
+                    m = d // gcd(den, d)
+                    den *= m
+                    for part in (vec, acc):
+                        for k in part:
+                            part[k] *= m
+                if d != den:
+                    n = n * (den // d)
+                for e2, n2 in nf:
+                    prev = acc.get(e2)
+                    acc[e2] = n * n2 if prev is None else prev + n * n2
+            if linear:
+                _check_valuations(self.dvr, acc.values(), self.config, cval)
+                if len(row_terms) > 1:
+                    acc = {e: acc[e] for e in
+                           sorted(acc, key=gb.order.key, reverse=True) if acc[e]}
+            for e, c in acc.items():
+                key = (i, e)
+                rid = index.get(key)
+                if rid is None:
+                    if u is None:
                         return None
-                else:
-                    rid = self._rid(i, e)
-                if c:
-                    vec[rid] = c
-        return vec
+                    rid = index[key] = len(index)
+                vec[rid] = c
+        return vec, den * cden
 
     def _vector_to_polys(self, vec):
         polys = [dict() for _ in self.columns]
@@ -171,7 +213,7 @@ class SpanSolver:
     def _ech(self):
         if self._echelon is None:
             self._echelon = _Echelon(self.dvr, self.sparse_cols)
-            self.sparse_cols = None  # the echelon holds its own copies
+            self.sparse_cols = None  # the echelon takes them over
         return self._echelon
 
     def kernel(self):
@@ -191,7 +233,7 @@ class SpanSolver:
 
     def solve(self, target):
         """Multipliers a with sum a_j col_j = target mod I, or None."""
-        rhs = self._vector(target)
+        rhs = self._vector(self._int_form(target))
         if rhs is None:
             return None
         sol = self._ech().solve(rhs)
@@ -204,7 +246,7 @@ class SpanSolver:
         multipliers built."""
         if all(p.is_zero for p in target):
             return True
-        rhs = self._vector(target)
+        rhs = self._vector(self._int_form(target))
         return rhs is not None and self._ech().reduce(rhs) is not None
 
 

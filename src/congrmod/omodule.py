@@ -6,11 +6,12 @@ nonzero entries, tracks its column operations, answers every kernel and
 solve, and can grow one column at a time.  Over Z_(p) it computes on
 Python ints, each column a dict of integer numerators over one
 denominator, eliminating fraction-free and keeping the integers small
-with a p-free content scaling; entries leave it as Fractions.  Its pivots
-come from heaps, never from a scan of every column or every pivot.  The
-Smith form is that echelon plus one pass of row operations, with full
-witnesses (L, L^-1, R) so cokernels remember how to transport element
-coordinates into normal form.  It answers rank, determinant valuation and
+with a p-free content scaling; columns and targets enter it in that form
+and entries leave it as Fractions.  Its pivots come from heaps, never
+from a scan of every column or every pivot.  The Smith form is that
+echelon plus one pass of row operations, with full witnesses (L, L^-1, R)
+so cokernels remember how to transport element coordinates into normal
+form.  It answers rank, determinant valuation and
 inverse over K, and a module's Fitting ideals are read off its
 invariants.
 """
@@ -60,9 +61,10 @@ def mat_vec(dvr, a, v):
 # ---------------------------------------------------------------------------
 # sparse column echelon: kernels and solves over O
 
-def _sparse(vec):
-    """A dense vector as a dict index -> entry, zeros dropped."""
-    return {i: x for i, x in enumerate(vec) if x}
+def _sparse(dvr, vec):
+    """A dense vector of entries in K in the echelon's form: numerators by
+    index, zeros dropped, over one positive denominator."""
+    return dvr.split(dict(enumerate(vec)))
 
 
 def _combine(dst, dden, b, a, src, sden=1):
@@ -99,13 +101,19 @@ class _Echelon:
     Each column, and each column of R, is a dict of numerators over one
     positive denominator.  Over Z_(p) these are Python ints; over F_q[[t]]
     the numerators are the entries themselves and every denominator is 1,
-    so the same code does no extra arithmetic there.  An elimination by the
-    pivot ratio f = a/b (b > 0 and p-free, as f lies in O) forms
-    b*c_k - a*c_pj (Bareiss, Math. Comp. 22, 1968) and divides it, and R
-    with it, by its p-free content: what is left is the unique
+    so the same code does no extra arithmetic there.  Columns, extend()
+    columns and reduce()/solve() targets come in that form, as a pair
+    (numerators, denominator): the span solver expands them so, and callers
+    holding entries in K convert them with Dvr.split or _sparse.  The
+    echelon takes over the dicts of the columns it is given.
+
+    An elimination by the pivot ratio f = a/b (b > 0 and p-free, as f lies
+    in O) forms b*c_k - a*c_pj (Bareiss, Math. Comp. 22, 1968) and divides
+    it, and R with it, by its p-free content: what is left is the unique
     representative of c_k - f*c_pj whose content is a power of p, so every
     entry equals the one that arithmetic in K with the same unit scaling
-    gives.  cols, R, kernel(), reduce() and solve() hand out entries in K.
+    gives, whatever denominator a column came in over.  cols, R, kernel(),
+    reduce() and solve() hand out entries in K.
 
     The batch elimination takes each pivot, a minimal-valuation entry of
     the live columns (lowest row, then lowest column, among ties), from a
@@ -132,21 +140,12 @@ class _Echelon:
         return len(self._cols)
 
     # -- the integer representation --
-    def _split(self, vec):
-        """(numerators, denominator) of a dict of entries in K."""
-        if self._p is None:
-            return dict(vec), 1
-        den = 1
-        for x in vec.values():
-            d = x.denominator
-            if den % d:
-                den = den // gcd(den, d) * d
-        return {i: x.numerator * (den // x.denominator) for i, x in vec.items()}, den
-
     def _join(self, num, den):
         """The entries in K of numerators over a denominator."""
         if self._p is None:
             return dict(num)
+        if den == 1:
+            return {i: Fraction(n) for i, n in num.items()}
         return {i: Fraction(n, den) for i, n in num.items()}
 
     @property
@@ -161,7 +160,7 @@ class _Echelon:
 
     def _append(self, column):
         j = len(self._cols)
-        num, den = self._split(column)
+        num, den = column
         self._cols.append(num)
         self._den.append(den)
         self._R.append({j: 1 if self._p else self.dvr.one})
@@ -324,10 +323,12 @@ class _Echelon:
 
     def reduce(self, rhs):
         """The forward pass: (pivot column, y) pairs, y in O and nonzero,
-        with rhs = sum y * column; None if rhs is outside the O-span."""
+        with rhs = sum y * column; None if rhs is outside the O-span.  rhs
+        is (numerators, denominator) and is left as it is."""
         p = self._p
         cols, den, pivots = self._cols, self._den, self.pivots
-        b, d = self._split({i: x for i, x in rhs.items() if x})
+        b, d = rhs
+        b = dict(b)
         heap, queued = [], set()
         self._queue(heap, queued, b)
         ys = []
@@ -409,7 +410,7 @@ def smith_form(dvr: Dvr, matrix) -> SmithForm:
     listed first, L * A * R = D, where R is the echelon's R.  Rows of L and
     the columns of L^-1 are sparse dicts until the end."""
     zero, one = dvr.zero, dvr.one
-    ech = _Echelon(dvr, [_sparse(col) for col in zip(*matrix)])
+    ech = _Echelon(dvr, [_sparse(dvr, col) for col in zip(*matrix)])
     ech_cols, ech_R = ech.cols, ech.R
     m, n = len(matrix), len(ech_cols)
     L = [{r: one} for r in range(m)]

@@ -26,11 +26,13 @@ def _check_caps(poly: Poly, config):
     if poly.degree() > config.degree_cap:
         raise DegreeBoundExceeded(
             f"monomial degree cap {config.degree_cap} exceeded")
-    _check_valuations(poly, config)
+    _check_valuations(poly.ring.dvr, poly.terms.values(), config)
 
 
-def _check_valuations(poly: Poly, config):
-    if poly.ring.dvr.val_above(poly.terms.values(), config.valuation_cap):
+def _check_valuations(dvr, values, config, den_val=0):
+    """The valuation cap on values in K, or on numerators over a
+    denominator of valuation den_val."""
+    if dvr.val_above(values, config.valuation_cap + den_val):
         raise DegreeBoundExceeded(
             f"coefficient valuation cap {config.valuation_cap} exceeded")
 
@@ -54,8 +56,12 @@ class StdBasis:
 
     When every leading coefficient is a unit (``linear``), whether a term
     reduces depends on its monomial alone, so the global normal form is
-    O-linear: nf keeps the normal form of each monomial in a table, filled
-    by reduce_strong on the first request."""
+    O-linear: the basis keeps the normal form of each monomial in one table,
+    filled by reduce_strong on the first request.  An entry is in the
+    integer form of the O-echelon: its terms in descending order as
+    (exps, numerator) pairs over one positive denominator, Python ints over
+    Z_(p) and the RF coefficients over 1 over F_q[[t]].  nf and the span
+    solver both read it."""
 
     def __init__(self, ring: PolyRing, order: MonomialOrder, gens, config=DEFAULT_CONFIG):
         self.ring = ring
@@ -78,30 +84,41 @@ class StdBasis:
             return reduce_strong(f, self.gens, self.order, self.config)
         # reduce_strong checked the degree of every monomial and of its
         # normal form on the way into the table, so only valuations remain
-        _check_valuations(f, self.config)
+        dvr = self.ring.dvr
+        _check_valuations(dvr, f.terms.values(), self.config)
         if len(f.terms) == 1:
             # the stored form already lists its terms in descending order
             (e, c), = f.terms.items()
-            out = self._monomial_nf(e).scale(c)
+            terms, den = self.monomial_nf(e)
+            if den != 1:
+                c = c / den
+            out = Poly(self.ring, {e2: c * n for e2, n in terms} if c else {})
         else:
             acc = {}
             for e, c in f.terms.items():
-                for e2, c2 in self._monomial_nf(e).terms.items():
+                terms, den = self.monomial_nf(e)
+                if den != 1:
+                    c = c / den
+                for e2, n in terms:
                     prev = acc.get(e2)
-                    acc[e2] = c * c2 if prev is None else prev + c * c2
+                    acc[e2] = c * n if prev is None else prev + c * n
             out = Poly(self.ring, {e: acc[e] for e in
                                    sorted(acc, key=self.order.key, reverse=True)
                                    if acc[e]})
-        _check_valuations(out, self.config)
+        _check_valuations(dvr, out.terms.values(), self.config)
         return out
 
-    def _monomial_nf(self, e):
+    def monomial_nf(self, e):
+        """The table entry of x^e, for a linear global basis: its normal
+        form's terms in descending order as (exps, numerator) pairs, and
+        their one positive denominator."""
         r = self._table.get(e)
         if r is None:
-            # a racing thread stores the same normal form
-            r = self._table[e] = reduce_strong(
-                Poly(self.ring, {e: self.ring.dvr.one}), self.gens,
-                self.order, self.config)
+            nf = reduce_strong(Poly(self.ring, {e: self.ring.dvr.one}),
+                               self.gens, self.order, self.config)
+            num, den = self.ring.dvr.split(nf.terms)
+            # a racing thread stores an equal entry
+            r = self._table[e] = (tuple(num.items()), den)
         return r
 
     def contains(self, f: Poly) -> bool:

@@ -265,6 +265,29 @@ codim = 0
     capsys.readouterr()
 
 
+def test_span_solver_valuation_cap_exit_3(tmp_path, capsys):
+    """x^2 = pi^40*y and y^2 = pi*x give normal forms whose coefficients
+    grow by pi^40 per step; the cap is hit while the span solver expands
+    the resolution's syzygies, and analyze exits 3 with no traceback."""
+    f = tmp_path / "steep.cm"
+    f.write_text("""
+[dvr]
+kind = p_adic
+p = 5
+[ring]
+vars = x, y
+relations = x^2 - pi^40*y, y^2 - pi*x
+[augmentation]
+x = 0
+y = 0
+codim = 0
+""")
+    assert main(["analyze", str(f)]) == 3
+    err = capsys.readouterr().err
+    assert "coefficient valuation cap 64 exceeded" in err
+    assert "Traceback" not in err
+
+
 def run_child(args, seconds):
     """Run the CLI in a child interpreter, killed (and the test failed) after
     `seconds`; returns the completed process."""

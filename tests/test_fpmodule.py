@@ -172,10 +172,10 @@ def _kernel_of_operators_rebuilding(fm, op_polys):
     from congrmod.omodule import _Echelon
 
     def o_kernel(dvr, ncols, columns):
-        return _Echelon(dvr, columns).kernel()
+        return _Echelon(dvr, [dvr.split(c) for c in columns]).kernel()
 
     def o_solve(dvr, ncols, columns, rhs):
-        return _Echelon(dvr, columns).solve(rhs)
+        return _Echelon(dvr, [dvr.split(c) for c in columns]).solve(dvr.split(rhs))
 
     def _in_relation_span(v, extra):
         cols = []

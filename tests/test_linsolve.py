@@ -2,12 +2,19 @@
 afresh and the rebuild-per-keep pruning loop."""
 
 import random
+from fractions import Fraction as F
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from congrmod import Dvr, PolyRing, build_algebra
-from congrmod.config import DEFAULT_CONFIG
+from congrmod.config import DEFAULT_CONFIG, EngineConfig
+from congrmod.dvr import RF
+from congrmod.errors import DegreeBoundExceeded
 from congrmod.linsolve import SpanSolver, _max_degree, prune_generators
+from congrmod.poly import MonomialOrder, Poly, monomial_mul, monomials_up_to
+from congrmod.stdbasis import std_basis
 from conftest import make_An, make_depth_zero_example, make_hypersurface_2var, make_ring_B
 
 
@@ -128,3 +135,203 @@ def test_extended_solver_matches_fresh_solver(name):
             for aj, col in zip(a, columns):
                 total = total + aj * col[r]
             assert A.nf(total).is_zero
+
+
+# ---------------------------------------------------------------------------
+# the integer expansion against the Fraction expansion through StdBasis.nf
+
+def _fraction_vector(gb, ring, col, u, row_index):
+    """The coefficient vector of u * col as the span solver expanded it
+    before it read the normal-form table in integer form: a Poly for each
+    multiple, in normal form through gb.nf when the basis is linear, with
+    Fraction (or RF) entries.  A target (u None) gives None when it touches
+    a row not in row_index; rows are numbered in the order the terms come."""
+    vec = {}
+    for i, p in enumerate(col):
+        if not p.terms:
+            continue
+        if u is not None:
+            p = Poly(ring, {monomial_mul(e, u): c for e, c in p.terms.items()})
+        if gb is not None and gb.linear:
+            p = gb.nf(p)
+        for e, c in p.terms.items():
+            if u is None:
+                rid = row_index.get((i, e))
+                if rid is None:
+                    return None
+            else:
+                rid = row_index.setdefault((i, e), len(row_index))
+            if c:
+                vec[rid] = c
+    return vec
+
+
+def _fraction_expansion(gb, ring, columns, nrows, bound, absorb):
+    """The row index and the column vectors of a SpanSolver's system, in
+    the order SpanSolver.__init__ expands them."""
+    row_index, vecs = {}, []
+    for col in columns:
+        for u in monomials_up_to(ring.nvars, bound):
+            vecs.append(_fraction_vector(gb, ring, col, u, row_index))
+    if gb is not None and not gb.linear:
+        for i in range(nrows):
+            for g in gb.gens:
+                for u in monomials_up_to(ring.nvars, absorb - g.degree()):
+                    unit = (ring.zero,) * i + (g,)
+                    vecs.append(_fraction_vector(gb, ring, unit, u, row_index))
+    return row_index, vecs
+
+
+_F4 = Dvr.power_series(4)
+EXPANSION_BASES = {"Z_(2)": Dvr.p_adic(2), "Z_(3)": Dvr.p_adic(3),
+                   "Z_(5)": Dvr.p_adic(5), "F_4[[t]]": _F4}
+# relations by name: linear bases (A(2), B, H(2), and U, whose lead 7*x^2
+# puts denominators into the table), absorber bases (D, E), and no basis
+EXPANSION_RELATIONS = {
+    "A(2)": ["x*(x - pi^2)"], "B": ["x*(x - pi)", "y*(y - pi)", "x*y"],
+    "H(2)": ["x*(x - pi^2)"], "U": ["7*x^2 - pi*y", "y^3"],
+    "D": ["x*(x - pi)", "pi^2*x", "x*y"], "E": ["pi*x", "y^2 - pi*y"],
+    "none": None}
+_EXPANSION_BUILT = {}
+
+
+def _expansion_basis(base, name):
+    key = (base, name)
+    if key not in _EXPANSION_BUILT:
+        names = ("x",) if name == "A(2)" else ("x", "y")
+        ring = PolyRing(EXPANSION_BASES[base], names)
+        rels = EXPANSION_RELATIONS[name]
+        gb = None if rels is None else std_basis(
+            [ring.parse(r) for r in rels], MonomialOrder("global_degrevlex"))
+        _EXPANSION_BUILT[key] = ring, gb
+    return _EXPANSION_BUILT[key]
+
+
+def _coefficients(dvr):
+    """Nonzero coefficients of valuation -1..2 with p-free denominators,
+    and with p (or t) in the denominator."""
+    if dvr.kind == "p_adic":
+        p = dvr.p
+        return st.builds(lambda a, d, e: F(a, d) * F(p) ** e,
+                         st.integers(-9, 9).filter(lambda a: a % p),
+                         st.sampled_from((1, 7, 11)), st.integers(-1, 2))
+    field = dvr.field
+    units = [(1, 0), (0, 1), (1, 1)]
+    return st.builds(lambda e, a, c: RF(field, e, (a,), (field.one(), c)),
+                     st.integers(-1, 2), st.sampled_from(units),
+                     st.sampled_from(units + [(0, 0)]))
+
+
+@st.composite
+def _poly_vectors(draw, ring, nrows, max_degree):
+    monomial = st.tuples(*[st.integers(0, max_degree)] * ring.nvars)
+    entry = st.dictionaries(monomial, _coefficients(ring.dvr), max_size=3)
+    return tuple(Poly(ring, draw(entry)) for _ in range(nrows))
+
+
+def _value(dvr, n, den):
+    if dvr.kind == "p_adic":
+        return F(n, den)
+    assert den == 1
+    return n
+
+
+def _assert_same_vector(dvr, got, want):
+    """The integer vector has the Fraction vector's rows, in its order, and
+    equal entries."""
+    num, den = got
+    assert den > 0
+    assert list(num) == list(want)
+    assert all(_value(dvr, n, den) == want[r] for r, n in num.items())
+
+
+@pytest.mark.parametrize("name", list(EXPANSION_RELATIONS))
+@pytest.mark.parametrize("base", list(EXPANSION_BASES))
+@given(data=st.data())
+@settings(max_examples=12, deadline=None)
+def test_integer_expansion_matches_fraction_expansion(base, name, data):
+    """SpanSolver's columns, read from the integer normal-form table, number
+    their rows as the Fraction expansion through StdBasis.nf does and hold
+    equal entries; so do targets, which give None when they touch a row no
+    column reaches."""
+    ring, gb = _expansion_basis(base, name)
+    assert (gb is not None and gb.linear) == (name in ("A(2)", "B", "H(2)", "U"))
+    dvr = ring.dvr
+    nrows = data.draw(st.integers(1, 2))
+    bound = data.draw(st.integers(0, 2))
+    columns = data.draw(st.lists(_poly_vectors(ring, nrows, 2), min_size=1, max_size=3))
+    solver = SpanSolver(ring, gb, columns, nrows, bound)
+    absorb = bound + _max_degree(columns)
+    row_index, vecs = _fraction_expansion(gb, ring, columns, nrows, bound, absorb)
+    assert list(solver.row_index.items()) == list(row_index.items())
+    assert len(solver.sparse_cols) == len(vecs)
+    for got, want in zip(solver.sparse_cols, vecs):
+        _assert_same_vector(dvr, got, want)
+    # targets: multiples the columns reach, and arbitrary vectors, which
+    # mostly touch rows outside the index
+    targets = [tuple(Poly(ring, {monomial_mul(e, u): c for e, c in p.terms.items()})
+                     for p in data.draw(st.sampled_from(columns)))
+               for u in monomials_up_to(ring.nvars, bound)]
+    targets += data.draw(st.lists(_poly_vectors(ring, nrows, 4), max_size=3))
+    for target in targets:
+        got = solver._vector(solver._int_form(target))
+        want = _fraction_vector(gb, ring, target, None, row_index)
+        assert (got is None) == (want is None)
+        if want is not None:
+            _assert_same_vector(dvr, got, want)
+    assert list(solver.row_index.items()) == list(row_index.items())
+
+
+@pytest.mark.parametrize("base", ["Z_(3)", "Z_(5)"])
+def test_integer_expansion_joins_table_denominators(base):
+    """Over U the table holds x^2 -> (pi/7)*y and x^4 -> (pi/7)^2*y^2: a
+    multiple whose later terms meet the denominator 49 after earlier terms
+    (in its own row and in the row before) were summed over 7 matches the
+    Fraction expansion."""
+    ring, gb = _expansion_basis(base, "U")
+    P = ring.parse
+    columns = [(P("x + x^2 + y"), P("x^2 + x^4")), (P("x*y"), P("7*x^3"))]
+    assert gb.linear
+    solver = SpanSolver(ring, gb, columns, 2, 2)
+    row_index, vecs = _fraction_expansion(gb, ring, columns, 2, 2, None)
+    assert list(solver.row_index.items()) == list(row_index.items())
+    assert 49 in [den for _, den in solver.sparse_cols]
+    for got, want in zip(solver.sparse_cols, vecs, strict=True):
+        _assert_same_vector(ring.dvr, got, want)
+
+
+# ---------------------------------------------------------------------------
+# the valuation cap inside the span solver
+
+def test_valuation_cap_in_span_solver():
+    """With a cap of 5 over x^2 = pi^3*x and y^2 = 0: a column coefficient
+    past the cap (even one whose normal form is zero), and an expanded
+    entry past it, raise when the solver is built, when it is extended and
+    when a target is expanded; a numerator past the cap over a denominator
+    divisible by p does not."""
+    cfg = EngineConfig(valuation_cap=5)
+    order = MonomialOrder("global_degrevlex")
+    R = PolyRing(Dvr.p_adic(5), ("x", "y"))
+    P = R.parse
+    gb = std_basis([P("x^2 - pi^3*x"), P("y^2")], order, cfg)
+    assert gb.linear
+    cap = "coefficient valuation cap 5 exceeded"
+    SpanSolver(R, gb, [(P("pi^3*x"),)], 1, 0, config=cfg)  # pi^3*x itself is fine
+    for col, bound in [(P("pi^3*x"), 1),  # x * pi^3*x -> pi^6*x
+                       (P("pi^6*y^2"), 0)]:  # a zero normal form
+        with pytest.raises(DegreeBoundExceeded, match=cap):
+            SpanSolver(R, gb, [(col,)], 1, bound, config=cfg)
+        solver = SpanSolver(R, gb, [(P("x"),)], 1, 1, config=cfg)
+        with pytest.raises(DegreeBoundExceeded, match=cap):
+            solver.extend((col,), bound)
+    solver = SpanSolver(R, gb, [(P("x"),)], 1, 1, config=cfg)
+    for target in [P("pi^3*x^2"), P("pi^6*x"), P("x + pi^6*y^2")]:
+        for query in (solver.contains, solver.solve):
+            with pytest.raises(DegreeBoundExceeded, match=cap):
+                query((target,))
+    # x/pi + pi^5*y: numerators 1 and 5^6 over 5, every entry within the cap
+    mixed = (P("x").scale(F(1, 5)) + P("pi^5*y"),)
+    assert SpanSolver(R, gb, [mixed], 1, 0, config=cfg).contains(mixed)
+    for absorber in (None, std_basis([P("pi*x")], order, cfg)):
+        with pytest.raises(DegreeBoundExceeded, match=cap):
+            SpanSolver(R, absorber, [(P("pi^6*y"),)], 1, 0, config=cfg)

@@ -187,7 +187,7 @@ def test_kernel_and_solve_roundtrip(rng):
     for _ in range(20):
         rows, cols = rng.randint(1, 3), rng.randint(1, 4)
         m = random_int_matrix(rng, rows, cols, 5)
-        ech = _Echelon(O, [_sparse(c) for c in zip(*m)])
+        ech = _Echelon(O, [_sparse(O, c) for c in zip(*m)])
         for kv in ech.kernel():
             v = [kv.get(j, O.zero) for j in range(cols)]
             assert all(O.in_O(x) for x in v)
@@ -195,7 +195,7 @@ def test_kernel_and_solve_roundtrip(rng):
                 assert sum(a * b for a, b in zip(row, v)) == 0
         x = [F(rng.randint(-3, 3)) for _ in range(cols)]
         rhs = [sum(row[j] * x[j] for j in range(cols)) for row in m]
-        sol = ech.solve(_sparse(rhs))
+        sol = ech.solve(_sparse(O, rhs))
         assert sol is not None
         sol = [sol.get(j, O.zero) for j in range(cols)]
         for row in m:
@@ -634,8 +634,8 @@ def _assert_echelon_shape(ech):
 
 def _spans(dvr, gens, vectors):
     """Whether every vector lies in the O-span of gens (all dicts)."""
-    ech = _Echelon(dvr, gens)
-    return all(ech.solve(v) is not None for v in vectors)
+    ech = _Echelon(dvr, [dvr.split(g) for g in gens])
+    return all(ech.solve(dvr.split(v)) is not None for v in vectors)
 
 
 @pytest.mark.parametrize("dvr", [Dvr.p_adic(3), _F4], ids=["Z_(3)", "F_4[[t]]"])
@@ -645,24 +645,24 @@ def test_echelon_extend_takeover(dvr):
     becomes the next pivot.  (0, pi) then reduces to zero: a kernel vector."""
     one, pi = dvr.one, dvr.pi_pow(1)
     columns = [{0: pi}, {0: one, 1: one}, {1: pi}]
-    ech = _Echelon(dvr, columns[:1])
+    ech = _Echelon(dvr, [dvr.split(c) for c in columns[:1]])
     assert ech.pivots == [(0, 0)]
-    ech.extend(columns[1])
+    ech.extend(dvr.split(columns[1]))
     assert ech.pivots == [(0, 1), (1, 0)]
     assert ech.cols == [{1: -pi}, {0: one, 1: one}]
     assert ech.R == [{0: one, 1: -pi}, {1: one}]
-    ech.extend(columns[2])
+    ech.extend(dvr.split(columns[2]))
     assert ech.pivots == [(0, 1), (1, 0)]
     assert ech.cols[2] == {}
     assert ech.kernel() == [{2: one, 0: one, 1: -pi}]
     assert _apply(dvr, columns, ech.kernel()[0]) == {}
     _assert_echelon_shape(ech)
-    batch = _Echelon(dvr, columns)
+    batch = _Echelon(dvr, [dvr.split(c) for c in columns])
     targets = [{0: one}, {1: one}, {0: one, 1: one}, {0: pi}, {1: pi}]
     for b, inside in zip(targets, [False, False, True, True, True]):
-        x = ech.solve(b)
-        assert (x is not None) == inside == (batch.solve(b) is not None)
-        assert (ech.reduce(b) is not None) == inside
+        x = ech.solve(dvr.split(b))
+        assert (x is not None) == inside == (batch.solve(dvr.split(b)) is not None)
+        assert (ech.reduce(dvr.split(b)) is not None) == inside
         if inside:
             assert all(dvr.val(c) >= 0 for c in x.values())
             assert _apply(dvr, columns, x) == b
@@ -675,14 +675,15 @@ def test_echelon_extend_takeover_walks_on(dvr):
     ends as a kernel vector rather than a second pivot in that row."""
     one, pi = dvr.one, dvr.pi_pow(1)
     columns = [{0: pi, 1: pi}, {1: pi}, {0: one}]
-    ech = _Echelon(dvr, columns[:2])
+    ech = _Echelon(dvr, [dvr.split(c) for c in columns[:2]])
     assert ech.pivots == [(0, 0), (1, 1)]
-    ech.extend(columns[2])
+    ech.extend(dvr.split(columns[2]))
     assert ech.pivots == [(0, 2), (1, 1)]
     _assert_echelon_shape(ech)
     assert ech.kernel() == [{0: one, 2: -pi, 1: -one}]
     assert _apply(dvr, columns, ech.kernel()[0]) == {}
-    assert ech.solve({1: one}) is None and ech.solve({0: one, 1: pi}) == {2: one, 1: one}
+    assert ech.solve(dvr.split({1: one})) is None
+    assert ech.solve(dvr.split({0: one, 1: pi})) == {2: one, 1: one}
 
 
 @pytest.mark.parametrize("base", ["Z_(2)", "Z_(3)", "Z_(5)", "F_4[[t]]"])
@@ -699,18 +700,19 @@ def test_grown_echelon_matches_batch(base, data):
     n = len(matrix[0]) if m else 0
     columns = [{i: matrix[i][j] for i in range(m) if matrix[i][j]} for j in range(n)]
     start = data.draw(st.integers(0, n))
-    grown = _Echelon(dvr, columns[:start])
+    grown = _Echelon(dvr, [dvr.split(c) for c in columns[:start]])
     for col in columns[start:]:
-        grown.extend(col)
+        grown.extend(dvr.split(col))
     _assert_echelon_shape(grown)
-    batch = _Echelon(dvr, columns)
+    batch = _Echelon(dvr, [dvr.split(c) for c in columns])
     coef = st.one_of(st.just(dvr.zero), _valued_entries(dvr, -1, 2))
     targets = [_apply(dvr, columns, {j: data.draw(coef) for j in range(n)})
                for _ in range(3)]
     targets.append({i: x for i in range(m) if (x := data.draw(coef))})
     for b in targets:
-        x = grown.solve(b)
-        assert (x is None) == (batch.solve(b) is None) == (grown.reduce(b) is None)
+        x = grown.solve(dvr.split(b))
+        assert (x is None) == (batch.solve(dvr.split(b)) is None) \
+            == (grown.reduce(dvr.split(b)) is None)
         if x is not None:
             assert all(dvr.val(c) >= 0 for c in x.values())
             assert _apply(dvr, columns, x) == b
@@ -899,21 +901,22 @@ def test_echelon_matches_fraction_reference(base, data):
     m = data.draw(st.integers(1, 10))
     column = st.dictionaries(st.integers(0, m - 1), entries, max_size=min(m, 4))
     start = data.draw(st.lists(column, max_size=10))
-    ech, ref = _Echelon(dvr, start), _FractionEchelon(dvr, start)
+    ech = _Echelon(dvr, [dvr.split(c) for c in start])
+    ref = _FractionEchelon(dvr, start)
     _assert_same_echelon(ech, ref, None, None)
     steps = data.draw(st.lists(st.tuples(st.sampled_from(["extend", "reduce", "solve"]),
                                          column), max_size=12))
     coef = st.one_of(st.just(dvr.zero), _valued_entries(dvr, 0, 2))
     for op, col in steps:
         if op == "extend":
-            ech.extend(col)
+            ech.extend(dvr.split(col))
             ref.extend(col)
             answer = expected = None
         else:
             if ref.cols and data.draw(st.booleans()):
                 # a vector inside the span, so the pass runs to the end
                 col = _apply(dvr, ref.cols, {j: data.draw(coef) for j in range(len(ref.cols))})
-            answer, expected = getattr(ech, op)(col), getattr(ref, op)(col)
+            answer, expected = getattr(ech, op)(dvr.split(col)), getattr(ref, op)(col)
             if op == "reduce" and expected is not None:
                 # (pivot column, y) pairs, the columns distinct
                 answer, expected = dict(answer), dict(expected)
