@@ -21,6 +21,7 @@ from .congruence import (RegularityWarning, _plain, analyze, deformation_step,
                          eta_raw, numerical_criterion, psi_raw, serre_check)
 from .dvr import Dvr
 from .errors import DegreeBoundExceeded, EngineError, InputError
+from .fpmodule import FpModule
 from .lattice import LatticeSplit, split_and_congruence, split_discriminant
 from .poly import PolyRing, parse_poly
 from .probfile import load_problem
@@ -40,10 +41,8 @@ def _load(args):
 
 
 def _resolution(problem, args):
-    strategy = getattr(args, "strategy", "auto") or "auto"
-    length = getattr(args, "length", None)
-    user = problem.resolution_matrices if strategy == "file" else None
-    return resolve_O(problem.algebra, length=length, strategy=strategy,
+    user = problem.resolution_matrices if args.strategy == "file" else None
+    return resolve_O(problem.algebra, length=args.length, strategy=args.strategy,
                      user_matrices=user)
 
 
@@ -63,7 +62,7 @@ def to_text(record, indent=0):
 
 
 def _emit(record, args):
-    if getattr(args, "format", "text") == "structured":
+    if args.format == "structured":
         print(json.dumps(record, sort_keys=True))
     else:
         print("\n".join(to_text(record)))
@@ -75,11 +74,10 @@ def _require_algebra(problem):
 
 
 def _module_for(problem, args):
-    name = getattr(args, "module", None)
+    name = args.module
     if name is None or name == "ring":
         return None
     if name == "O":
-        from .fpmodule import FpModule
         return FpModule.o_module(problem.algebra)
     if name not in problem.modules:
         raise InputError(f"no module named {name} in the problem file")
@@ -261,44 +259,45 @@ def build_parser():
         description="Exact congruence modules, congruence ideals and "
                     "numerical criteria over a discrete valuation ring.")
     sub = parser.add_subparsers(dest="command", required=True)
+    flags = {
+        "--strategy": dict(default="auto",
+                           choices=("auto", "koszul", "matrix_factorization",
+                                    "shamash", "syzygy", "file")),
+        "--degree-bound": dict(type=int, default=None,
+                               help="search degree for bounded syzygy-type "
+                                    "computations"),
+        "--length": dict(type=int, default=None,
+                         help="resolution length (default codim + 2)"),
+        "--module": dict(default=None),
+    }
+    resolved = ("--strategy", "--degree-bound", "--length")
 
-    def common(p, with_file=True):
+    def command(name, help, *names, with_file=True):
+        """A subcommand with the flags its handler reads."""
+        p = sub.add_parser(name, help=help)
         if with_file:
             p.add_argument("file", help="problem description file")
         p.add_argument("--format", choices=("text", "structured"), default="text")
-        p.add_argument("--strategy", default="auto",
-                       choices=("auto", "koszul", "matrix_factorization",
-                                "shamash", "syzygy", "file"))
-        p.add_argument("--degree-bound", type=int, default=None,
-                       help="search degree for bounded syzygy-type computations")
-        p.add_argument("--length", type=int, default=None,
-                       help="resolution length (default codim + 2)")
-        p.add_argument("--seed", type=int, default=0)
+        for flag in names:
+            p.add_argument(flag, **flags[flag])
+        return p
 
-    common(sub.add_parser("analyze", help="full congruence report"))
-    p = sub.add_parser("eta", help="congruence ideal")
-    common(p)
-    p.add_argument("--module", default=None)
-    p = sub.add_parser("psi", help="congruence module")
-    common(p)
-    p.add_argument("--module", default=None)
-    common(sub.add_parser("phi", help="cotangent torsion and Fitting ideal"))
-    p = sub.add_parser("criterion", help="numerical criterion")
-    common(p)
+    command("analyze", "full congruence report", *resolved)
+    command("eta", "congruence ideal", *resolved, "--module")
+    command("psi", "congruence module", *resolved, "--module")
+    command("phi", "cotangent torsion and Fitting ideal")
+    p = command("criterion", "numerical criterion", *resolved, "--module")
     p.add_argument("--mode", required=True,
                    choices=("defect0", "wld", "iso", "cotangent_iso"))
-    p.add_argument("--module", default=None)
-    p = sub.add_parser("deform", help="cut by a regular element")
-    common(p)
+    p = command("deform", "cut by a regular element", "--degree-bound", "--module")
     p.add_argument("--element", required=True)
-    p.add_argument("--module", default=None)
-    common(sub.add_parser("lattice", help="lattice congruence module"))
-    p = sub.add_parser("serre", help="torsion-free Ext ranks")
-    common(p)
+    command("lattice", "lattice congruence module")
+    p = command("serre", "torsion-free Ext ranks", *resolved)
     p.add_argument("--products", action="store_true")
-    p = sub.add_parser("probe-fitting-question",
-                       help="random search for Fitt_c not contained in eta")
-    common(p, with_file=False)
+    p = command("probe-fitting-question",
+                "random search for Fitt_c not contained in eta",
+                "--degree-bound", with_file=False)
+    p.add_argument("--seed", type=int, default=0)
     p.add_argument("--count", type=int, default=20)
     p.add_argument("--p", type=int, default=5)
     return parser

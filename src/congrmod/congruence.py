@@ -763,14 +763,11 @@ class CongruenceReport:
 
 
 def _plain(value):
-    from .omodule import FinOModule as _F
     if isinstance(value, dict):
         return {k: _plain(v) for k, v in value.items()}
     if isinstance(value, (list, tuple)):
         return [_plain(v) for v in value]
-    if isinstance(value, IdealO):
-        return str(value)
-    if isinstance(value, _F):
+    if isinstance(value, (IdealO, FinOModule)):
         return str(value)
     if value is INF:
         return "inf"

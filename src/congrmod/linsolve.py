@@ -206,7 +206,7 @@ class SpanSolver:
             if tag[0] != "var":
                 continue
             _, j, u = tag
-            polys[j][u] = polys[j].get(u, self.dvr.zero) + c
+            polys[j][u] = c  # each echelon column has its own (j, u)
         return tuple(Poly(self.ring, {e: c for e, c in d.items() if c})
                      for d in polys)
 

@@ -1,9 +1,10 @@
 """Problem-file parsing: sectioned key = value text.
 
-Sections: [dvr], [ring], [augmentation], zero or more [module.NAME],
-optional [resolution], [lattice], [surjection].  Unknown keys are rejected.
-Polynomials use the shared grammar (pi, + - * ^, integers); lattice entries
-are K-scalars and also admit '/'.
+Sections: [dvr], [ring] with [augmentation], zero or more [module.NAME],
+optional [resolution], [lattice], [surjection], each at most once.  Unknown
+sections and keys are rejected, and an error in a field names its section
+and key.  Polynomials use the shared grammar (pi, + - * ^, integers);
+lattice entries are K-scalars and also admit '/'.
 """
 
 from __future__ import annotations
@@ -75,18 +76,21 @@ def _parse_bool(text):
 
 
 def parse_sections(text):
-    sections = []
+    """{section name: {key: value text}} in file order; a section or a key
+    given twice is an error."""
+    sections = {}
     current = None
     for lineno, raw in enumerate(text.splitlines(), 1):
-        line = raw.split("#", 1)[0].rstrip()
-        if not line.strip():
+        line = raw.split("#", 1)[0].strip()
+        if not line:
             continue
-        if line.strip().startswith("["):
-            name = line.strip()
-            if not name.endswith("]"):
+        if line.startswith("["):
+            if not line.endswith("]"):
                 raise InputError(f"line {lineno}: malformed section header")
-            current = (name[1:-1].strip(), {})
-            sections.append(current)
+            name = line[1:-1].strip()
+            if name in sections:
+                raise InputError(f"line {lineno}: duplicate section [{name}]")
+            current = sections[name] = {}
         else:
             if current is None:
                 raise InputError(f"line {lineno}: key outside any section")
@@ -94,9 +98,9 @@ def parse_sections(text):
                 raise InputError(f"line {lineno}: expected key = value")
             key, value = line.split("=", 1)
             key = key.strip()
-            if key in current[1]:
+            if key in current:
                 raise InputError(f"line {lineno}: duplicate key {key!r}")
-            current[1][key] = value.strip()
+            current[key] = value.strip()
     return sections
 
 
@@ -155,197 +159,157 @@ def _variable_names(section, data):
     return names
 
 
+# The assertions a section may make about its algebra or module, each with
+# its parser, in reading order.
+_ASSERTIONS = {"ci": _parse_bool, "depth": _parse_int, "mcm": _parse_bool,
+               "gorenstein": _parse_bool, "dim": _parse_int}
+_BASES = {"p_adic": ("p", Dvr.p_adic), "power_series": ("q", Dvr.power_series)}
+_SECTIONS = ("dvr", "ring", "augmentation", "resolution", "lattice", "surjection")
+
+
+def _check_keys(section, data, allowed):
+    unknown = sorted(set(data) - set(allowed))
+    if unknown:
+        raise InputError(f"unknown keys in [{section}]: {unknown}")
+
+
+def _assertions(section, data, prefix):
+    """The assertions [section] makes, parsed, as keyword arguments."""
+    return {prefix + key: _parse_in(section, key, parse, data[key])
+            for key, parse in _ASSERTIONS.items() if key in data}
+
+
+def _matrix(section, key, text, entry):
+    return _parse_in(section, key, lambda s: _parse_matrix(s, entry), text)
+
+
+def _columns(section, key, text, ring, caps):
+    """A matrix of polynomials given by rows: its row count and columns."""
+    rows = _matrix(section, key, text, lambda t: parse_poly(ring, t, caps))
+    return len(rows), list(zip(*rows))
+
+
+def _named(text):
+    """'name: value, ...' -> {name: value text}."""
+    out = {}
+    for item in _split_top_level(text):
+        name, colon, value = item.partition(":")
+        if not colon:
+            raise InputError(f"expected name: value, got {item!r}")
+        out[name.strip()] = value
+    return out
+
+
+def _values(section, key, parse, texts, names):
+    """Parse texts[n] for each variable name n, in order.  `key` is the
+    field that lists them, or None where each value is a field of its own."""
+    values = []
+    for n in names:
+        if n not in texts:
+            where = f"[{section}] {key}" if key else f"[{section}]"
+            raise InputError(f"{where} missing a value for {n}")
+        values.append(_parse_in(section, key or n, parse, texts[n]))
+    return values
+
+
+def _algebra(dvr, caps, section, data, where, settings, values, key, name):
+    """The augmented algebra on the vars and relations of [section] (fields
+    `data`), with codim and assertions from [where] (fields `settings`) and
+    each variable's value from `values`, the texts keyed by variable name
+    (see _values for `key`)."""
+    ring = PolyRing(dvr, _variable_names(section, data))
+    relations = _parse_in(
+        section, "relations",
+        lambda s: [parse_poly(ring, t, caps) for t in _split_top_level(s)],
+        data.get("relations", ""))
+    codim = _int_in(where, settings, "codim")
+    flags = _assertions(where, settings, "claimed_")
+    aug = _values(where, key, lambda s: parse_scalar(dvr, s, caps), values, ring.names)
+    return build_algebra(ring, relations, aug, codim, config=caps, name=name, **flags)
+
+
+def _module(A, section, data, caps):
+    name = section[len("module."):]
+    if not name:
+        raise InputError(f"[{section}]: a module section needs a name")
+    if name in ("ring", "O"):  # the names of A and O in every command
+        raise InputError(f"[{section}]: the module name {name!r} is reserved")
+    _check_keys(section, data, ("presentation", "depth", "mcm"))
+    flags = _assertions(section, data, "asserted_")
+    pres = data.get("presentation", "ring")
+    if pres == "ring":
+        return FpModule.ring_module(A, name=name, **flags)
+    if pres == "O":
+        return FpModule.o_module(A, name=name)
+    gens, cols = _columns(section, "presentation", pres, A.ring, caps)
+    return FpModule(A, gens, cols, name=name, **flags)
+
+
 def load_problem(text, config=None) -> ProblemFile:
     caps = config or DEFAULT_CONFIG
-
-    def poly(ring, t):
-        return parse_poly(ring, t, caps)
-
-    def scalar(t):
-        return parse_scalar(dvr, t, caps)
-
     sections = parse_sections(text)
-    by_name = {}
-    for name, data in sections:
-        if name in by_name and not name.startswith("module."):
-            raise InputError(f"duplicate section [{name}]")
-        by_name.setdefault(name, []).append(data)
+    for name in sections:
+        if name not in _SECTIONS and not name.startswith("module."):
+            raise InputError(f"unknown section [{name}]")
 
-    if "dvr" not in by_name:
+    if "dvr" not in sections:
         raise InputError("missing [dvr] section")
-    dvr_data = by_name["dvr"][0]
-    kind = dvr_data.get("kind")
-    if kind == "p_adic":
-        if set(dvr_data) - {"kind", "p"}:
-            raise InputError("unknown keys in [dvr]")
-        dvr = Dvr.p_adic(_int_in("dvr", dvr_data, "p"))
-    elif kind == "power_series":
-        if set(dvr_data) - {"kind", "q"}:
-            raise InputError("unknown keys in [dvr]")
-        dvr = Dvr.power_series(_int_in("dvr", dvr_data, "q"))
-    else:
-        raise InputError("dvr kind must be p_adic or power_series")
-
+    data = sections["dvr"]
+    if data.get("kind") not in _BASES:
+        raise InputError("[dvr] kind must be p_adic or power_series")
+    key, base = _BASES[data["kind"]]
+    _check_keys("dvr", data, ("kind", key))
+    dvr = base(_int_in("dvr", data, key))
     out = ProblemFile(dvr=dvr)
 
-    if "ring" in by_name:
-        ring_data = by_name["ring"][0]
-        if set(ring_data) - {"vars", "relations"}:
-            raise InputError("unknown keys in [ring]")
-        names = _variable_names("ring", ring_data)
-        ring = PolyRing(dvr, names)
-        out.ring = ring
-        rel_text = ring_data.get("relations", "").strip()
-        relations = [_parse_in("ring", "relations", lambda s: poly(ring, s), t)
-                     for t in _split_top_level(rel_text)] if rel_text else []
+    # every section but [dvr] and [lattice] reads the algebra
+    missing = [s for s in ("ring", "augmentation") if s not in sections]
+    needy = [s for s in sections if s not in ("dvr", "lattice")]
+    if missing and needy:
+        raise InputError(f"[{needy[0]}] needs the [{missing[0]}] section")
 
-        if "augmentation" not in by_name:
-            raise InputError("a [ring] section needs an [augmentation] section")
-        aug_data = dict(by_name["augmentation"][0])
-        flags = {}
-        kwargs = {}
-        codim = _int_in("augmentation", aug_data, "codim")
-        del aug_data["codim"]
-        if "ci" in aug_data:
-            kwargs["claimed_ci"] = _parse_bool(aug_data.pop("ci"))
-        if "depth" in aug_data:
-            kwargs["claimed_depth"] = _parse_in("augmentation", "depth", _parse_int,
-                                                aug_data.pop("depth"))
-        if "mcm" in aug_data:
-            kwargs["claimed_mcm"] = _parse_bool(aug_data.pop("mcm"))
-        if "gorenstein" in aug_data:
-            kwargs["claimed_gorenstein"] = _parse_bool(aug_data.pop("gorenstein"))
-        if "dim" in aug_data:
-            kwargs["claimed_dim"] = _parse_in("augmentation", "dim", _parse_int,
-                                              aug_data.pop("dim"))
-        values = []
-        for name in names:
-            if name not in aug_data:
-                raise InputError(f"[augmentation] missing a value for {name}")
-            values.append(_parse_in("augmentation", name, scalar,
-                                    aug_data.pop(name)))
-        if aug_data:
-            raise InputError(f"unknown keys in [augmentation]: {sorted(aug_data)}")
-        if config is not None:
-            kwargs["config"] = config
-        out.algebra = build_algebra(ring, relations, values, codim, **kwargs)
-    elif "augmentation" in by_name:
-        raise InputError("an [augmentation] section needs a [ring] section")
+    if "ring" in sections:
+        aug = sections["augmentation"]
+        _check_keys("ring", sections["ring"], ("vars", "relations"))
+        values = {k: v for k, v in aug.items()
+                  if k != "codim" and k not in _ASSERTIONS}
+        out.algebra = _algebra(dvr, caps, "ring", sections["ring"],
+                               "augmentation", aug, values, None, "A")
+        out.ring = out.algebra.ring
+        _check_keys("augmentation", aug, ("codim", *_ASSERTIONS, *out.ring.names))
 
-    for name, datas in by_name.items():
-        if not name.startswith("module."):
-            continue
-        mod_name = name[len("module."):]
-        if not mod_name:
-            raise InputError(f"[{name}]: a module section needs a name")
-        if mod_name in ("ring", "O"):  # the names of A and O in every command
-            raise InputError(f"[{name}]: the module name {mod_name!r} is reserved")
-        for data in datas:
-            if set(data) - {"presentation", "depth", "mcm"}:
-                raise InputError(f"unknown keys in [{name}]")
-            if out.algebra is None:
-                raise InputError("module sections need a [ring] section")
-            depth = _int_in(name, data, "depth") if "depth" in data else None
-            mcm = _parse_bool(data["mcm"]) if "mcm" in data else False
-            pres = data.get("presentation", "ring").strip()
-            if pres == "ring":
-                M = FpModule.ring_module(out.algebra, name=mod_name,
-                                         asserted_depth=depth, asserted_mcm=mcm)
-            elif pres == "O":
-                M = FpModule.o_module(out.algebra, name=mod_name)
-            else:
-                rows = _parse_in(name, "presentation",
-                                 lambda s: _parse_matrix(
-                                     s, lambda t: poly(out.ring, t)),
-                                 pres)
-                gens = len(rows)
-                cols = [tuple(rows[i][j] for i in range(gens))
-                        for j in range(len(rows[0]) if rows else 0)]
-                M = FpModule(out.algebra, gens, cols, asserted_depth=depth,
-                             asserted_mcm=mcm, name=mod_name)
-            out.modules[mod_name] = M
+    for name, data in sections.items():
+        if name.startswith("module."):
+            out.modules[name[len("module."):]] = _module(out.algebra, name, data, caps)
 
-    if "resolution" in by_name:
-        data = by_name["resolution"][0]
-        if out.algebra is None:
-            raise InputError("a [resolution] section needs a [ring] section")
-        mats = []
-        for i in range(1, len(data) + 1):
-            key = f"d{i}"
-            if key not in data:
-                raise InputError("[resolution] keys must be d1, d2, ... without gaps")
-            rows = _parse_in("resolution", key,
-                             lambda s: _parse_matrix(
-                                 s, lambda t: poly(out.ring, t)),
-                             data[key])
-            nrows = len(rows)
-            cols = [tuple(rows[r][j] for r in range(nrows))
-                    for j in range(len(rows[0]) if rows else 0)]
-            mats.append(cols)
-        out.resolution_matrices = mats
+    if "resolution" in sections:
+        data = sections["resolution"]
+        keys = [f"d{i}" for i in range(1, len(data) + 1)]
+        if set(data) != set(keys):
+            raise InputError("[resolution] keys must be d1, d2, ... without gaps")
+        out.resolution_matrices = [
+            _columns("resolution", k, data[k], out.ring, caps)[1] for k in keys]
 
-    if "lattice" in by_name:
-        data = by_name["lattice"][0]
-        if set(data) - {"basis", "v1", "v2", "pairing"}:
-            raise InputError("unknown keys in [lattice]")
-        out.lattice = {
-            "basis": _parse_matrix(_required("lattice", data, "basis"), scalar),
-            "v1": _parse_matrix(_required("lattice", data, "v1"), scalar),
-            "v2": _parse_matrix(_required("lattice", data, "v2"), scalar),
-            "pairing": _parse_matrix(data["pairing"], scalar) if "pairing" in data else None,
-        }
+    if "lattice" in sections:
+        data = sections["lattice"]
+        _check_keys("lattice", data, ("basis", "v1", "v2", "pairing"))
+        out.lattice = {"pairing": None}
+        for key in ("basis", "v1", "v2", "pairing"):
+            if key != "pairing" or key in data:
+                out.lattice[key] = _matrix("lattice", key,
+                                           _required("lattice", data, key),
+                                           lambda s: parse_scalar(dvr, s, caps))
 
-    if "surjection" in by_name:
-        data = dict(by_name["surjection"][0])
-        if out.algebra is None:
-            raise InputError("a [surjection] section needs a [ring] section")
-        allowed = {"vars", "relations", "codim", "augmentation", "images",
-                   "ci", "mcm", "gorenstein"}
-        if set(data) - allowed:
-            raise InputError("unknown keys in [surjection]")
-        names = _variable_names("surjection", data)
-        bring = PolyRing(dvr, names)
-        rel_text = data.get("relations", "").strip()
-        rels = [_parse_in("surjection", "relations", lambda s: poly(bring, s), t)
-                for t in _split_top_level(rel_text)] if rel_text else []
-        aug_map = {}
-        for item in _split_top_level(data.get("augmentation", "")):
-            if ":" not in item:
-                raise InputError("surjection augmentation entries are var: value")
-            k, v = item.split(":", 1)
-            aug_map[k.strip()] = _parse_in("surjection", "augmentation", scalar, v)
-        for n in names:
-            if n not in aug_map:
-                raise InputError(f"[surjection] augmentation missing a value for {n}")
-        values = [aug_map[n] for n in names]
-        kwargs = {}
-        if "ci" in data:
-            kwargs["claimed_ci"] = _parse_bool(data["ci"])
-        if "mcm" in data:
-            kwargs["claimed_mcm"] = _parse_bool(data["mcm"])
-        if "gorenstein" in data:
-            kwargs["claimed_gorenstein"] = _parse_bool(data["gorenstein"])
-        if config is not None:
-            kwargs["config"] = config
-        B = build_algebra(bring, rels, values,
-                          _int_in("surjection", data, "codim"),
-                          name="B", **kwargs)
-        image_map = {}
-        for item in _split_top_level(data.get("images", "")):
-            if ":" not in item:
-                raise InputError("surjection images entries are var: poly")
-            k, v = item.split(":", 1)
-            image_map[k.strip()] = _parse_in("surjection", "images",
-                                             lambda s: poly(bring, s), v)
-        images = []
-        for n in out.ring.names:
-            if n not in image_map:
-                raise InputError(f"surjection images missing source variable {n}")
-            images.append(image_map[n])
-        out.surjection = {"target": B, "images": images}
-
-    known = {"dvr", "ring", "augmentation", "resolution", "lattice", "surjection"}
-    for name in by_name:
-        if name not in known and not name.startswith("module."):
-            raise InputError(f"unknown section [{name}]")
+    if "surjection" in sections:
+        data = sections["surjection"]
+        _check_keys("surjection", data, ("vars", "relations", "codim", "augmentation",
+                                         "images", "ci", "mcm", "gorenstein"))
+        values = _parse_in("surjection", "augmentation", _named,
+                           data.get("augmentation", ""))
+        B = _algebra(dvr, caps, "surjection", data, "surjection", data,
+                     values, "augmentation", "B")
+        images = _parse_in("surjection", "images", _named, data.get("images", ""))
+        out.surjection = {"target": B, "images": _values(
+            "surjection", "images", lambda s: parse_poly(B.ring, s, caps),
+            images, out.ring.names)}
     return out

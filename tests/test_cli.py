@@ -241,7 +241,19 @@ def test_input_errors_exit_2(tmp_path, capsys):
             (A2_FILE + surjection.format("y").replace("y: 0", "y: 1 +"),
              ("[surjection] augmentation",)),
             (A2_FILE + surjection.format("y").replace("x: y", "x: y^"),
-             ("[surjection] images",))):
+             ("[surjection] images",)),
+            (A2_FILE + "\n[module.M]\npresentation = O\n"
+             "[module.M]\npresentation = ring\n", ("duplicate section [module.M]",)),
+            (A2_FILE.replace("mcm = true", "ci = maybe"),
+             ("[augmentation] ci: expected a boolean, got 'maybe'",)),
+            (A2_FILE + surjection.format("y") + "mcm = maybe\n",
+             ("[surjection] mcm: expected a boolean, got 'maybe'",)),
+            (A2_FILE + module.format("M") + "mcm = maybe\n",
+             ("[module.M] mcm: expected a boolean, got 'maybe'",)),
+            (A2_FILE.replace("vars = x", "vars = x\nbogus = 1\nextra = 2"),
+             ("unknown keys in [ring]", "'bogus'", "'extra'")),
+            (A2_FILE + "\n[lattice]\nbasis = [1, 0]\nv1 = [[1]]\nv2 = [[0]]\n",
+             ("[lattice] basis",))):
         bad.write_text(bad_text)
         assert main(["analyze", str(bad)]) == 2
         err = capsys.readouterr().err
@@ -647,3 +659,57 @@ def test_lattice_split_once_per_run(tmp_path, capsys, monkeypatch):
     rec = json.loads(out)
     assert rec["discriminant"] == str(lattice.pairing_discriminant(split))
     assert rec["congruence_module"] == "O/pi"
+
+
+@pytest.mark.parametrize("argv", [
+    ["deform", "h3", "--element", "y", "--strategy", "syzygy"],
+    ["phi", "a2", "--length", "3"],
+    ["lattice", "lat", "--seed", "1"],
+], ids=["deform-strategy", "phi-length", "lattice-seed"])
+def test_flags_a_command_does_not_read_exit_2(a2_path, h3_path, tmp_path, capsys,
+                                              argv):
+    """A flag that the command's handler would not read is a usage error,
+    not a value silently ignored."""
+    lattice = tmp_path / "lat.cm"
+    lattice.write_text(LATTICE_FILE)
+    files = {"a2": a2_path, "h3": h3_path, "lat": str(lattice)}
+    with pytest.raises(SystemExit) as exc:
+        main([files.get(a, a) for a in argv])
+    assert exc.value.code == 2
+    err = capsys.readouterr().err
+    assert f"unrecognized arguments: {' '.join(argv[-2:])}" in err
+    assert "Traceback" not in err
+
+
+def test_each_command_takes_the_flags_its_handler_reads():
+    import argparse
+    import congrmod.cli as cli
+    resolved = {"--strategy", "--degree-bound", "--length"}
+    expected = {
+        "analyze": resolved,
+        "eta": resolved | {"--module"},
+        "psi": resolved | {"--module"},
+        "phi": set(),
+        "criterion": resolved | {"--module", "--mode"},
+        "deform": {"--degree-bound", "--module", "--element"},
+        "lattice": set(),
+        "serre": resolved | {"--products"},
+        "probe-fitting-question": {"--degree-bound", "--seed", "--count", "--p"},
+    }
+    sub = next(a for a in cli.build_parser()._actions
+               if isinstance(a, argparse._SubParsersAction))
+    taken = {name: {s for a in p._actions for s in a.option_strings
+                    if s.startswith("--")} - {"--help", "--format"}
+             for name, p in sub.choices.items()}
+    assert taken == expected
+
+
+def test_probe_output_for_a_fixed_seed(capsys):
+    """probe-fitting-question still reads --seed, and its record for a
+    fixed seed is byte for byte what it was."""
+    code, out = run(capsys, ["probe-fitting-question", "--count", "4", "--seed", "11",
+                             "--format", "structured"])
+    assert code == 0
+    assert out == ('{"command": "probe-fitting-question", '
+                   '"containment_holds_everywhere": true, "count": 4, "p": 5, '
+                   '"seed": 11, "violations": []}\n')
