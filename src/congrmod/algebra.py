@@ -47,7 +47,8 @@ class AugmentedAlgebra:
         self._gb_local = None
         self._finite = _NOTSET
         self._cotangent = None
-        self._resolutions = {}
+        self._resolutions = {}  # strategy -> FreeResolution, see resolve_O
+        self._auto_strategy = None
         self._validate()
 
     def assertion_notes(self):
@@ -68,13 +69,13 @@ class AugmentedAlgebra:
             raise InconsistentCodim("negative codimension")
         if len(self.augmentation) != self.ring.nvars:
             raise AugmentationNotWellDefined("augmentation must assign every variable")
-        for a in self.augmentation:
+        for name, a in zip(self.ring.names, self.augmentation):
             v = self.dvr.val(a)
             if v < 0:
-                raise NonIntegralEntry("augmentation value outside O")
+                raise NonIntegralEntry(f"augmentation value of {name} outside O")
             if v <= 0:
                 raise NonLocalAugmentation(
-                    "augmentation values must have positive valuation")
+                    f"augmentation value of {name} must have positive valuation")
         for f in self.relations:
             if f.min_coeff_val() < 0:
                 raise NonIntegralEntry(f"relation {f} has a coefficient outside O")

@@ -41,9 +41,8 @@ def _load(args):
 
 
 def _resolution(problem, args):
-    user = problem.resolution_matrices if args.strategy == "file" else None
     return resolve_O(problem.algebra, length=args.length, strategy=args.strategy,
-                     user_matrices=user)
+                     user_matrices=problem.resolution_matrices)
 
 
 def to_text(record, indent=0):
@@ -267,7 +266,7 @@ def build_parser():
                                help="search degree for bounded syzygy-type "
                                     "computations"),
         "--length": dict(type=int, default=None,
-                         help="resolution length (default codim + 2)"),
+                         help="build at least N steps (default codim + 2)"),
         "--module": dict(default=None),
     }
     resolved = ("--strategy", "--degree-bound", "--length")

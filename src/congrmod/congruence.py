@@ -22,8 +22,7 @@ from .dvr import IdealO, INF
 from .errors import (InSymbolicSquare, InputError,
                      InternalInvariantViolation, KappaNotInjective,
                      NotASurjection, NotRegularAtAugmentation, NotSameCodim,
-                     ProductLiftFailed, ResolutionTooShort,
-                     ZeroDivisorSuspected)
+                     ProductLiftFailed, ZeroDivisorSuspected)
 from .fpmodule import FpModule
 from .linsolve import Cert
 from .omodule import _Echelon, _sparse, FinOModule, smith_form
@@ -94,9 +93,6 @@ def ext_module(A: AugmentedAlgebra, M, i: int, res: FreeResolution) -> ExtModule
     M=None (or any module with is_O) means M = O.  The result is computed
     once per (degree, module presentation) and kept on res, so every caller
     gets the same ExtModule: read it, never mutate it."""
-    if i + 1 > res.length:
-        raise ResolutionTooShort(
-            f"need d_{i + 1}; resolution has length {res.length}")
     general = isinstance(M, FpModule) and not M.is_O
     key = (i, M.gens, tuple(M.columns)) if general else (i, None)
     with res.algebra._lock:
@@ -375,13 +371,12 @@ def eta_codim0_oracle(A: AugmentedAlgebra, M=None) -> IdealO:
 # ---------------------------------------------------------------------------
 # defect formula
 
-def kappa_defect(A: AugmentedAlgebra, M, c=None, res=None) -> dict:
+def kappa_defect(A: AugmentedAlgebra, M, res=None) -> dict:
     """The Kunneth comparison map on torsion-free parts, its cokernel
     annihilator, and the two defect identities."""
-    if c is None:
-        c = A.codim
+    c = A.codim
     if res is None:
-        res = resolve_O(A, length=max(c + 2, 2))
+        res = resolve_O(A)
     MA = _as_module(A, M)
     ext_OO = ext_module(A, None, c, res)
     ext_OA = ext_module(A, FpModule.ring_module(A), c, res)
@@ -587,9 +582,10 @@ def deformation_step(A: AugmentedAlgebra, M, f: Poly) -> dict:
 def serre_check(A: AugmentedAlgebra, res=None, with_products=False) -> dict:
     c = A.codim
     if res is None:
-        res = resolve_O(A, length=max(c + 2, 2))
+        res = resolve_O(A)
     ranks = []
-    top = min(res.length - 1, c + 1)
+    # Ext^0..Ext^(c+1), within the matrices of a file resolution
+    top = min(res.length - 1, c + 1) if res.strategy == "file" else c + 1
     ok = True
     for i in range(top + 1):
         ext = ext_module(A, None, i, res)
@@ -769,19 +765,16 @@ def _plain(value):
         return [_plain(v) for v in value]
     if isinstance(value, (IdealO, FinOModule)):
         return str(value)
-    if value is INF:
-        return "inf"
     if isinstance(value, float) and value == INF:
         return "inf"
     return value
 
 
-def analyze(A: AugmentedAlgebra, modules=None, strategy="auto", length=None,
-            res=None) -> CongruenceReport:
+def analyze(A: AugmentedAlgebra, modules=None, res=None) -> CongruenceReport:
     """Full report: regularity, cotangent invariants, Serre ranks, and the
     congruence data with criterion verdicts for each module."""
     if res is None:
-        res = resolve_O(A, length=length, strategy=strategy)
+        res = resolve_O(A)
     reg = regularity_at_lambda(A, res)
     cot = cotangent_invariants(A)
     serre = serre_check(A, res=res)

@@ -14,7 +14,8 @@ from dataclasses import dataclass, field
 from .algebra import AugmentedAlgebra, build_algebra
 from .config import DEFAULT_CONFIG
 from .dvr import Dvr
-from .errors import InputError
+from .errors import (AugmentationNotWellDefined, InputError, NonIntegralEntry,
+                     NonLocalAugmentation)
 from .fpmodule import FpModule
 from .poly import PolyRing, _tokenize, parse_poly, parse_scalar
 
@@ -143,7 +144,8 @@ def _int_in(section, data, key):
 
 def _variable_names(section, data):
     """The comma-separated names of [section] vars: each one name of the
-    polynomial grammar, none of them pi (the uniformizer), none twice."""
+    polynomial grammar, none of them pi (the uniformizer), none twice, and
+    in [ring] none a key of [augmentation], where each variable is a key."""
     names = [v.strip() for v in data.get("vars", "").split(",") if v.strip()]
     for i, name in enumerate(names):
         try:
@@ -156,6 +158,9 @@ def _variable_names(section, data):
             raise InputError(f"[{section}] vars: 'pi' names the uniformizer, not a variable")
         if name in names[:i]:
             raise InputError(f"[{section}] vars: {name!r} is listed twice")
+        if section == "ring" and name in _RESERVED:
+            raise InputError(f"[ring] vars: {name!r} clashes with the "
+                             f"[augmentation] key {name}")
     return names
 
 
@@ -164,6 +169,7 @@ def _variable_names(section, data):
 _ASSERTIONS = {"ci": _parse_bool, "depth": _parse_int, "mcm": _parse_bool,
                "gorenstein": _parse_bool, "dim": _parse_int}
 _BASES = {"p_adic": ("p", Dvr.p_adic), "power_series": ("q", Dvr.power_series)}
+_RESERVED = ("codim", *_ASSERTIONS)  # [augmentation] keys that are not variables
 _SECTIONS = ("dvr", "ring", "augmentation", "resolution", "lattice", "surjection")
 
 
@@ -202,13 +208,18 @@ def _named(text):
 
 def _values(section, key, parse, texts, names):
     """Parse texts[n] for each variable name n, in order.  `key` is the
-    field that lists them, or None where each value is a field of its own."""
+    field that lists them, where a name that is no variable is an error, or
+    None where each value is a field of its own (and the caller checks the
+    section's keys)."""
     values = []
     for n in names:
         if n not in texts:
             where = f"[{section}] {key}" if key else f"[{section}]"
             raise InputError(f"{where} missing a value for {n}")
         values.append(_parse_in(section, key or n, parse, texts[n]))
+    unknown = [n for n in texts if n not in names] if key else []
+    if unknown:
+        raise InputError(f"[{section}] {key}: {unknown[0]!r} is not a variable")
     return values
 
 
@@ -216,16 +227,25 @@ def _algebra(dvr, caps, section, data, where, settings, values, key, name):
     """The augmented algebra on the vars and relations of [section] (fields
     `data`), with codim and assertions from [where] (fields `settings`) and
     each variable's value from `values`, the texts keyed by variable name
-    (see _values for `key`)."""
+    (see _values for `key`).  The algebra's own checks of the augmentation
+    name that field."""
     ring = PolyRing(dvr, _variable_names(section, data))
     relations = _parse_in(
         section, "relations",
         lambda s: [parse_poly(ring, t, caps) for t in _split_top_level(s)],
         data.get("relations", ""))
     codim = _int_in(where, settings, "codim")
+    if codim < 0:
+        raise InputError(f"[{where}] codim: expected a nonnegative integer, got {codim}")
     flags = _assertions(where, settings, "claimed_")
     aug = _values(where, key, lambda s: parse_scalar(dvr, s, caps), values, ring.names)
-    return build_algebra(ring, relations, aug, codim, config=caps, name=name, **flags)
+    try:
+        return build_algebra(ring, relations, aug, codim, config=caps, name=name,
+                             **flags)
+    except (AugmentationNotWellDefined, NonIntegralEntry,
+            NonLocalAugmentation) as exc:
+        loc = f"[{where}] {key}" if key else f"[{where}]"
+        raise type(exc)(f"{loc}: {exc}") from None
 
 
 def _module(A, section, data, caps):

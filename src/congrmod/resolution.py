@@ -13,8 +13,9 @@ Two constructions build every complex:
   syzygy               iterated syzygy kernels; certified when the algebra is
                        module-finite, bounded search otherwise.
 The file strategy takes user differentials and re-verifies them fully.
-d^2 = 0 is checked exactly once per resolution: by verify_resolution for
-user differentials, by resolve_O for the others.
+Every strategy builds each step from the steps before it, the first time it
+is read (see FreeResolution), and checks d^2 = 0 exactly once per step, as
+the step is added; user differentials are all built when they are given.
 
 All differentials are stored column-major: d_i maps F_i to F_(i-1) and is a
 list of r_i columns, each a tuple of r_(i-1) polynomials.
@@ -32,40 +33,68 @@ from .poly import taylor_division
 
 
 class FreeResolution:
-    def __init__(self, algebra, diffs, ranks, strategy, cert: Cert):
+    """One resolution per (algebra, strategy), kept on the algebra.  Each
+    step is built from the steps before it, the first time d_1..d_i is
+    read, and d^2 is checked once, as the step is added.  `length` is the
+    largest length asked of resolve_O; the whole-complex readers (ranks,
+    diffs, describe) build through it.  A file resolution has only its
+    matrices, and reading past them raises."""
+
+    def __init__(self, algebra, strategy, cert: Cert, step, length=0):
         self.algebra = algebra
-        self.diffs = diffs
-        self.ranks = ranks  # ranks[i] = rank of F_i, i = 0..length
         self.strategy = strategy
         self.cert = cert
+        self.length = length
+        self._step = step  # (t, diffs, ranks) -> the columns of d_t
+        self._diffs = []
+        self._ranks = [1]
         self._ext = {}  # Ext modules and pairings, see congruence.ext_module
 
+    def _build_through(self, i):
+        if i <= len(self._diffs):
+            return
+        with self.algebra._lock:  # racing readers share one list of steps
+            while len(self._diffs) < i:
+                t = len(self._diffs) + 1
+                cols = self._step(t, self._diffs, self._ranks)
+                if t > 1:
+                    _check_d_squared(self.algebra, self._diffs[-1], cols, t - 1)
+                self._ranks.append(len(cols))  # a reader that sees d_t sees r_t
+                self._diffs.append(cols)
+
     @property
-    def length(self):
-        return len(self.diffs)
+    def ranks(self):
+        """ranks[i] = rank of F_i, i = 0..length."""
+        self._build_through(self.length)
+        return self._ranks[:self.length + 1]
+
+    @property
+    def diffs(self):
+        self._build_through(self.length)
+        return self._diffs[:self.length]
 
     def rank(self, i):
-        if i < 0 or i > self.length:
+        if i < 0:
             return 0
-        return self.ranks[i]
+        self._build_through(i)
+        return self._ranks[i]
 
     def differential(self, i):
         """Columns of d_i: F_i -> F_(i-1), 1-indexed."""
-        if i < 1 or i > self.length:
-            raise ResolutionTooShort(
-                f"resolution of length {self.length} has no differential d_{i}")
-        return self.diffs[i - 1]
+        if i < 1:
+            raise ResolutionTooShort(f"there is no differential d_{i}")
+        self._build_through(i)
+        return self._diffs[i - 1]
 
     def lam_rows(self, i):
         """Rows of the augmented differential over O; r_(i-1) x r_i."""
         cols = self.differential(i)
         A = self.algebra
-        nrows = self.rank(i - 1)
-        return [[A.lam(col[r]) for col in cols] for r in range(nrows)]
+        return [[A.lam(col[r]) for col in cols] for r in range(self.rank(i - 1))]
 
     def describe(self):
         return {"strategy": self.strategy,
-                "ranks": list(self.ranks),
+                "ranks": self.ranks,
                 "certification": self.cert.label()}
 
 
@@ -81,21 +110,13 @@ def _apply_columns(ring, cols, vec):
     return out
 
 
-def _compose(ring, cols_prev, cols_next):
-    """Entries of d_i composed with d_(i+1), column by column."""
-    return [_apply_columns(ring, cols_prev, col) for col in cols_next]
-
-
-def _check_d_squared(A, diffs):
-    ring = A.ring
-    for i in range(len(diffs) - 1):
-        if not diffs[i] or not diffs[i + 1]:
-            continue
-        for col in _compose(ring, diffs[i], diffs[i + 1]):
-            for entry in col:
-                if entry.terms and not A.in_ideal(entry):
-                    raise VerificationFailed(
-                        f"d_{i + 1} o d_{i + 2} is nonzero modulo the relations")
+def _check_d_squared(A, d_i, d_next, i):
+    """d_i o d_(i+1) = 0 modulo the relations."""
+    for col in d_next:
+        for entry in _apply_columns(A.ring, d_i, col):
+            if entry.terms and not A.in_ideal(entry):
+                raise VerificationFailed(
+                    f"d_{i} o d_{i + 1} is nonzero modulo the relations")
 
 
 # ---------------------------------------------------------------------------
@@ -129,14 +150,7 @@ class _Shamash:
             for t, v in enumerate(S):
                 T = tuple(x for x in S if x != v)
                 q = ring.var(v) * p
-                if t % 2 == 1:
-                    q = -q
-                nv = out.get(T)
-                nv = q if nv is None else nv + q
-                if nv.terms:
-                    out[T] = nv
-                else:
-                    out.pop(T, None)
+                _add_into(out, T, -q if t % 2 == 1 else q)
         return out
 
     def _solve_boundary(self, k_plus_1, z):
@@ -167,13 +181,7 @@ class _Shamash:
             if not p.terms:
                 continue
             for T, q in self.sigma(nu, S).items():
-                nv = out.get(T)
-                w = p * q
-                nv = w if nv is None else nv + w
-                if nv.terms:
-                    out[T] = nv
-                else:
-                    out.pop(T, None)
+                _add_into(out, T, p * q)
         return out
 
     def sigma(self, nu, S):
@@ -187,54 +195,28 @@ class _Shamash:
         if order == 0:
             raise InternalInvariantViolation("sigma_0 is the differential")
         if order == 1 and not S:
-            j = nu.index(1)
-            gs, _ = taylor_division(self.fshift[j], [ring.dvr.zero] * self.n)
-            out = {}
-            for i, g in enumerate(gs):
-                if g.terms:
-                    out[(i,)] = g
+            gs, _ = taylor_division(self.fshift[nu.index(1)], [ring.dvr.zero] * self.n)
+            out = {(i,): g for i, g in enumerate(gs) if g.terms}
             self.sigma_cache[key] = out
             return out
-        rhs = {}
-        if order == 1:
-            j = nu.index(1)
-            rhs[S] = self.fshift[j]
-        # - sigma_nu(d e_S)
-        d_es = self._diff_elem({S: ring.one})
-        part = self._apply_sigma(nu, d_es) if d_es else {}
-        for T, p in part.items():
-            nv = rhs.get(T, ring.zero) - p
-            if nv.terms:
-                rhs[T] = nv
-            else:
-                rhs.pop(T, None)
-        # - sum over proper splittings
+        rhs = {S: self.fshift[nu.index(1)]} if order == 1 else {}
+        # minus sigma_nu(d e_S), and minus the sum over proper splittings
+        parts = [self._apply_sigma(nu, self._diff_elem({S: ring.one}))]
         for alpha in _multi_indices_below(nu):
             beta = tuple(a - b for a, b in zip(nu, alpha))
-            inner = self.sigma(beta, S)
-            part = self._apply_sigma(alpha, inner)
+            parts.append(self._apply_sigma(alpha, self.sigma(beta, S)))
+        for part in parts:
             for T, p in part.items():
-                nv = rhs.get(T, ring.zero) - p
-                if nv.terms:
-                    rhs[T] = nv
-                else:
-                    rhs.pop(T, None)
+                _add_into(rhs, T, -p)
         out = self._solve_boundary(len(S) + 2 * order - 1, rhs)
         self.sigma_cache[key] = out
         return out
 
     def basis(self, t):
         """Basis of F_t: pairs (S, nu) with |S| + 2|nu| = t, sorted."""
-        out = []
-        for w in range(t // 2 + 1):
-            k = t - 2 * w
-            if k > self.n:
-                continue
-            for nu in _multi_indices_of_weight(self.m, w):
-                for S in combinations(range(self.n), k):
-                    out.append((S, nu))
-        out.sort()
-        return out
+        return sorted((S, nu) for w in range(t // 2 + 1)
+                      for nu in _multi_indices_upto((w,) * self.m) if sum(nu) == w
+                      for S in combinations(range(self.n), t - 2 * w))
 
     def differential(self, t):
         """Columns of F_t -> F_(t-1) in shifted coordinates."""
@@ -258,9 +240,14 @@ class _Shamash:
         return cols
 
 
-def _multi_indices_of_weight(m, w):
-    """nu in N^m with |nu| = w, in lexicographic order."""
-    return [nu for nu in _multi_indices_upto((w,) * m) if sum(nu) == w]
+def _add_into(elem, key, q):
+    """elem[key] += q in a {basis element: poly} map, keeping no zeros."""
+    nv = elem.get(key)
+    nv = q if nv is None else nv + q
+    if nv.terms:
+        elem[key] = nv
+    else:
+        elem.pop(key, None)
 
 
 def _multi_indices_upto(nu):
@@ -275,20 +262,17 @@ def _multi_indices_below(nu):
     return [a for a in _multi_indices_upto(nu) if 0 < sum(a) < sum(nu)]
 
 
-def _shamash_resolution(A, length):
+def _shamash_resolution(A):
+    """The step builder of the Shamash complex: d_t from the homotopies in
+    one shared sigma cache, shifted back and put in normal form."""
     sh = _Shamash(A)
     shift_back = [A.ring.var(i) - A.ring.const(a)
                   for i, a in enumerate(A.augmentation)]
-    diffs = []
-    ranks = [1]
-    for t in range(1, length + 1):
-        cols = sh.differential(t)
-        ranks.append(len(cols))
-        out = []
-        for col in cols:
-            out.append(tuple(A.nf(p.substitute(A.ring, shift_back)) for p in col))
-        diffs.append(out)
-    return diffs, ranks
+
+    def step(t, diffs, ranks):
+        return [tuple(A.nf(p.substitute(A.ring, shift_back)) for p in col)
+                for col in sh.differential(t)]
+    return step
 
 
 def _regular_sequence_check(A):
@@ -331,59 +315,56 @@ def _syzygies(A, columns, nrows, bound=None, relations=()):
     return [v for v in out if any(p.terms for p in v)], cert
 
 
-def _syzygy_resolution(A, length):
-    diffs = [[(g,) for g in A.p_gens()]]
-    ranks = [1, len(diffs[0])]
-    cert = CERTIFIED if A.is_module_finite else bounded(A.config.search_degree)
-    for _ in range(2, length + 1):
-        cols = []
-        if diffs[-1]:
-            cols, c = _syzygies(A, diffs[-1], ranks[-2])
-            cert = cert.merge(c)
-        diffs.append(cols)
-        ranks.append(len(cols))
-    return diffs, ranks, cert
+def _syzygy_resolution(A):
+    """The step builder of the syzygy resolution: d_1 holds the generators
+    x_i - a_i, and d_t the pruned syzygies of d_(t-1)."""
+    def step(t, diffs, ranks):
+        if t == 1:
+            return [(g,) for g in A.p_gens()]
+        return _syzygies(A, diffs[-1], ranks[-2])[0] if diffs[-1] else []
+    return step
 
 
 # ---------------------------------------------------------------------------
 
 def resolve_O(A: AugmentedAlgebra, length=None, strategy="auto",
               user_matrices=None) -> FreeResolution:
-    """Resolution of O over A of the requested length (default c + 2).
-    Threads racing on one algebra all get the resolution stored first.  An
-    auto result is stored under ("auto", length) as well, so the strategy is
-    chosen, and the regular-sequence check run, once per length."""
-    if length is None:
-        length = A.codim + 2
-    if strategy != "auto":
-        return _resolution(A, strategy, length, False, user_matrices)
+    """The resolution of O over A by one strategy, one per (algebra,
+    strategy) and shared by racing threads.  length asks for at least that
+    many steps and builds them now; without it the whole complex runs to
+    c + 2, built as it is read.  auto picks its strategy once per algebra,
+    so the regular-sequence check runs once."""
     with A._lock:
-        cached = A._resolutions.get(("auto", length))
-    if cached is not None:
-        return cached
-    checked = False  # whether the regular-sequence check has passed
+        checked = strategy == "auto"  # auto's choice needs no second check
+        if checked:
+            if A._auto_strategy is None:
+                A._auto_strategy = _auto_strategy(A)
+            strategy = A._auto_strategy
+        if strategy not in A._resolutions:
+            A._resolutions[strategy] = _new_resolution(A, strategy, checked,
+                                                       user_matrices)
+        res = A._resolutions[strategy]
+        if strategy != "file":
+            res.length = max(res.length, A.codim + 2 if length is None else length)
+        if length is not None:
+            res._build_through(length)
+    return res
+
+
+def _auto_strategy(A):
     if not A.relations:
-        strategy = "koszul"
-    elif len(A.relations) == 1:
-        strategy = "matrix_factorization"
-    elif A.claimed_ci and _regular_sequence_check(A):
-        strategy, checked = "shamash", True
-    else:
-        strategy = "syzygy"
-    res = _resolution(A, strategy, length, checked, user_matrices)
-    with A._lock:
-        return A._resolutions.setdefault(("auto", length), res)
+        return "koszul"
+    if len(A.relations) == 1:
+        return "matrix_factorization"
+    if A.claimed_ci and _regular_sequence_check(A):
+        return "shamash"
+    return "syzygy"
 
 
-def _resolution(A, strategy, length, checked, user_matrices):
-    """The resolution of one named strategy, stored under (strategy,
-    length); checked says the regular-sequence check has already passed."""
-    key = (strategy, length)
-    with A._lock:
-        cached = A._resolutions.get(key)
-    if cached is not None:
-        return cached
-
+def _new_resolution(A, strategy, checked, user_matrices):
+    """A resolution of one named strategy with no step built yet; checked
+    says the regular-sequence check has passed.  User matrices are all
+    built and verified here."""
     if strategy == "koszul" and A.relations:
         raise StrategyInapplicable(
             "koszul strategy needs the augmentation generators to be a "
@@ -402,44 +383,46 @@ def _resolution(A, strategy, length, checked, user_matrices):
                 "relations fail the bounded regular-sequence check")
 
     if strategy in ("koszul", "matrix_factorization", "shamash"):
-        diffs, ranks = _shamash_resolution(A, length)
         cert = (bounded(A.config.search_degree) if strategy == "shamash"
                 else CERTIFIED)
-    elif strategy == "syzygy":
-        diffs, ranks, cert = _syzygy_resolution(A, length)
-    elif strategy == "file":
-        if user_matrices is None:
-            raise StrategyInapplicable("file strategy needs user matrices")
-        diffs = [[tuple(A.nf(p) for p in col) for col in mat]
-                 for mat in user_matrices]
-        ranks = [1] + [len(mat) for mat in diffs]
-        for i, mat in enumerate(diffs):
-            expect = ranks[i]
-            for col in mat:
-                if len(col) != expect:
-                    raise VerificationFailed(
-                        f"differential d_{i + 1} has columns of length "
-                        f"{len(col)}, expected {expect}")
-        cert = USER_VERIFIED
-    else:
+        return FreeResolution(A, strategy, cert, _shamash_resolution(A))
+    if strategy == "syzygy":
+        return FreeResolution(A, strategy, A._degree_bound(None)[1],
+                              _syzygy_resolution(A))
+    if strategy != "file":
         raise StrategyInapplicable(f"unknown strategy {strategy!r}")
+    if user_matrices is None:
+        raise StrategyInapplicable("file strategy needs user matrices")
+    res = FreeResolution(A, strategy, USER_VERIFIED,
+                         _file_resolution(A, user_matrices), len(user_matrices))
+    res._build_through(res.length)
+    verify_resolution(res)
+    return res
 
-    res = FreeResolution(A, diffs, ranks, strategy, cert)
-    if strategy == "file":
-        verify_resolution(res)
-    else:
-        _check_d_squared(A, diffs)
-    with A._lock:
-        return A._resolutions.setdefault(key, res)
+
+def _file_resolution(A, matrices):
+    """The step builder of user differentials: d_t is the t-th matrix in
+    normal form, and there is none past the last."""
+    def step(t, diffs, ranks):
+        if t > len(matrices):
+            raise ResolutionTooShort(
+                f"resolution of length {len(matrices)} has no differential d_{t}")
+        cols = [tuple(A.nf(p) for p in col) for col in matrices[t - 1]]
+        for col in cols:
+            if len(col) != ranks[-1]:
+                raise VerificationFailed(
+                    f"differential d_{t} has columns of length {len(col)}, "
+                    f"expected {ranks[-1]}")
+        return cols
+    return step
 
 
 def verify_resolution(res: FreeResolution) -> Cert:
-    """d^2 = 0 exactly; d_1 generates the augmentation ideal; exactness is
-    witnessed through degree codim+1, by bounded search unless the algebra
-    is module-finite.  The solver of d_(i+1) that tests membership at step
-    i gives the kernel at step i+1."""
+    """d_1 generates the augmentation ideal, and exactness is witnessed
+    through degree codim+1, by bounded search unless the algebra is
+    module-finite (d^2 = 0 is checked as each step is built).  The solver of
+    d_(i+1) that tests membership at step i gives the kernel at step i+1."""
     A = res.algebra
-    _check_d_squared(A, res.diffs)
     evidence = CERTIFIED
     d1 = res.differential(1)
     for col in d1:
@@ -480,5 +463,5 @@ def syzygy_module(A: AugmentedAlgebra, columns, nrows=None, bound=None):
     if nrows is None:
         nrows = len(columns[0]) if columns else 0
     out, cert = _syzygies(A, columns, nrows, bound)
-    _check_d_squared(A, [columns, out])
+    _check_d_squared(A, columns, out, 1)
     return out, cert

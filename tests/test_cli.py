@@ -41,6 +41,26 @@ mcm = true
 depth = 2
 """
 
+# criterion 8's determinantal ring C(1, 1, 1), codimension 3
+C111_FILE = """
+[dvr]
+kind = p_adic
+p = 5
+
+[ring]
+vars = a, b, c, al, be, ga
+relations = -al^2 - be*ga, al*c - (pi + a)*ga, -al*a - b*ga, be*c + (pi + a)*al, -be*a + b*al, -(pi + a)*a - b*c
+
+[augmentation]
+a = 0
+b = pi
+c = 0
+al = 0
+be = pi
+ga = 0
+codim = 3
+"""
+
 LATTICE_FILE = """
 [dvr]
 kind = p_adic
@@ -253,7 +273,24 @@ def test_input_errors_exit_2(tmp_path, capsys):
             (A2_FILE.replace("vars = x", "vars = x\nbogus = 1\nextra = 2"),
              ("unknown keys in [ring]", "'bogus'", "'extra'")),
             (A2_FILE + "\n[lattice]\nbasis = [1, 0]\nv1 = [[1]]\nv2 = [[0]]\n",
-             ("[lattice] basis",))):
+             ("[lattice] basis",)),
+            (A2_FILE + surjection.format("y").replace("y: 0", "y: 0, w: 3"),
+             ("[surjection] augmentation", "'w'")),
+            (A2_FILE + surjection.format("y").replace("x: y", "x: y, z: 7"),
+             ("[surjection] images", "'z'")),
+            (A2_FILE.replace("x = 0", "x = 1"),
+             ("NonLocalAugmentation", "[augmentation]", "x")),
+            (A2_FILE.replace("x = 0", "x = pi"),
+             ("[augmentation]", "does not vanish under the augmentation")),
+            (A2_FILE + surjection.format("y").replace("y: 0", "y: 1"),
+             ("NonLocalAugmentation", "[surjection] augmentation", "y")),
+            (A2_FILE.replace("vars = x", "vars = x, dim").replace(
+                "x = 0", "x = 0\ndim = 0"), ("[ring] vars", "'dim'", "[augmentation]")),
+            (A2_FILE.replace("vars = x", "vars = x, codim"),
+             ("[ring] vars", "'codim'", "[augmentation]")),
+            (A2_FILE.replace("codim = 0", "codim = -1"), ("[augmentation] codim",)),
+            (A2_FILE + surjection.format("y").replace("codim = 0", "codim = -2"),
+             ("[surjection] codim",))):
         bad.write_text(bad_text)
         assert main(["analyze", str(bad)]) == 2
         err = capsys.readouterr().err
@@ -388,6 +425,40 @@ mcm = true
 d1 = [[x]]
 d2 = [[x - pi^2]]
 """
+
+
+def test_length_asks_for_at_least_that_many_steps(h3_path, capsys):
+    """--length N builds at least N steps: at c = 1, --length 1 is below
+    the d_2 that eta and psi read and the d_3 that serre reads, and each
+    command prints what it prints at the default length."""
+    for strategy in ("auto", "syzygy"):
+        for command in ("eta", "psi", "serre"):
+            argv = [command, h3_path, "--strategy", strategy, "--format", "structured"]
+            default = run(capsys, argv)
+            assert default[0] == 0
+            assert run(capsys, argv + ["--length", "1"]) == default
+
+
+def test_eta_never_builds_past_d_c_plus_1(tmp_path, capsys, monkeypatch):
+    """eta at codimension 3 reads d_4 at most, so on criterion 8's ring
+    C(1, 1, 1) the syzygy resolution stops at F_4 (rank 64) and never
+    builds F_5 (rank 576 at search degree 2)."""
+    built = []
+    real = resolution._syzygy_resolution
+
+    def recorded(A):
+        step = real(A)
+        return lambda t, diffs, ranks: built.append(t) or step(t, diffs, ranks)
+
+    monkeypatch.setattr(resolution, "_syzygy_resolution", recorded)
+    f = tmp_path / "c111.cm"
+    f.write_text(C111_FILE)
+    code, out = run(capsys, ["eta", str(f), "--degree-bound", "2",
+                             "--format", "structured"])
+    assert code == 0
+    rec = json.loads(out)
+    assert (rec["eta"], rec["certification"]) == ("(pi)", "bounded_search(degree 2)")
+    assert built == [1, 2, 3, 4]
 
 
 def test_resolution_file_strategy(tmp_path, capsys):

@@ -320,10 +320,47 @@ def test_threads_share_one_resolution():
 
 
 def test_resolution_too_short():
+    """Only a file resolution cannot grow: reading past its matrices, or
+    asking for more steps than it has, raises."""
     A = make_An(5, 2)
-    res = resolve_O(A, length=2)
+    R = A.ring
+    mats = [[(R.parse("x"),)], [(R.parse("x - pi^2"),)]]
+    res = resolve_O(A, strategy="file", user_matrices=mats)
     with pytest.raises(ResolutionTooShort):
         res.differential(3)
+    with pytest.raises(ResolutionTooShort):
+        resolve_O(A, length=3, strategy="file", user_matrices=mats)
+    assert res.ranks == [1, 1, 1]
+
+
+def test_one_resolution_per_strategy_grown_on_demand(O5, monkeypatch):
+    """A longer request grows the stored resolution: the same object under
+    one key, the regular-sequence check run once, d^2 checked once per
+    step, and the same differentials as a resolution built at that length
+    at once.  A per-step read builds only through the step it reads."""
+    checks, squares = [], []
+    real_check = resolution._regular_sequence_check
+    real_square = resolution._check_d_squared
+    monkeypatch.setattr(resolution, "_regular_sequence_check",
+                        lambda A: checks.append(A) or real_check(A))
+    monkeypatch.setattr(resolution, "_check_d_squared",
+                        lambda A, d, e, i: squares.append(i) or real_square(A, d, e, i))
+    A = _ci(O5)
+    res = resolve_O(A)
+    assert res.length == 2 and len(res._diffs) == 0
+    res.differential(1)
+    assert len(res._diffs) == 1
+    assert resolve_O(A, length=3) is res and len(res._diffs) == 3
+    assert resolve_O(A, length=5) is res and resolve_O(A) is res
+    assert resolve_O(A, strategy="shamash") is res
+    assert list(A._resolutions) == ["shamash"] and len(checks) == 1
+    assert res.length == 5 and res.ranks == [1, 2, 3, 4, 5, 6]
+    res.differential(4)
+    res.describe()
+    assert squares == [1, 2, 3, 4]
+    once = resolve_O(_ci(O5), length=5)
+    assert [[tuple(map(str, c)) for c in d] for d in res.diffs] == \
+        [[tuple(map(str, c)) for c in d] for d in once.diffs]
 
 
 class TestSyzygyModule:
