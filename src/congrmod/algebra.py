@@ -48,7 +48,7 @@ class AugmentedAlgebra:
         self._finite = _NOTSET
         self._cotangent = None
         self._resolutions = {}  # strategy -> FreeResolution, see resolve_O
-        self._auto_strategy = None
+        self._ci_cert = _NOTSET  # see resolution._complete_intersection
         self._validate()
 
     def assertion_notes(self):
@@ -141,43 +141,47 @@ class AugmentedAlgebra:
         return self.gb_global.contains(poly) or self.gb_local.contains(poly)
 
     # -- bounded linear algebra over the quotient --
-    def _degree_bound(self, bound):
+    @property
+    def cert(self):
+        """The certificate of every search over A: certified when A is
+        module-finite, a bounded search at the configured degree otherwise."""
         if self.is_module_finite:
-            return max(self.finite.maxdeg, 0), CERTIFIED
-        b = bound if bound is not None else self.config.search_degree
-        return b, bounded(b)
+            return CERTIFIED
+        return bounded(self.config.search_degree)
 
-    def span_solver(self, columns, nrows, bound=None, per_bounds=None,
-                    target_degree=None):
-        """The A-span of the columns with its certificate: certified when
-        the algebra is module-finite, bounded search otherwise.  A None in
-        per_bounds takes the common bound.  A solver built for one target
-        passes that target's degree, which its absorber columns must reach
-        as well as the columns'."""
-        b, cert = self._degree_bound(bound)
+    @property
+    def _search_bound(self):
+        """The multiplier degree of every search over A: the staircase
+        degree, which suffices, when A is module-finite."""
+        if self.is_module_finite:
+            return max(self.finite.maxdeg, 0)
+        return self.config.search_degree
+
+    def span_solver(self, columns, nrows, per_bounds=None, target_degree=None):
+        """The A-span of the columns, searched at the algebra's bound (its
+        certificate is A.cert).  A None in per_bounds takes that bound.  A
+        solver built for one target passes that target's degree, which its
+        absorber columns must reach as well as the columns'."""
+        b = self._search_bound
         if per_bounds is not None:
             per_bounds = [b if x is None else x for x in per_bounds]
         absorb = None
         if target_degree is not None:
             absorb = b + max([0, target_degree]
                              + [p.degree() for col in columns for p in col])
-        solver = SpanSolver(self.ring, self.gb_global, columns, nrows, b,
-                            absorb, self.config, per_bounds)
-        return solver, cert
+        return SpanSolver(self.ring, self.gb_global, columns, nrows, b,
+                          absorb, self.config, per_bounds)
 
-    def prune(self, vectors, bound=None):
-        b, _ = self._degree_bound(bound)
-        return prune_generators(self.ring, self.gb_global, vectors, b,
-                                config=self.config)
+    def prune(self, vectors):
+        return prune_generators(self.ring, self.gb_global, vectors,
+                                self._search_bound, config=self.config)
 
     # -- derived algebras --
-    def quotient_by(self, f: Poly, codim=None, name=None) -> "AugmentedAlgebra":
+    def quotient_by(self, f: Poly) -> "AugmentedAlgebra":
         return AugmentedAlgebra(
-            self.ring, self.relations + [f], self.augmentation,
-            self.codim - 1 if codim is None else codim,
-            claimed_ci=self.claimed_ci, claimed_depth=None,
-            claimed_mcm=False, claimed_gorenstein=False,
-            config=self.config, name=name or (self.name + "/(f)"))
+            self.ring, self.relations + [f], self.augmentation, self.codim - 1,
+            claimed_ci=self.claimed_ci, config=self.config,
+            name=self.name + "/(f)")
 
     def __repr__(self):
         rels = ", ".join(str(r) for r in self.relations) or "0"

@@ -13,7 +13,7 @@ augmentation presents it over O.
 from __future__ import annotations
 
 import warnings
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from math import comb
 
 from .algebra import (AugmentedAlgebra, cotangent_invariants,
@@ -40,7 +40,10 @@ class RegularityWarning(UserWarning):
 @dataclass
 class ExtModule:
     """One Ext^i_A(O, M); ext_module hands the same instance to every
-    caller, so it is read-only once built."""
+    caller, so it is read-only once built.  _coords maps a cocycle to its
+    coordinates on reps (None when it is out of their reach): the cocycle
+    echelon for kind O, the class solver for kind M, and none when Ext is
+    zero."""
 
     degree: int
     structure: FinOModule
@@ -48,43 +51,21 @@ class ExtModule:
     kind: str  # "O" | "M"
     resolution: FreeResolution
     cert: Cert
-    ker_basis: list = field(default_factory=list)
-    _ker_echelon: object = None
-    _class_solver: object = None
-    _nz: int = 0
+    _coords: object = None
 
-    # -- O-valued classes --
-    def o_class_free_values(self, w):
+    def class_free_values(self, w):
         """Free (torsion-free quotient) coordinates of the class of the
-        cocycle w in O^{r_i}."""
-        if not self.ker_basis:
-            if any(w):
-                raise InternalInvariantViolation("cocycle outside the kernel")
+        cocycle w: a vector in O^(r_i) for kind O, and for kind M the
+        M-valued cocycle flattened as (generator, resolution index) ->
+        polynomial."""
+        if self._coords is None:  # Ext is zero
             return []
-        y = _ker_coords(self._ker_echelon, w)
+        y = self._coords(w)
         if y is None:
-            raise InternalInvariantViolation("cocycle outside the kernel")
+            raise InternalInvariantViolation(
+                "cocycle not reachable from the computed generators")
         coords = self.structure.normal_coords(y)
         return [coords[i] for i in self.structure.free_indices()]
-
-    # -- M-valued classes --
-    def m_class_coords(self, psi_flat):
-        """Coordinates, on the stored generators, of an M-valued cocycle
-        given flattened as (generator, resolution index) -> polynomial."""
-        if self._class_solver is None:
-            raise InternalInvariantViolation("class solver not initialized")
-        sol = self._class_solver.solve(psi_flat)
-        if sol is None:
-            raise InternalInvariantViolation(
-                "cocycle not reachable from the computed generators; "
-                "increase the degree bound")
-        A = self.resolution.algebra
-        return [A.lam(sol[j]) for j in range(self._nz)]
-
-    def m_class_free_values(self, psi_flat):
-        coords = self.m_class_coords(psi_flat)
-        full = self.structure.normal_coords(coords)
-        return [full[i] for i in self.structure.free_indices()]
 
 
 def ext_module(A: AugmentedAlgebra, M, i: int, res: FreeResolution) -> ExtModule:
@@ -104,15 +85,6 @@ def ext_module(A: AugmentedAlgebra, M, i: int, res: FreeResolution) -> ExtModule
     return ext
 
 
-def _ker_coords(echelon, w):
-    """Coordinates of w on the columns of echelon, or None when w is outside
-    their O-span."""
-    y = echelon.solve(_sparse(echelon.dvr, w))
-    if y is None:
-        return None
-    return [y.get(j, echelon.dvr.zero) for j in range(len(echelon))]
-
-
 def _ext_O(A, i, res):
     dvr = A.dvr
     r_i = res.rank(i)
@@ -123,23 +95,27 @@ def _ext_O(A, i, res):
     dnext = res.lam_rows(i + 1)  # r_i x r_(i+1)
     ker = [[v.get(j, dvr.zero) for j in range(r_i)]
            for v in _Echelon(dvr, [_sparse(dvr, row) for row in dnext]).kernel()]
-    # one echelon of the cocycle lattice serves the coboundaries here and
-    # every later o_class_free_values
+    # one echelon of the cocycle lattice gives the coordinates of the
+    # coboundaries here and of every later class
     echelon = _Echelon(dvr, [_sparse(dvr, kb) for kb in ker])
+
+    def coords(w):
+        y = echelon.solve(_sparse(dvr, w))
+        return None if y is None else [y.get(j, dvr.zero) for j in range(len(ker))]
+
     im_coords = []
     if i > 0 and res.rank(i - 1):
         for row in res.lam_rows(i):  # r_(i-1) x r_i
             if not any(row):
                 continue
-            y = _ker_coords(echelon, row)
+            y = coords(row)
             if y is None:
                 raise InternalInvariantViolation(
                     "coboundary escapes the cocycle lattice")
             im_coords.append(y)
     pres = [[v[j] for v in im_coords] for j in range(len(ker))]
     structure = FinOModule.from_presentation(dvr, pres, generators=len(ker))
-    return ExtModule(i, structure, list(ker), "O", res, res.cert,
-                     ker_basis=list(ker), _ker_echelon=echelon)
+    return ExtModule(i, structure, ker, "O", res, res.cert, coords)
 
 
 def _hom_block(zero, g, d, rows):
@@ -173,9 +149,9 @@ def _relation_block(zero, M, width):
 
 def _ext_general(A, M, i, res):
     """Ext^i(O, M) on cocycles that are pruned A-generators, from the one
-    kernel over A.  p kills every class, so the class solver (which
-    m_class_coords reuses) gives them constant multipliers and only the
-    coboundary and relation columns polynomial ones."""
+    kernel over A.  p kills every class, so the class solver (which also
+    gives the coordinates of later classes) gives them constant multipliers
+    and only the coboundary and relation columns polynomial ones."""
     ring = A.ring
     g = M.gens
     r_i = res.rank(i)
@@ -184,16 +160,15 @@ def _ext_general(A, M, i, res):
     if r_i == 0:
         return ExtModule(i, FinOModule.zero(dvr), [], "M", res, res.cert)
     zero = ring.zero
-    cert = res.cert
+    cert = res.cert.merge(A.cert)
 
     # cocycles: psi with psi . d_(i+1) = 0 in M^(r_(i+1))
     if r_n == 0:
         reps = [tuple(ring.one if t == s else zero for t in range(g * r_i))
                 for s in range(g * r_i)]
     else:
-        reps, c1 = _syzygies(A, _hom_block(zero, g, res.differential(i + 1), r_i),
-                             g * r_n, relations=_relation_block(zero, M, r_n))
-        cert = cert.merge(c1)
+        reps = _syzygies(A, _hom_block(zero, g, res.differential(i + 1), r_i),
+                         g * r_n, relations=_relation_block(zero, M, r_n))
 
     # coboundaries, then the relations of M in each of the r_i slots
     cob = []
@@ -206,14 +181,17 @@ def _ext_general(A, M, i, res):
     if s == 0:
         return ExtModule(i, FinOModule.zero(dvr), [], "M", res, cert)
     per_bounds = [0] * s + [None] * (len(all_cols) - s)
-    class_solver, c2 = A.span_solver(all_cols, g * r_i, per_bounds=per_bounds)
-    cert = cert.merge(c2)
+    class_solver = A.span_solver(all_cols, g * r_i, per_bounds=per_bounds)
     coeffs = ([A.lam(x) for x in v[:s]] for v in class_solver.kernel())
     rel_cols = [c for c in coeffs if any(c)]
     pres = [[col[j] for col in rel_cols] for j in range(s)]
     structure = FinOModule.from_presentation(dvr, pres, generators=s)
-    return ExtModule(i, structure, reps, "M", res, cert,
-                     _class_solver=class_solver, _nz=s)
+
+    def coords(w):
+        sol = class_solver.solve(w)
+        return None if sol is None else [A.lam(sol[j]) for j in range(s)]
+
+    return ExtModule(i, structure, reps, "M", res, cert, coords)
 
 
 # ---------------------------------------------------------------------------
@@ -243,15 +221,16 @@ def _push_values(A, ext_OM, ext_OO, M, rep, row):
                 if p.terms:
                     acc = acc + row[l] * A.lam(p)
             w.append(acc)
-    return ext_OO.o_class_free_values(w)
+    return ext_OO.class_free_values(w)
 
 
 def _pairing(A, MA, c, res):
     """The pairing of Ext^c(O, MA) against the functionals on tfree(MA/pMA),
     as (cert, free rank of Ext^c(O,O), number of functionals mu, values):
-    values[s][t] is the free part of representative s pushed through
-    functional t.  Built once per (resolution, degree, module) and kept on
-    res next to the Ext modules; read it, never mutate it."""
+    cert is Ext^c(O, MA)'s, which covers the resolution's, and values[s][t]
+    is the free part of representative s pushed through functional t.
+    Built once per (resolution, degree, module) and kept on res next to the
+    Ext modules; read it, never mutate it."""
     key = ("pairing", c, MA.is_O, MA.gens, tuple(MA.columns))
     with res.algebra._lock:
         pairing = res._ext.get(key)
@@ -261,11 +240,24 @@ def _pairing(A, MA, c, res):
         rows = MA.hom_to_O_generators()
         values = [[_push_values(A, ext_OM, ext_OO, MA, rep, row) for row in rows]
                   for rep in ext_OM.reps]
-        pairing = (ext_OO.cert.merge(ext_OM.cert),
-                   ext_OO.structure.free_rank, len(rows), values)
+        pairing = (ext_OM.cert, ext_OO.structure.free_rank, len(rows), values)
         with res.algebra._lock:
             pairing = res._ext.setdefault(key, pairing)
     return pairing
+
+
+def _require_rank_one(A, rank, c):
+    """tfree Ext^c(O,O) must have rank one; when it does not, the cotangent
+    rank tells a non-regular algebra from an engine fault."""
+    if rank == 1:
+        return
+    cot_rank = cotangent_invariants(A).cotangent.free_rank
+    if cot_rank != c:
+        raise NotRegularAtAugmentation(
+            f"not regular at the augmentation: tfree Ext^c(O,O) has rank "
+            f"{rank} and the cotangent module free rank {cot_rank} at codim {c}")
+    raise InternalInvariantViolation(
+        "tfree Ext^c(O,O) is not of rank one at the declared codimension")
 
 
 def eta_raw(A: AugmentedAlgebra, M, c: int, res: FreeResolution):
@@ -273,23 +265,15 @@ def eta_raw(A: AugmentedAlgebra, M, c: int, res: FreeResolution):
     gate, so a zero ideal is a possible (meaningful) outcome."""
     cert, rank, _, values = _pairing(A, _as_module(A, M), c, res)
     vals = [A.dvr.val(x) for per_rep in values for vs in per_rep for x in vs if x]
-    if vals and rank != 1:
-        raise InternalInvariantViolation(
-            "nonzero pairing image inside a torsion-free part of rank != 1")
+    if vals:
+        _require_rank_one(A, rank, c)
     return IdealO(A.dvr, min(vals, default=INF)), cert
 
 
 def psi_raw(A: AugmentedAlgebra, M, c: int, res: FreeResolution):
     """Cokernel of Ext^c(O,M) -> tfree Ext^c(O, M/pM), in normal form."""
     cert, rank, mu, values = _pairing(A, _as_module(A, M), c, res)
-    if rank != 1:
-        cot_rank = cotangent_invariants(A).cotangent.free_rank
-        if cot_rank != c:
-            raise NotRegularAtAugmentation(
-                f"not regular at the augmentation: tfree Ext^c(O,O) has rank "
-                f"{rank} and the cotangent module free rank {cot_rank} at codim {c}")
-        raise InternalInvariantViolation(
-            "tfree Ext^c(O,O) is not of rank one at the declared codimension")
+    _require_rank_one(A, rank, c)
     cols = [[vs[0] for vs in per_rep] for per_rep in values]  # rank one
     image_cols = [col for col in cols if any(col)]
     pres = [[col[i] for col in image_cols] for i in range(mu)]
@@ -408,13 +392,10 @@ def kappa_defect(A: AugmentedAlgebra, M, res=None) -> dict:
     for ms in free_reps:
         if MA.is_O:
             w = [A.lam(p) * ms[0] for p in zeta]
-            kappa_cols.append(ext_OO.o_class_free_values(w))
         else:
-            psi_flat = []
-            for l in range(MA.gens):
-                for k in range(r_c):
-                    psi_flat.append(zeta[k].scale(ms[l]) if ms[l] else A.ring.zero)
-            kappa_cols.append(ext_OM.m_class_free_values(tuple(psi_flat)))
+            w = tuple(zeta[k].scale(ms[l]) if ms[l] else A.ring.zero
+                      for l in range(MA.gens) for k in range(r_c))
+        kappa_cols.append(ext_OM.class_free_values(w))
     rows = [[col[i] for col in kappa_cols] for i in range(mu)]
     sf = smith_form(dvr, rows)
     if sf.rank < mu:
@@ -462,8 +443,8 @@ def numerical_criterion(A: AugmentedAlgebra, M=None, mode="defect0",
         if res is None:
             res = resolve_O(A)
         cot = cotangent_invariants(A)
-        eta_M, cert1 = eta_raw(A, MA, c, res)
-        psi_M, cert2, mu = psi_raw(A, MA, c, res)
+        eta_M, cert = eta_raw(A, MA, c, res)
+        psi_M, _, mu = psi_raw(A, MA, c, res)
         ext_OM = ext_module(A, MA, c, res) if not MA.is_O else None
         ext_tfree = (ext_OM is None or not ext_OM.structure.torsion_exponents)
         phi_len = cot.phi.torsion_length
@@ -479,7 +460,7 @@ def numerical_criterion(A: AugmentedAlgebra, M=None, mode="defect0",
             "status": status,
             "depth_asserted": asserted,
             "ext_torsion_free": ext_tfree,
-            "certification": cert1.merge(cert2).label(),
+            "certification": cert.label(),
             "data": {
                 "fitt_c": cot.fitt_c,
                 "eta": eta_M,
@@ -542,11 +523,10 @@ def deformation_step(A: AugmentedAlgebra, M, f: Poly) -> dict:
     zero = A.ring.zero
     cols = [tuple(f if k == l else zero for k in range(g)) for l in range(g)]
     cols_p = [tuple(col) for col in MA.columns]
-    heads, reg_cert = _syzygies(A, cols, g, relations=cols_p)
+    heads = _syzygies(A, cols, g, relations=cols_p)
     if heads and cols_p:
-        pres, c2 = A.span_solver(cols_p, g, target_degree=max(
+        pres = A.span_solver(cols_p, g, target_degree=max(
             p.degree() for head in heads for p in head))
-        reg_cert = reg_cert.merge(c2)
         ok = all(pres.contains(head) for head in heads)
     else:
         ok = all(A.in_ideal(p) for head in heads for p in head)
@@ -572,7 +552,7 @@ def deformation_step(A: AugmentedAlgebra, M, f: Poly) -> dict:
         "eta_A": eta_A_M,
         "eta_B": eta_B_N,
         "exact_sequence_holds": lhs == rhs,
-        "certification": c1.merge(c2).merge(reg_cert).label(),
+        "certification": c1.merge(c2).merge(A.cert).label(),
     }
 
 
@@ -609,7 +589,7 @@ def _product_check(A, res, c):
     gens = []
     for coords in ext1.structure.free_generator_reps():
         w = [A.dvr.zero] * res.rank(1)
-        for coef, kb in zip(coords, ext1.ker_basis):
+        for coef, kb in zip(coords, ext1.reps):
             if coef:
                 for t in range(len(w)):
                     w[t] = w[t] + coef * kb[t]
@@ -617,6 +597,9 @@ def _product_check(A, res, c):
     if len(gens) != c:
         return False
     ring = A.ring
+    # one solver of d_k per level k, shared by the generators lifted there
+    solvers = [A.span_solver(res.differential(k), res.rank(k - 1))
+               for k in range(1, c)]
     # chain lift of each phi: u_k with d_k u_k = u_(k-1) d_(k+1)
     lifts = []
     for t, w in enumerate(gens):
@@ -624,13 +607,10 @@ def _product_check(A, res, c):
         u_prev = [(ring.const(x),) for x in w]  # columns of F_1 -> F_0
         u_levels = [u_prev]
         for k in range(1, levels_needed + 1):
-            dk = res.differential(k)
-            dk1 = res.differential(k + 1)
-            solver, _ = A.span_solver(dk, res.rank(k - 1))
             cols = []
-            for col in dk1:
+            for col in res.differential(k + 1):
                 target = _apply_columns(ring, u_prev, col)
-                sol = solver.solve(target)
+                sol = solvers[k - 1].solve(target)
                 if sol is None:
                     raise ProductLiftFailed(
                         f"chain lift at level {k} did not complete")
@@ -645,7 +625,7 @@ def _product_check(A, res, c):
         composite = [tuple(_apply_columns(ring, upper, col)) for col in composite]
     ext_c = ext_module(A, None, c, res)
     w = [A.lam(col[0]) for col in composite]
-    vals = ext_c.o_class_free_values(w)
+    vals = ext_c.class_free_values(w)
     return any(x and A.dvr.val(x) == 0 for x in vals)
 
 
@@ -785,8 +765,8 @@ def analyze(A: AugmentedAlgebra, modules=None, res=None) -> CongruenceReport:
     eta_A, _ = eta_raw(A, None, A.codim, res)
     out_modules = {}
     for name, M in module_map.items():
-        eta_M, c1 = eta_raw(A, M, A.codim, res)
-        psi_M, c2, mu = psi_raw(A, M, A.codim, res)
+        eta_M, cert = eta_raw(A, M, A.codim, res)
+        psi_M, _, mu = psi_raw(A, M, A.codim, res)
         crit = numerical_criterion(
             A, M, mode="wld" if A.codim == 0 else "defect0", res=res)
         entry = {
@@ -795,7 +775,7 @@ def analyze(A: AugmentedAlgebra, modules=None, res=None) -> CongruenceReport:
             "psi_length": psi_M.torsion_length,
             "mu": mu,
             "criterion": crit,
-            "certification": c1.merge(c2).label(),
+            "certification": cert.label(),
         }
         if mu == 1:
             exps = psi_M.torsion_exponents

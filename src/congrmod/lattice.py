@@ -160,7 +160,7 @@ def split_and_congruence(split: LatticeSplit) -> dict:
             raise InternalInvariantViolation(
                 f"the three congruence quotients disagree: "
                 f"{q1.signature} / {qm.signature} / {q2.signature}")
-    cong = FinOModule.of_invariants(dvr, qm.torsion_exponents, 0)
+    cong = qm.torsion_part()
 
     def back(vectors):
         return [[sum_mul(dvr, B[i], v) for v in vectors] for i in range(n)]

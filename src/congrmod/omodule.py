@@ -493,10 +493,6 @@ class FinOModule:
     def free(cls, dvr, rank):
         return cls.from_presentation(dvr, [[] for _ in range(rank)])
 
-    @classmethod
-    def of_invariants(cls, dvr, exponents, free_rank):
-        return cls(dvr, exponents, free_rank)
-
     # -- structure --
     @property
     def signature(self):

@@ -5,14 +5,17 @@ Two constructions build every complex:
                        higher homotopies built from the augmentation
                        division, each homotopy lifted through one SpanSolver.
                        With no relations it is the Koszul complex (strategy
-                       koszul, exact); with one relation it is the
-                       2-periodic-tail matrix factorization (exact by
-                       theory); for claimed complete intersections (strategy
-                       shamash) the regular-sequence hypothesis is
-                       corroborated by a bounded check only.
-  syzygy               iterated syzygy kernels; certified when the algebra is
-                       module-finite, bounded search otherwise.
-The file strategy takes user differentials and re-verifies them fully.
+                       koszul), with one relation the 2-periodic-tail matrix
+                       factorization (matrix_factorization), and in general
+                       the resolution of a complete intersection (shamash).
+                       It is exact when the relations are a regular
+                       sequence, so the family shares one rule: at most one
+                       relation is a regular sequence by theory (certified),
+                       and more are corroborated by a bounded check only.
+  syzygy               iterated syzygy kernels, searched at the algebra's
+                       bound, so labelled with the algebra's certificate.
+The file strategy takes user differentials and re-verifies them fully; the
+exactness check is as certain as the algebra's searches.
 Every strategy builds each step from the steps before it, the first time it
 is read (see FreeResolution), and checks d^2 = 0 exactly once per step, as
 the step is added; user differentials are all built when they are given.
@@ -25,7 +28,7 @@ from __future__ import annotations
 
 from itertools import combinations
 
-from .algebra import AugmentedAlgebra
+from .algebra import _NOTSET, AugmentedAlgebra
 from .errors import (InternalInvariantViolation, ResolutionTooShort,
                      StrategyInapplicable, VerificationFailed)
 from .linsolve import CERTIFIED, USER_VERIFIED, Cert, SpanSolver, bounded
@@ -299,20 +302,20 @@ def _regular_sequence_check(A):
 # ---------------------------------------------------------------------------
 # syzygy strategy
 
-def _syzygies(A, columns, nrows, bound=None, relations=()):
+def _syzygies(A, columns, nrows, relations=()):
     """The one kernel over A: pruned generators, in normal form, of the
     vectors a with sum a_j columns_j in the A-span of the relation columns,
-    with the certificate of the kernel search.  One solver finds the kernel
-    of columns + relations; each kernel vector keeps its first len(columns)
-    coordinates.  Pruning keeps its first vector unconditionally, so zero
-    heads are dropped before it, and heads that are zero only in A after."""
+    searched at the algebra's bound (so as certain as A.cert).  One solver
+    finds the kernel of columns + relations; each kernel vector keeps its
+    first len(columns) coordinates.  Pruning keeps its first vector
+    unconditionally, so zero heads are dropped before it, and heads that
+    are zero only in A after."""
     n = len(columns)
-    solver, cert = A.span_solver(list(columns) + list(relations), nrows,
-                                 bound=bound)
+    solver = A.span_solver(list(columns) + list(relations), nrows)
     heads = [v[:n] for v in solver.kernel()]
-    pruned = A.prune([v for v in heads if any(p.terms for p in v)], bound=bound)
+    pruned = A.prune([v for v in heads if any(p.terms for p in v)])
     out = (tuple(A.nf(p) for p in v) for v in pruned)
-    return [v for v in out if any(p.terms for p in v)], cert
+    return [v for v in out if any(p.terms for p in v)]
 
 
 def _syzygy_resolution(A):
@@ -321,7 +324,7 @@ def _syzygy_resolution(A):
     def step(t, diffs, ranks):
         if t == 1:
             return [(g,) for g in A.p_gens()]
-        return _syzygies(A, diffs[-1], ranks[-2])[0] if diffs[-1] else []
+        return _syzygies(A, diffs[-1], ranks[-2]) if diffs[-1] else []
     return step
 
 
@@ -332,17 +335,12 @@ def resolve_O(A: AugmentedAlgebra, length=None, strategy="auto",
     """The resolution of O over A by one strategy, one per (algebra,
     strategy) and shared by racing threads.  length asks for at least that
     many steps and builds them now; without it the whole complex runs to
-    c + 2, built as it is read.  auto picks its strategy once per algebra,
-    so the regular-sequence check runs once."""
+    c + 2, built as it is read."""
     with A._lock:
-        checked = strategy == "auto"  # auto's choice needs no second check
-        if checked:
-            if A._auto_strategy is None:
-                A._auto_strategy = _auto_strategy(A)
-            strategy = A._auto_strategy
+        if strategy == "auto":
+            strategy = _pick_strategy(A)
         if strategy not in A._resolutions:
-            A._resolutions[strategy] = _new_resolution(A, strategy, checked,
-                                                       user_matrices)
+            A._resolutions[strategy] = _new_resolution(A, strategy, user_matrices)
         res = A._resolutions[strategy]
         if strategy != "file":
             res.length = max(res.length, A.codim + 2 if length is None else length)
@@ -351,44 +349,62 @@ def resolve_O(A: AugmentedAlgebra, length=None, strategy="auto",
     return res
 
 
-def _auto_strategy(A):
+def _pick_strategy(A):
+    """The strategy auto stands for: the Shamash family wherever it
+    applies, syzygies otherwise."""
     if not A.relations:
         return "koszul"
     if len(A.relations) == 1:
         return "matrix_factorization"
-    if A.claimed_ci and _regular_sequence_check(A):
+    if A.claimed_ci and _complete_intersection(A):
         return "shamash"
     return "syzygy"
 
 
-def _new_resolution(A, strategy, checked, user_matrices):
-    """A resolution of one named strategy with no step built yet; checked
-    says the regular-sequence check has passed.  User matrices are all
-    built and verified here."""
-    if strategy == "koszul" and A.relations:
+def _complete_intersection(A):
+    """The certificate that the relations are a regular sequence in
+    O[x]_(pi, x - a), or None when the bounded check refutes it; decided
+    once per algebra.  That ring is a domain and every relation lies in its
+    maximal ideal, so at most one relation is a regular sequence by theory."""
+    with A._lock:
+        if A._ci_cert is _NOTSET:
+            if len(A.relations) <= 1:
+                A._ci_cert = CERTIFIED
+            elif _regular_sequence_check(A):
+                A._ci_cert = bounded(A.config.search_degree)
+            else:
+                A._ci_cert = None
+        return A._ci_cert
+
+
+_SHAMASH_FAMILY = ("koszul", "matrix_factorization", "shamash")
+
+
+def _new_resolution(A, strategy, user_matrices):
+    """A resolution of one named strategy with no step built yet.  User
+    matrices are all built and verified here."""
+    m = len(A.relations)
+    if strategy == "koszul" and m:
         raise StrategyInapplicable(
             "koszul strategy needs the augmentation generators to be a "
             "regular sequence, i.e. no relations")
-    if strategy == "matrix_factorization" and len(A.relations) != 1:
+    if strategy == "matrix_factorization" and m != 1:
         raise StrategyInapplicable(
             "matrix_factorization needs exactly one relation")
     if strategy == "shamash":
-        if not A.relations:
+        if not m:
             raise StrategyInapplicable("no relations; use koszul")
         if not A.claimed_ci:
             raise StrategyInapplicable(
                 "shamash requires the complete-intersection assertion")
-        if not checked and not _regular_sequence_check(A):
+    if strategy in _SHAMASH_FAMILY:
+        cert = _complete_intersection(A)
+        if cert is None:
             raise StrategyInapplicable(
                 "relations fail the bounded regular-sequence check")
-
-    if strategy in ("koszul", "matrix_factorization", "shamash"):
-        cert = (bounded(A.config.search_degree) if strategy == "shamash"
-                else CERTIFIED)
         return FreeResolution(A, strategy, cert, _shamash_resolution(A))
     if strategy == "syzygy":
-        return FreeResolution(A, strategy, A._degree_bound(None)[1],
-                              _syzygy_resolution(A))
+        return FreeResolution(A, strategy, A.cert, _syzygy_resolution(A))
     if strategy != "file":
         raise StrategyInapplicable(f"unknown strategy {strategy!r}")
     if user_matrices is None:
@@ -419,18 +435,18 @@ def _file_resolution(A, matrices):
 
 def verify_resolution(res: FreeResolution) -> Cert:
     """d_1 generates the augmentation ideal, and exactness is witnessed
-    through degree codim+1, by bounded search unless the algebra is
-    module-finite (d^2 = 0 is checked as each step is built).  The solver of
-    d_(i+1) that tests membership at step i gives the kernel at step i+1."""
+    through degree codim+1 (d^2 = 0 is checked as each step is built).  The
+    solver of d_(i+1) that tests membership at step i gives the kernel at
+    step i+1.  The Shamash family is exact by theory once its relations are
+    a regular sequence, so its certificate stands; any other resolution is
+    then as certain as the searches over A."""
     A = res.algebra
-    evidence = CERTIFIED
     d1 = res.differential(1)
     for col in d1:
         if A.lam(col[0]):
             raise VerificationFailed("a column of d_1 is not in the augmentation ideal")
     # the generators x_i - a_i all have degree one
-    solver, cert = A.span_solver(d1, 1, target_degree=1)
-    evidence = evidence.merge(cert)
+    solver = A.span_solver(d1, 1, target_degree=1)
     if not all(solver.contains((g,)) for g in A.p_gens()):
         raise VerificationFailed(
             "image of d_1 does not generate the augmentation ideal")
@@ -442,26 +458,23 @@ def verify_resolution(res: FreeResolution) -> Cert:
             kernel_solver = None
             continue
         if kernel_solver is None:
-            kernel_solver, cert = A.span_solver(di, res.rank(i - 1))
-            evidence = evidence.merge(cert)
-        solver, cert = A.span_solver(res.differential(i + 1), res.rank(i))
-        evidence = evidence.merge(cert)
+            kernel_solver = A.span_solver(di, res.rank(i - 1))
+        solver = A.span_solver(res.differential(i + 1), res.rank(i))
         for v in kernel_solver.kernel():
             if not solver.contains(v):
                 raise VerificationFailed(
                     f"exactness fails at homological degree {i}")
         kernel_solver = solver
-    if res.strategy in ("koszul", "matrix_factorization", "file"):
-        return res.cert
-    res.cert = res.cert.merge(evidence)
+    if res.strategy not in _SHAMASH_FAMILY:
+        res.cert = res.cert.merge(A.cert)
     return res.cert
 
 
-def syzygy_module(A: AugmentedAlgebra, columns, nrows=None, bound=None):
+def syzygy_module(A: AugmentedAlgebra, columns, nrows=None):
     """Generators of the syzygies of the given columns over A, pruned and
-    exactly verified."""
+    exactly verified, with the certificate of the search (A.cert)."""
     if nrows is None:
         nrows = len(columns[0]) if columns else 0
-    out, cert = _syzygies(A, columns, nrows, bound)
+    out = _syzygies(A, columns, nrows)
     _check_d_squared(A, columns, out, 1)
-    return out, cert
+    return out, A.cert

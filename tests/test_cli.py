@@ -603,8 +603,9 @@ codim = 1
 
 
 def test_node_is_not_regular_exit_2(tmp_path, capsys):
-    """On the node O[x, y]/(x*y) in codimension 1 both rank tests fail: psi
-    and analyze name that and exit 2, while eta is the zero ideal."""
+    """On the node O[x, y]/(x*y) in codimension 1 both rank tests fail: psi,
+    analyze, and eta and the criterion of the module O name that and exit
+    2, while the ring's eta is the zero ideal."""
     f = tmp_path / "node.cm"
     f.write_text("""
 [dvr]
@@ -618,8 +619,9 @@ x = 0
 y = 0
 codim = 1
 """)
-    for command in ("analyze", "psi"):
-        assert main([command, str(f)]) == 2
+    for command in (["analyze"], ["psi"], ["eta", "--module", "O"],
+                    ["criterion", "--mode", "defect0", "--module", "O"]):
+        assert main([command[0], str(f)] + command[1:]) == 2
         err = capsys.readouterr().err
         assert "not regular" in err and "Internal" not in err
     code, out = run(capsys, ["eta", str(f), "--format", "structured"])

@@ -632,13 +632,13 @@ def test_strategy_independence_power_series(q, n):
         assert values[0] == values[1], (q, n, k)
 
 
-def _unpruned_kernel(A, columns, nrows, bound=None, relations=()):
+def _unpruned_kernel(A, columns, nrows, relations=()):
     """Reference cocycle search: every distinct nonzero head of the bounded
     kernel of columns + relations, neither pruned nor reduced."""
     cols = list(columns)
     nvar = len(cols)
     cols += list(relations)
-    solver, c1 = A.span_solver(cols, nrows)
+    solver = A.span_solver(cols, nrows)
     reps = []
     seen = set()
     for v in solver.kernel():
@@ -649,7 +649,7 @@ def _unpruned_kernel(A, columns, nrows, bound=None, relations=()):
             continue
         seen.add(head)
         reps.append(head)
-    return reps, c1
+    return reps
 
 
 def _reference_grid():

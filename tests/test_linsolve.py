@@ -88,7 +88,9 @@ def test_prune_matches_rebuild_per_keep(name):
     ring, gb = A.ring, A.gb_global
     prev, nrows = [(g,) for g in A.p_gens()], 1
     for _ in range(2):
-        solver, _ = A.span_solver(prev, nrows, bound=1)
+        # the staircase degree when A is module-finite, else search degree 1
+        bound = max(A.finite.maxdeg, 0) if A.is_module_finite else 1
+        solver = SpanSolver(ring, gb, prev, nrows, bound, config=A.config)
         vecs = solver.kernel()
         kept = prune_generators(ring, gb, vecs, 1, A.config)
         assert kept == prune_by_rebuilding(ring, gb, vecs, 1, A.config)

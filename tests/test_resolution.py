@@ -11,8 +11,9 @@ from congrmod import (Dvr, FpModule, PolyRing, build_algebra, ext_module, resolv
 from congrmod import resolution
 from congrmod.errors import (InternalInvariantViolation, ResolutionTooShort,
                              StrategyInapplicable, VerificationFailed)
-from congrmod.linsolve import CERTIFIED, SpanSolver
+from congrmod.linsolve import SpanSolver
 from congrmod.poly import Poly, monomials_up_to
+from congrmod.probfile import load_problem
 from congrmod.resolution import _apply_columns, _Shamash
 from conftest import (make_An, make_ring_B, make_depth_zero_example, make_hypersurface_2var,
                       run_python)
@@ -222,13 +223,13 @@ def test_syzygies_modulo_relations(make, rng):
                 for _ in range(rng.choice([1, 2]))]
         rels = [col for col in rels if any(p.terms for p in col)] or [
             (R.parse("pi*x"),) + (R.zero,) * (g - 1)]
-        heads, _ = resolution._syzygies(A, columns, g, relations=rels)
+        heads = resolution._syzygies(A, columns, g, relations=rels)
         found += len(heads)
         for head in heads:
             assert any(p.terms for p in head)
             assert all(A.nf(p) == p for p in head)
             image = _apply_columns(R, columns, head)
-            solver, _ = A.span_solver(
+            solver = A.span_solver(
                 rels, g, target_degree=max(p.degree() for p in image))
             assert solver.contains(tuple(image))
     assert found
@@ -240,7 +241,7 @@ def test_syzygies_drop_heads_zero_in_A():
     zero in A and must not come back as a zero generator."""
     H = make_hypersurface_2var(5, 2)
     R = H.ring
-    assert resolution._syzygies(H, [(R.parse("x"), R.parse("y"))], 2)[0] == []
+    assert resolution._syzygies(H, [(R.parse("x"), R.parse("y"))], 2) == []
 
 
 def test_strategy_inapplicable(O5):
@@ -363,6 +364,65 @@ def test_one_resolution_per_strategy_grown_on_demand(O5, monkeypatch):
         [[tuple(map(str, c)) for c in d] for d in once.diffs]
 
 
+CI_FILES = {
+    "module-finite CI": """
+[dvr]
+kind = p_adic
+p = 5
+[ring]
+vars = x, y
+relations = x*(x - pi), y*(y - pi^2)
+[augmentation]
+x = 0
+y = 0
+codim = 0
+ci = true
+""",
+    "not module-finite": """
+[dvr]
+kind = p_adic
+p = 5
+[ring]
+vars = x, y
+relations = x*(x - pi)
+[augmentation]
+x = 0
+y = 0
+codim = 1
+ci = true
+[resolution]
+d1 = [[x, y]]
+d2 = [[x - pi, -y], [0, x]]
+d3 = [[x, y], [0, x - pi]]
+"""}
+BOUNDED = "bounded_search(degree 4)"
+# algebra -> (A.cert, {applicable strategy: res.cert})
+CERT_RULE = {
+    "module-finite CI": ("certified", {
+        "auto": BOUNDED, "shamash": BOUNDED, "syzygy": "certified"}),
+    "not module-finite": (BOUNDED, {
+        "auto": "certified", "matrix_factorization": "certified",
+        "shamash": "certified", "syzygy": BOUNDED, "file": BOUNDED}),
+}
+
+
+@pytest.mark.parametrize("name, strategy", [
+    (name, strategy) for name, (_, labels) in CERT_RULE.items()
+    for strategy in labels])
+def test_certificate_rule(name, strategy):
+    """One relation is a regular sequence by theory, so the Shamash family
+    certifies it on any algebra; more relations are checked by bounded
+    search.  A syzygy or file resolution is as certain as the algebra's
+    searches: certified (or user-supplied) when module-finite, bounded
+    otherwise."""
+    problem = load_problem(CI_FILES[name])
+    A = problem.algebra
+    res = resolve_O(A, strategy=strategy,
+                    user_matrices=problem.resolution_matrices)
+    algebra_label, labels = CERT_RULE[name]
+    assert (res.cert.label(), A.cert.label()) == (labels[strategy], algebra_label)
+
+
 class TestSyzygyModule:
     def test_koszul_syzygy(self, O5):
         R = PolyRing(O5, ("x", "y"))
@@ -370,7 +430,7 @@ class TestSyzygyModule:
         cols, cert = syzygy_module(A, [(R.parse("x"),), (R.parse("y"),)])
         assert cert.kind == "bounded"
         # the Koszul relation (-y, x) is in the span of the output
-        solver, _ = A.span_solver(cols, 2, target_degree=1)
+        solver = A.span_solver(cols, 2, target_degree=1)
         assert solver.contains((R.parse("-y"), R.parse("x")))
 
     def test_annihilator_syzygy(self):
@@ -378,7 +438,7 @@ class TestSyzygyModule:
         R = A.ring
         cols, cert = syzygy_module(A, [(R.parse("x"),)])
         assert cert.label() == "certified"
-        solver, _ = A.span_solver(cols, 1, target_degree=1)
+        solver = A.span_solver(cols, 1, target_degree=1)
         assert solver.contains((R.parse("x - pi"),))
 
     def test_membership_reaches_target_degree(self, O5):
@@ -388,8 +448,8 @@ class TestSyzygyModule:
         a multiplier of degree 5, so it is outside the bounded span."""
         R = PolyRing(O5, ("x",))
         A = build_algebra(R, [R.parse("pi*x")], [O5.zero], 0, name="O[x]/(pi*x)")
-        solver, cert = A.span_solver([(R.parse("x"),)], 1, target_degree=6)
-        assert cert.label() == "bounded_search(degree 4)"
+        solver = A.span_solver([(R.parse("x"),)], 1, target_degree=6)
+        assert A.cert.label() == "bounded_search(degree 4)"
         assert solver.contains((R.parse("pi*x^6"),))
         assert not solver.contains((R.parse("x^6"),))
 
@@ -410,8 +470,8 @@ class TestSyzygyModule:
 
     def test_non_syzygy_is_caught(self, monkeypatch):
         """The d^2 check, not the syzygy step, vouches for every syzygy."""
-        def not_syzygies(A, columns, nrows, bound=None):
-            return [(A.ring.one,) + (A.ring.zero,) * (len(columns) - 1)], CERTIFIED
+        def not_syzygies(A, columns, nrows):
+            return [(A.ring.one,) + (A.ring.zero,) * (len(columns) - 1)]
 
         monkeypatch.setattr(resolution, "_syzygies", not_syzygies)
         B = make_ring_B(5)
