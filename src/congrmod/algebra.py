@@ -17,12 +17,42 @@ from .dvr import IdealO
 from .errors import (AugmentationNotWellDefined, InconsistentCodim,
                      NonIntegralEntry, NonLocalAugmentation)
 from .finite import FiniteStructure
-from .linsolve import CERTIFIED, SpanSolver, bounded, prune_generators
+from .linsolve import SpanSolver, prune_generators
 from .omodule import FinOModule
 from .poly import GLOBAL, LOCAL, Poly, PolyRing, taylor_division
 from .stdbasis import StdBasis, std_basis
 
 _NOTSET = object()
+
+
+@dataclass(frozen=True)
+class Cert:
+    kind: str  # "certified" | "bounded" | "user_supplied_verified"
+    degree: object = None
+
+    def merge(self, other: "Cert") -> "Cert":
+        order = {"certified": 0, "user_supplied_verified": 1, "bounded": 2}
+        if order[self.kind] >= order[other.kind]:
+            a, b = self, other
+        else:
+            a, b = other, self
+        if a.kind == "bounded":
+            degs = [c.degree for c in (self, other) if c.kind == "bounded"]
+            return Cert("bounded", min(degs))
+        return a
+
+    def label(self) -> str:
+        if self.kind == "bounded":
+            return f"bounded_search(degree {self.degree})"
+        return self.kind
+
+
+CERTIFIED = Cert("certified")
+USER_VERIFIED = Cert("user_supplied_verified")
+
+
+def bounded(degree: int) -> Cert:
+    return Cert("bounded", degree)
 
 
 class AugmentedAlgebra:
@@ -121,8 +151,7 @@ class AugmentedAlgebra:
     def finite(self):
         with self._lock:
             if self._finite is _NOTSET:
-                self._finite = FiniteStructure.try_build(
-                    self.ring, self.gb_global, self.config)
+                self._finite = FiniteStructure.try_build(self.ring, self.gb_global)
             return self._finite
 
     @property
@@ -157,24 +186,19 @@ class AugmentedAlgebra:
             return max(self.finite.maxdeg, 0)
         return self.config.search_degree
 
-    def span_solver(self, columns, nrows, per_bounds=None, target_degree=None):
+    def span_solver(self, columns, nrows, per_bounds=None, target_degree=0):
         """The A-span of the columns, searched at the algebra's bound (its
         certificate is A.cert).  A None in per_bounds takes that bound.  A
-        solver built for one target passes that target's degree, which its
-        absorber columns must reach as well as the columns'."""
+        solver built for one target passes that target's degree."""
         b = self._search_bound
         if per_bounds is not None:
             per_bounds = [b if x is None else x for x in per_bounds]
-        absorb = None
-        if target_degree is not None:
-            absorb = b + max([0, target_degree]
-                             + [p.degree() for col in columns for p in col])
         return SpanSolver(self.ring, self.gb_global, columns, nrows, b,
-                          absorb, self.config, per_bounds)
+                          target_degree, per_bounds)
 
     def prune(self, vectors):
         return prune_generators(self.ring, self.gb_global, vectors,
-                                self._search_bound, config=self.config)
+                                self._search_bound)
 
     # -- derived algebras --
     def quotient_by(self, f: Poly) -> "AugmentedAlgebra":

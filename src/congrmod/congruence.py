@@ -16,7 +16,7 @@ import warnings
 from dataclasses import dataclass
 from math import comb
 
-from .algebra import (AugmentedAlgebra, cotangent_invariants,
+from .algebra import (AugmentedAlgebra, Cert, cotangent_invariants,
                       regularity_at_lambda, symbolic_power_test)
 from .dvr import IdealO, INF
 from .errors import (InSymbolicSquare, InputError,
@@ -24,7 +24,6 @@ from .errors import (InSymbolicSquare, InputError,
                      NotASurjection, NotRegularAtAugmentation, NotSameCodim,
                      ProductLiftFailed, ZeroDivisorSuspected)
 from .fpmodule import FpModule
-from .linsolve import Cert
 from .omodule import _Echelon, _sparse, FinOModule, smith_form
 from .poly import Poly
 from .resolution import FreeResolution, _apply_columns, _syzygies, resolve_O
@@ -246,18 +245,19 @@ def _pairing(A, MA, c, res):
     return pairing
 
 
-def _require_rank_one(A, rank, c):
-    """tfree Ext^c(O,O) must have rank one; when it does not, the cotangent
-    rank tells a non-regular algebra from an engine fault."""
-    if rank == 1:
+def _require_rank(A, rank, c, expected=1, what="tfree Ext^c(O,O)"):
+    """The free rank of an Ext module must be the one regularity gives;
+    when it is not, the cotangent rank tells a non-regular algebra from an
+    engine fault."""
+    if rank == expected:
         return
     cot_rank = cotangent_invariants(A).cotangent.free_rank
     if cot_rank != c:
         raise NotRegularAtAugmentation(
-            f"not regular at the augmentation: tfree Ext^c(O,O) has rank "
+            f"not regular at the augmentation: {what} has rank "
             f"{rank} and the cotangent module free rank {cot_rank} at codim {c}")
     raise InternalInvariantViolation(
-        "tfree Ext^c(O,O) is not of rank one at the declared codimension")
+        f"{what} does not have rank {expected} at the declared codimension")
 
 
 def eta_raw(A: AugmentedAlgebra, M, c: int, res: FreeResolution):
@@ -266,14 +266,14 @@ def eta_raw(A: AugmentedAlgebra, M, c: int, res: FreeResolution):
     cert, rank, _, values = _pairing(A, _as_module(A, M), c, res)
     vals = [A.dvr.val(x) for per_rep in values for vs in per_rep for x in vs if x]
     if vals:
-        _require_rank_one(A, rank, c)
+        _require_rank(A, rank, c)
     return IdealO(A.dvr, min(vals, default=INF)), cert
 
 
 def psi_raw(A: AugmentedAlgebra, M, c: int, res: FreeResolution):
     """Cokernel of Ext^c(O,M) -> tfree Ext^c(O, M/pM), in normal form."""
     cert, rank, mu, values = _pairing(A, _as_module(A, M), c, res)
-    _require_rank_one(A, rank, c)
+    _require_rank(A, rank, c)
     cols = [[vs[0] for vs in per_rep] for per_rep in values]  # rank one
     image_cols = [col for col in cols if any(col)]
     pres = [[col[i] for col in image_cols] for i in range(mu)]
@@ -357,7 +357,8 @@ def eta_codim0_oracle(A: AugmentedAlgebra, M=None) -> IdealO:
 
 def kappa_defect(A: AugmentedAlgebra, M, res=None) -> dict:
     """The Kunneth comparison map on torsion-free parts, its cokernel
-    annihilator, and the two defect identities."""
+    annihilator, and the two defect identities.  Both of its rank checks
+    tell a non-regular algebra (NotRegularAtAugmentation) from a fault."""
     c = A.codim
     if res is None:
         res = resolve_O(A)
@@ -365,9 +366,7 @@ def kappa_defect(A: AugmentedAlgebra, M, res=None) -> dict:
     ext_OO = ext_module(A, None, c, res)
     ext_OA = ext_module(A, FpModule.ring_module(A), c, res)
     dvr = A.dvr
-    if ext_OA.structure.free_rank != 1:
-        raise InternalInvariantViolation(
-            "tfree Ext^c(O,A) is not of rank one; not regular at the augmentation?")
+    _require_rank(A, ext_OA.structure.free_rank, c, what="tfree Ext^c(O,A)")
     # representative of the rank-one generator of tfree Ext^c(O,A)
     gen_coords = ext_OA.structure.free_generator_reps()[0]
     r_c = res.rank(c)
@@ -385,9 +384,7 @@ def kappa_defect(A: AugmentedAlgebra, M, res=None) -> dict:
                 "diff_identity": True, "sequence_identity": True, "mu": 0}
     free_reps = quotient.free_generator_reps()  # vectors over O^gens
     ext_OM = ext_OO if MA.is_O else ext_module(A, MA, c, res)
-    if ext_OM.structure.free_rank != mu:
-        raise InternalInvariantViolation(
-            "rank of Ext^c(O,M) does not match the generator count of M_p")
+    _require_rank(A, ext_OM.structure.free_rank, c, mu, "tfree Ext^c(O,M)")
     kappa_cols = []
     for ms in free_reps:
         if MA.is_O:

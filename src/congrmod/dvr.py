@@ -501,6 +501,15 @@ class Dvr:
         return {i: x.numerator * (den // x.denominator)
                 for i, x in vec.items() if x}, den
 
+    def join(self, num, den):
+        """The entries in K of numerators over one positive denominator, as
+        split gives them."""
+        if self.kind != "p_adic":
+            return dict(num)
+        if den == 1:
+            return {i: Fraction(n) for i, n in num.items()}
+        return {i: Fraction(n, den) for i, n in num.items()}
+
     def is_zero(self, x):
         return not x if self.kind == "p_adic" else x.is_zero()
 

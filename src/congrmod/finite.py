@@ -20,17 +20,16 @@ from .poly import Poly, monomial_divides
 class FiniteStructure:
     """Box basis of a module-finite algebra A = O[x]/I over O."""
 
-    def __init__(self, ring, gb_global, box, config):
+    def __init__(self, ring, gb_global, box):
         self.ring = ring
         self.dvr = ring.dvr
         self.gb = gb_global
         self.box = box
         self.maxdeg = max((sum(e) for e in box), default=0)
-        self.config = config
         self._relations = None
 
     @classmethod
-    def try_build(cls, ring, gb_global, config):
+    def try_build(cls, ring, gb_global):
         unit_leads = gb_global.unit_leads
         bounds = []
         for i in range(ring.nvars):
@@ -46,7 +45,7 @@ class FiniteStructure:
             if not any(monomial_divides(le, e) for le in unit_leads):
                 box.append(e)
         box.sort(key=lambda e: (sum(e), e))
-        return cls(ring, gb_global, box, config)
+        return cls(ring, gb_global, box)
 
     @property
     def rank(self):
@@ -62,7 +61,7 @@ class FiniteStructure:
             cols = [(Poly(self.ring, {e: self.dvr.one}),) for e in self.box]
             maxg = max((g.degree() for g in self.gb.gens), default=0)
             solver = SpanSolver(self.ring, self.gb, cols, 1, 0,
-                                self.maxdeg + maxg, self.config)
+                                self.maxdeg + maxg)
             self._relations = [[p.constant_value() for p in vec]
                                for vec in solver.kernel()]
         return self._relations

@@ -102,7 +102,7 @@ class FpModule:
                 fs = None
                 if combined:
                     gb = std_basis(combined, GLOBAL, A.config)
-                    fs = FiniteStructure.try_build(A.ring, gb, A.config)
+                    fs = FiniteStructure.try_build(A.ring, gb)
                 if fs is None:
                     raise NotFiniteOverBase(
                         f"module {self.name} is not finite over O (unbounded staircase)")

@@ -140,23 +140,15 @@ class _Echelon:
         return len(self._cols)
 
     # -- the integer representation --
-    def _join(self, num, den):
-        """The entries in K of numerators over a denominator."""
-        if self._p is None:
-            return dict(num)
-        if den == 1:
-            return {i: Fraction(n) for i, n in num.items()}
-        return {i: Fraction(n, den) for i, n in num.items()}
-
     @property
     def cols(self):
         """The current columns, entries in K (a copy)."""
-        return [self._join(c, d) for c, d in zip(self._cols, self._den)]
+        return [self.dvr.join(c, d) for c, d in zip(self._cols, self._den)]
 
     @property
     def R(self):
         """The columns of R, entries in O (a copy)."""
-        return [self._join(r, d) for r, d in zip(self._R, self._Rden)]
+        return [self.dvr.join(r, d) for r, d in zip(self._R, self._Rden)]
 
     def _append(self, column):
         j = len(self._cols)
@@ -317,7 +309,7 @@ class _Echelon:
     def kernel(self):
         """O-basis (as dicts col-index -> O) of the kernel of the column map."""
         pivot_cols = {j for _, j in self.pivots}
-        return [self._join(self._R[j], self._Rden[j])
+        return [self.dvr.join(self._R[j], self._Rden[j])
                 for j, col in enumerate(self._cols)
                 if j not in pivot_cols and not col]
 
@@ -358,7 +350,7 @@ class _Echelon:
             return None
         x = {}
         for pj, y in ys:
-            _combine(x, 1, 1, y, self._join(self._R[pj], self._Rden[pj]))
+            _combine(x, 1, 1, y, self.dvr.join(self._R[pj], self._Rden[pj]))
         return x
 
 
@@ -449,13 +441,12 @@ class FinOModule:
     """A sum of O/(pi^e_i) and O^free_rank, with optional coordinate
     witnesses back to the presentation generators."""
 
-    def __init__(self, dvr, torsion_exponents, free_rank, gens=None, smith=None, kinds=None):
+    def __init__(self, dvr, torsion_exponents, free_rank, gens=None, smith=None):
         self.dvr = dvr
         self.torsion_exponents = tuple(sorted(torsion_exponents))
         self.free_rank = int(free_rank)
         self.gens = gens
         self.smith = smith
-        self.kinds = kinds  # aligned to normal coordinates: ('u',0)|('t',e)|('f',0)
 
     # -- constructors --
     @classmethod
@@ -471,19 +462,8 @@ class FinOModule:
             # the first pivot has the minimal valuation of all entries
             x = next(x for row in matrix for x in row if x and dvr.val(x) < 0)
             raise NonIntegralEntry(f"entry {x!r} has negative valuation")
-        kinds = []
-        tors = []
-        for i in range(m):
-            if i < sf.rank:
-                v = sf.diag_vals[i]
-                if v == 0:
-                    kinds.append(("u", 0))
-                else:
-                    kinds.append(("t", v))
-                    tors.append(v)
-            else:
-                kinds.append(("f", 0))
-        return cls(dvr, tors, m - sf.rank, gens=m, smith=sf, kinds=kinds)
+        tors = [v for v in sf.diag_vals if v]
+        return cls(dvr, tors, m - sf.rank, gens=m, smith=sf)
 
     @classmethod
     def zero(cls, dvr):
@@ -538,7 +518,9 @@ class FinOModule:
         return mat_vec(self.dvr, self.smith.L, vec)
 
     def free_indices(self):
-        return [i for i, k in enumerate(self.kinds) if k[0] == "f"]
+        """The normal coordinates of the free summand: those past the
+        Smith form's rank."""
+        return range(self.smith.rank, self.gens)
 
     def free_coords(self, vec):
         w = self.normal_coords(vec)

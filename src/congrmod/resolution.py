@@ -28,11 +28,13 @@ from __future__ import annotations
 
 from itertools import combinations
 
-from .algebra import _NOTSET, AugmentedAlgebra
+from .algebra import (_NOTSET, CERTIFIED, USER_VERIFIED, AugmentedAlgebra,
+                      Cert, bounded)
 from .errors import (InternalInvariantViolation, ResolutionTooShort,
                      StrategyInapplicable, VerificationFailed)
-from .linsolve import CERTIFIED, USER_VERIFIED, Cert, SpanSolver, bounded
-from .poly import taylor_division
+from .linsolve import SpanSolver
+from .poly import GLOBAL, taylor_division
+from .stdbasis import StdBasis
 
 
 class FreeResolution:
@@ -129,7 +131,9 @@ def _check_d_squared(A, d_i, d_next, i):
 class _Shamash:
     """Built in shifted coordinates (x -> x + a) so the Koszul differential
     on the x_i is graded; differentials are shifted back at the end.  With
-    no relations there are no homotopies, and F is the Koszul complex."""
+    no relations there are no homotopies, and F is the Koszul complex.  The
+    homotopies are lifted over O[x], through one basis with no generators,
+    whose table every lift shares."""
 
     def __init__(self, A: AugmentedAlgebra):
         self.A = A
@@ -141,6 +145,7 @@ class _Shamash:
         self.m = len(self.fshift)
         self.n = n
         self.sigma_cache = {}
+        self.free = _free_basis(A)
 
     # -- Koszul scaffolding over the shifted polynomial ring --
     def _diff_elem(self, elem):
@@ -169,9 +174,8 @@ class _Shamash:
         for T in upper:
             dT = self._diff_elem({T: ring.one})
             columns.append(tuple(dT.get(S, ring.zero) for S in lower))
-        solver = SpanSolver(ring, None, columns, len(lower),
-                            max(p.degree() for p in z.values()) - 1,
-                            config=self.A.config)
+        solver = SpanSolver(ring, self.free, columns, len(lower),
+                            max(p.degree() for p in z.values()) - 1)
         u = solver.solve(tuple(z.get(S, ring.zero) for S in lower))
         if u is None:
             raise InternalInvariantViolation(
@@ -243,6 +247,11 @@ class _Shamash:
         return cols
 
 
+def _free_basis(A):
+    """The standard basis of the zero ideal of A's polynomial ring, O[x]."""
+    return StdBasis(A.ring, GLOBAL, [], A.config)
+
+
 def _add_into(elem, key, q):
     """elem[key] += q in a {basis element: poly} map, keeping no zeros."""
     nv = elem.get(key)
@@ -285,8 +294,8 @@ def _regular_sequence_check(A):
     fs = A.relations
     m = len(fs)
     bound = A.config.search_degree
-    cols = [(f,) for f in fs]
-    syz = SpanSolver(A.ring, None, cols, 1, bound, config=A.config).kernel()
+    free = _free_basis(A)
+    syz = SpanSolver(A.ring, free, [(f,) for f in fs], 1, bound).kernel()
     trivial = []
     for i in range(m):
         for j in range(i + 1, m):
@@ -294,8 +303,8 @@ def _regular_sequence_check(A):
             vec[i] = fs[j]
             vec[j] = -fs[i]
             trivial.append(tuple(vec))
-    solver = SpanSolver(A.ring, None, trivial, m,
-                        bound + max(f.degree() for f in fs), config=A.config)
+    solver = SpanSolver(A.ring, free, trivial, m,
+                        bound + max(f.degree() for f in fs))
     return all(solver.contains(v) for v in syz)
 
 

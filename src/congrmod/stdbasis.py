@@ -15,11 +15,12 @@ order-maximal one under 1 > x_i, i.e. the lowest total degree part.
 from __future__ import annotations
 
 import heapq
+from math import gcd
 
 from .config import DEFAULT_CONFIG
 from .errors import DegreeBoundExceeded, NonIntegralEntry
 from .poly import (MonomialOrder, Poly, PolyRing, monomial_div,
-                   monomial_divides, monomial_lcm)
+                   monomial_divides, monomial_lcm, monomial_mul)
 
 
 def _check_caps(poly: Poly, config):
@@ -60,8 +61,10 @@ class StdBasis:
     filled by reduce_strong on the first request.  An entry is in the
     integer form of the O-echelon: its terms in descending order as
     (exps, numerator) pairs over one positive denominator, Python ints over
-    Z_(p) and the RF coefficients over 1 over F_q[[t]].  nf and the span
-    solver both read it."""
+    Z_(p) and the RF coefficients over 1 over F_q[[t]].  expand reads it
+    for every monomial multiple of a column of O[x]^r: nf on one row, the
+    span solver on its columns.  The basis with no generators is the basis
+    of O[x] itself, whose table holds each monomial as its own entry."""
 
     def __init__(self, ring: PolyRing, order: MonomialOrder, gens, config=DEFAULT_CONFIG):
         self.ring = ring
@@ -82,31 +85,66 @@ class StdBasis:
             return mora_normal_form(f, self.gens, self.order, self.config)
         if not self.linear:
             return reduce_strong(f, self.gens, self.order, self.config)
-        # reduce_strong checked the degree of every monomial and of its
-        # normal form on the way into the table, so only valuations remain
+        rows, den = self.expand(self.int_form((f,)))
+        terms = rows[0][1] if rows else {}
+        return Poly(self.ring, self.ring.dvr.join(terms, den))
+
+    def int_form(self, col):
+        """A column (a tuple of polynomials, one per row) in the integer
+        form of the O-echelon, once for all its monomial multiples:
+        (row, [(exps, numerator)]) for each nonzero row, one positive
+        denominator and its valuation.  The valuation cap on the
+        coefficients is checked here, since a monomial multiplier leaves
+        them as they are."""
         dvr = self.ring.dvr
-        _check_valuations(dvr, f.terms.values(), self.config)
-        if len(f.terms) == 1:
-            # the stored form already lists its terms in descending order
-            (e, c), = f.terms.items()
-            terms, den = self.monomial_nf(e)
-            if den != 1:
-                c = c / den
-            out = Poly(self.ring, {e2: c * n for e2, n in terms} if c else {})
-        else:
+        flat = {(i, e): c for i, p in enumerate(col) for e, c in p.terms.items()}
+        _check_valuations(dvr, flat.values(), self.config)
+        num, den = dvr.split(flat)
+        entries = {}
+        for (i, e), n in num.items():
+            entries.setdefault(i, []).append((e, n))
+        return list(entries.items()), den, dvr.val(den) if den != 1 else 0
+
+    def expand(self, form, u=None):
+        """u * col (col itself when u is None) from col's int_form, as
+        [(row, {exps: numerator})] over one positive denominator.  For a
+        linear global basis this is the normal form: each term n * x^e adds
+        n times the table entry of x^e * u, the table's denominators join
+        the common one, and every entry is held to the valuation cap.
+        Otherwise it is the multiple itself, to be reduced by absorber
+        columns.  Rows come in order, and the terms of a row in the order
+        they are found: a one-term row in its table order, a multi-term row
+        in the basis order, descending."""
+        entries, cden, cval = form
+        linear = self.linear
+        out, den = [], 1  # den: the lcm of the table denominators met
+        for i, row_terms in entries:
             acc = {}
-            for e, c in f.terms.items():
-                terms, den = self.monomial_nf(e)
-                if den != 1:
-                    c = c / den
-                for e2, n in terms:
+            for e, n in row_terms:
+                if u is not None:
+                    e = monomial_mul(e, u)
+                if not linear:
+                    acc[e] = n
+                    continue
+                nf, d = self.monomial_nf(e)
+                if den % d:
+                    m = d // gcd(den, d)
+                    den *= m
+                    for _, part in out + [(i, acc)]:
+                        for k in part:
+                            part[k] *= m
+                if d != den:
+                    n = n * (den // d)
+                for e2, n2 in nf:
                     prev = acc.get(e2)
-                    acc[e2] = c * n if prev is None else prev + c * n
-            out = Poly(self.ring, {e: acc[e] for e in
-                                   sorted(acc, key=self.order.key, reverse=True)
-                                   if acc[e]})
-        _check_valuations(dvr, out.terms.values(), self.config)
-        return out
+                    acc[e2] = n * n2 if prev is None else prev + n * n2
+            if linear:
+                _check_valuations(self.ring.dvr, acc.values(), self.config, cval)
+                if len(row_terms) > 1:
+                    acc = {e: acc[e] for e in
+                           sorted(acc, key=self.order.key, reverse=True) if acc[e]}
+            out.append((i, acc))
+        return out, den * cden
 
     def monomial_nf(self, e):
         """The table entry of x^e, for a linear global basis: its normal
@@ -284,7 +322,7 @@ def _interreduce(G, order, config):
     for i, idx in enumerate(kept):
         others = [b for k, b in enumerate(basis) if k != i]
         g = G[idx]
-        if others and not order.is_local:
+        if others:
             lt = order.leading(g)
             head = Poly(g.ring, {lt[0]: lt[1]})
             tail = reduce_strong(g - head, others, order, config)

@@ -5,6 +5,7 @@ import pytest
 from congrmod import resolution
 from congrmod.cli import main
 from conftest import run_python
+from test_fuzz_front_end import FULL_FILE
 
 A2_FILE = """
 # the congruence ring at its first branch
@@ -470,6 +471,23 @@ def test_resolution_file_strategy(tmp_path, capsys):
     rec = json.loads(out)
     assert rec["eta"] == "(pi^2)"
     assert rec["certification"] == "user_supplied_verified"
+
+
+def test_readme_file_resolution(tmp_path, capsys):
+    """The README example's [resolution] matrices resolve O over its ring:
+    eta, psi and serre print under --strategy file what they print under
+    auto, and analyze accepts them."""
+    f = tmp_path / "readme.cm"
+    f.write_text(FULL_FILE)
+    for command in ("eta", "psi", "serre"):
+        auto, from_file = (run(capsys, [command, str(f), "--strategy", strategy,
+                                    "--format", "structured"])
+                       for strategy in ("auto", "file"))
+        assert auto[0] == 0 and from_file == auto
+    code, out = run(capsys, ["analyze", str(f), "--strategy", "file",
+                             "--format", "structured"])
+    assert code == 0
+    assert json.loads(out)["resolution"]["ranks"] == [1, 2, 3, 5]
 
 
 def test_analyze_regularity_reads_the_chosen_resolution(tmp_path, capsys,

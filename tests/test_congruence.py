@@ -15,7 +15,8 @@ from congrmod import (Dvr, FpModule, PolyRing, build_algebra,
                       symbolic_power_test, deformation_step, analyze)
 from congrmod.congruence import RegularityWarning
 from congrmod import congruence
-from congrmod.errors import (InconsistentCodim, InSymbolicSquare, NotSameCodim,
+from congrmod.errors import (InconsistentCodim, InSymbolicSquare,
+                             NotRegularAtAugmentation, NotSameCodim,
                              ZeroDivisorSuspected)
 from congrmod.probfile import load_problem
 from conftest import (make_An, make_depth_zero_example, make_hypersurface_2var,
@@ -339,6 +340,17 @@ class TestKappa:
             out = kappa_defect(A, FpModule.o_module(A))
             assert out["coker_ann"].exponent == n
             assert out["diff_identity"] and out["sequence_identity"]
+
+    def test_node_is_not_regular(self, O5):
+        """On the node O[x, y]/(x*y) in codimension 1, Ext^c(O,O) has rank
+        two: kappa_defect says the algebra is not regular, as eta and psi
+        do, for the ring and for O."""
+        R = PolyRing(O5, ("x", "y"))
+        node = build_algebra(R, [R.parse("x*y")], [O5.zero, O5.zero], 1,
+                             name="node")
+        for M in (None, FpModule.o_module(node)):
+            with pytest.raises(NotRegularAtAugmentation):
+                kappa_defect(node, M)
 
 
 class TestRegularity:

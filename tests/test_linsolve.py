@@ -9,16 +9,16 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from congrmod import Dvr, PolyRing, build_algebra
-from congrmod.config import DEFAULT_CONFIG, EngineConfig
+from congrmod.config import EngineConfig
 from congrmod.dvr import RF
 from congrmod.errors import DegreeBoundExceeded
 from congrmod.linsolve import SpanSolver, _max_degree, prune_generators
 from congrmod.poly import MonomialOrder, Poly, monomial_mul, monomials_up_to
-from congrmod.stdbasis import std_basis
+from congrmod.stdbasis import StdBasis, reduce_strong, std_basis
 from conftest import make_An, make_depth_zero_example, make_hypersurface_2var, make_ring_B
 
 
-def prune_by_rebuilding(ring, gb_global, vectors, deg_bound, config=DEFAULT_CONFIG):
+def prune_by_rebuilding(ring, gb_global, vectors, deg_bound):
     """Greedy removal of vectors lying in the span of the ones kept; the
     membership oracle is rebuilt only when a vector is actually kept, and
     candidates in between reuse its echelon."""
@@ -32,14 +32,13 @@ def prune_by_rebuilding(ring, gb_global, vectors, deg_bound, config=DEFAULT_CONF
     if not vecs:
         return []
     nrows = len(vecs[0])
-    absorb = deg_bound + _max_degree(vecs)
     kept = []
     solver = None
     for v in vecs:
         if kept:
             if solver is None:
                 solver = SpanSolver(ring, gb_global, kept, nrows, deg_bound,
-                                    absorb, config)
+                                    _max_degree(vecs))
             if solver.contains(v):
                 continue
         kept.append(v)
@@ -90,17 +89,17 @@ def test_prune_matches_rebuild_per_keep(name):
     for _ in range(2):
         # the staircase degree when A is module-finite, else search degree 1
         bound = max(A.finite.maxdeg, 0) if A.is_module_finite else 1
-        solver = SpanSolver(ring, gb, prev, nrows, bound, config=A.config)
+        solver = SpanSolver(ring, gb, prev, nrows, bound)
         vecs = solver.kernel()
-        kept = prune_generators(ring, gb, vecs, 1, A.config)
-        assert kept == prune_by_rebuilding(ring, gb, vecs, 1, A.config)
+        kept = prune_generators(ring, gb, vecs, 1)
+        assert kept == prune_by_rebuilding(ring, gb, vecs, 1)
         prev, nrows = [tuple(A.nf(p) for p in v) for v in kept], len(prev)
     rng = random.Random(20261018)
     for bound in (0, 1, 2):
         for nrows in (1, 2):
             vecs = _random_vectors(A, rng, nrows, 4)
-            kept = prune_generators(ring, gb, vecs, bound, A.config)
-            assert kept == prune_by_rebuilding(ring, gb, vecs, bound, A.config)
+            kept = prune_generators(ring, gb, vecs, bound)
+            assert kept == prune_by_rebuilding(ring, gb, vecs, bound)
             assert len(kept) < len(vecs)
 
 
@@ -113,9 +112,8 @@ def test_extended_solver_matches_fresh_solver(name):
     A = ALGEBRAS[name]()
     rng = random.Random(7)
     columns = _random_vectors(A, rng, 2, 3)[:4]
-    absorb = 1 + max(3, _max_degree(columns))
-    fresh = SpanSolver(A.ring, A.gb_global, columns, 2, 1, absorb, A.config)
-    grown = SpanSolver(A.ring, A.gb_global, columns[:1], 2, 1, absorb, A.config)
+    fresh = SpanSolver(A.ring, A.gb_global, columns, 2, 1, 3)
+    grown = SpanSolver(A.ring, A.gb_global, columns[:1], 2, 1, 3)
     for col in columns[1:]:
         grown.extend(col, 1)
     targets = _random_vectors(A, rng, 2, 6)
@@ -145,17 +143,21 @@ def test_extended_solver_matches_fresh_solver(name):
 def _fraction_vector(gb, ring, col, u, row_index):
     """The coefficient vector of u * col as the span solver expanded it
     before it read the normal-form table in integer form: a Poly for each
-    multiple, in normal form through gb.nf when the basis is linear, with
-    Fraction (or RF) entries.  A target (u None) gives None when it touches
-    a row not in row_index; rows are numbered in the order the terms come."""
+    multiple, in normal form through reduce_strong when the basis is
+    linear, with Fraction (or RF) entries.  A target (u None) gives None
+    when it touches a row not in row_index; rows are numbered in the order
+    the terms come."""
     vec = {}
     for i, p in enumerate(col):
         if not p.terms:
             continue
         if u is not None:
             p = Poly(ring, {monomial_mul(e, u): c for e, c in p.terms.items()})
-        if gb is not None and gb.linear:
-            p = gb.nf(p)
+        if gb.linear:
+            # reduce_strong leaves a term whose coefficient is outside O, so
+            # reduce pi^k * p, which lies in O[x], and divide back
+            s = ring.dvr.pi_pow(max(0, -p.min_coeff_val()))
+            p = reduce_strong(p.scale(s), gb.gens, gb.order).scale(ring.dvr.one / s)
         for e, c in p.terms.items():
             if u is None:
                 rid = row_index.get((i, e))
@@ -175,7 +177,7 @@ def _fraction_expansion(gb, ring, columns, nrows, bound, absorb):
     for col in columns:
         for u in monomials_up_to(ring.nvars, bound):
             vecs.append(_fraction_vector(gb, ring, col, u, row_index))
-    if gb is not None and not gb.linear:
+    if not gb.linear:
         for i in range(nrows):
             for g in gb.gens:
                 for u in monomials_up_to(ring.nvars, absorb - g.degree()):
@@ -187,13 +189,14 @@ def _fraction_expansion(gb, ring, columns, nrows, bound, absorb):
 _F4 = Dvr.power_series(4)
 EXPANSION_BASES = {"Z_(2)": Dvr.p_adic(2), "Z_(3)": Dvr.p_adic(3),
                    "Z_(5)": Dvr.p_adic(5), "F_4[[t]]": _F4}
-# relations by name: linear bases (A(2), B, H(2), and U, whose lead 7*x^2
-# puts denominators into the table), absorber bases (D, E), and no basis
+# relations by name: linear bases (A(2), B, H(2), U, whose lead 7*x^2 puts
+# denominators into the table, and the basis with no generators), and
+# absorber bases (D, E)
 EXPANSION_RELATIONS = {
     "A(2)": ["x*(x - pi^2)"], "B": ["x*(x - pi)", "y*(y - pi)", "x*y"],
     "H(2)": ["x*(x - pi^2)"], "U": ["7*x^2 - pi*y", "y^3"],
     "D": ["x*(x - pi)", "pi^2*x", "x*y"], "E": ["pi*x", "y^2 - pi*y"],
-    "none": None}
+    "none": []}
 _EXPANSION_BUILT = {}
 
 
@@ -203,8 +206,9 @@ def _expansion_basis(base, name):
         names = ("x",) if name == "A(2)" else ("x", "y")
         ring = PolyRing(EXPANSION_BASES[base], names)
         rels = EXPANSION_RELATIONS[name]
-        gb = None if rels is None else std_basis(
-            [ring.parse(r) for r in rels], MonomialOrder("global_degrevlex"))
+        order = MonomialOrder("global_degrevlex")
+        gb = std_basis([ring.parse(r) for r in rels], order) if rels else \
+            StdBasis(ring, order, [])
         _EXPANSION_BUILT[key] = ring, gb
     return _EXPANSION_BUILT[key]
 
@@ -257,7 +261,7 @@ def test_integer_expansion_matches_fraction_expansion(base, name, data):
     equal entries; so do targets, which give None when they touch a row no
     column reaches."""
     ring, gb = _expansion_basis(base, name)
-    assert (gb is not None and gb.linear) == (name in ("A(2)", "B", "H(2)", "U"))
+    assert gb.linear == (name in ("A(2)", "B", "H(2)", "U", "none"))
     dvr = ring.dvr
     nrows = data.draw(st.integers(1, 2))
     bound = data.draw(st.integers(0, 2))
@@ -276,7 +280,7 @@ def test_integer_expansion_matches_fraction_expansion(base, name, data):
                for u in monomials_up_to(ring.nvars, bound)]
     targets += data.draw(st.lists(_poly_vectors(ring, nrows, 4), max_size=3))
     for target in targets:
-        got = solver._vector(solver._int_form(target))
+        got = solver._vector(gb.int_form(target))
         want = _fraction_vector(gb, ring, target, None, row_index)
         assert (got is None) == (want is None)
         if want is not None:
@@ -318,22 +322,23 @@ def test_valuation_cap_in_span_solver():
     gb = std_basis([P("x^2 - pi^3*x"), P("y^2")], order, cfg)
     assert gb.linear
     cap = "coefficient valuation cap 5 exceeded"
-    SpanSolver(R, gb, [(P("pi^3*x"),)], 1, 0, config=cfg)  # pi^3*x itself is fine
+    SpanSolver(R, gb, [(P("pi^3*x"),)], 1, 0)  # pi^3*x itself is fine
     for col, bound in [(P("pi^3*x"), 1),  # x * pi^3*x -> pi^6*x
                        (P("pi^6*y^2"), 0)]:  # a zero normal form
         with pytest.raises(DegreeBoundExceeded, match=cap):
-            SpanSolver(R, gb, [(col,)], 1, bound, config=cfg)
-        solver = SpanSolver(R, gb, [(P("x"),)], 1, 1, config=cfg)
+            SpanSolver(R, gb, [(col,)], 1, bound)
+        solver = SpanSolver(R, gb, [(P("x"),)], 1, 1)
         with pytest.raises(DegreeBoundExceeded, match=cap):
             solver.extend((col,), bound)
-    solver = SpanSolver(R, gb, [(P("x"),)], 1, 1, config=cfg)
+    solver = SpanSolver(R, gb, [(P("x"),)], 1, 1)
     for target in [P("pi^3*x^2"), P("pi^6*x"), P("x + pi^6*y^2")]:
         for query in (solver.contains, solver.solve):
             with pytest.raises(DegreeBoundExceeded, match=cap):
                 query((target,))
     # x/pi + pi^5*y: numerators 1 and 5^6 over 5, every entry within the cap
     mixed = (P("x").scale(F(1, 5)) + P("pi^5*y"),)
-    assert SpanSolver(R, gb, [mixed], 1, 0, config=cfg).contains(mixed)
-    for absorber in (None, std_basis([P("pi*x")], order, cfg)):
+    assert SpanSolver(R, gb, [mixed], 1, 0).contains(mixed)
+    for absorber in (StdBasis(R, order, [], cfg),
+                     std_basis([P("pi*x")], order, cfg)):
         with pytest.raises(DegreeBoundExceeded, match=cap):
-            SpanSolver(R, absorber, [(P("pi^6*y"),)], 1, 0, config=cfg)
+            SpanSolver(R, absorber, [(P("pi^6*y"),)], 1, 0)
