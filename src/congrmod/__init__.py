@@ -13,8 +13,7 @@ from .congruence import (CongruenceReport, ExtModule, RegularityWarning,
 from .dvr import Dvr, IdealO, INF
 from .fpmodule import FpModule
 from .lattice import LatticeSplit, pairing_discriminant, split_and_congruence
-from .omodule import (FinOModule, fitting_ideal, o_module_from_presentation,
-                      order_ideal, smith_form)
+from .omodule import FinOModule, smith_form
 from .poly import (GLOBAL, LOCAL, MonomialOrder, Poly, PolyRing, parse_poly,
                    parse_scalar, taylor_division)
 from .resolution import (FreeResolution, resolve_O, syzygy_module,
@@ -27,9 +26,8 @@ __all__ = [
     "FreeResolution", "GLOBAL", "IdealO", "INF", "LatticeSplit", "LOCAL",
     "MonomialOrder", "Poly", "PolyRing", "RegularityWarning", "StdBasis",
     "analyze", "build_algebra", "cotangent_invariants", "deformation_step",
-    "eta", "eta_codim0_oracle", "eta_raw", "ext_module", "fitting_ideal",
-    "invariance_check", "kappa_defect", "numerical_criterion",
-    "o_module_from_presentation", "order_ideal", "pairing_discriminant",
+    "eta", "eta_codim0_oracle", "eta_raw", "ext_module", "invariance_check",
+    "kappa_defect", "numerical_criterion", "pairing_discriminant",
     "parse_poly", "parse_scalar", "psi", "psi_direct_codim0", "psi_raw",
     "regularity_at_lambda", "resolve_O", "serre_check", "smith_form",
     "split_and_congruence", "std_basis", "symbolic_power_test",

@@ -11,6 +11,7 @@ from __future__ import annotations
 import argparse
 import functools
 import json
+import os
 import random
 import sys
 import warnings
@@ -29,9 +30,20 @@ from .resolution import resolve_O
 
 
 def _config_from_args(args) -> EngineConfig:
-    if getattr(args, "degree_bound", None):
+    if getattr(args, "degree_bound", None) is not None:
         return EngineConfig(search_degree=args.degree_bound)
     return DEFAULT_CONFIG
+
+
+def _search_degree(text):
+    """--degree-bound N >= 1: constant multipliers miss linear syzygies."""
+    try:
+        n = int(text)
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"invalid int value: {text!r}") from None
+    if n < 1:
+        raise argparse.ArgumentTypeError(f"must be at least 1, not {n}")
+    return n
 
 
 def _load(args):
@@ -62,9 +74,9 @@ def to_text(record, indent=0):
 
 def _emit(record, args):
     if args.format == "structured":
-        print(json.dumps(record, sort_keys=True))
+        print(json.dumps(record, sort_keys=True), flush=True)
     else:
-        print("\n".join(to_text(record)))
+        print("\n".join(to_text(record)), flush=True)
 
 
 def _require_algebra(problem):
@@ -262,7 +274,7 @@ def build_parser():
         "--strategy": dict(default="auto",
                            choices=("auto", "koszul", "matrix_factorization",
                                     "shamash", "syzygy", "file")),
-        "--degree-bound": dict(type=int, default=None,
+        "--degree-bound": dict(type=_search_degree, default=None,
                                help="search degree for bounded syzygy-type "
                                     "computations"),
         "--length": dict(type=int, default=None,
@@ -325,10 +337,14 @@ def main(argv=None) -> int:
         with warnings.catch_warnings():
             warnings.simplefilter("always", RegularityWarning)
             record, code = handlers[args.command](args)
+        _emit(record, args)
     except DegreeBoundExceeded as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 3
     except (InputError, OSError) as exc:
+        if isinstance(exc, BrokenPipeError):
+            # the reader has gone: devnull takes the interpreter's last flush
+            os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
         print(f"error: {exc}", file=sys.stderr)
         return 2
     except EngineError as exc:
@@ -338,7 +354,6 @@ def main(argv=None) -> int:
         message = " ".join(str(exc).splitlines())
         print(f"error: internal: {type(exc).__name__}: {message}", file=sys.stderr)
         return 2
-    _emit(record, args)
     return code
 
 

@@ -13,6 +13,7 @@ augmentation presents it over O.
 from __future__ import annotations
 
 import warnings
+from collections import namedtuple
 from dataclasses import dataclass
 from math import comb
 
@@ -41,20 +42,19 @@ class ExtModule:
     """One Ext^i_A(O, M); ext_module hands the same instance to every
     caller, so it is read-only once built.  _coords maps a cocycle to its
     coordinates on reps (None when it is out of their reach): the cocycle
-    echelon for kind O, the class solver for kind M, and none when Ext is
-    zero."""
+    echelon for M = O, the class solver for any other M, and none when Ext
+    is zero."""
 
     degree: int
     structure: FinOModule
     reps: list
-    kind: str  # "O" | "M"
     resolution: FreeResolution
     cert: Cert
     _coords: object = None
 
     def class_free_values(self, w):
         """Free (torsion-free quotient) coordinates of the class of the
-        cocycle w: a vector in O^(r_i) for kind O, and for kind M the
+        cocycle w: a vector in O^(r_i) for M = O, and for any other M the
         M-valued cocycle flattened as (generator, resolution index) ->
         polynomial."""
         if self._coords is None:  # Ext is zero
@@ -88,7 +88,7 @@ def _ext_O(A, i, res):
     dvr = A.dvr
     r_i = res.rank(i)
     if r_i == 0:
-        return ExtModule(i, FinOModule.zero(dvr), [], "O", res, res.cert)
+        return ExtModule(i, FinOModule.zero(dvr), [], res, res.cert)
     # cocycles: the kernel of the map whose columns are the rows of
     # d_(i+1) (all of O^r_i when r_(i+1) = 0)
     dnext = res.lam_rows(i + 1)  # r_i x r_(i+1)
@@ -114,7 +114,7 @@ def _ext_O(A, i, res):
             im_coords.append(y)
     pres = [[v[j] for v in im_coords] for j in range(len(ker))]
     structure = FinOModule.from_presentation(dvr, pres, generators=len(ker))
-    return ExtModule(i, structure, ker, "O", res, res.cert, coords)
+    return ExtModule(i, structure, ker, res, res.cert, coords)
 
 
 def _hom_block(zero, g, d, rows):
@@ -157,7 +157,7 @@ def _ext_general(A, M, i, res):
     r_n = res.rank(i + 1)
     dvr = A.dvr
     if r_i == 0:
-        return ExtModule(i, FinOModule.zero(dvr), [], "M", res, res.cert)
+        return ExtModule(i, FinOModule.zero(dvr), [], res, res.cert)
     zero = ring.zero
     cert = res.cert.merge(A.cert)
 
@@ -178,7 +178,7 @@ def _ext_general(A, M, i, res):
     all_cols = list(reps) + cob + pblocks
     s = len(reps)
     if s == 0:
-        return ExtModule(i, FinOModule.zero(dvr), [], "M", res, cert)
+        return ExtModule(i, FinOModule.zero(dvr), [], res, cert)
     per_bounds = [0] * s + [None] * (len(all_cols) - s)
     class_solver = A.span_solver(all_cols, g * r_i, per_bounds=per_bounds)
     coeffs = ([A.lam(x) for x in v[:s]] for v in class_solver.kernel())
@@ -190,7 +190,7 @@ def _ext_general(A, M, i, res):
         sol = class_solver.solve(w)
         return None if sol is None else [A.lam(sol[j]) for j in range(s)]
 
-    return ExtModule(i, structure, reps, "M", res, cert, coords)
+    return ExtModule(i, structure, reps, res, cert, coords)
 
 
 # ---------------------------------------------------------------------------
@@ -208,7 +208,7 @@ def _push_values(A, ext_OM, ext_OO, M, rep, row):
     in the free part of Ext^c(O,O)."""
     r_c = ext_OO.resolution.rank(ext_OO.degree)
     dvr = A.dvr
-    if ext_OM.kind == "O":
+    if M.is_O:
         w = [row[0] * x for x in rep]
     else:
         g = M.gens
@@ -223,13 +223,18 @@ def _push_values(A, ext_OM, ext_OO, M, rep, row):
     return ext_OO.class_free_values(w)
 
 
-def _pairing(A, MA, c, res):
-    """The pairing of Ext^c(O, MA) against the functionals on tfree(MA/pMA),
-    as (cert, free rank of Ext^c(O,O), number of functionals mu, values):
-    cert is Ext^c(O, MA)'s, which covers the resolution's, and values[s][t]
-    is the free part of representative s pushed through functional t.
-    Built once per (resolution, degree, module) and kept on res next to the
-    Ext modules; read it, never mutate it."""
+_Pairing = namedtuple("_Pairing", "cert rank mu quotient psi nonzero")
+
+
+def _pairing(A, MA, c, res) -> _Pairing:
+    """The pairing of Ext^c(O, MA) against the mu functionals on
+    tfree(MA/pMA): cert is Ext^c(O, MA)'s, which covers the resolution's,
+    rank is the free rank of Ext^c(O,O) and quotient is MA/pMA.  When rank
+    is one, psi is the cokernel of the mu x s matrix of pairing values
+    (representative s pushed through functional t); otherwise there is no
+    psi.  nonzero says whether some value is nonzero.  Built once per
+    (resolution, degree, module) and kept on res next to the Ext modules;
+    read it, never mutate it."""
     key = ("pairing", c, MA.is_O, MA.gens, tuple(MA.columns))
     with res.algebra._lock:
         pairing = res._ext.get(key)
@@ -239,7 +244,15 @@ def _pairing(A, MA, c, res):
         rows = MA.hom_to_O_generators()
         values = [[_push_values(A, ext_OM, ext_OO, MA, rep, row) for row in rows]
                   for rep in ext_OM.reps]
-        pairing = (ext_OM.cert, ext_OO.structure.free_rank, len(rows), values)
+        rank, mu = ext_OO.structure.free_rank, len(rows)
+        psi = None
+        if rank == 1:
+            cols = [[vs[0] for vs in per_rep] for per_rep in values]
+            image_cols = [col for col in cols if any(col)]
+            pres = [[col[t] for col in image_cols] for t in range(mu)]
+            psi = FinOModule.from_presentation(A.dvr, pres, generators=mu)
+        pairing = _Pairing(ext_OM.cert, rank, mu, MA.reduce_mod_p()["quotient"], psi,
+                           any(x for per_rep in values for vs in per_rep for x in vs))
         with res.algebra._lock:
             pairing = res._ext.setdefault(key, pairing)
     return pairing
@@ -261,28 +274,28 @@ def _require_rank(A, rank, c, expected=1, what="tfree Ext^c(O,O)"):
 
 
 def eta_raw(A: AugmentedAlgebra, M, c: int, res: FreeResolution):
-    """The congruence ideal as the image of the Ext pairing; no regularity
-    gate, so a zero ideal is a possible (meaningful) outcome."""
-    cert, rank, _, values = _pairing(A, _as_module(A, M), c, res)
-    vals = [A.dvr.val(x) for per_rep in values for vs in per_rep for x in vs if x]
-    if vals:
-        _require_rank(A, rank, c)
-    return IdealO(A.dvr, min(vals, default=INF)), cert
+    """The congruence ideal of M (M=None is the ring A, not O as in
+    ext_module): the ideal the pairing values generate, Fitt_(mu-1)(psi).
+    No regularity gate, so a zero ideal is a possible (meaningful) outcome;
+    the rank of Ext^c(O,O) is checked only when some value is nonzero."""
+    pairing = _pairing(A, _as_module(A, M), c, res)
+    if pairing.nonzero:
+        _require_rank(A, pairing.rank, c)
+    if pairing.psi is None:
+        return IdealO.zero(A.dvr), pairing.cert
+    return pairing.psi.fitting_ideal(pairing.mu - 1), pairing.cert
 
 
 def psi_raw(A: AugmentedAlgebra, M, c: int, res: FreeResolution):
-    """Cokernel of Ext^c(O,M) -> tfree Ext^c(O, M/pM), in normal form."""
-    cert, rank, mu, values = _pairing(A, _as_module(A, M), c, res)
-    _require_rank(A, rank, c)
-    cols = [[vs[0] for vs in per_rep] for per_rep in values]  # rank one
-    image_cols = [col for col in cols if any(col)]
-    pres = [[col[i] for col in image_cols] for i in range(mu)]
-    out = FinOModule.from_presentation(A.dvr, pres, generators=mu)
-    if out.free_rank:
+    """Cokernel of Ext^c(O,M) -> tfree Ext^c(O, M/pM), in normal form, with
+    its cert and mu (M=None is the ring A, not O as in ext_module)."""
+    pairing = _pairing(A, _as_module(A, M), c, res)
+    _require_rank(A, pairing.rank, c)
+    if pairing.psi.free_rank:
         raise InternalInvariantViolation(
             "congruence module came out non-torsion: the algebra is not "
             "regular at the augmentation, or the search bound is too small")
-    return out, cert, mu
+    return pairing.psi, pairing.cert, pairing.mu
 
 
 def eta(A: AugmentedAlgebra, M=None, res=None) -> IdealO:
@@ -303,8 +316,7 @@ def psi(A: AugmentedAlgebra, M=None, res=None) -> FinOModule:
     if res is None:
         res = resolve_O(A)
     regularity_at_lambda(A, res)
-    out, _, _ = psi_raw(A, M, A.codim, res)
-    return out
+    return psi_raw(A, M, A.codim, res)[0]
 
 
 # ---------------------------------------------------------------------------
@@ -357,8 +369,9 @@ def eta_codim0_oracle(A: AugmentedAlgebra, M=None) -> IdealO:
 
 def kappa_defect(A: AugmentedAlgebra, M, res=None) -> dict:
     """The Kunneth comparison map on torsion-free parts, its cokernel
-    annihilator, and the two defect identities.  Both of its rank checks
-    tell a non-regular algebra (NotRegularAtAugmentation) from a fault."""
+    annihilator, and the two defect identities (M=None is the ring A, not
+    O as in ext_module).  Both of its rank checks tell a non-regular
+    algebra (NotRegularAtAugmentation) from a fault."""
     c = A.codim
     if res is None:
         res = resolve_O(A)
@@ -376,13 +389,12 @@ def kappa_defect(A: AugmentedAlgebra, M, res=None) -> dict:
             for k in range(r_c):
                 if rep[k].terms:
                     zeta[k] = zeta[k] + rep[k].scale(coef)
-    red = MA.reduce_mod_p()
-    mu = red["mu"]
-    quotient = red["quotient"]
+    pairing = _pairing(A, MA, c, res)
+    mu = pairing.mu
     if mu == 0:
         return {"kappa": [], "coker_ann": IdealO.unit(dvr),
                 "diff_identity": True, "sequence_identity": True, "mu": 0}
-    free_reps = quotient.free_generator_reps()  # vectors over O^gens
+    free_reps = pairing.quotient.free_generator_reps()  # vectors over O^gens
     ext_OM = ext_OO if MA.is_O else ext_module(A, MA, c, res)
     _require_rank(A, ext_OM.structure.free_rank, c, mu, "tfree Ext^c(O,M)")
     kappa_cols = []
@@ -442,8 +454,7 @@ def numerical_criterion(A: AugmentedAlgebra, M=None, mode="defect0",
         cot = cotangent_invariants(A)
         eta_M, cert = eta_raw(A, MA, c, res)
         psi_M, _, mu = psi_raw(A, MA, c, res)
-        ext_OM = ext_module(A, MA, c, res) if not MA.is_O else None
-        ext_tfree = (ext_OM is None or not ext_OM.structure.torsion_exponents)
+        ext_tfree = MA.is_O or not ext_module(A, MA, c, res).structure.torsion_exponents
         phi_len = cot.phi.torsion_length
         cond2 = cot.fitt_c.exponent == eta_M.exponent
         cond3 = mu * phi_len == psi_M.torsion_length
@@ -755,31 +766,24 @@ def analyze(A: AugmentedAlgebra, modules=None, res=None) -> CongruenceReport:
     reg = regularity_at_lambda(A, res)
     cot = cotangent_invariants(A)
     serre = serre_check(A, res=res)
-    module_map = {"ring": FpModule.ring_module(
-        A, asserted_depth=A.claimed_depth, asserted_mcm=A.claimed_mcm)}
+    module_map = {"ring": _as_module(A, None)}
     if modules:
         module_map.update(modules)
     eta_A, _ = eta_raw(A, None, A.codim, res)
     out_modules = {}
     for name, M in module_map.items():
-        eta_M, cert = eta_raw(A, M, A.codim, res)
-        psi_M, _, mu = psi_raw(A, M, A.codim, res)
         crit = numerical_criterion(
             A, M, mode="wld" if A.codim == 0 else "defect0", res=res)
+        data = crit["data"]
+        eta_M, psi_M = data["eta"], data["psi"]
         entry = {
             "eta": eta_M,
             "psi": psi_M,
             "psi_length": psi_M.torsion_length,
-            "mu": mu,
+            "mu": data["mu"],
             "criterion": crit,
-            "certification": cert.label(),
+            "certification": crit["certification"],
         }
-        if mu == 1:
-            exps = psi_M.torsion_exponents
-            e1 = exps[0] if len(exps) == mu else 0
-            if eta_M.exponent != e1:
-                raise InternalInvariantViolation(
-                    "smallest congruence-module exponent disagrees with eta")
         if M.asserted_mcm and A.claimed_gorenstein:
             entry["splitting_verdict"] = (
                 "holds" if eta_M.exponent == eta_A.exponent else "fails")

@@ -513,9 +513,6 @@ class Dvr:
     def is_zero(self, x):
         return not x if self.kind == "p_adic" else x.is_zero()
 
-    def in_O(self, x):
-        return self.val(x) >= 0
-
     def is_unit(self, x):
         return self.val(x) == 0
 

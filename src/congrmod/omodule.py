@@ -563,18 +563,3 @@ class FinOModule:
     def __repr__(self):
         return f"FinOModule({self})"
 
-
-def o_module_from_presentation(dvr, matrix, generators=None) -> FinOModule:
-    return FinOModule.from_presentation(dvr, matrix, generators)
-
-
-def fitting_ideal(dvr, matrix, k: int) -> IdealO:
-    """Fitt_k of the cokernel of the column span: the ideal of all
-    (n-k)-minors, n the number of generators (rows)."""
-    if len(matrix) <= k:
-        return IdealO.unit(dvr)
-    return FinOModule.from_presentation(dvr, matrix).fitting_ideal(k)
-
-
-def order_ideal(module: FinOModule, vec) -> IdealO:
-    return module.order_ideal(vec)

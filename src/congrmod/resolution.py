@@ -179,7 +179,7 @@ class _Shamash:
         u = solver.solve(tuple(z.get(S, ring.zero) for S in lower))
         if u is None:
             raise InternalInvariantViolation(
-                "homotopy lift failed: relations are not a regular sequence")
+                "homotopy lift failed on the exact Koszul complex: an engine fault")
         return {T: p for T, p in zip(upper, u) if p.terms}
 
     def _apply_sigma(self, nu, elem):

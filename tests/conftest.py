@@ -81,13 +81,18 @@ def make_ring_C(p, l, m, n):
                          config=EngineConfig(search_degree=2), name="C")
 
 
-def run_python(argv, seconds):
-    """Run a child interpreter with argv, killed (and the test failed) after
-    `seconds`; the child imports the same congrmod package, installed or
-    not, and can import these test helpers.  Returns the completed process."""
+def child_env(**extra):
+    """The environment of a child interpreter that imports the same congrmod
+    package, installed or not, and can import these test helpers."""
     import congrmod
     src = os.path.dirname(os.path.dirname(congrmod.__file__))
     tests = os.path.dirname(os.path.abspath(__file__))
     path = os.pathsep.join(filter(None, [src, tests, os.environ.get("PYTHONPATH")]))
+    return {**os.environ, "PYTHONPATH": path, **extra}
+
+
+def run_python(argv, seconds):
+    """Run a child interpreter with argv in child_env(), killed (and the
+    test failed) after `seconds`.  Returns the completed process."""
     return subprocess.run([sys.executable, *argv], capture_output=True, text=True,
-                          timeout=seconds, env={**os.environ, "PYTHONPATH": path})
+                          timeout=seconds, env=child_env())

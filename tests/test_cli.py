@@ -1,10 +1,12 @@
 import json
+import subprocess
+import sys
 
 import pytest
 
 from congrmod import resolution
 from congrmod.cli import main
-from conftest import run_python
+from conftest import child_env, run_python
 from test_fuzz_front_end import FULL_FILE
 
 A2_FILE = """
@@ -460,6 +462,50 @@ def test_eta_never_builds_past_d_c_plus_1(tmp_path, capsys, monkeypatch):
     rec = json.loads(out)
     assert (rec["eta"], rec["certification"]) == ("(pi)", "bounded_search(degree 2)")
     assert built == [1, 2, 3, 4]
+
+
+@pytest.mark.parametrize("bound", ["0", "-1"])
+@pytest.mark.parametrize("command", [["eta", "FILE"], ["deform", "FILE", "--element", "y"],
+                                     ["probe-fitting-question", "--count", "3"]])
+def test_degree_bound_below_one_is_a_usage_error(tmp_path, capsys, command, bound):
+    """A search with constant multipliers cannot find the linear syzygy
+    (y, -x) that the README ring's resolution needs, so --degree-bound N
+    with N < 1 is refused before any work: a usage error naming the flag."""
+    f = tmp_path / "full.cm"
+    f.write_text(FULL_FILE)
+    argv = [str(f) if a == "FILE" else a for a in command] + ["--degree-bound", bound]
+    with pytest.raises(SystemExit) as info:
+        main(argv)
+    assert info.value.code == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert "argument --degree-bound: must be at least 1" in captured.err
+
+
+def test_degree_bound_one_finds_linear_syzygies(tmp_path, capsys):
+    f = tmp_path / "full.cm"
+    f.write_text(FULL_FILE)
+    code, out = run(capsys, ["eta", str(f), "--degree-bound", "1",
+                             "--format", "structured"])
+    assert code == 0
+    assert json.loads(out)["certification"] == "bounded_search(degree 1)"
+
+
+@pytest.mark.parametrize("unbuffered", ["1", ""])
+def test_closed_stdout_is_one_error_line(a2_path, unbuffered):
+    """A reader that is gone before the record is written (as in
+    `congrmod eta FILE | true`) gets one error line and exit 2, with stdout
+    buffered or not."""
+    proc = subprocess.Popen([sys.executable, "-m", "congrmod", "eta", a2_path],
+                            stdout=subprocess.PIPE, stderr=subprocess.PIPE,
+                            text=True, env=child_env(PYTHONUNBUFFERED=unbuffered))
+    proc.stdout.close()
+    try:
+        _, err = proc.communicate(timeout=120)
+    finally:
+        proc.kill()
+    assert proc.returncode == 2
+    assert err == "error: [Errno 32] Broken pipe\n"
 
 
 def test_resolution_file_strategy(tmp_path, capsys):

@@ -14,7 +14,8 @@ from congrmod import (Dvr, FpModule, PolyRing, build_algebra,
                       regularity_at_lambda, resolve_O, serre_check,
                       symbolic_power_test, deformation_step, analyze)
 from congrmod.congruence import RegularityWarning
-from congrmod import congruence
+from congrmod import congruence, omodule
+from congrmod.dvr import INF, IdealO
 from congrmod.errors import (InconsistentCodim, InSymbolicSquare,
                              NotRegularAtAugmentation, NotSameCodim,
                              ZeroDivisorSuspected)
@@ -170,7 +171,9 @@ class TestExtMemo:
 
 def test_pairing_built_once(monkeypatch):
     """analyze reads every eta and psi of a module off one Ext pairing, so
-    the functionals of each (module, degree) are built and pushed once."""
+    the functionals of each (module, degree) are built and pushed once, and
+    no caller puts the same matrix through the Smith form twice: psi and
+    M/pM are each eliminated once per module."""
     problem = load_problem(A2_FILE + """
 [module.N]
 presentation = O
@@ -185,39 +188,80 @@ presentation = [[x, 0], [0, x - pi^2]]
         passes[(self.gens, tuple(self.columns))] += 1
         return real(self)
 
+    eliminations = Counter()
+    real_smith = omodule.smith_form
+
+    def counted_smith(dvr, matrix):
+        frame = sys._getframe(1)
+        while frame.f_code.co_filename == omodule.__file__:
+            frame = frame.f_back
+        key = tuple(tuple(str(x) for x in row) for row in matrix), len(matrix)
+        eliminations[frame.f_code.co_name, key] += 1
+        return real_smith(dvr, matrix)
+
     monkeypatch.setattr(FpModule, "hom_to_O_generators", counted)
+    monkeypatch.setattr(omodule, "smith_form", counted_smith)
+    monkeypatch.setattr(congruence, "smith_form", counted_smith)
     analyze(problem.algebra, problem.modules)
     # the ring, N and M2 at the one degree c = 0
     assert len(passes) == 3
     assert set(passes.values()) == {1}
+    assert set(eliminations.values()) == {1}
+    callers = Counter(caller for caller, _ in eliminations)
+    assert callers["_pairing"] == callers["reduce_mod_p"] == 3
 
 
-def _congruence_ring(base, k):
+def _reference_eta(A, M, c, res):
+    """The congruence ideal by its definition: the least valuation of a
+    pairing value, over every representative of Ext^c(O, M) pushed through
+    every functional on tfree(M/pM)."""
+    ext_OO = ext_module(A, None, c, res)
+    ext_OM = ext_OO if M.is_O else ext_module(A, M, c, res)
+    rows = M.hom_to_O_generators()
+    values = [x for rep in ext_OM.reps for row in rows
+              for x in congruence._push_values(A, ext_OM, ext_OO, M, rep, row)]
+    return IdealO(A.dvr, min((A.dvr.val(x) for x in values if x), default=INF))
+
+
+def _congruence_ring(base, k, shape):
+    """x*(x - pi^k) at codim 0; x0*(x0 - pi^k) in two variables at codim 1;
+    or x*(x - pi^k), x*y at codim 1, the README's ring when k = 2."""
     O = Dvr.p_adic(base[1]) if base[0] == "p_adic" else Dvr.power_series(base[1])
-    R = PolyRing(O, ("x",))
-    return build_algebra(R, [R.parse(f"x*(x - pi^{k})")], [O.zero], 0,
-                         name=f"A({k})")
+    if shape == "x":
+        R = PolyRing(O, ("x",))
+        rels, codim = [f"x*(x - pi^{k})"], 0
+    elif shape == "x0":
+        R = PolyRing(O, ("x0", "x1"))
+        rels, codim = [f"x0*(x0 - pi^{k})"], 1
+    else:
+        R = PolyRing(O, ("x", "y"))
+        rels, codim = [f"x*(x - pi^{k})", "x*y"], 1
+    return build_algebra(R, [R.parse(f) for f in rels], [O.zero] * R.nvars,
+                         codim, name=f"{shape}({k})")
 
 
 @settings(max_examples=30, deadline=None)
 @given(base=st.sampled_from([("p_adic", 3), ("p_adic", 5)]),
        k=st.integers(1, 3),
+       shape=st.sampled_from(["x", "x0", "readme"]),
        summands=st.lists(st.sampled_from("AO"), min_size=1, max_size=3))
-@example(base=("power_series", 4), k=2, summands=["A", "O", "A"])
-def test_eta_is_fitting_ideal_of_psi(base, k, summands):
+@example(base=("power_series", 4), k=2, shape="x", summands=["A", "O", "A"])
+@example(base=("p_adic", 5), k=2, shape="readme", summands=["A", "O"])
+def test_eta_is_fitting_ideal_of_psi(base, k, shape, summands):
     """eta is the ideal of the pairing's values, i.e. Fitt_(mu-1) of its
     cokernel psi, for every mu and not only mu = 1."""
-    A = _congruence_ring(base, k)
+    A = _congruence_ring(base, k, shape)
     res = resolve_O(A)
     parts = [FpModule.ring_module(A) if s == "A" else FpModule.o_module(A)
              for s in summands]
     M = parts[0]
     for part in parts[1:]:
         M = M.direct_sum(part)
-    value, _ = eta_raw(A, M, 0, res)
-    module, _, mu = psi_raw(A, M, 0, res)
+    reference = _reference_eta(A, M, A.codim, res)
+    value, _ = eta_raw(A, M, A.codim, res)
+    module, _, mu = psi_raw(A, M, A.codim, res)
     assert mu == len(summands)
-    assert value == module.fitting_ideal(mu - 1)
+    assert value == reference == module.fitting_ideal(mu - 1)
 
 
 class TestEta:

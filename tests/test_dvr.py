@@ -15,7 +15,7 @@ def test_p_adic_valuations(O5):
     assert O5.val(Fraction(1, 5)) == -1
     assert O5.val(Fraction(0)) is INF
     assert O5.is_unit(Fraction(-3))
-    assert not O5.in_O(Fraction(7, 10))
+    assert O5.val(Fraction(7, 10)) < 0
 
 
 def test_unit_part(O5):

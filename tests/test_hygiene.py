@@ -106,3 +106,11 @@ def test_private_methods_are_referenced():
                and not any(node.name in names for _, other, names in units
                            if other is not node)]
     assert not orphans
+
+
+def test_exports_exist_once():
+    """Every name in congrmod.__all__ is an attribute of the package, and
+    none is listed twice."""
+    names = congrmod.__all__
+    assert [n for n in names if not hasattr(congrmod, n)] == []
+    assert len(set(names)) == len(names)

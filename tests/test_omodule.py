@@ -4,7 +4,7 @@ from itertools import combinations
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from congrmod import Dvr, fitting_ideal, o_module_from_presentation
+from congrmod import Dvr
 from congrmod.dvr import INF, IdealO
 from congrmod.errors import DimensionMismatch, NonIntegralEntry
 from congrmod.omodule import _Echelon, _sparse, FinOModule, smith_form
@@ -46,19 +46,19 @@ def random_int_matrix(rng, rows, cols, p):
 
 
 def test_spec_examples(O5):
-    free2 = o_module_from_presentation(O5, [[], []])
+    free2 = FinOModule.from_presentation(O5, [[], []])
     assert free2.signature == ((), 2)
 
-    diag = o_module_from_presentation(O5, [[F(1), F(0)], [F(0), F(25)]])
+    diag = FinOModule.from_presentation(O5, [[F(1), F(0)], [F(0), F(25)]])
     assert diag.signature == ((2,), 0)
 
-    jac = o_module_from_presentation(O5, [[F(-5), F(0)], [F(25), F(0)]])
+    jac = FinOModule.from_presentation(O5, [[F(-5), F(0)], [F(25), F(0)]])
     assert jac.signature == ((1,), 1)
 
 
 def test_non_integral_entry(O5):
     with pytest.raises(NonIntegralEntry):
-        o_module_from_presentation(O5, [[F(1, 5)]])
+        FinOModule.from_presentation(O5, [[F(1, 5)]])
 
 
 def test_against_integer_smith_oracle(rng):
@@ -68,7 +68,7 @@ def test_against_integer_smith_oracle(rng):
         rows = rng.randint(1, 4)
         cols = rng.randint(0, 4)
         m = random_int_matrix(rng, rows, cols, p)
-        got = o_module_from_presentation(O, m)
+        got = FinOModule.from_presentation(O, m)
         exps, free = expected_invariants_via_sympy(p, m, rows)
         assert got.signature == (exps, free)
 
@@ -79,13 +79,13 @@ def test_pivot_order_invariance(rng):
     for _ in range(25):
         rows, cols = rng.randint(2, 4), rng.randint(1, 4)
         m = random_int_matrix(rng, rows, cols, 5)
-        base = o_module_from_presentation(O, m).signature
+        base = FinOModule.from_presentation(O, m).signature
         rp = list(range(rows))
         cp = list(range(cols))
         rng.shuffle(rp)
         rng.shuffle(cp)
         perm = [[m[i][j] for j in cp] for i in rp]
-        assert o_module_from_presentation(O, perm).signature == base
+        assert FinOModule.from_presentation(O, perm).signature == base
 
 
 def test_unimodular_presentation_invariance(rng):
@@ -93,7 +93,7 @@ def test_unimodular_presentation_invariance(rng):
     for _ in range(25):
         rows, cols = rng.randint(2, 3), rng.randint(1, 3)
         m = random_int_matrix(rng, rows, cols, 5)
-        base = o_module_from_presentation(O, m).signature
+        base = FinOModule.from_presentation(O, m).signature
         # random row operation (unimodular over O) and an extra redundant column
         i, j = rng.sample(range(rows), 2) if rows > 1 else (0, 0)
         c = F(rng.randint(-3, 3))
@@ -103,29 +103,31 @@ def test_unimodular_presentation_invariance(rng):
         if cols:
             extra = [sum(row[k] * (k + 1) for k in range(cols)) for row in m2]
             m2 = [row + [e] for row, e in zip(m2, extra)]
-        assert o_module_from_presentation(O, m2).signature == base
+        assert FinOModule.from_presentation(O, m2).signature == base
 
 
 class TestFitting:
     def test_examples(self, O5):
-        assert fitting_ideal(O5, [[F(5), F(0)], [F(0), F(125)]], 0).exponent == 4
-        assert fitting_ideal(O5, [[F(-5), F(0)], [F(25), F(0)]], 1).exponent == 1
-        assert fitting_ideal(O5, [[F(-5), F(0)], [F(25), F(0)]], 2).is_unit
-        assert fitting_ideal(O5, [[F(-5), F(0)], [F(25), F(0)]], 0).is_zero
+        diag = FinOModule.from_presentation(O5, [[F(5), F(0)], [F(0), F(125)]])
+        jac = FinOModule.from_presentation(O5, [[F(-5), F(0)], [F(25), F(0)]])
+        assert diag.fitting_ideal(0).exponent == 4
+        assert jac.fitting_ideal(1).exponent == 1
+        assert jac.fitting_ideal(2).is_unit
+        assert jac.fitting_ideal(0).is_zero
 
     def test_fitt0_is_length_and_chain(self, rng, O5):
         for _ in range(20):
             rows = rng.randint(1, 3)
             m = random_int_matrix(rng, rows, rows + 1, 5)
-            mod = o_module_from_presentation(O5, m)
-            f0 = fitting_ideal(O5, m, 0)
+            mod = FinOModule.from_presentation(O5, m)
+            f0 = mod.fitting_ideal(0)
             if mod.free_rank == 0:
                 assert f0.exponent == mod.torsion_length
             else:
                 assert f0.is_zero
             prev = f0
             for k in range(1, rows + 1):
-                fk = fitting_ideal(O5, m, k)
+                fk = mod.fitting_ideal(k)
                 assert fk.contains(prev)
                 prev = fk
 
@@ -154,13 +156,13 @@ class TestOrderIdeal:
         return best
 
     def test_zero_is_torsion(self, O5):
-        mod = o_module_from_presentation(O5, [[F(5), F(0)], [F(0), F(0)]])
+        mod = FinOModule.from_presentation(O5, [[F(5), F(0)], [F(0), F(0)]])
         assert mod.order_ideal([F(0), F(0)]).is_zero
         assert mod.order_ideal([F(1), F(0)]).is_zero  # torsion class
         assert mod.order_ideal([F(0), F(5)]).exponent == 1
 
     def test_dimension_mismatch(self, O5):
-        mod = o_module_from_presentation(O5, [[F(5)]])
+        mod = FinOModule.from_presentation(O5, [[F(5)]])
         with pytest.raises(DimensionMismatch):
             mod.order_ideal([F(1), F(2)])
 
@@ -169,7 +171,7 @@ class TestOrderIdeal:
         for _ in range(15):
             rows = rng.randint(1, 3)
             m = random_int_matrix(rng, rows, rng.randint(0, 2), 5)
-            mod = o_module_from_presentation(O, m)
+            mod = FinOModule.from_presentation(O, m)
             vec = [F(rng.randint(-10, 10)) for _ in range(rows)]
             got = mod.order_ideal(vec)
             brute = self.brute_force(O, mod, vec)
@@ -190,7 +192,7 @@ def test_kernel_and_solve_roundtrip(rng):
         ech = _Echelon(O, [_sparse(O, c) for c in zip(*m)])
         for kv in ech.kernel():
             v = [kv.get(j, O.zero) for j in range(cols)]
-            assert all(O.in_O(x) for x in v)
+            assert all(O.val(x) >= 0 for x in v)
             for row in m:
                 assert sum(a * b for a, b in zip(row, v)) == 0
         x = [F(rng.randint(-3, 3)) for _ in range(cols)]
@@ -583,7 +585,6 @@ def test_smith_form_answers_the_k_questions(base, data):
     for k in range(m + 2):
         expected = _fitting_by_minors(dvr, integral, k)
         assert mod.fitting_ideal(k) == expected
-        assert fitting_ideal(dvr, integral, k) == expected
 
 
 @pytest.mark.parametrize("dvr, entry", [
@@ -592,20 +593,17 @@ def test_smith_form_answers_the_k_questions(base, data):
 ])
 def test_non_integral_entry_names_the_first_entry(dvr, entry):
     """The error names the first non-integral entry in row order, not the
-    one of least valuation; with k at least the number of rows the Fitting
-    ideal is the unit ideal before any entry is looked at."""
+    one of least valuation."""
     worse = entry * entry
     matrix = [[dvr.one, entry], [worse, dvr.zero]]
     message = f"entry {entry!r} has negative valuation"
     for call in (lambda: FinOModule.from_presentation(dvr, matrix),
                  lambda: FinOModule.from_presentation(dvr, [[dvr.one], [entry]]),
-                 lambda: fitting_ideal(dvr, matrix, 0),
-                 lambda: fitting_ideal(dvr, matrix, 1)):
+                 lambda: FinOModule.from_presentation(dvr, matrix).fitting_ideal(0),
+                 lambda: FinOModule.from_presentation(dvr, matrix).fitting_ideal(1)):
         with pytest.raises(NonIntegralEntry) as info:
             call()
         assert str(info.value) == message
-    assert fitting_ideal(dvr, matrix, 2).is_unit
-    assert fitting_ideal(dvr, matrix, 3).is_unit
 
 
 # ---------------------------------------------------------------------------
