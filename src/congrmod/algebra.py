@@ -17,7 +17,7 @@ from .dvr import IdealO
 from .errors import (AugmentationNotWellDefined, InconsistentCodim,
                      NonIntegralEntry, NonLocalAugmentation)
 from .finite import FiniteStructure
-from .linsolve import SpanSolver, prune_generators
+from .linsolve import SpanSolver
 from .omodule import FinOModule
 from .poly import GLOBAL, LOCAL, Poly, PolyRing, taylor_division
 from .stdbasis import StdBasis, std_basis
@@ -195,10 +195,6 @@ class AugmentedAlgebra:
             per_bounds = [b if x is None else x for x in per_bounds]
         return SpanSolver(self.ring, self.gb_global, columns, nrows, b,
                           target_degree, per_bounds)
-
-    def prune(self, vectors):
-        return prune_generators(self.ring, self.gb_global, vectors,
-                                self._search_bound)
 
     # -- derived algebras --
     def quotient_by(self, f: Poly) -> "AugmentedAlgebra":

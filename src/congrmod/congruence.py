@@ -251,7 +251,7 @@ def _pairing(A, MA, c, res) -> _Pairing:
             image_cols = [col for col in cols if any(col)]
             pres = [[col[t] for col in image_cols] for t in range(mu)]
             psi = FinOModule.from_presentation(A.dvr, pres, generators=mu)
-        pairing = _Pairing(ext_OM.cert, rank, mu, MA.reduce_mod_p()["quotient"], psi,
+        pairing = _Pairing(ext_OM.cert, rank, mu, MA.reduce_mod_p(), psi,
                            any(x for per_rep in values for vs in per_rep for x in vs))
         with res.algebra._lock:
             pairing = res._ext.setdefault(key, pairing)

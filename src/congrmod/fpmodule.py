@@ -64,21 +64,17 @@ class FpModule:
         return [[A.lam(col[i]) for col in self.columns] for i in range(self.gens)]
 
     def reduce_mod_p(self):
-        """M/pM in normal form and mu = rank of its free part.  Computed once
-        per module: every call returns the same dict, which callers must not
-        modify."""
+        """M/pM in normal form; mu is its free_rank.  Computed once per
+        module: every call returns the same FinOModule."""
         if self._reduced is None:
-            q = FinOModule.from_presentation(self.algebra.dvr,
-                                             self.lam_presentation(),
-                                             generators=self.gens)
-            self._reduced = {"quotient": q, "mu": q.free_rank}
+            self._reduced = FinOModule.from_presentation(
+                self.algebra.dvr, self.lam_presentation(), generators=self.gens)
         return self._reduced
 
     def hom_to_O_generators(self):
         """An O-basis of Hom_O(tfree(M/pM), O) as functional rows on the
         generators; each row annihilates every presentation relation."""
-        q = self.reduce_mod_p()["quotient"]
-        rows = q.dual_free_rows()
+        rows = self.reduce_mod_p().dual_free_rows()
         A = self.algebra
         for row in rows:
             for col in self.columns:

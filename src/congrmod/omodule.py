@@ -113,7 +113,8 @@ class _Echelon:
     representative of c_k - f*c_pj whose content is a power of p, so every
     entry equals the one that arithmetic in K with the same unit scaling
     gives, whatever denominator a column came in over.  cols, R, kernel(),
-    reduce() and solve() hand out entries in K.
+    reduce() and solve() hand out entries in K, and kernel_split() the
+    kernel in the integer form.
 
     The batch elimination takes each pivot, a minimal-valuation entry of
     the live columns (lowest row, then lowest column, among ties), from a
@@ -306,12 +307,17 @@ class _Echelon:
             self._pivot_at[i] = len(pivots)
             pivots.append((i, j))
 
+    def kernel_split(self):
+        """O-basis of the kernel of the column map, each vector as the
+        numerators (a dict col-index -> numerator) over one positive
+        denominator that Dvr.split gives; the dicts are the echelon's own."""
+        pivot_cols = {j for _, j in self.pivots}
+        return [(self._R[j], self._Rden[j]) for j, col in enumerate(self._cols)
+                if j not in pivot_cols and not col]
+
     def kernel(self):
         """O-basis (as dicts col-index -> O) of the kernel of the column map."""
-        pivot_cols = {j for _, j in self.pivots}
-        return [self.dvr.join(self._R[j], self._Rden[j])
-                for j, col in enumerate(self._cols)
-                if j not in pivot_cols and not col]
+        return [self.dvr.join(num, den) for num, den in self.kernel_split()]
 
     def reduce(self, rhs):
         """The forward pass: (pivot column, y) pairs, y in O and nonzero,

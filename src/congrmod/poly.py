@@ -274,10 +274,6 @@ def monomial_lcm(a, b):
     return tuple(max(x, y) for x, y in zip(a, b))
 
 
-def monomial_mul(a, b):
-    return tuple(x + y for x, y in zip(a, b))
-
-
 def monomials_up_to(nvars, degree):
     """All exponent tuples with total degree <= degree, degree order."""
     out = [()]

@@ -32,7 +32,7 @@ from .algebra import (_NOTSET, CERTIFIED, USER_VERIFIED, AugmentedAlgebra,
                       Cert, bounded)
 from .errors import (InternalInvariantViolation, ResolutionTooShort,
                      StrategyInapplicable, VerificationFailed)
-from .linsolve import SpanSolver
+from .linsolve import SpanSolver, prune_generators
 from .poly import GLOBAL, taylor_division
 from .stdbasis import StdBasis
 
@@ -316,15 +316,24 @@ def _syzygies(A, columns, nrows, relations=()):
     vectors a with sum a_j columns_j in the A-span of the relation columns,
     searched at the algebra's bound (so as certain as A.cert).  One solver
     finds the kernel of columns + relations; each kernel vector keeps its
-    first len(columns) coordinates.  Pruning keeps its first vector
-    unconditionally, so zero heads are dropped before it, and heads that
-    are zero only in A after."""
+    first len(columns) coordinates, in integer form, and prune_generators
+    keeps generators among them.  Only the vectors kept become polynomials:
+    the expansion pruning made of each is its normal form when the basis
+    is linear, and reduce_strong (A.nf) gives it otherwise.  Pruning keeps
+    its first vector unconditionally, so a vector zero in A is dropped
+    after."""
     n = len(columns)
-    solver = A.span_solver(list(columns) + list(relations), nrows)
-    heads = [v[:n] for v in solver.kernel()]
-    pruned = A.prune([v for v in heads if any(p.terms for p in v)])
-    out = (tuple(A.nf(p) for p in v) for v in pruned)
-    return [v for v in out if any(p.terms for p in v)]
+    gb = A.gb_global
+    # the kernel solver is dropped once its kernel is read
+    heads = A.span_solver(list(columns) + list(relations), nrows).kernel_forms(n)
+    out = []
+    for _, rows, den in prune_generators(gb, heads, n, A._search_bound):
+        v = gb.polys(rows, den, n)
+        if not gb.linear:
+            v = tuple(A.nf(p) for p in v)
+        if any(p.terms for p in v):
+            out.append(v)
+    return out
 
 
 def _syzygy_resolution(A):

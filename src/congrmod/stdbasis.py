@@ -16,11 +16,12 @@ from __future__ import annotations
 
 import heapq
 from math import gcd
+from operator import add
 
 from .config import DEFAULT_CONFIG
 from .errors import DegreeBoundExceeded, NonIntegralEntry
 from .poly import (MonomialOrder, Poly, PolyRing, monomial_div,
-                   monomial_divides, monomial_lcm, monomial_mul)
+                   monomial_divides, monomial_lcm)
 
 
 def _check_caps(poly: Poly, config):
@@ -85,25 +86,40 @@ class StdBasis:
             return mora_normal_form(f, self.gens, self.order, self.config)
         if not self.linear:
             return reduce_strong(f, self.gens, self.order, self.config)
-        rows, den = self.expand(self.int_form((f,)))
-        terms = rows[0][1] if rows else {}
-        return Poly(self.ring, self.ring.dvr.join(terms, den))
+        return self.polys(*self.expand(self.int_form((f,))), 1)[0]
 
     def int_form(self, col):
         """A column (a tuple of polynomials, one per row) in the integer
-        form of the O-echelon, once for all its monomial multiples:
-        (row, [(exps, numerator)]) for each nonzero row, one positive
-        denominator and its valuation.  The valuation cap on the
+        form of the O-echelon, once for all its monomial multiples (see
+        form)."""
+        num, den = self.ring.dvr.split(
+            {(i, e): c for i, p in enumerate(col) for e, c in p.terms.items()})
+        rows = {}
+        for (i, e), n in num.items():
+            rows.setdefault(i, {})[e] = n
+        return self.form(list(rows.items()), den)
+
+    def form(self, rows, den):
+        """The int_form of a column given as [(row, {exps: numerator})],
+        nonzero rows in order, over one positive denominator in lowest
+        terms: (rows, den, the valuation of den).  The valuation cap on the
         coefficients is checked here, since a monomial multiplier leaves
         them as they are."""
         dvr = self.ring.dvr
-        flat = {(i, e): c for i, p in enumerate(col) for e, c in p.terms.items()}
-        _check_valuations(dvr, flat.values(), self.config)
-        num, den = dvr.split(flat)
-        entries = {}
-        for (i, e), n in num.items():
-            entries.setdefault(i, []).append((e, n))
-        return list(entries.items()), den, dvr.val(den) if den != 1 else 0
+        val = dvr.val(den) if den != 1 else 0
+        _check_valuations(dvr, (n for _, terms in rows for n in terms.values()),
+                          self.config, val)
+        return rows, den, val
+
+    def polys(self, rows, den, size):
+        """The column of size polynomials whose rows are given as (row,
+        {exps: numerator}) pairs over one positive denominator, as int_form
+        and expand give them: the inverse of int_form."""
+        ring = self.ring
+        out = [ring.zero] * size
+        for i, terms in rows:
+            out[i] = Poly(ring, ring.dvr.join(terms, den))
+        return tuple(out)
 
     def expand(self, form, u=None):
         """u * col (col itself when u is None) from col's int_form, as
@@ -116,33 +132,35 @@ class StdBasis:
         they are found: a one-term row in its table order, a multi-term row
         in the basis order, descending."""
         entries, cden, cval = form
-        linear = self.linear
+        if not self.linear:
+            if u is None:
+                return entries, cden
+            return [(i, {tuple(map(add, e, u)): n for e, n in terms.items()})
+                    for i, terms in entries], cden
+        table = self._table
         out, den = [], 1  # den: the lcm of the table denominators met
         for i, row_terms in entries:
             acc = {}
-            for e, n in row_terms:
+            for e, n in row_terms.items():
                 if u is not None:
-                    e = monomial_mul(e, u)
-                if not linear:
-                    acc[e] = n
-                    continue
-                nf, d = self.monomial_nf(e)
-                if den % d:
-                    m = d // gcd(den, d)
-                    den *= m
-                    for _, part in out + [(i, acc)]:
-                        for k in part:
-                            part[k] *= m
+                    e = tuple(map(add, e, u))
+                nf, d = table.get(e) or self.monomial_nf(e)
                 if d != den:
-                    n = n * (den // d)
+                    if den % d:
+                        m = d // gcd(den, d)
+                        den *= m
+                        for _, part in out + [(i, acc)]:
+                            for k in part:
+                                part[k] *= m
+                    if d != den:
+                        n = n * (den // d)
                 for e2, n2 in nf:
                     prev = acc.get(e2)
                     acc[e2] = n * n2 if prev is None else prev + n * n2
-            if linear:
-                _check_valuations(self.ring.dvr, acc.values(), self.config, cval)
-                if len(row_terms) > 1:
-                    acc = {e: acc[e] for e in
-                           sorted(acc, key=self.order.key, reverse=True) if acc[e]}
+            _check_valuations(self.ring.dvr, acc.values(), self.config, cval)
+            if len(row_terms) > 1:
+                acc = {e: acc[e] for e in
+                       sorted(acc, key=self.order.key, reverse=True) if acc[e]}
             out.append((i, acc))
         return out, den * cden
 

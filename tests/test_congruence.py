@@ -71,7 +71,7 @@ class TestExtModules:
         res = resolve_O(A)
         M = FpModule.ring_module(A).direct_sum(FpModule.ring_module(A))
         ext = ext_module(A, M, 0, res)
-        assert ext.structure.free_rank == M.reduce_mod_p()["mu"] == 2
+        assert ext.structure.free_rank == M.reduce_mod_p().free_rank == 2
 
 
 class TestExtMemo:

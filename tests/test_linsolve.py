@@ -1,8 +1,10 @@
 """SpanSolver grown with extend() and prune_generators, against solvers built
-afresh and the rebuild-per-keep pruning loop."""
+afresh, the rebuild-per-keep pruning loop and the pruning loop on
+polynomials; kernel_forms against kernel()."""
 
 import random
 from fractions import Fraction as F
+from operator import add
 
 import pytest
 from hypothesis import given, settings
@@ -13,7 +15,7 @@ from congrmod.config import EngineConfig
 from congrmod.dvr import RF
 from congrmod.errors import DegreeBoundExceeded
 from congrmod.linsolve import SpanSolver, _max_degree, prune_generators
-from congrmod.poly import MonomialOrder, Poly, monomial_mul, monomials_up_to
+from congrmod.poly import MonomialOrder, Poly, monomials_up_to
 from congrmod.stdbasis import StdBasis, reduce_strong, std_basis
 from conftest import make_An, make_depth_zero_example, make_hypersurface_2var, make_ring_B
 
@@ -44,6 +46,14 @@ def prune_by_rebuilding(ring, gb_global, vectors, deg_bound):
         kept.append(v)
         solver = None
     return kept
+
+
+def _prune(gb, vectors, deg_bound):
+    """prune_generators on Poly vectors, entered through gb.int_form: the
+    vectors kept."""
+    forms = [gb.int_form(v) for v in vectors]
+    nrows = len(vectors[0]) if vectors else 0
+    return [vectors[k] for k, _, _ in prune_generators(gb, forms, nrows, deg_bound)]
 
 
 def _pi_x_ring():
@@ -91,14 +101,14 @@ def test_prune_matches_rebuild_per_keep(name):
         bound = max(A.finite.maxdeg, 0) if A.is_module_finite else 1
         solver = SpanSolver(ring, gb, prev, nrows, bound)
         vecs = solver.kernel()
-        kept = prune_generators(ring, gb, vecs, 1)
+        kept = _prune(gb, vecs, 1)
         assert kept == prune_by_rebuilding(ring, gb, vecs, 1)
         prev, nrows = [tuple(A.nf(p) for p in v) for v in kept], len(prev)
     rng = random.Random(20261018)
     for bound in (0, 1, 2):
         for nrows in (1, 2):
             vecs = _random_vectors(A, rng, nrows, 4)
-            kept = prune_generators(ring, gb, vecs, bound)
+            kept = _prune(gb, vecs, bound)
             assert kept == prune_by_rebuilding(ring, gb, vecs, bound)
             assert len(kept) < len(vecs)
 
@@ -115,7 +125,7 @@ def test_extended_solver_matches_fresh_solver(name):
     fresh = SpanSolver(A.ring, A.gb_global, columns, 2, 1, 3)
     grown = SpanSolver(A.ring, A.gb_global, columns[:1], 2, 1, 3)
     for col in columns[1:]:
-        grown.extend(col, 1)
+        grown.extend(A.gb_global.int_form(col), 1)
     targets = _random_vectors(A, rng, 2, 6)
     for target in targets:
         inside = grown.contains(target)
@@ -152,7 +162,7 @@ def _fraction_vector(gb, ring, col, u, row_index):
         if not p.terms:
             continue
         if u is not None:
-            p = Poly(ring, {monomial_mul(e, u): c for e, c in p.terms.items()})
+            p = Poly(ring, {tuple(map(add, e, u)): c for e, c in p.terms.items()})
         if gb.linear:
             # reduce_strong leaves a term whose coefficient is outside O, so
             # reduce pi^k * p, which lies in O[x], and divide back
@@ -275,12 +285,12 @@ def test_integer_expansion_matches_fraction_expansion(base, name, data):
         _assert_same_vector(dvr, got, want)
     # targets: multiples the columns reach, and arbitrary vectors, which
     # mostly touch rows outside the index
-    targets = [tuple(Poly(ring, {monomial_mul(e, u): c for e, c in p.terms.items()})
+    targets = [tuple(Poly(ring, {tuple(map(add, e, u)): c for e, c in p.terms.items()})
                      for p in data.draw(st.sampled_from(columns)))
                for u in monomials_up_to(ring.nvars, bound)]
     targets += data.draw(st.lists(_poly_vectors(ring, nrows, 4), max_size=3))
     for target in targets:
-        got = solver._vector(gb.int_form(target))
+        got = solver._vector(*gb.expand(gb.int_form(target)))
         want = _fraction_vector(gb, ring, target, None, row_index)
         assert (got is None) == (want is None)
         if want is not None:
@@ -312,8 +322,9 @@ def test_integer_expansion_joins_table_denominators(base):
 def test_valuation_cap_in_span_solver():
     """With a cap of 5 over x^2 = pi^3*x and y^2 = 0: a column coefficient
     past the cap (even one whose normal form is zero), and an expanded
-    entry past it, raise when the solver is built, when it is extended and
-    when a target is expanded; a numerator past the cap over a denominator
+    entry past it, raise when the solver is built, when a column is added
+    with extend() (the coefficient when its int_form is made) and when a
+    target is expanded; a numerator past the cap over a denominator
     divisible by p does not."""
     cfg = EngineConfig(valuation_cap=5)
     order = MonomialOrder("global_degrevlex")
@@ -329,7 +340,7 @@ def test_valuation_cap_in_span_solver():
             SpanSolver(R, gb, [(col,)], 1, bound)
         solver = SpanSolver(R, gb, [(P("x"),)], 1, 1)
         with pytest.raises(DegreeBoundExceeded, match=cap):
-            solver.extend((col,), bound)
+            solver.extend(gb.int_form((col,)), bound)
     solver = SpanSolver(R, gb, [(P("x"),)], 1, 1)
     for target in [P("pi^3*x^2"), P("pi^6*x"), P("x + pi^6*y^2")]:
         for query in (solver.contains, solver.solve):
@@ -342,3 +353,102 @@ def test_valuation_cap_in_span_solver():
                      std_basis([P("pi*x")], order, cfg)):
         with pytest.raises(DegreeBoundExceeded, match=cap):
             SpanSolver(R, absorber, [(P("pi^6*y"),)], 1, 0)
+
+
+# ---------------------------------------------------------------------------
+# pruning in integer form against the pruning on polynomials
+
+def prune_on_polys(ring, gb_global, vectors, deg_bound):
+    """The pruning loop as it ran on polynomials: every candidate a Poly
+    vector, ordered by degree, number of terms and its rendered rows, and
+    tested with SpanSolver.contains; one solver, grown by the vectors
+    kept."""
+
+    def sort_key(v):
+        return (max((p.degree() for p in v), default=-1),
+                sum(len(p.terms) for p in v),
+                tuple(str(p) for p in v))
+
+    vecs = sorted(vectors, key=sort_key)
+    if not vecs:
+        return []
+    kept = vecs[:1]
+    solver = None
+    for v in vecs[1:]:
+        if solver is None:
+            solver = SpanSolver(ring, gb_global, kept, len(v), deg_bound,
+                                _max_degree(vecs))
+        elif solver.ncols < len(kept):
+            solver.extend(gb_global.int_form(kept[-1]), deg_bound)
+        if not solver.contains(v):
+            kept.append(v)
+    return kept
+
+
+@st.composite
+def _candidates(draw, ring, gb, nrows):
+    """A candidate list: drawn vectors and sums of them, repeats, multiples
+    by scalars with other denominators, and vectors zero in A (a generator
+    of I times a monomial, in one row), shuffled."""
+    base = draw(st.lists(_poly_vectors(ring, nrows, 2), min_size=1, max_size=3))
+    pick = st.sampled_from(base)
+    out = list(base)
+    out += draw(st.lists(pick, max_size=2))
+    for _ in range(draw(st.integers(0, 2))):
+        u, v = draw(pick), draw(pick)
+        out.append(tuple(a + b for a, b in zip(u, v)))
+    for _ in range(draw(st.integers(0, 2))):
+        c = draw(_coefficients(ring.dvr))
+        out.append(tuple(p.scale(c) for p in draw(pick)))
+    for _ in range(draw(st.integers(0, 2))):
+        g = draw(st.sampled_from(gb.gens))
+        e = draw(st.sampled_from(monomials_up_to(ring.nvars, 1)))
+        i = draw(st.integers(0, nrows - 1))
+        zero_in_A = g * Poly(ring, {e: draw(_coefficients(ring.dvr))})
+        out.append((ring.zero,) * i + (zero_in_A,) + (ring.zero,) * (nrows - 1 - i))
+    return draw(st.permutations(out))
+
+
+@pytest.mark.parametrize("base, name", [
+    ("Z_(3)", "H(2)"), ("Z_(5)", "U"), ("F_4[[t]]", "H(2)"),
+    ("Z_(3)", "E"), ("Z_(3)", "D"), ("F_4[[t]]", "E")])
+@given(data=st.data())
+@settings(max_examples=15, deadline=None)
+def test_prune_matches_prune_on_polys(base, name, data):
+    """prune_generators, on the integer forms of drawn candidate lists,
+    keeps the very vectors (the same objects, in the same order) the
+    pruning on polynomials keeps, on linear bases (H(2), and U, whose table
+    has denominators) and on bases with absorbers (E: pi*x, D); and the
+    expansion it returns for each is its normal form when the basis is
+    linear and the vector itself otherwise."""
+    ring, gb = _expansion_basis(base, name)
+    nrows = data.draw(st.integers(1, 2))
+    bound = data.draw(st.integers(0, 1))
+    vecs = data.draw(_candidates(ring, gb, nrows))
+    forms = [gb.int_form(v) for v in vecs]
+    kept = prune_generators(gb, forms, nrows, bound)
+    want = prune_on_polys(ring, gb, vecs, bound)
+    assert [id(vecs[k]) for k, _, _ in kept] == [id(v) for v in want]
+    for k, rows, den in kept:
+        nf = tuple(gb.nf(p) for p in vecs[k]) if gb.linear else vecs[k]
+        assert gb.polys(rows, den, nrows) == nf
+
+
+@pytest.mark.parametrize("name", list(ALGEBRAS))
+def test_kernel_forms_are_the_kernel_heads(name):
+    """kernel_forms(n) gives, in lowest terms, the nonzero heads of the
+    vectors kernel() gives, each once, in the order they first come: on
+    the kernel of the p generators and the relations, as _syzygies builds
+    it."""
+    A = ALGEBRAS[name]()
+    gb = A.gb_global
+    gens = [(g,) for g in A.p_gens()]
+    n = len(gens)
+    solver = A.span_solver(gens + [(f,) for f in A.relations], 1)
+    want = []
+    for v in solver.kernel():
+        if any(p.terms for p in v[:n]) and v[:n] not in want:
+            want.append(v[:n])
+    forms = solver.kernel_forms(n)
+    assert [gb.polys(rows, den, n) for rows, den, _ in forms] == want
+    assert forms == [gb.int_form(v) for v in want]

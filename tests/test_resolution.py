@@ -1,6 +1,7 @@
 import json
 import sys
 import threading
+from collections import Counter
 from itertools import combinations
 from math import comb
 
@@ -15,8 +16,9 @@ from congrmod.linsolve import SpanSolver
 from congrmod.poly import Poly, monomials_up_to
 from congrmod.probfile import load_problem
 from congrmod.resolution import _apply_columns, _Shamash
-from conftest import (make_An, make_ring_B, make_depth_zero_example, make_hypersurface_2var,
-                      run_python)
+from congrmod.stdbasis import StdBasis
+from conftest import (make_An, make_ring_B, make_ring_C, make_depth_zero_example,
+                      make_hypersurface_2var, run_python)
 
 BASES = [("Z_(3)", lambda: Dvr.p_adic(3)), ("Z_(5)", lambda: Dvr.p_adic(5)),
          ("F_4[[t]]", lambda: Dvr.power_series(4))]
@@ -504,3 +506,58 @@ def test_determinantal_syzygy_prune_path():
     assert ranks == [1, 6, 21, 64]
     assert label == "bounded_search(degree 2)"
     assert digest == "a015d03b2008567ce2508b55e96aefb83f1950c97e70aae1187bfec7c69556c5"
+
+
+@pytest.mark.parametrize("make", [lambda: make_ring_C(5, 1, 1, 1),
+                                  lambda: make_depth_zero_example(5)],
+                         ids=["C(5;1,1,1)", "D"])
+def test_syzygy_prune_builds_polys_for_kept_vectors_only(make, monkeypatch):
+    """Resolving by syzygies to length 3, _syzygies turns a vector into
+    polynomials (StdBasis.polys) once for each vector pruning keeps, never
+    for the other candidates, and renders rows (Poly.__str__) only for the
+    candidates that tie with another on (degree, number of terms): on a
+    linear basis (C) and on one with absorbers (D)."""
+    inside, calls, pruned = [], Counter(), []
+    real_syzygies, real_prune = resolution._syzygies, resolution.prune_generators
+    real_polys, real_str = StdBasis.polys, Poly.__str__
+
+    def syzygies(*args, **kwargs):
+        inside.append(True)
+        try:
+            return real_syzygies(*args, **kwargs)
+        finally:
+            inside.pop()
+
+    def prune(gb, forms, nrows, deg_bound):
+        kept = real_prune(gb, forms, nrows, deg_bound)
+        pruned.append((gb, forms, nrows, kept))
+        return kept
+
+    def polys(self, rows, den, size):
+        calls["polys"] += bool(inside)
+        return real_polys(self, rows, den, size)
+
+    def render(self):
+        calls["str"] += bool(inside)
+        return real_str(self)
+
+    monkeypatch.setattr(resolution, "_syzygies", syzygies)
+    monkeypatch.setattr(resolution, "prune_generators", prune)
+    monkeypatch.setattr(StdBasis, "polys", polys)
+    monkeypatch.setattr(Poly, "__str__", render)
+    A = make()
+    res = resolve_O(A, length=3, strategy="syzygy")
+    monkeypatch.undo()
+    assert len(res.ranks) == 4 and pruned
+    candidates = sum(len(forms) for _, forms, _, _ in pruned)
+    kept = sum(len(k) for *_, k in pruned)
+    assert calls["polys"] == kept < candidates
+    tied_rows = 0
+    for gb, forms, nrows, _ in pruned:
+        vecs = [gb.polys(rows, den, nrows) for rows, den, _ in forms]
+        sizes = [(max(p.degree() for p in v), sum(len(p.terms) for p in v))
+                 for v in vecs]
+        ties = Counter(sizes)
+        tied_rows += sum(sum(1 for p in v if p.terms)
+                         for v, size in zip(vecs, sizes) if ties[size] > 1)
+    assert calls["str"] == tied_rows
