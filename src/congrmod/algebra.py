@@ -10,6 +10,7 @@ congruence ideal) corroborate or refute it.
 from __future__ import annotations
 
 import threading
+import weakref
 from dataclasses import dataclass
 
 from .config import DEFAULT_CONFIG
@@ -77,7 +78,7 @@ class AugmentedAlgebra:
         self._gb_local = None
         self._finite = _NOTSET
         self._cotangent = None
-        self._resolutions = {}  # strategy -> FreeResolution, see resolve_O
+        self._resolutions = weakref.WeakValueDictionary()  # strategy -> res, see resolve_O
         self._ci_cert = _NOTSET  # see resolution._complete_intersection
         self._validate()
 

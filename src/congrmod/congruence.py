@@ -39,16 +39,15 @@ class RegularityWarning(UserWarning):
 
 @dataclass
 class ExtModule:
-    """One Ext^i_A(O, M); ext_module hands the same instance to every
-    caller, so it is read-only once built.  _coords maps a cocycle to its
-    coordinates on reps (None when it is out of their reach): the cocycle
-    echelon for M = O, the class solver for any other M, and none when Ext
-    is zero."""
+    """One Ext^i_A(O, M), kept on its resolution and holding no reference
+    back; ext_module hands every caller the same one, read-only once built.
+    _coords maps a cocycle to its coordinates on reps (None when it is out
+    of their reach): the cocycle echelon for M = O, the class solver for
+    any other M, and none when Ext is zero."""
 
     degree: int
     structure: FinOModule
     reps: list
-    resolution: FreeResolution
     cert: Cert
     _coords: object = None
 
@@ -70,16 +69,18 @@ class ExtModule:
 def ext_module(A: AugmentedAlgebra, M, i: int, res: FreeResolution) -> ExtModule:
     """Ext^i_A(O, M) with structure, representatives and witnesses.
 
-    M=None (or any module with is_O) means M = O.  The result is computed
-    once per (degree, module presentation) and kept on res, so every caller
-    gets the same ExtModule: read it, never mutate it."""
+    M=None (or any module with is_O) means M = O, and res must be over A.
+    The result is computed once per (degree, module presentation) and kept
+    on res, so every caller gets the same ExtModule: read it, never mutate it."""
+    if res.algebra is not A:  # the memo keys name no algebra
+        raise InputError(f"the resolution is over {res.algebra!r}, not {A!r}")
     general = isinstance(M, FpModule) and not M.is_O
     key = (i, M.gens, tuple(M.columns)) if general else (i, None)
-    with res.algebra._lock:
+    with A._lock:
         ext = res._ext.get(key)
     if ext is None:
         ext = _ext_general(A, M, i, res) if general else _ext_O(A, i, res)
-        with res.algebra._lock:
+        with A._lock:
             ext = res._ext.setdefault(key, ext)
     return ext
 
@@ -88,7 +89,7 @@ def _ext_O(A, i, res):
     dvr = A.dvr
     r_i = res.rank(i)
     if r_i == 0:
-        return ExtModule(i, FinOModule.zero(dvr), [], res, res.cert)
+        return ExtModule(i, FinOModule.zero(dvr), [], res.cert)
     # cocycles: the kernel of the map whose columns are the rows of
     # d_(i+1) (all of O^r_i when r_(i+1) = 0)
     dnext = res.lam_rows(i + 1)  # r_i x r_(i+1)
@@ -114,7 +115,7 @@ def _ext_O(A, i, res):
             im_coords.append(y)
     pres = [[v[j] for v in im_coords] for j in range(len(ker))]
     structure = FinOModule.from_presentation(dvr, pres, generators=len(ker))
-    return ExtModule(i, structure, ker, res, res.cert, coords)
+    return ExtModule(i, structure, ker, res.cert, coords)
 
 
 def _hom_block(zero, g, d, rows):
@@ -157,7 +158,7 @@ def _ext_general(A, M, i, res):
     r_n = res.rank(i + 1)
     dvr = A.dvr
     if r_i == 0:
-        return ExtModule(i, FinOModule.zero(dvr), [], res, res.cert)
+        return ExtModule(i, FinOModule.zero(dvr), [], res.cert)
     zero = ring.zero
     cert = res.cert.merge(A.cert)
 
@@ -178,7 +179,7 @@ def _ext_general(A, M, i, res):
     all_cols = list(reps) + cob + pblocks
     s = len(reps)
     if s == 0:
-        return ExtModule(i, FinOModule.zero(dvr), [], res, cert)
+        return ExtModule(i, FinOModule.zero(dvr), [], cert)
     per_bounds = [0] * s + [None] * (len(all_cols) - s)
     class_solver = A.span_solver(all_cols, g * r_i, per_bounds=per_bounds)
     coeffs = ([A.lam(x) for x in v[:s]] for v in class_solver.kernel())
@@ -190,7 +191,7 @@ def _ext_general(A, M, i, res):
         sol = class_solver.solve(w)
         return None if sol is None else [A.lam(sol[j]) for j in range(s)]
 
-    return ExtModule(i, structure, reps, res, cert, coords)
+    return ExtModule(i, structure, reps, cert, coords)
 
 
 # ---------------------------------------------------------------------------
@@ -203,10 +204,9 @@ def _as_module(A, M):
     return M
 
 
-def _push_values(A, ext_OM, ext_OO, M, rep, row):
+def _push_values(A, ext_OO, r_c, M, rep, row):
     """Push an Ext^c(O,M) representative through a functional row, landing
-    in the free part of Ext^c(O,O)."""
-    r_c = ext_OO.resolution.rank(ext_OO.degree)
+    in the free part of Ext^c(O,O); r_c is the rank of F_c."""
     dvr = A.dvr
     if M.is_O:
         w = [row[0] * x for x in rep]
@@ -234,15 +234,16 @@ def _pairing(A, MA, c, res) -> _Pairing:
     (representative s pushed through functional t); otherwise there is no
     psi.  nonzero says whether some value is nonzero.  Built once per
     (resolution, degree, module) and kept on res next to the Ext modules;
-    read it, never mutate it."""
+    read it, never mutate it.  res must be over A (ext_module checks it)."""
+    ext_OO = ext_module(A, None, c, res)
     key = ("pairing", c, MA.is_O, MA.gens, tuple(MA.columns))
-    with res.algebra._lock:
+    with A._lock:
         pairing = res._ext.get(key)
     if pairing is None:
-        ext_OO = ext_module(A, None, c, res)
         ext_OM = ext_OO if MA.is_O else ext_module(A, MA, c, res)
         rows = MA.hom_to_O_generators()
-        values = [[_push_values(A, ext_OM, ext_OO, MA, rep, row) for row in rows]
+        r_c = res.rank(c)
+        values = [[_push_values(A, ext_OO, r_c, MA, rep, row) for row in rows]
                   for rep in ext_OM.reps]
         rank, mu = ext_OO.structure.free_rank, len(rows)
         psi = None
@@ -253,7 +254,7 @@ def _pairing(A, MA, c, res) -> _Pairing:
             psi = FinOModule.from_presentation(A.dvr, pres, generators=mu)
         pairing = _Pairing(ext_OM.cert, rank, mu, MA.reduce_mod_p(), psi,
                            any(x for per_rep in values for vs in per_rep for x in vs))
-        with res.algebra._lock:
+        with A._lock:
             pairing = res._ext.setdefault(key, pairing)
     return pairing
 

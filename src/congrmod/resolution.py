@@ -38,12 +38,12 @@ from .stdbasis import StdBasis
 
 
 class FreeResolution:
-    """One resolution per (algebra, strategy), kept on the algebra.  Each
-    step is built from the steps before it, the first time d_1..d_i is
-    read, and d^2 is checked once, as the step is added.  `length` is the
-    largest length asked of resolve_O; the whole-complex readers (ranks,
-    diffs, describe) build through it.  A file resolution has only its
-    matrices, and reading past them raises."""
+    """One resolution per (algebra, strategy) while a caller holds it: it
+    holds its algebra and Ext modules, and the algebra keeps it weakly.
+    Step i is built from the steps before it when d_1..d_i is first read,
+    and d^2 is checked once, as it is added.  The whole-complex readers
+    (ranks, diffs, describe) build through `length`, the largest length
+    asked of resolve_O.  A file resolution raises past its matrices."""
 
     def __init__(self, algebra, strategy, cert: Cert, step, length=0):
         self.algebra = algebra
@@ -136,14 +136,12 @@ class _Shamash:
     whose table every lift shares."""
 
     def __init__(self, A: AugmentedAlgebra):
-        self.A = A
         self.ring = A.ring
-        n = self.ring.nvars
         shift_in = [self.ring.var(i) + self.ring.const(a)
                     for i, a in enumerate(A.augmentation)]
         self.fshift = [f.substitute(self.ring, shift_in) for f in A.relations]
         self.m = len(self.fshift)
-        self.n = n
+        self.n = self.ring.nvars
         self.sigma_cache = {}
         self.free = _free_basis(A)
 
@@ -350,16 +348,16 @@ def _syzygy_resolution(A):
 
 def resolve_O(A: AugmentedAlgebra, length=None, strategy="auto",
               user_matrices=None) -> FreeResolution:
-    """The resolution of O over A by one strategy, one per (algebra,
-    strategy) and shared by racing threads.  length asks for at least that
-    many steps and builds them now; without it the whole complex runs to
-    c + 2, built as it is read."""
+    """The resolution of O over A by one strategy, shared by every caller
+    (and racing thread) while one holds it: A keeps it weakly.  length asks
+    for at least that many steps and builds them now; without it the whole
+    complex runs to c + 2, built as it is read."""
     with A._lock:
         if strategy == "auto":
             strategy = _pick_strategy(A)
-        if strategy not in A._resolutions:
-            A._resolutions[strategy] = _new_resolution(A, strategy, user_matrices)
-        res = A._resolutions[strategy]
+        res = A._resolutions.get(strategy)
+        if res is None:
+            res = A._resolutions[strategy] = _new_resolution(A, strategy, user_matrices)
         if strategy != "file":
             res.length = max(res.length, A.codim + 2 if length is None else length)
         if length is not None:

@@ -16,7 +16,7 @@ from congrmod import (Dvr, FpModule, PolyRing, build_algebra,
 from congrmod.congruence import RegularityWarning
 from congrmod import congruence, omodule
 from congrmod.dvr import INF, IdealO
-from congrmod.errors import (InconsistentCodim, InSymbolicSquare,
+from congrmod.errors import (InconsistentCodim, InputError, InSymbolicSquare,
                              NotRegularAtAugmentation, NotSameCodim,
                              ZeroDivisorSuspected)
 from congrmod.probfile import load_problem
@@ -102,6 +102,24 @@ class TestExtMemo:
         other = ext_module(A, FpModule.ring_module(A), 0, res2)
         assert other is not ring
         assert other.structure.signature == ring.structure.signature
+
+    def test_a_resolution_of_another_algebra_is_refused(self):
+        """The memo keys name a module's presentation but not its algebra,
+        so a resolution of another algebra would hand back that algebra's
+        Ext modules and congruence ideal, before its memo is filled and
+        after."""
+        A1, A3 = make_An(5, 1), make_An(5, 3)
+        res = resolve_O(A3)
+        reads = (lambda: ext_module(A1, None, 0, res),
+                 lambda: eta_raw(A1, None, 0, res),
+                 lambda: psi_raw(A1, None, 0, res))
+        for read in reads:
+            with pytest.raises(InputError):
+                read()
+        assert str(eta_raw(A3, None, 0, res)[0]) == "(pi^3)"
+        for read in reads:
+            with pytest.raises(InputError):
+                read()
 
     @staticmethod
     def _summary(A, M, kappa_first):
@@ -219,7 +237,7 @@ def _reference_eta(A, M, c, res):
     ext_OM = ext_OO if M.is_O else ext_module(A, M, c, res)
     rows = M.hom_to_O_generators()
     values = [x for rep in ext_OM.reps for row in rows
-              for x in congruence._push_values(A, ext_OM, ext_OO, M, rep, row)]
+              for x in congruence._push_values(A, ext_OO, res.rank(c), M, rep, row)]
     return IdealO(A.dvr, min((A.dvr.val(x) for x in values if x), default=INF))
 
 
