@@ -35,8 +35,9 @@ def _config_from_args(args) -> EngineConfig:
     return DEFAULT_CONFIG
 
 
-def _search_degree(text):
-    """--degree-bound N >= 1: constant multipliers miss linear syzygies."""
+def _at_least_one(text):
+    """An int N >= 1, for --degree-bound (constant multipliers miss linear
+    syzygies), --length and --count."""
     try:
         n = int(text)
     except ValueError:
@@ -274,10 +275,10 @@ def build_parser():
         "--strategy": dict(default="auto",
                            choices=("auto", "koszul", "matrix_factorization",
                                     "shamash", "syzygy", "file")),
-        "--degree-bound": dict(type=_search_degree, default=None,
+        "--degree-bound": dict(type=_at_least_one, default=None,
                                help="search degree for bounded syzygy-type "
                                     "computations"),
-        "--length": dict(type=int, default=None,
+        "--length": dict(type=_at_least_one, default=None,
                          help="build at least N steps (default codim + 2)"),
         "--module": dict(default=None),
     }
@@ -309,7 +310,7 @@ def build_parser():
                 "random search for Fitt_c not contained in eta",
                 "--degree-bound", with_file=False)
     p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--count", type=int, default=20)
+    p.add_argument("--count", type=_at_least_one, default=20)
     p.add_argument("--p", type=int, default=5)
     return parser
 

@@ -240,7 +240,7 @@ def _pairing(A, MA, c, res) -> _Pairing:
     with A._lock:
         pairing = res._ext.get(key)
     if pairing is None:
-        ext_OM = ext_OO if MA.is_O else ext_module(A, MA, c, res)
+        ext_OM = ext_module(A, MA, c, res)
         rows = MA.hom_to_O_generators()
         r_c = res.rank(c)
         values = [[_push_values(A, ext_OO, r_c, MA, rep, row) for row in rows]
@@ -377,7 +377,6 @@ def kappa_defect(A: AugmentedAlgebra, M, res=None) -> dict:
     if res is None:
         res = resolve_O(A)
     MA = _as_module(A, M)
-    ext_OO = ext_module(A, None, c, res)
     ext_OA = ext_module(A, FpModule.ring_module(A), c, res)
     dvr = A.dvr
     _require_rank(A, ext_OA.structure.free_rank, c, what="tfree Ext^c(O,A)")
@@ -396,7 +395,7 @@ def kappa_defect(A: AugmentedAlgebra, M, res=None) -> dict:
         return {"kappa": [], "coker_ann": IdealO.unit(dvr),
                 "diff_identity": True, "sequence_identity": True, "mu": 0}
     free_reps = pairing.quotient.free_generator_reps()  # vectors over O^gens
-    ext_OM = ext_OO if MA.is_O else ext_module(A, MA, c, res)
+    ext_OM = ext_module(A, MA, c, res)
     _require_rank(A, ext_OM.structure.free_rank, c, mu, "tfree Ext^c(O,M)")
     kappa_cols = []
     for ms in free_reps:

@@ -106,7 +106,7 @@ class FiniteModule:
 
     def as_module(self) -> FinOModule:
         return FinOModule.from_presentation(
-            self.dvr, _cols_to_rows(self.dvr, self.rel_cols, self.dim))
+            self.dvr, _cols_to_rows(self.rel_cols, self.dim))
 
     def kernel_of_operators(self, op_polys):
         """O-generators of {x in M : q * x = 0 for every q}, as coordinate
@@ -155,15 +155,15 @@ class FiniteModule:
             if any(w):
                 rels.append(w)
         return FinOModule.from_presentation(
-            self.dvr, _cols_to_rows(self.dvr, rels, len(vectors)))
+            self.dvr, _cols_to_rows(rels, len(vectors)))
 
     def quotient_module(self, extra_vectors) -> FinOModule:
         cols = self.rel_cols + list(extra_vectors)
         return FinOModule.from_presentation(
-            self.dvr, _cols_to_rows(self.dvr, cols, self.dim))
+            self.dvr, _cols_to_rows(cols, self.dim))
 
 
-def _cols_to_rows(dvr, cols, nrows):
+def _cols_to_rows(cols, nrows):
     if not cols:
         return [[] for _ in range(nrows)]
     return [[col[i] for col in cols] for i in range(nrows)]

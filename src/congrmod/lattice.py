@@ -89,7 +89,7 @@ def _lattice_basis_of_span(dvr, vectors, n):
     return out
 
 
-def _quotient_of_lattices(dvr, big, small, n):
+def _quotient_of_lattices(dvr, big, small):
     """small ⊆ big sublattices of K^n of equal rank: coker as FinOModule.
     The columns of big are independent, so an O-solution exists exactly
     when the unique K-solution is integral."""
@@ -149,8 +149,8 @@ def split_and_congruence(split: LatticeSplit) -> dict:
         if q.torsion_exponents:
             raise TorsionQuotient("L/L_i acquired torsion")
 
-    q1 = _quotient_of_lattices(dvr, Lsup1, L1, n)
-    q2 = _quotient_of_lattices(dvr, Lsup2, L2, n)
+    q1 = _quotient_of_lattices(dvr, Lsup1, L1)
+    q2 = _quotient_of_lattices(dvr, Lsup2, L2)
     middle_cols = [list(v) for v in L1 + L2]
     pres = [[v[i] for v in middle_cols] for i in range(n)]
     qm = FinOModule.from_presentation(dvr, pres, generators=n)

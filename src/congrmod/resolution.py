@@ -3,7 +3,8 @@
 Two constructions build every complex:
   the Shamash complex  the Koszul complex on x_i - a_i plus a system of
                        higher homotopies built from the augmentation
-                       division, each homotopy lifted through one SpanSolver.
+                       division, each homotopy lifted by the closed-form
+                       contraction of the Koszul complex over O[x].
                        With no relations it is the Koszul complex (strategy
                        koszul), with one relation the 2-periodic-tail matrix
                        factorization (matrix_factorization), and in general
@@ -33,7 +34,7 @@ from .algebra import (_NOTSET, CERTIFIED, USER_VERIFIED, AugmentedAlgebra,
 from .errors import (InternalInvariantViolation, ResolutionTooShort,
                      StrategyInapplicable, VerificationFailed)
 from .linsolve import SpanSolver, prune_generators
-from .poly import GLOBAL, taylor_division
+from .poly import GLOBAL, Poly
 from .stdbasis import StdBasis
 
 
@@ -132,8 +133,8 @@ class _Shamash:
     """Built in shifted coordinates (x -> x + a) so the Koszul differential
     on the x_i is graded; differentials are shifted back at the end.  With
     no relations there are no homotopies, and F is the Koszul complex.  The
-    homotopies are lifted over O[x], through one basis with no generators,
-    whose table every lift shares."""
+    homotopies are lifted over O[x] by the Koszul contraction, which solves
+    no linear system; on K_0 it is the Taylor division at 0."""
 
     def __init__(self, A: AugmentedAlgebra):
         self.ring = A.ring
@@ -143,7 +144,6 @@ class _Shamash:
         self.m = len(self.fshift)
         self.n = self.ring.nvars
         self.sigma_cache = {}
-        self.free = _free_basis(A)
 
     # -- Koszul scaffolding over the shifted polynomial ring --
     def _diff_elem(self, elem):
@@ -159,26 +159,14 @@ class _Shamash:
                 _add_into(out, T, -q if t % 2 == 1 else q)
         return out
 
-    def _solve_boundary(self, k_plus_1, z):
-        """u in K_(k+1) with du = z; z a cycle with polynomial entries.  The
-        Koszul differential raises degrees by one, so multipliers of degree
-        below the largest degree in z suffice."""
-        if not z:
-            return {}
-        ring = self.ring
-        upper = list(combinations(range(self.n), k_plus_1))
-        lower = list(combinations(range(self.n), k_plus_1 - 1))
-        columns = []
-        for T in upper:
-            dT = self._diff_elem({T: ring.one})
-            columns.append(tuple(dT.get(S, ring.zero) for S in lower))
-        solver = SpanSolver(ring, self.free, columns, len(lower),
-                            max(p.degree() for p in z.values()) - 1)
-        u = solver.solve(tuple(z.get(S, ring.zero) for S in lower))
-        if u is None:
+    def _solve_boundary(self, z):
+        """u in K_(k+1) with du = z, for z a cycle of K_k with no constant
+        term: u = h(z) for the Koszul contraction h."""
+        u = _koszul_contraction(self.ring, z)
+        if self._diff_elem(u) != z:
             raise InternalInvariantViolation(
                 "homotopy lift failed on the exact Koszul complex: an engine fault")
-        return {T: p for T, p in zip(upper, u) if p.terms}
+        return u
 
     def _apply_sigma(self, nu, elem):
         out = {}
@@ -199,11 +187,6 @@ class _Shamash:
         order = sum(nu)
         if order == 0:
             raise InternalInvariantViolation("sigma_0 is the differential")
-        if order == 1 and not S:
-            gs, _ = taylor_division(self.fshift[nu.index(1)], [ring.dvr.zero] * self.n)
-            out = {(i,): g for i, g in enumerate(gs) if g.terms}
-            self.sigma_cache[key] = out
-            return out
         rhs = {S: self.fshift[nu.index(1)]} if order == 1 else {}
         # minus sigma_nu(d e_S), and minus the sum over proper splittings
         parts = [self._apply_sigma(nu, self._diff_elem({S: ring.one}))]
@@ -213,7 +196,7 @@ class _Shamash:
         for part in parts:
             for T, p in part.items():
                 _add_into(rhs, T, -p)
-        out = self._solve_boundary(len(S) + 2 * order - 1, rhs)
+        out = self._solve_boundary(rhs)
         self.sigma_cache[key] = out
         return out
 
@@ -245,9 +228,20 @@ class _Shamash:
         return cols
 
 
-def _free_basis(A):
-    """The standard basis of the zero ideal of A's polynomial ring, O[x]."""
-    return StdBasis(A.ring, GLOBAL, [], A.config)
+def _koszul_contraction(ring, elem):
+    """The contraction h of the Koszul complex on x_1..x_n over O[x], with
+    dh + hd = 1 - (evaluation at 0 on K_0).  A term c x^a e_S, with i the
+    least index such that a_i > 0 or i is in S, goes to c x^(a - e_i)
+    e_((i,) + S) when i is not in S (i precedes S, so no sign), and to 0
+    otherwise.  The map is injective on terms, so nothing is summed."""
+    out = {}
+    for S, p in elem.items():
+        for e, c in p.terms.items():
+            i = next((j for j, a in enumerate(e) if a), len(e))
+            if i < len(e) and not (S and S[0] <= i):
+                ne = e[:i] + (e[i] - 1,) + e[i + 1:]
+                out.setdefault((i,) + S, {})[ne] = c
+    return {T: Poly(ring, terms) for T, terms in out.items()}
 
 
 def _add_into(elem, key, q):
@@ -292,7 +286,7 @@ def _regular_sequence_check(A):
     fs = A.relations
     m = len(fs)
     bound = A.config.search_degree
-    free = _free_basis(A)
+    free = StdBasis(A.ring, GLOBAL, [], A.config)  # the zero ideal of O[x]
     syz = SpanSolver(A.ring, free, [(f,) for f in fs], 1, bound).kernel()
     trivial = []
     for i in range(m):

@@ -406,11 +406,11 @@ def std_basis(gens, order: MonomialOrder, config=DEFAULT_CONFIG) -> StdBasis:
     hbasis = _buchberger(hgens, horder, config)
     basis = [_dehomogenize(g, ring) for g in hbasis]
     basis = [g for g in basis if g.terms]
-    basis = _minimalize_local(basis, order, config)
+    basis = _minimalize_local(basis, order)
     return StdBasis(ring, order, basis, config)
 
 
-def _minimalize_local(G, order, config):
+def _minimalize_local(G, order):
     dvr = G[0].ring.dvr
     leads = [order.leading(g) for g in G]
     kept = []

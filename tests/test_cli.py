@@ -482,6 +482,27 @@ def test_degree_bound_below_one_is_a_usage_error(tmp_path, capsys, command, boun
     assert "argument --degree-bound: must be at least 1" in captured.err
 
 
+@pytest.mark.parametrize("value", ["0", "-2"])
+@pytest.mark.parametrize("command,flag", [(["analyze", "FILE"], "--length"),
+                                          (["probe-fitting-question"], "--count")])
+def test_length_and_count_below_one_are_usage_errors(tmp_path, capsys, command,
+                                                     flag, value):
+    """--length N and --count N take N >= 1, as --degree-bound does: a
+    smaller N is refused before any work, with one usage line naming the
+    flag, where it once reported ranks [1] or an empty, vacuously true
+    search."""
+    f = tmp_path / "full.cm"
+    f.write_text(FULL_FILE)
+    argv = [str(f) if a == "FILE" else a for a in command] + [flag, value]
+    with pytest.raises(SystemExit) as info:
+        main(argv)
+    assert info.value.code == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.count("usage:") == 1
+    assert f"argument {flag}: must be at least 1, not {int(value)}" in captured.err
+
+
 def test_degree_bound_one_finds_linear_syzygies(tmp_path, capsys):
     f = tmp_path / "full.cm"
     f.write_text(FULL_FILE)

@@ -1,8 +1,9 @@
 """Source hygiene of the congrmod package, read with the standard library's
 ast: no module imports a name it never uses, no function imports from the
 standard library in its body, no private top-level function or class, and
-no private method, is left without a reference, and no public method is
-either unless API_AND_ORACLES names it."""
+no private method, is left without a reference, no public method is
+either unless API_AND_ORACLES names it, and no function takes a parameter
+it never reads."""
 
 import ast
 import sys
@@ -125,6 +126,32 @@ def test_public_methods_are_referenced_or_listed():
     says why it stays; an entry whose method is now read, or gone, is
     dropped from the list."""
     assert sorted(_unread_methods(public=True)) == sorted(API_AND_ORACLES)
+
+
+def test_parameters_are_read():
+    """Every parameter of a top-level function or of a method of a
+    top-level class, other than self and cls, is read in its body.  Nested
+    functions are not checked: the resolution step builders share the
+    signature step(t, diffs, ranks) whether or not each reads all three."""
+    unread = []
+    for name, tree in MODULES.items():
+        funcs = []
+        for node in tree.body:
+            if isinstance(node, ast.ClassDef):
+                funcs.extend((f"{node.name}.", m) for m in node.body)
+            else:
+                funcs.append(("", node))
+        for prefix, func in funcs:
+            if not isinstance(func, (ast.FunctionDef, ast.AsyncFunctionDef)):
+                continue
+            args = func.args
+            params = [a.arg for a in args.posonlyargs + args.args + args.kwonlyargs
+                      + [a for a in (args.vararg, args.kwarg) if a]]
+            read = {n.id for stmt in func.body for n in ast.walk(stmt)
+                    if isinstance(n, ast.Name) and isinstance(n.ctx, ast.Load)}
+            unread.extend(f"{name}: {prefix}{func.name}({p})" for p in params
+                          if p not in ("self", "cls") and p not in read)
+    assert not unread
 
 
 def test_exports_exist_once():
