@@ -8,7 +8,12 @@ generators when A = O[x]) expands each monomial multiple of a column
 straight into the echelon's integer form: to its normal form, through the
 basis's table, when normal forms are O-linear (every leading coefficient a
 unit), and as it is otherwise, the quotient then encoded by ideal-multiple
-absorber columns.  The solver numbers the rows and holds the system.
+absorber columns.  The multipliers of degree <= D are StdBasis.multipliers:
+over such a linear basis only the standard monomials, since any other x^u is
+an O-combination of standard monomials of degree <= deg u modulo I, so that
+their multiples span the same O-module, the multiples of degree <= D modulo
+I; over any other basis, every monomial.  The solver numbers the rows and
+holds the system.
 
 Vectors over A stay in that integer form (StdBasis.int_form: rows of
 numerators over one denominator) from the kernel to the membership test.
@@ -44,6 +49,9 @@ class SpanSolver:
     """The A-span of a fixed column set, as one sparse O-linear system for
     sum_j a_j * col_j = target (mod I) with deg a_j <= the column's bound.
     gb is the global standard basis of I, and the solver reads its caps.
+    Each column is multiplied by gb.multipliers(bound): when gb is linear,
+    the standard monomials of degree <= bound, whose multiples reach every
+    multiple of degree <= bound modulo I, and every monomial otherwise.
 
     The columns are expanded once, on construction, by gb (see
     StdBasis.expand); the echelon is built on the first query and reused,
@@ -98,7 +106,7 @@ class SpanSolver:
         j = self.ncols
         self.ncols += 1
         ech = self._echelon
-        for u in monomials_up_to(self.ring.nvars, bound):
+        for u in self.gb.multipliers(bound):
             self.meta.append(("var", j, u))
             vec = self._vector(*self.gb.expand(form, u), grow=True)
             if ech is None:

@@ -21,7 +21,7 @@ from operator import add
 from .config import DEFAULT_CONFIG
 from .errors import DegreeBoundExceeded, NonIntegralEntry
 from .poly import (MonomialOrder, Poly, PolyRing, monomial_div,
-                   monomial_divides, monomial_lcm)
+                   monomial_divides, monomial_lcm, monomials_up_to)
 
 
 def _check_caps(poly: Poly, config):
@@ -65,17 +65,19 @@ class StdBasis:
     Z_(p) and the RF coefficients over 1 over F_q[[t]].  expand reads it
     for every monomial multiple of a column of O[x]^r: nf on one row, the
     span solver on its columns.  The basis with no generators is the basis
-    of O[x] itself, whose table holds each monomial as its own entry."""
+    of O[x] itself, whose table holds each monomial as its own entry.  The
+    leading terms of the generators are kept (leads) for reduce_strong."""
 
     def __init__(self, ring: PolyRing, order: MonomialOrder, gens, config=DEFAULT_CONFIG):
         self.ring = ring
         self.order = order
         self.gens = list(gens)
         self.config = config
-        leads = [order.leading(g) for g in self.gens]
-        self.unit_leads = [e for e, c in leads if ring.dvr.val(c) == 0]
-        self.linear = len(self.unit_leads) == len(leads)
+        self.leads = [order.leading(g) for g in self.gens]
+        self.unit_leads = [e for e, c in self.leads if ring.dvr.val(c) == 0]
+        self.linear = len(self.unit_leads) == len(self.leads)
         self._table = {}
+        self._multipliers = {}
 
     def nf(self, f: Poly) -> Poly:
         """Irreducible remainder of f: the strong normal form for a global
@@ -85,7 +87,7 @@ class StdBasis:
         if self.order.is_local:
             return mora_normal_form(f, self.gens, self.order, self.config)
         if not self.linear:
-            return reduce_strong(f, self.gens, self.order, self.config)
+            return reduce_strong(f, self.gens, self.order, self.config, self.leads)
         return self.polys(*self.expand(self.int_form((f,))), 1)[0]
 
     def int_form(self, col):
@@ -171,10 +173,29 @@ class StdBasis:
         r = self._table.get(e)
         if r is None:
             nf = reduce_strong(Poly(self.ring, {e: self.ring.dvr.one}),
-                               self.gens, self.order, self.config)
+                               self.gens, self.order, self.config, self.leads)
             num, den = self.ring.dvr.split(nf.terms)
             # a racing thread stores an equal entry
             r = self._table[e] = (tuple(num.items()), den)
+        return r
+
+    def multipliers(self, bound):
+        """The monomial multipliers of degree <= bound by which a span
+        solver expands a column, in degree order, one list per bound.  For a
+        linear global basis they are the standard monomials, those no lead
+        divides: when a lead divides x^u, x^u = nf(x^u) = sum c_v x^v modulo
+        I with every v standard, c_v in O and deg v <= deg u (the order is
+        degree-compatible), so u * col is an O-combination of the multiples
+        kept and adds nothing to their span.  For any other basis they are
+        all the monomials of degree <= bound."""
+        r = self._multipliers.get(bound)
+        if r is None:
+            r = monomials_up_to(self.ring.nvars, bound)
+            if self.linear:
+                leads = self.unit_leads
+                r = [u for u in r if not any(monomial_divides(e, u) for e in leads)]
+            # a racing thread stores an equal list
+            self._multipliers[bound] = r
         return r
 
     def contains(self, f: Poly) -> bool:
@@ -203,11 +224,13 @@ def _find_reducer(term, leads, dvr):
     return None
 
 
-def reduce_strong(f: Poly, gens, order, config=DEFAULT_CONFIG) -> Poly:
-    """Full strong normal form for a global (well-) order."""
+def reduce_strong(f: Poly, gens, order, config=DEFAULT_CONFIG, leads=None) -> Poly:
+    """Full strong normal form for a global (well-) order.  leads, when
+    given, are the leading terms of gens, as a StdBasis keeps them."""
     ring = f.ring
     dvr = ring.dvr
-    leads = [order.leading(g) for g in gens]
+    if leads is None:
+        leads = [order.leading(g) for g in gens]
     out = ring.zero
     h = f
     _check_caps(h, config)

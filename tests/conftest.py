@@ -62,9 +62,9 @@ def make_hypersurface_2var(p, n):
                          claimed_gorenstein=True, name=f"H({n})")
 
 
-def make_ring_C(p, l, m, n):
+def make_ring_C(p, l, m, n, search_degree=2):
     """Criterion 8's Cohen-Macaulay determinantal ring C(l, m, n) in six
-    variables, codimension 3, at search degree 2."""
+    variables, codimension 3, at search degree 2 unless given."""
     O = Dvr.p_adic(p)
     R = PolyRing(O, ("a", "b", "c", "al", "be", "ga"))
     P = R.parse
@@ -78,7 +78,7 @@ def make_ring_C(p, l, m, n):
     ]
     aug = [O.zero, O.pi_pow(l), O.zero, O.zero, O.pi_pow(m), O.zero]
     return build_algebra(R, rels, aug, 3,
-                         config=EngineConfig(search_degree=2), name="C")
+                         config=EngineConfig(search_degree=search_degree), name="C")
 
 
 def child_env(**extra):

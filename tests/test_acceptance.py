@@ -18,6 +18,7 @@ from congrmod import (Dvr, FpModule, LatticeSplit, PolyRing, build_algebra,
                       eta_codim0_oracle, resolve_O, serre_check,
                       split_and_congruence)
 from congrmod.cli import random_grammar_algebra
+from congrmod.config import DEFAULT_CONFIG
 from congrmod.omodule import smith_form
 from conftest import (make_An, make_depth_zero_example, make_hypersurface_2var,
                       make_ring_B, make_ring_C)
@@ -303,3 +304,28 @@ def test_criterion_8_stretch_determinantal_family():
         ok &= cert.kind in ("bounded", "certified")
     dt = time.time() - t0
     report(8, "stretch: determinantal family eta = (pi^min(l,m,n))", ok, dt)
+
+
+@pytest.mark.skipif(not os.environ.get("RUN_STRETCH"),
+                    reason="stretch target (non-gating); set RUN_STRETCH=1")
+def test_criterion_8_stretch_at_the_default_search_degree():
+    """Criterion 8 at the default search degree D = 4, where the span
+    solvers expand standard monomial multiples only: eta = (pi) on C(1,1,1)
+    and (pi^2) on C(2,2,2), labelled bounded_search(degree 4); the time of
+    each ring is printed; non-gating."""
+    D = DEFAULT_CONFIG.search_degree
+    assert D == 4
+    t0 = time.time()
+    ok = True
+    times = []
+    for (l, m, n), want in [((1, 1, 1), "(pi)"), ((2, 2, 2), "(pi^2)")]:
+        t1 = time.time()
+        C = make_ring_C(5, l, m, n, search_degree=D)
+        res = resolve_O(C, length=4)
+        value, cert = eta_raw(C, None, 3, res)
+        ok &= str(value) == want
+        ok &= cert.label() == "bounded_search(degree 4)"
+        times.append(f"C({l},{m},{n}) {time.time() - t1:.2f}s")
+    dt = time.time() - t0
+    report(8, f"stretch at D = {D}: determinantal family eta = (pi^min(l,m,n)); "
+           + ", ".join(times), ok, dt)

@@ -318,9 +318,35 @@ codim = 0
 
 
 def test_span_solver_valuation_cap_exit_3(tmp_path, capsys):
-    """x^2 = pi^40*y and y^2 = pi*x give normal forms whose coefficients
-    grow by pi^40 per step; the cap is hit while the span solver expands
+    """x^2 = pi^33*y and y^2 = pi^33*x give normal forms whose coefficients
+    grow by pi^33 per step; the cap is hit while the span solver expands
     the resolution's syzygies, and analyze exits 3 with no traceback."""
+    f = tmp_path / "steep.cm"
+    f.write_text("""
+[dvr]
+kind = p_adic
+p = 5
+[ring]
+vars = x, y
+relations = x^2 - pi^33*y, y^2 - pi^33*x
+[augmentation]
+x = 0
+y = 0
+codim = 0
+""")
+    assert main(["analyze", str(f)]) == 3
+    err = capsys.readouterr().err
+    assert "coefficient valuation cap 64 exceeded" in err
+    assert "Traceback" not in err
+
+
+def test_steep_standard_multiples_stay_within_the_cap(tmp_path, capsys):
+    """x^2 = pi^40*y and y^2 = pi*x: the span solvers expand only the
+    standard monomial multiples, whose normal forms stay within the
+    valuation cap, and analyze gives eta (pi^41) and psi O/pi^41, as both
+    codimension-0 oracles do."""
+    from congrmod.congruence import eta_codim0_oracle, psi_direct_codim0
+    from congrmod.probfile import load_problem
     f = tmp_path / "steep.cm"
     f.write_text("""
 [dvr]
@@ -334,10 +360,13 @@ x = 0
 y = 0
 codim = 0
 """)
-    assert main(["analyze", str(f)]) == 3
-    err = capsys.readouterr().err
-    assert "coefficient valuation cap 64 exceeded" in err
-    assert "Traceback" not in err
+    A = load_problem(f.read_text()).algebra
+    assert str(eta_codim0_oracle(A)) == "(pi^41)"
+    assert str(psi_direct_codim0(A)) == "O/pi^41"
+    code, out = run(capsys, ["analyze", str(f), "--format", "structured"])
+    assert code == 0
+    ring = json.loads(out)["modules"]["ring"]
+    assert (ring["eta"], ring["psi"]) == ("(pi^41)", "O/pi^41")
 
 
 def run_child(args, seconds):

@@ -15,7 +15,7 @@ from congrmod.config import EngineConfig
 from congrmod.dvr import RF
 from congrmod.errors import DegreeBoundExceeded
 from congrmod.linsolve import SpanSolver, _max_degree, prune_generators
-from congrmod.poly import MonomialOrder, Poly, monomials_up_to
+from congrmod.poly import MonomialOrder, Poly, monomial_divides, monomials_up_to
 from congrmod.stdbasis import StdBasis, reduce_strong, std_basis
 from conftest import make_An, make_depth_zero_example, make_hypersurface_2var, make_ring_B
 
@@ -180,12 +180,21 @@ def _fraction_vector(gb, ring, col, u, row_index):
     return vec
 
 
+def _multipliers(gb, ring, bound):
+    """The multipliers of degree <= bound a SpanSolver expands each column
+    by: over a linear basis the monomials no lead of gb divides, otherwise
+    all of them."""
+    leads = [gb.order.leading(g)[0] for g in gb.gens] if gb.linear else []
+    return [u for u in monomials_up_to(ring.nvars, bound)
+            if not any(monomial_divides(e, u) for e in leads)]
+
+
 def _fraction_expansion(gb, ring, columns, nrows, bound, absorb):
     """The row index and the column vectors of a SpanSolver's system, in
     the order SpanSolver.__init__ expands them."""
     row_index, vecs = {}, []
     for col in columns:
-        for u in monomials_up_to(ring.nvars, bound):
+        for u in _multipliers(gb, ring, bound):
             vecs.append(_fraction_vector(gb, ring, col, u, row_index))
     if not gb.linear:
         for i in range(nrows):
@@ -207,6 +216,7 @@ EXPANSION_RELATIONS = {
     "H(2)": ["x*(x - pi^2)"], "U": ["7*x^2 - pi*y", "y^3"],
     "D": ["x*(x - pi)", "pi^2*x", "x*y"], "E": ["pi*x", "y^2 - pi*y"],
     "none": []}
+LINEAR_EXPANSION = ("A(2)", "B", "H(2)", "U", "none")
 _EXPANSION_BUILT = {}
 
 
@@ -261,6 +271,12 @@ def _assert_same_vector(dvr, got, want):
     assert all(_value(dvr, n, den) == want[r] for r, n in num.items())
 
 
+def _multiple(ring, col, u):
+    """x^u * col."""
+    return tuple(Poly(ring, {tuple(map(add, e, u)): c for e, c in p.terms.items()})
+                 for p in col)
+
+
 @pytest.mark.parametrize("name", list(EXPANSION_RELATIONS))
 @pytest.mark.parametrize("base", list(EXPANSION_BASES))
 @given(data=st.data())
@@ -271,7 +287,7 @@ def test_integer_expansion_matches_fraction_expansion(base, name, data):
     equal entries; so do targets, which give None when they touch a row no
     column reaches."""
     ring, gb = _expansion_basis(base, name)
-    assert gb.linear == (name in ("A(2)", "B", "H(2)", "U", "none"))
+    assert gb.linear == (name in LINEAR_EXPANSION)
     dvr = ring.dvr
     nrows = data.draw(st.integers(1, 2))
     bound = data.draw(st.integers(0, 2))
@@ -285,9 +301,8 @@ def test_integer_expansion_matches_fraction_expansion(base, name, data):
         _assert_same_vector(dvr, got, want)
     # targets: multiples the columns reach, and arbitrary vectors, which
     # mostly touch rows outside the index
-    targets = [tuple(Poly(ring, {tuple(map(add, e, u)): c for e, c in p.terms.items()})
-                     for p in data.draw(st.sampled_from(columns)))
-               for u in monomials_up_to(ring.nvars, bound)]
+    col = data.draw(st.sampled_from(columns))
+    targets = [_multiple(ring, col, u) for u in monomials_up_to(ring.nvars, bound)]
     targets += data.draw(st.lists(_poly_vectors(ring, nrows, 4), max_size=3))
     for target in targets:
         got = solver._vector(*gb.expand(gb.int_form(target)))
@@ -296,6 +311,30 @@ def test_integer_expansion_matches_fraction_expansion(base, name, data):
         if want is not None:
             _assert_same_vector(dvr, got, want)
     assert list(solver.row_index.items()) == list(row_index.items())
+
+
+@pytest.mark.parametrize("name", LINEAR_EXPANSION)
+@pytest.mark.parametrize("base", list(EXPANSION_BASES))
+@given(data=st.data())
+@settings(max_examples=10, deadline=None)
+def test_skipped_multiples_lie_in_the_span(base, name, data):
+    """Over a linear basis the solver expands only the standard monomial
+    multiples of its columns, and the span is the same: x^u * col lies in
+    it for every u of degree <= bound that some lead divides."""
+    ring, gb = _expansion_basis(base, name)
+    assert gb.linear
+    nrows = data.draw(st.integers(1, 2))
+    bound = data.draw(st.integers(0, 3))
+    columns = data.draw(st.lists(_poly_vectors(ring, nrows, 2), min_size=1, max_size=2))
+    solver = SpanSolver(ring, gb, columns, nrows, bound)
+    kept = _multipliers(gb, ring, bound)
+    assert [u for _, _, u in solver.meta[:len(kept)]] == kept
+    skipped = [u for u in monomials_up_to(ring.nvars, bound) if u not in kept]
+    if gb.gens and bound >= 2:
+        assert skipped
+    for col in columns:
+        for u in skipped:
+            assert solver.contains(_multiple(ring, col, u))
 
 
 @pytest.mark.parametrize("base", ["Z_(3)", "Z_(5)"])

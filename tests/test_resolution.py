@@ -1,4 +1,6 @@
+import hashlib
 import json
+import random
 import sys
 import threading
 from collections import Counter
@@ -10,6 +12,8 @@ import pytest
 from congrmod import (Dvr, FpModule, PolyRing, build_algebra, ext_module, resolve_O,
                       syzygy_module, verify_resolution)
 from congrmod import resolution
+from congrmod.cli import random_grammar_algebra
+from congrmod.config import EngineConfig
 from congrmod.errors import (InternalInvariantViolation, ResolutionTooShort,
                              StrategyInapplicable, VerificationFailed)
 from congrmod.linsolve import SpanSolver
@@ -201,6 +205,46 @@ def test_shamash_differentials_pinned(strategy, monkeypatch):
     assert [[[str(p) for p in col] for col in res.differential(i)]
             for i in range(1, 5)] == want
     assert len(builds) == want_builds
+
+
+# base -> (first seed, SHA-256 of the syzygy differentials of the first 20
+# random grammar algebras from that seed on whose global basis is linear),
+# captured while the span solvers expanded every monomial of degree <= D
+_PINNED_SYZYGY = {
+    "Z_(2)": (0, "5ab8afe4703d61857428c3ba46bbf82f99cb649e071be114ede0cf356c79ecd7"),
+    "Z_(5)": (1000, "f67a482366bfa3a98119f974f5b42e6be699cc13ee88dc6b379825b355c6b9e5"),
+    "F_4[[t]]": (2000, "900e5ea9af2e1af0299f040e3ce7bf3af6c3531c6978278dfd286db47332c57c"),
+}
+_PINNED_BASES = {"Z_(2)": lambda: Dvr.p_adic(2), "Z_(5)": lambda: Dvr.p_adic(5),
+                 "F_4[[t]]": lambda: Dvr.power_series(4)}
+
+
+def _syzygy_digest(base, seed, count=20):
+    """The SHA-256 of d_1..d_(c+2) of the syzygy resolution, rendered, of
+    the first count linear random grammar algebras from seed on, at search
+    degree 3."""
+    dvr, config = _PINNED_BASES[base](), EngineConfig(search_degree=3)
+    digest = hashlib.sha256()
+    while count:
+        A = random_grammar_algebra(dvr, random.Random(seed), config=config)
+        seed += 1
+        if not A.gb_global.linear:
+            continue
+        res = resolve_O(A, length=A.codim + 2, strategy="syzygy")
+        digest.update(repr([[[str(p) for p in col] for col in d]
+                            for d in res.diffs]).encode())
+        count -= 1
+    return digest.hexdigest()
+
+
+@pytest.mark.parametrize("base", sorted(_PINNED_SYZYGY))
+def test_syzygy_differentials_pinned(base):
+    """The syzygy resolutions of random grammar algebras over a linear basis,
+    module-finite and not (search degree 3), byte for byte: expanding only
+    the standard monomial multiples leaves the pruned generators as they
+    were."""
+    seed, want = _PINNED_SYZYGY[base]
+    assert _syzygy_digest(base, seed) == want
 
 
 def test_verify_builds_each_solver_once(monkeypatch):
