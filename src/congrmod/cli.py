@@ -14,12 +14,11 @@ import json
 import os
 import random
 import sys
-import warnings
 
 from .algebra import build_algebra, cotangent_invariants, regularity_at_lambda
 from .config import DEFAULT_CONFIG, EngineConfig
-from .congruence import (RegularityWarning, _plain, analyze, deformation_step,
-                         eta_raw, numerical_criterion, psi_raw, serre_check)
+from .congruence import (_plain, analyze, deformation_step, eta_raw,
+                         numerical_criterion, psi_raw, serre_check)
 from .dvr import Dvr
 from .errors import DegreeBoundExceeded, EngineError, InputError
 from .fpmodule import FpModule
@@ -335,9 +334,7 @@ def main(argv=None) -> int:
         "probe-fitting-question": cmd_probe,
     }
     try:
-        with warnings.catch_warnings():
-            warnings.simplefilter("always", RegularityWarning)
-            record, code = handlers[args.command](args)
+        record, code = handlers[args.command](args)
         _emit(record, args)
     except DegreeBoundExceeded as exc:
         print(f"error: {exc}", file=sys.stderr)

@@ -510,12 +510,6 @@ class Dvr:
             return {i: Fraction(n) for i, n in num.items()}
         return {i: Fraction(n, den) for i, n in num.items()}
 
-    def is_zero(self, x):
-        return not x if self.kind == "p_adic" else x.is_zero()
-
-    def is_unit(self, x):
-        return self.val(x) == 0
-
     def unit_part(self, x):
         """u with x = u * pi^val(x)."""
         v = self.val(x)

@@ -137,9 +137,6 @@ class _Echelon:
         self._pivot_at = {}  # pivot row -> its index in pivots
         self._run()
 
-    def __len__(self):
-        return len(self._cols)
-
     # -- the integer representation --
     @property
     def cols(self):
@@ -475,10 +472,6 @@ class FinOModule:
     def zero(cls, dvr):
         return cls(dvr, (), 0, gens=0)
 
-    @classmethod
-    def free(cls, dvr, rank):
-        return cls.from_presentation(dvr, [[] for _ in range(rank)])
-
     # -- structure --
     @property
     def signature(self):
@@ -487,13 +480,6 @@ class FinOModule:
     @property
     def is_zero(self):
         return not self.torsion_exponents and self.free_rank == 0
-
-    @property
-    def length(self):
-        """Sum of torsion exponents, or inf when a free part is present."""
-        if self.free_rank:
-            return INF
-        return sum(self.torsion_exponents)
 
     @property
     def torsion_length(self):

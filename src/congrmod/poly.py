@@ -49,9 +49,6 @@ class PolyRing:
         exp[i] = 1
         return Poly(self, {tuple(exp): self.dvr.one})
 
-    def gens(self):
-        return [self.var(i) for i in range(self.nvars)]
-
     def parse(self, text: str) -> "Poly":
         return parse_poly(self, text)
 

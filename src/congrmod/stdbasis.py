@@ -10,6 +10,11 @@ a unit of the local ring, which is invisible to ideal membership.
 
 Leading-term convention for local orders: the leading term is the
 order-maximal one under 1 > x_i, i.e. the lowest total degree part.
+
+An element's leading term is found once, when the element enters a basis
+(or Mora's set of reducers), and read from then on.  Both orders keep a
+minimal basis by one rule (_minimal): an element goes when another's lead
+divides its own with a coefficient of no larger valuation.
 """
 
 from __future__ import annotations
@@ -41,10 +46,7 @@ def _check_valuations(dvr, values, config, den_val=0):
 
 def _normalize_lead(poly: Poly, order) -> Poly:
     """Scale by a unit so the leading coefficient is exactly pi^v."""
-    lt = order.leading(poly)
-    if lt is None:
-        return poly
-    u = poly.ring.dvr.unit_part(lt[1])
+    u = poly.ring.dvr.unit_part(order.leading(poly)[1])
     if u == poly.ring.dvr.one:
         return poly
     return poly.scale(poly.ring.dvr.one / u)
@@ -66,7 +68,8 @@ class StdBasis:
     for every monomial multiple of a column of O[x]^r: nf on one row, the
     span solver on its columns.  The basis with no generators is the basis
     of O[x] itself, whose table holds each monomial as its own entry.  The
-    leading terms of the generators are kept (leads) for reduce_strong."""
+    leading terms of the generators are kept (leads) for reduce_strong and
+    mora_normal_form."""
 
     def __init__(self, ring: PolyRing, order: MonomialOrder, gens, config=DEFAULT_CONFIG):
         self.ring = ring
@@ -85,7 +88,8 @@ class StdBasis:
         for a local one.  A global normal form lists its terms in descending
         order, as reduce_strong finds them."""
         if self.order.is_local:
-            return mora_normal_form(f, self.gens, self.order, self.config)
+            return mora_normal_form(f, self.gens, self.order, self.config,
+                                    self.leads)
         if not self.linear:
             return reduce_strong(f, self.gens, self.order, self.config, self.leads)
         return self.polys(*self.expand(self.int_form((f,))), 1)[0]
@@ -202,12 +206,6 @@ class StdBasis:
         """Membership in the ideal (the localized ideal for a local order)."""
         return not self.nf(f).terms
 
-    def __iter__(self):
-        return iter(self.gens)
-
-    def __len__(self):
-        return len(self.gens)
-
     def __repr__(self):
         return f"StdBasis({self.order!r}, {[str(g) for g in self.gens]})"
 
@@ -215,22 +213,17 @@ class StdBasis:
 def _find_reducer(term, leads, dvr):
     e, c = term
     vc = dvr.val(c)
-    for idx, lt in enumerate(leads):
-        if lt is None:
-            continue
-        le, lc = lt
+    for idx, (le, lc) in enumerate(leads):
         if monomial_divides(le, e) and dvr.val(lc) <= vc:
             return idx
     return None
 
 
-def reduce_strong(f: Poly, gens, order, config=DEFAULT_CONFIG, leads=None) -> Poly:
-    """Full strong normal form for a global (well-) order.  leads, when
-    given, are the leading terms of gens, as a StdBasis keeps them."""
+def reduce_strong(f: Poly, gens, order, config, leads) -> Poly:
+    """Full strong normal form for a global (well-) order; leads are the
+    leading terms of gens, as a StdBasis keeps them."""
     ring = f.ring
     dvr = ring.dvr
-    if leads is None:
-        leads = [order.leading(g) for g in gens]
     out = ring.zero
     h = f
     _check_caps(h, config)
@@ -249,36 +242,29 @@ def reduce_strong(f: Poly, gens, order, config=DEFAULT_CONFIG, leads=None) -> Po
     return out
 
 
-def _ecart(poly: Poly, order) -> int:
-    lt = order.leading(poly)
-    return poly.degree() - sum(lt[0])
-
-
-def mora_normal_form(f: Poly, gens, order, config=DEFAULT_CONFIG) -> Poly:
+def mora_normal_form(f: Poly, gens, order, config, leads) -> Poly:
     """Mora's weak normal form: u*f - result lies in the ideal for some unit
-    u of the local ring.  Reduction touches leading terms only."""
+    u of the local ring.  Reduction touches leading terms only.  leads are
+    the leading terms of gens; a reducer's lead, the lead's valuation and
+    the reducer's ecart (its degree minus its lead's) are found once, when
+    it enters T."""
     ring = f.ring
     dvr = ring.dvr
-    T = list(gens)
+    T = [(g, e, c, dvr.val(c), g.degree() - sum(e))
+         for g, (e, c) in zip(gens, leads)]
     h = f
     steps = 0
     while h.terms:
         e, c = order.leading(h)
         vc = dvr.val(c)
-        best = None
-        for idx, g in enumerate(T):
-            le, lc = order.leading(g)
-            if monomial_divides(le, e) and dvr.val(lc) <= vc:
-                ec = _ecart(g, order)
-                if best is None or ec < best[0]:
-                    best = (ec, idx)
+        best = min(((ecart, idx) for idx, (_, le, _, v, ecart) in enumerate(T)
+                    if v <= vc and monomial_divides(le, e)), default=None)
         if best is None:
             return h
-        ec, idx = best
-        g = T[idx]
-        if ec > _ecart(h, order):
-            T.append(h)
-        le, lc = order.leading(g)
+        g, le, lc, _, ecart = T[best[1]]
+        eh = h.degree() - sum(e)
+        if ecart > eh:
+            T.append((h, e, c, vc, eh))
         h = h - Poly(ring, {monomial_div(e, le): c / lc}) * g
         _check_caps(h, config)
         steps += 1
@@ -287,89 +273,76 @@ def mora_normal_form(f: Poly, gens, order, config=DEFAULT_CONFIG) -> Poly:
     return h
 
 
-def _spoly(f: Poly, g: Poly, order):
+def _spoly(f: Poly, g: Poly, lf, lg):
+    """The s-polynomial of f and g, whose leads are lf and lg."""
     ring = f.ring
     dvr = ring.dvr
-    (ef, cf) = order.leading(f)
-    (eg, cg) = order.leading(g)
+    (ef, cf), (eg, cg) = lf, lg
     m = monomial_lcm(ef, eg)
-    v = max(dvr.val(cf), dvr.val(cg))
-    c = dvr.pi_pow(v)
+    c = dvr.pi_pow(max(dvr.val(cf), dvr.val(cg)))
     uf = Poly(ring, {monomial_div(m, ef): c / cf})
     ug = Poly(ring, {monomial_div(m, eg): c / cg})
     return uf * f - ug * g
 
 
-def _buchberger(gens, order, config) -> list:
-    ring = gens[0].ring
-    dvr = ring.dvr
-    G = []
+def _buchberger(gens, order, config):
+    """A strong basis of the ideal of gens, and its leads: each lead is found
+    once, when its element is appended with its leading coefficient made
+    pi^v.  Pairs are processed by the degree of their lead lcm, then by
+    index."""
+    dvr = gens[0].ring.dvr
+    G, leads, heap = [], [], []
+
+    def append(g):
+        _check_caps(g, config)
+        g = _normalize_lead(g, order)
+        lg = order.leading(g)
+        for i, li in enumerate(leads):
+            heapq.heappush(heap, (sum(monomial_lcm(li[0], lg[0])), i, len(G)))
+        G.append(g)
+        leads.append(lg)
+
     for g in gens:
-        if g.terms:
-            _check_caps(g, config)
-            G.append(_normalize_lead(g, order))
-    heap = []
-    counter = 0
-
-    def push_pairs(new_idx):
-        nonlocal counter
-        for i in range(new_idx):
-            ei = order.leading(G[i])[0]
-            ej = order.leading(G[new_idx])[0]
-            deg = sum(monomial_lcm(ei, ej))
-            heapq.heappush(heap, (deg, i, new_idx, counter))
-            counter += 1
-
-    for k in range(1, len(G)):
-        push_pairs(k)
+        append(g)
     while heap:
-        _, i, j, _ = heapq.heappop(heap)
-        ei, ci = order.leading(G[i])
-        ej, cj = order.leading(G[j])
+        _, i, j = heapq.heappop(heap)
+        (ei, ci), (ej, cj) = leads[i], leads[j]
         coprime = all(a == 0 or b == 0 for a, b in zip(ei, ej))
         if coprime and dvr.val(ci) == 0 and dvr.val(cj) == 0:
             continue
-        s = _spoly(G[i], G[j], order)
-        r = reduce_strong(s, G, order, config)
+        r = reduce_strong(_spoly(G[i], G[j], leads[i], leads[j]), G, order,
+                          config, leads)
         if r.terms:
-            _check_caps(r, config)
-            G.append(_normalize_lead(r, order))
-            push_pairs(len(G) - 1)
-    return _interreduce(G, order, config)
+            append(r)
+    return G, leads
 
 
-def _interreduce(G, order, config):
-    dvr = G[0].ring.dvr if G else None
-    kept = []
-    leads = [order.leading(g) for g in G]
-    for i, g in enumerate(G):
-        ei, ci = leads[i]
-        redundant = False
-        for j, other in enumerate(G):
-            if i == j:
-                continue
-            ej, cj = leads[j]
-            if (monomial_divides(ej, ei) and dvr.val(cj) <= dvr.val(ci)
-                    and (ej, dvr.val(cj)) != (ei, dvr.val(ci))):
-                redundant = True
-                break
-            if (ej, dvr.val(cj)) == (ei, dvr.val(ci)) and j < i:
-                redundant = True
-                break
-        if not redundant:
-            kept.append(i)
+def _minimal(leads, order, dvr):
+    """The indices, in lead order, of the elements with these leads that a
+    minimal strong basis keeps: an element is dropped when another
+    element's lead divides its lead with a coefficient of no larger
+    valuation, and of equal leads the one of lower index is kept."""
+    vals = [(e, dvr.val(c)) for e, c in leads]
+    kept = [i for i, (ei, vi) in enumerate(vals)
+            if not any(monomial_divides(ej, ei) and vj <= vi
+                       and ((ej, vj) != (ei, vi) or j < i)
+                       for j, (ej, vj) in enumerate(vals))]
+    return sorted(kept, key=lambda i: order.key(leads[i][0]))
+
+
+def _interreduce(G, leads, order, config):
+    """The minimal elements of a strong basis G with leading coefficients
+    pi^v, each with its tail reduced by the others, sorted by lead."""
+    kept = _minimal(leads, order, G[0].ring.dvr)
     out = []
-    basis = [G[i] for i in kept]
-    for i, idx in enumerate(kept):
-        others = [b for k, b in enumerate(basis) if k != i]
-        g = G[idx]
+    for i in kept:
+        others = [k for k in kept if k != i]
+        g = G[i]
         if others:
-            lt = order.leading(g)
-            head = Poly(g.ring, {lt[0]: lt[1]})
-            tail = reduce_strong(g - head, others, order, config)
-            g = head + tail
-        out.append(_normalize_lead(g, order))
-    out.sort(key=lambda g: order.key(order.leading(g)[0]))
+            head = Poly(g.ring, {leads[i][0]: leads[i][1]})
+            g = head + reduce_strong(g - head, [G[k] for k in others], order,
+                                     config, [leads[k] for k in others])
+        out.append(g)
     return out
 
 
@@ -386,11 +359,7 @@ class _HomogenizedOrder:
     def key(self, exps):
         return (sum(exps), self.base.key(exps[:-1]))
 
-    def leading(self, poly: Poly):
-        if not poly.terms:
-            return None
-        e = max(poly.terms, key=self.key)
-        return e, poly.terms[e]
+    leading = MonomialOrder.leading
 
 
 def _homogenize(poly: Poly, target: PolyRing) -> Poly:
@@ -421,33 +390,13 @@ def std_basis(gens, order: MonomialOrder, config=DEFAULT_CONFIG) -> StdBasis:
         if g.min_coeff_val() < 0:
             raise NonIntegralEntry(f"coefficients of {g} are not all in O")
     if not order.is_local:
-        basis = _buchberger(gens, order, config)
-        return StdBasis(ring, order, basis, config)
+        return StdBasis(ring, order, _interreduce(*_buchberger(gens, order, config),
+                                                  order, config), config)
     hring = PolyRing(ring.dvr, ring.names + ("_h",))
     horder = _HomogenizedOrder(order)
     hgens = [_homogenize(g, hring) for g in gens]
-    hbasis = _buchberger(hgens, horder, config)
-    basis = [_dehomogenize(g, ring) for g in hbasis]
-    basis = [g for g in basis if g.terms]
-    basis = _minimalize_local(basis, order)
-    return StdBasis(ring, order, basis, config)
-
-
-def _minimalize_local(G, order):
-    dvr = G[0].ring.dvr
-    leads = [order.leading(g) for g in G]
-    kept = []
-    for i in range(len(G)):
-        ei, ci = leads[i]
-        redundant = False
-        for j in kept:
-            ej, cj = leads[j]
-            if monomial_divides(ej, ei) and dvr.val(cj) <= dvr.val(ci):
-                redundant = True
-                break
-        if not redundant:
-            kept.append(i)
-    out = [_normalize_lead(G[i], order) for i in kept]
-    out.sort(key=lambda g: order.key(order.leading(g)[0]))
-    return out
-
+    hbasis = _interreduce(*_buchberger(hgens, horder, config), horder, config)
+    basis = [g for g in (_dehomogenize(h, ring) for h in hbasis) if g.terms]
+    leads = [order.leading(g) for g in basis]
+    return StdBasis(ring, order, [_normalize_lead(basis[i], order)
+                                  for i in _minimal(leads, order, ring.dvr)], config)

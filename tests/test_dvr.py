@@ -14,7 +14,7 @@ def test_p_adic_valuations(O5):
     assert O5.val(Fraction(3, 2)) == 0
     assert O5.val(Fraction(1, 5)) == -1
     assert O5.val(Fraction(0)) is INF
-    assert O5.is_unit(Fraction(-3))
+    assert O5.val(Fraction(-3)) == 0
     assert O5.val(Fraction(7, 10)) < 0
 
 
@@ -127,7 +127,7 @@ class TestPowerSeries:
         assert u * (O.one / u) == O.one
         assert O.val(O.one / u) == 0
         assert (t + t) != t or True  # char 2: t + t = 0
-        assert O.is_zero(t + t)
+        assert not (t + t)
 
     def test_rf_val_additive(self):
         O = Dvr.power_series(9)

@@ -20,16 +20,19 @@ API_AND_ORACLES = {
     "FpModule.direct_sum": "the module constructor of the additivity checks",
     "FpModule.torsion_submodule": "the M[J] oracle that Ext^0(O, A) is compared against",
     "FiniteModule.as_module": "the O-structure that test_o_torsion_in_module checks",
+    "FreeResolution.diffs": "the differentials that the benchmark's syzygy "
+                            "workload and the tests read",
 }
 
 
-def _used_names(tree):
-    """Every identifier a module reads: names, attribute names, and the
-    strings of __all__."""
+def _used_names(tree, bare=True):
+    """Every identifier a module reads: names (unless bare is false),
+    attribute names, and the strings of __all__."""
     used = set()
     for node in ast.walk(tree):
         if isinstance(node, ast.Name):
-            used.add(node.id)
+            if bare:
+                used.add(node.id)
         elif isinstance(node, ast.Attribute):
             used.add(node.attr)
         elif (isinstance(node, ast.Assign)
@@ -98,17 +101,19 @@ def test_private_top_level_definitions_are_referenced():
 def _unread_methods(public):
     """The public methods, or the private ones (a _name, not a dunder), of
     the top-level classes that nothing outside their own body reads: neither
-    another member of their class nor anything else in the package."""
+    another member of their class nor anything else in the package.  A
+    method is read through an attribute (x.name) or __all__; a bare name is
+    a local variable or a function that happens to share its name."""
     units = []  # (class name or None, statement, names it reads)
     for tree in MODULES.values():
         for node in tree.body:
             if isinstance(node, ast.ClassDef):
-                units.extend((node.name, member, _used_names(member))
+                units.extend((node.name, member, _used_names(member, bare=False))
                              for member in node.body)
-                units.extend((None, sub, _used_names(sub))
+                units.extend((None, sub, _used_names(sub, bare=False))
                              for sub in node.bases + node.decorator_list)
             else:
-                units.append((None, node, _used_names(node)))
+                units.append((None, node, _used_names(node, bare=False)))
     return [f"{cls}.{node.name}" for cls, node, _ in units
             if cls and isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef))
             and not node.name.startswith("__")

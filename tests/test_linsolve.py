@@ -11,7 +11,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from congrmod import Dvr, PolyRing, build_algebra
-from congrmod.config import EngineConfig
+from congrmod.config import DEFAULT_CONFIG, EngineConfig
 from congrmod.dvr import RF
 from congrmod.errors import DegreeBoundExceeded
 from congrmod.linsolve import SpanSolver, _max_degree, prune_generators
@@ -167,7 +167,9 @@ def _fraction_vector(gb, ring, col, u, row_index):
             # reduce_strong leaves a term whose coefficient is outside O, so
             # reduce pi^k * p, which lies in O[x], and divide back
             s = ring.dvr.pi_pow(max(0, -p.min_coeff_val()))
-            p = reduce_strong(p.scale(s), gb.gens, gb.order).scale(ring.dvr.one / s)
+            leads = [gb.order.leading(g) for g in gb.gens]
+            p = reduce_strong(p.scale(s), gb.gens, gb.order, DEFAULT_CONFIG,
+                              leads).scale(ring.dvr.one / s)
         for e, c in p.terms.items():
             if u is None:
                 rid = row_index.get((i, e))

@@ -417,13 +417,13 @@ def test_free_module_from_zero_columns(O5):
     """No relations: every generator is free, and the witnesses are
     identities."""
     from congrmod.omodule import FinOModule
-    mod = FinOModule.free(O5, 3)
+    mod = FinOModule.from_presentation(O5, [[] for _ in range(3)])
     assert mod.signature == ((), 3)
     assert list(mod.free_indices()) == [0, 1, 2]
     assert mod.smith.diag_vals == []
     assert mod.smith.L == mod.smith.Linv == _identity(O5, 3)
     assert mod.free_generator_reps() == _identity(O5, 3)
-    assert FinOModule.free(O5, 0).signature == ((), 0)
+    assert FinOModule.from_presentation(O5, []).signature == ((), 0)
 
 
 # ---------------------------------------------------------------------------

@@ -1,3 +1,5 @@
+import hashlib
+import random
 import sys
 import threading
 from fractions import Fraction as F
@@ -8,7 +10,8 @@ from hypothesis import strategies as st
 
 from congrmod import GLOBAL, LOCAL, Dvr, PolyRing, std_basis
 from congrmod import stdbasis
-from congrmod.config import EngineConfig
+from congrmod.cli import random_grammar_algebra
+from congrmod.config import DEFAULT_CONFIG, EngineConfig
 from congrmod.errors import DegreeBoundExceeded, NonIntegralEntry
 from congrmod.poly import Poly
 from congrmod.stdbasis import _spoly, reduce_strong
@@ -66,7 +69,8 @@ def test_strong_spairs_reduce_to_zero(R2):
         B = std_basis(gens, order)
         for i in range(len(B.gens)):
             for j in range(i + 1, len(B.gens)):
-                s = _spoly(B.gens[i], B.gens[j], order)
+                s = _spoly(B.gens[i], B.gens[j], order.leading(B.gens[i]),
+                           order.leading(B.gens[j]))
                 assert B.nf(s).is_zero
 
 
@@ -151,7 +155,8 @@ polys = st.dictionaries(
 def test_nf_equals_reduce_strong(name, f):
     B = _nf_basis(name)
     assert B.linear == (name in ("x*(x - pi^k)", "ring B", "x^2 - pi*y"))
-    expected = reduce_strong(f, B.gens, GLOBAL)
+    expected = reduce_strong(f, B.gens, GLOBAL, DEFAULT_CONFIG,
+                             [GLOBAL.leading(g) for g in B.gens])
     assert list(B.nf(f).terms.items()) == list(expected.terms.items())
 
 
@@ -159,7 +164,7 @@ def test_nf_table_reduces_each_monomial_once(R1, monkeypatch):
     B = std_basis([R1.parse("x*(x - pi^2)")], GLOBAL)
     calls = []
 
-    def counting(f, gens, order, config=None, leads=None):
+    def counting(f, gens, order, config, leads):
         calls.append(f)
         return reduce_strong(f, gens, order, config, leads)
 
@@ -189,7 +194,9 @@ def test_nf_table_shared_by_racing_threads(R2):
     fs = [R2.parse(f"x^{a}*y^{b} + pi*x^{b}*y^{a}")
           for a in range(5) for b in range(5)]
     ref = std_basis(gens, GLOBAL)
-    expected = [list(reduce_strong(f, ref.gens, GLOBAL).terms.items()) for f in fs]
+    leads = [GLOBAL.leading(g) for g in ref.gens]
+    expected = [list(reduce_strong(f, ref.gens, GLOBAL, DEFAULT_CONFIG, leads).terms.items())
+                for f in fs]
     old = sys.getswitchinterval()
     sys.setswitchinterval(1e-6)
     try:
@@ -214,3 +221,90 @@ def test_nf_table_shared_by_racing_threads(R2):
             assert not errors and got == [expected] * 6
     finally:
         sys.setswitchinterval(old)
+
+
+# base -> SHA-256 of the global bases, and of the local membership bits, of
+# random grammar algebras from seeds 0..149, captured while every basis
+# routine still recomputed its leads at each read
+_PINNED_BASES = {"Z_(2)": lambda: Dvr.p_adic(2), "Z_(5)": lambda: Dvr.p_adic(5),
+                 "F_4[[t]]": lambda: Dvr.power_series(4)}
+_PINNED_GLOBAL = {
+    "Z_(2)":
+        "8ab8d009b3a81b82f334b95c467a23802eefc2be5bc7de768ffa56ba0f39356f",
+    "Z_(5)":
+        "21e0222b151e5f0c199f0b802413c6993e44629c5cc19a78bb90495983069e96",
+    "F_4[[t]]":
+        "cb00ac79bc2d584d87a497cf58e0f03116dbaee980a8ce5dbdf935aaaa0468b6",
+}
+_PINNED_LOCAL = {
+    "Z_(2)":
+        "42ca9b9d6a4696a5b4bc1f039b723338ec9644f520d98f65fb5efd09b1a85456",
+    "Z_(5)":
+        "c6eb7cda05cac5cb114b1167890a15bd13da585eb86dfd5e968fa817e0d0ae79",
+    "F_4[[t]]":
+        "2ed286ca2c8a3b33b44713a0c52f236f94b9e6d1069bd4e9de10ab639f432633",
+}
+
+
+def _grammar_ideals(base, count=150):
+    """Generating sets from the random grammar algebras of seeds
+    0..count-1 that have relations: the relations, and for every third seed
+    the relations with one more element that perturbs a combination of
+    them, which gives s-pairs that do not reduce to zero."""
+    dvr = _PINNED_BASES[base]()
+    for seed in range(count):
+        rels = random_grammar_algebra(dvr, random.Random(seed)).relations
+        if rels:
+            yield rels
+            if seed % 3 == 0:
+                yield rels + _samples(rels, random.Random(seed))[-1:]
+
+
+def _samples(gens, rng):
+    """Three O[x]-combinations of gens, then three with a term pi^a * x_i^b
+    added, which may or may not leave the (localized) ideal."""
+    ring = gens[0].ring
+    pi = ring.const(ring.dvr.pi_pow(1))
+    mults = [ring.one, pi]
+    for i in range(ring.nvars):
+        x = ring.var(i)
+        mults += [x, ring.one + x, x - pi]
+    out = []
+    for k in range(6):
+        f = sum((rng.choice(mults) * rng.choice(gens) for _ in range(2)), ring.zero)
+        if k >= 3:
+            exps = [0] * ring.nvars
+            exps[rng.randrange(ring.nvars)] = rng.randint(0, 3)
+            f = f + Poly(ring, {tuple(exps): ring.dvr.pi_pow(rng.randint(0, 3))})
+        out.append(f)
+    return out
+
+
+def _global_digest(base):
+    digest = hashlib.sha256()
+    for gens in _grammar_ideals(base):
+        digest.update(repr([str(g) for g in std_basis(gens, GLOBAL).gens]).encode())
+    return digest.hexdigest()
+
+
+def _local_digest(base):
+    rng = random.Random(base)
+    bits = []
+    for gens in _grammar_ideals(base):
+        B = std_basis(gens, LOCAL)
+        bits.extend("1" if B.contains(f) else "0" for f in _samples(gens, rng))
+    return hashlib.sha256("".join(bits).encode()).hexdigest()
+
+
+@pytest.mark.parametrize("base", sorted(_PINNED_GLOBAL))
+def test_global_bases_pinned(base):
+    """Global bases byte for byte: the same pairs are processed in the same
+    order with the same reductions, however the leads are found."""
+    assert _global_digest(base) == _PINNED_GLOBAL[base]
+
+
+@pytest.mark.parametrize("base", sorted(_PINNED_LOCAL))
+def test_local_membership_pinned(base):
+    """A local basis may keep another of two redundant elements, but answers
+    every membership question the same."""
+    assert _local_digest(base) == _PINNED_LOCAL[base]
