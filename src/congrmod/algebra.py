@@ -135,7 +135,7 @@ class AugmentedAlgebra:
                 if self.relations:
                     self._gb_global = std_basis(self.relations, GLOBAL, self.config)
                 else:
-                    self._gb_global = StdBasis(self.ring, GLOBAL, [], self.config)
+                    self._gb_global = StdBasis(self.ring, GLOBAL, [], [], self.config)
             return self._gb_global
 
     @property
@@ -145,7 +145,7 @@ class AugmentedAlgebra:
                 if self.relations:
                     self._gb_local = std_basis(self.relations, LOCAL, self.config)
                 else:
-                    self._gb_local = StdBasis(self.ring, LOCAL, [], self.config)
+                    self._gb_local = StdBasis(self.ring, LOCAL, [], [], self.config)
             return self._gb_local
 
     @property
@@ -223,19 +223,16 @@ class CotangentData:
 
 
 def jacobian_at_lambda(A: AugmentedAlgebra):
-    """Rows indexed by variables, columns by relations, evaluated at the
-    augmentation; presents p/p^2 on the generators x_i - a_i."""
-    rows = []
-    for i in range(A.nvars):
-        rows.append([A.lam(f.partial(i)) for f in A.relations])
-    return rows
+    """One column per relation, its partials evaluated at the augmentation;
+    presents p/p^2 on the generators x_i - a_i."""
+    return [[A.lam(f.partial(i)) for i in range(A.nvars)] for f in A.relations]
 
 
 def cotangent_invariants(A: AugmentedAlgebra) -> CotangentData:
     with A._lock:
         if A._cotangent is None:
-            jac = jacobian_at_lambda(A)
-            cot = FinOModule.from_presentation(A.dvr, jac, generators=A.nvars)
+            cot = FinOModule.from_presentation(A.dvr, jacobian_at_lambda(A),
+                                               A.nvars)
             phi = cot.torsion_part()
             fitt = cot.fitting_ideal(A.codim)
             A._cotangent = CotangentData(cot, phi, fitt)

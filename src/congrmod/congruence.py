@@ -62,8 +62,7 @@ class ExtModule:
         if y is None:
             raise InternalInvariantViolation(
                 "cocycle not reachable from the computed generators")
-        coords = self.structure.normal_coords(y)
-        return [coords[i] for i in self.structure.free_indices()]
+        return self.structure.free_coords(y)
 
 
 def ext_module(A: AugmentedAlgebra, M, i: int, res: FreeResolution) -> ExtModule:
@@ -113,8 +112,7 @@ def _ext_O(A, i, res):
                 raise InternalInvariantViolation(
                     "coboundary escapes the cocycle lattice")
             im_coords.append(y)
-    pres = [[v[j] for v in im_coords] for j in range(len(ker))]
-    structure = FinOModule.from_presentation(dvr, pres, generators=len(ker))
+    structure = FinOModule.from_presentation(dvr, im_coords, len(ker))
     return ExtModule(i, structure, ker, res.cert, coords)
 
 
@@ -183,9 +181,7 @@ def _ext_general(A, M, i, res):
     per_bounds = [0] * s + [None] * (len(all_cols) - s)
     class_solver = A.span_solver(all_cols, g * r_i, per_bounds=per_bounds)
     coeffs = ([A.lam(x) for x in v[:s]] for v in class_solver.kernel())
-    rel_cols = [c for c in coeffs if any(c)]
-    pres = [[col[j] for col in rel_cols] for j in range(s)]
-    structure = FinOModule.from_presentation(dvr, pres, generators=s)
+    structure = FinOModule.from_presentation(dvr, [c for c in coeffs if any(c)], s)
 
     def coords(w):
         sol = class_solver.solve(w)
@@ -249,9 +245,8 @@ def _pairing(A, MA, c, res) -> _Pairing:
         psi = None
         if rank == 1:
             cols = [[vs[0] for vs in per_rep] for per_rep in values]
-            image_cols = [col for col in cols if any(col)]
-            pres = [[col[t] for col in image_cols] for t in range(mu)]
-            psi = FinOModule.from_presentation(A.dvr, pres, generators=mu)
+            psi = FinOModule.from_presentation(
+                A.dvr, [col for col in cols if any(col)], mu)
         pairing = _Pairing(ext_OM.cert, rank, mu, MA.reduce_mod_p(), psi,
                            any(x for per_rep in values for vs in per_rep for x in vs))
         with A._lock:
@@ -260,9 +255,10 @@ def _pairing(A, MA, c, res) -> _Pairing:
 
 
 def _require_rank(A, rank, c, expected=1, what="tfree Ext^c(O,O)"):
-    """The free rank of an Ext module must be the one regularity gives;
-    when it is not, the cotangent rank tells a non-regular algebra from an
-    engine fault."""
+    """The free rank of an Ext module (or of the congruence module, which
+    regularity makes torsion) must be the one regularity gives; when it is
+    not, the cotangent rank tells a non-regular algebra from an engine
+    fault."""
     if rank == expected:
         return
     cot_rank = cotangent_invariants(A).cotangent.free_rank
@@ -292,10 +288,7 @@ def psi_raw(A: AugmentedAlgebra, M, c: int, res: FreeResolution):
     its cert and mu (M=None is the ring A, not O as in ext_module)."""
     pairing = _pairing(A, _as_module(A, M), c, res)
     _require_rank(A, pairing.rank, c)
-    if pairing.psi.free_rank:
-        raise InternalInvariantViolation(
-            "congruence module came out non-torsion: the algebra is not "
-            "regular at the augmentation, or the search bound is too small")
+    _require_rank(A, pairing.psi.free_rank, c, 0, "the congruence module")
     return pairing.psi, pairing.cert, pairing.mu
 
 
@@ -405,8 +398,7 @@ def kappa_defect(A: AugmentedAlgebra, M, res=None) -> dict:
             w = tuple(zeta[k].scale(ms[l]) if ms[l] else A.ring.zero
                       for l in range(MA.gens) for k in range(r_c))
         kappa_cols.append(ext_OM.class_free_values(w))
-    rows = [[col[i] for col in kappa_cols] for i in range(mu)]
-    sf = smith_form(dvr, rows)
+    sf = smith_form(dvr, kappa_cols, mu)
     if sf.rank < mu:
         raise KappaNotInjective("the Kunneth comparison map is not injective")
     coker_len = sum(sf.diag_vals)
@@ -419,7 +411,7 @@ def kappa_defect(A: AugmentedAlgebra, M, res=None) -> dict:
     sequence_identity = (psi_M.torsion_length ==
                          mu * psi_A.torsion_length - coker_len)
     return {
-        "kappa": rows,
+        "kappa": [[col[i] for col in kappa_cols] for i in range(mu)],
         "coker_ann": coker_ann,
         "coker_length": coker_len,
         "diff_identity": diff_identity,

@@ -105,8 +105,7 @@ class FiniteModule:
         return vec
 
     def as_module(self) -> FinOModule:
-        return FinOModule.from_presentation(
-            self.dvr, _cols_to_rows(self.rel_cols, self.dim))
+        return FinOModule.from_presentation(self.dvr, self.rel_cols, self.dim)
 
     def kernel_of_operators(self, op_polys):
         """O-generators of {x in M : q * x = 0 for every q}, as coordinate
@@ -154,16 +153,8 @@ class FiniteModule:
             w = [vec.get(j, self.dvr.zero) for j in range(len(vectors))]
             if any(w):
                 rels.append(w)
-        return FinOModule.from_presentation(
-            self.dvr, _cols_to_rows(rels, len(vectors)))
+        return FinOModule.from_presentation(self.dvr, rels, len(vectors))
 
     def quotient_module(self, extra_vectors) -> FinOModule:
-        cols = self.rel_cols + list(extra_vectors)
         return FinOModule.from_presentation(
-            self.dvr, _cols_to_rows(cols, self.dim))
-
-
-def _cols_to_rows(cols, nrows):
-    if not cols:
-        return [[] for _ in range(nrows)]
-    return [[col[i] for col in cols] for i in range(nrows)]
+            self.dvr, self.rel_cols + list(extra_vectors), self.dim)

@@ -59,16 +59,16 @@ class FpModule:
 
     # -- O-module data --
     def lam_presentation(self):
-        """The augmented presentation matrix over O (rows = generators)."""
+        """The augmented relation columns over O."""
         A = self.algebra
-        return [[A.lam(col[i]) for col in self.columns] for i in range(self.gens)]
+        return [[A.lam(p) for p in col] for col in self.columns]
 
     def reduce_mod_p(self):
         """M/pM in normal form; mu is its free_rank.  Computed once per
         module: every call returns the same FinOModule."""
         if self._reduced is None:
             self._reduced = FinOModule.from_presentation(
-                self.algebra.dvr, self.lam_presentation(), generators=self.gens)
+                self.algebra.dvr, self.lam_presentation(), self.gens)
         return self._reduced
 
     def hom_to_O_generators(self):

@@ -13,7 +13,7 @@ from .dvr import Dvr, IdealO
 from .errors import (DegenerateLattice, DimensionMismatch,
                      InternalInvariantViolation, NotADirectSum, RankMismatch,
                      TorsionQuotient)
-from .omodule import _Echelon, _sparse, FinOModule, mat_mul, smith_form
+from .omodule import _dot, _Echelon, _sparse, FinOModule, mat_mul, smith_form
 
 
 @dataclass
@@ -63,13 +63,8 @@ def _saturate_in_On(dvr, vectors, n):
         cleared.append([x * scale for x in v])
     if not cleared:
         return []
-    rows = [[v[i] for v in cleared] for i in range(n)]
-    sf = smith_form(dvr, rows)
-    rank = sf.rank
-    out = []
-    for j in range(rank):
-        out.append([sf.Linv[i][j] for i in range(n)])
-    return out
+    sf = smith_form(dvr, cleared, n)
+    return [[sf.Linv[i][j] for i in range(n)] for j in range(sf.rank)]
 
 
 def _lattice_basis_of_span(dvr, vectors, n):
@@ -79,8 +74,7 @@ def _lattice_basis_of_span(dvr, vectors, n):
         return []
     shift = min(min(vals), 0)
     scale = dvr.pi_pow(-shift)
-    rows = [[v[i] * scale for v in vectors] for i in range(n)]
-    sf = smith_form(dvr, rows)
+    sf = smith_form(dvr, [[x * scale for x in v] for v in vectors], n)
     unscale = dvr.pi_pow(shift)
     out = []
     for j in range(sf.rank):
@@ -101,8 +95,8 @@ def _quotient_of_lattices(dvr, big, small):
         if sol is None:
             raise InternalInvariantViolation("sublattice escapes the big lattice")
         coords.append(sol)
-    pres = [[c.get(i, dvr.zero) for c in coords] for i in range(r)]
-    return FinOModule.from_presentation(dvr, pres, generators=r)
+    return FinOModule.from_presentation(
+        dvr, [[c.get(i, dvr.zero) for i in range(r)] for c in coords], r)
 
 
 def split_and_congruence(split: LatticeSplit) -> dict:
@@ -112,7 +106,7 @@ def split_and_congruence(split: LatticeSplit) -> dict:
     dvr = split.dvr
     n = split.ambient_dim
     B = split.lattice_basis
-    sf = smith_form(dvr, B)
+    sf = smith_form(dvr, _columns(B), n)  # B is given by its rows
     if sf.rank != n:
         raise DegenerateLattice("lattice basis is singular over K")
     Binv = sf.inverse()
@@ -121,22 +115,22 @@ def split_and_congruence(split: LatticeSplit) -> dict:
         raise NotADirectSum("subspace dimensions do not add up to the ambient")
     Y1 = mat_mul(dvr, Binv, split.v1)  # subspaces in lattice coordinates
     Y2 = mat_mul(dvr, Binv, split.v2)
-    T = [Y1[i] + Y2[i] for i in range(n)]
-    sf = smith_form(dvr, T)
+    C1, C2 = _columns(Y1), _columns(Y2)
+    sf = smith_form(dvr, C1 + C2, n)
     if sf.rank != n:
         raise NotADirectSum("the subspaces intersect nontrivially")
     Tinv = sf.inverse()
 
-    L1 = _saturate_in_On(dvr, _columns(Y1), n)
-    L2 = _saturate_in_On(dvr, _columns(Y2), n)
+    L1 = _saturate_in_On(dvr, C1, n)
+    L2 = _saturate_in_On(dvr, C2, n)
     if len(L1) != d1 or len(L2) != d2:
         raise InternalInvariantViolation("intersection lattice has wrong rank")
     # projections pi_i(L): columns of Y_i * (first rows of Tinv applied to e_j)
     proj1, proj2 = [], []
     for j in range(n):
         t = [Tinv[i][j] for i in range(n)]
-        p1 = [sum_mul(dvr, Y1[i], t[:d1]) for i in range(n)]
-        p2 = [sum_mul(dvr, Y2[i], t[d1:]) for i in range(n)]
+        p1 = [_dot(dvr, Y1[i], t[:d1]) for i in range(n)]
+        p2 = [_dot(dvr, Y2[i], t[d1:]) for i in range(n)]
         proj1.append(p1)
         proj2.append(p2)
     Lsup1 = _lattice_basis_of_span(dvr, proj1, n)
@@ -144,16 +138,12 @@ def split_and_congruence(split: LatticeSplit) -> dict:
 
     # torsion-freeness of L/L_i (holds for saturated intersections)
     for Li in (L1, L2):
-        pres = [[v[i] for v in Li] for i in range(n)]
-        q = FinOModule.from_presentation(dvr, pres, generators=n)
-        if q.torsion_exponents:
+        if FinOModule.from_presentation(dvr, Li, n).torsion_exponents:
             raise TorsionQuotient("L/L_i acquired torsion")
 
     q1 = _quotient_of_lattices(dvr, Lsup1, L1)
     q2 = _quotient_of_lattices(dvr, Lsup2, L2)
-    middle_cols = [list(v) for v in L1 + L2]
-    pres = [[v[i] for v in middle_cols] for i in range(n)]
-    qm = FinOModule.from_presentation(dvr, pres, generators=n)
+    qm = FinOModule.from_presentation(dvr, L1 + L2, n)
     if not (q1.signature == q2.signature == (qm.torsion_exponents, 0)):
         if qm.free_rank or not (q1.signature == q2.signature ==
                                 (qm.torsion_exponents, qm.free_rank)):
@@ -163,7 +153,7 @@ def split_and_congruence(split: LatticeSplit) -> dict:
     cong = qm.torsion_part()
 
     def back(vectors):
-        return [[sum_mul(dvr, B[i], v) for v in vectors] for i in range(n)]
+        return [[_dot(dvr, B[i], v) for v in vectors] for i in range(n)]
 
     return {
         "L1": back(L1), "L2": back(L2),
@@ -171,14 +161,6 @@ def split_and_congruence(split: LatticeSplit) -> dict:
         "cong": cong,
         "coords": {"L1": L1, "L2": L2, "Lsup1": Lsup1, "Lsup2": Lsup2},
     }
-
-
-def sum_mul(dvr, row, vec):
-    acc = dvr.zero
-    for a, b in zip(row, vec):
-        if a and b:
-            acc = acc + a * b
-    return acc
 
 
 def pairing_discriminant(split: LatticeSplit, pairing=None) -> IdealO:
@@ -213,10 +195,10 @@ def split_discriminant(split: LatticeSplit, data, pairing=None) -> IdealO:
     if d1 == 0:
         return IdealO.unit(dvr)
     if pairing is not None:
-        fs = [[sum_mul(dvr, f, [pairing[i][j] for i in range(n)])
+        fs = [[_dot(dvr, f, [pairing[i][j] for i in range(n)])
                for j in range(n)] for f in fs]
-    gram = [[sum_mul(dvr, f, x) for x in L1] for f in fs]
-    sf = smith_form(dvr, gram)
+    # the columns of the Gram matrix <f_i, x_j>, one per x_j
+    sf = smith_form(dvr, [[_dot(dvr, f, x) for f in fs] for x in L1], len(fs))
     if sf.rank < d1:
         return IdealO.zero(dvr)
     return IdealO(dvr, sum(sf.diag_vals))

@@ -1,19 +1,23 @@
 """Structure theory of finitely generated O-modules via Smith normal form.
 
-All matrices are lists of rows unless a function says otherwise.  There is
-one elimination over O: the sparse column echelon, which visits only the
-nonzero entries, tracks its column operations, answers every kernel and
-solve, and can grow one column at a time.  Over Z_(p) it computes on
-Python ints, each column a dict of integer numerators over one
-denominator, eliminating fraction-free and keeping the integers small
+A presentation over O is a list of relation columns, each with one entry
+in K per generator, and the generator count comes with it, since a
+presentation may have no relations; smith_form and
+FinOModule.from_presentation take it so, and the echelon eliminates the
+columns as given.  The dense witnesses L, L^-1 and R are lists of rows.
+
+There is one elimination over O: the sparse column echelon, which visits
+only the nonzero entries, tracks its column operations, answers every
+kernel and solve, and can grow one column at a time.  Over Z_(p) it
+computes on Python ints, each column a dict of integer numerators over
+one denominator, eliminating fraction-free and keeping the integers small
 with a p-free content scaling; columns and targets enter it in that form
 and entries leave it as Fractions.  Its pivots come from heaps, never
 from a scan of every column or every pivot.  The Smith form is that
 echelon plus one pass of row operations, with full witnesses (L, L^-1, R)
 so cokernels remember how to transport element coordinates into normal
-form.  It answers rank, determinant valuation and
-inverse over K, and a module's Fitting ideals are read off its
-invariants.
+form.  It answers rank, determinant valuation and inverse over K, and a
+module's Fitting ideals are read off its invariants.
 """
 
 from __future__ import annotations
@@ -29,33 +33,18 @@ from .errors import DimensionMismatch, NonIntegralEntry
 # ---------------------------------------------------------------------------
 # generic dense helpers (entries in the fraction field K)
 
+def _dot(dvr, a, b):
+    """sum a_k * b_k, skipping the zero products."""
+    acc = dvr.zero
+    for x, y in zip(a, b):
+        if x and y:
+            acc = acc + x * y
+    return acc
+
+
 def mat_mul(dvr, a, b):
-    rows, inner, cols = len(a), len(b), len(b[0]) if b else 0
-    zero = dvr.zero
-    out = []
-    for i in range(rows):
-        ai = a[i]
-        row = []
-        for j in range(cols):
-            acc = zero
-            for k in range(inner):
-                if ai[k]:
-                    acc = acc + ai[k] * b[k][j]
-            row.append(acc)
-        out.append(row)
-    return out
-
-
-def mat_vec(dvr, a, v):
-    zero = dvr.zero
-    out = []
-    for row in a:
-        acc = zero
-        for x, y in zip(row, v):
-            if x and y:
-                acc = acc + x * y
-        out.append(acc)
-    return out
+    bcols = list(zip(*b))
+    return [[_dot(dvr, row, col) for col in bcols] for row in a]
 
 
 # ---------------------------------------------------------------------------
@@ -370,14 +359,12 @@ class SmithForm:
     determined by the matrix: the witnesses are one valid choice among many.
     """
 
-    def __init__(self, dvr, diag_vals, L, Linv, R, nrows, ncols):
+    def __init__(self, dvr, diag_vals, L, Linv, R):
         self.dvr = dvr
         self.diag_vals = diag_vals
         self.L = L
         self.Linv = Linv
         self.R = R
-        self.nrows = nrows
-        self.ncols = ncols
 
     @property
     def rank(self):
@@ -392,8 +379,9 @@ class SmithForm:
         return mat_mul(self.dvr, self.R, scaled)
 
 
-def smith_form(dvr: Dvr, matrix) -> SmithForm:
-    """Diagonalize over O: the column echelon of the matrix, then one row
+def smith_form(dvr: Dvr, matrix, nrows) -> SmithForm:
+    """Diagonalize over O the nrows x len(matrix) matrix whose columns are
+    the relation columns in matrix: their column echelon, then one row
     pass.
 
     Each echelon pivot is a minimal-valuation entry of the columns still
@@ -405,9 +393,9 @@ def smith_form(dvr: Dvr, matrix) -> SmithForm:
     listed first, L * A * R = D, where R is the echelon's R.  Rows of L and
     the columns of L^-1 are sparse dicts until the end."""
     zero, one = dvr.zero, dvr.one
-    ech = _Echelon(dvr, [_sparse(dvr, col) for col in zip(*matrix)])
+    ech = _Echelon(dvr, [_sparse(dvr, col) for col in matrix])
     ech_cols, ech_R = ech.cols, ech.R
-    m, n = len(matrix), len(ech_cols)
+    m, n = nrows, len(ech_cols)
     L = [{r: one} for r in range(m)]
     Linv = [{r: one} for r in range(m)]  # column r of L^-1
     diag = []
@@ -434,7 +422,7 @@ def smith_form(dvr: Dvr, matrix) -> SmithForm:
     dense_L = [[L[r].get(j, zero) for j in range(m)] for r in rows]
     dense_Linv = [[Linv[r].get(i, zero) for r in rows] for i in range(m)]
     dense_R = [[ech_R[c].get(i, zero) for c in cols] for i in range(n)]
-    return SmithForm(dvr, diag, dense_L, dense_Linv, dense_R, m, n)
+    return SmithForm(dvr, diag, dense_L, dense_Linv, dense_R)
 
 
 # ---------------------------------------------------------------------------
@@ -453,20 +441,21 @@ class FinOModule:
 
     # -- constructors --
     @classmethod
-    def from_presentation(cls, dvr, matrix, generators=None):
-        """Cokernel of the column span; rows are generators."""
-        m = len(matrix)
-        if generators is None:
-            generators = m
-        if m != generators:
-            raise DimensionMismatch(f"{m} rows for {generators} generators")
-        sf = smith_form(dvr, matrix)
+    def from_presentation(cls, dvr, columns, generators):
+        """Cokernel of the span of the relation columns on the generators."""
+        for col in columns:
+            if len(col) != generators:
+                raise DimensionMismatch(
+                    f"relation column of length {len(col)} for {generators} generators")
+        sf = smith_form(dvr, columns, generators)
         if sf.diag_vals and sf.diag_vals[0] < 0:
-            # the first pivot has the minimal valuation of all entries
-            x = next(x for row in matrix for x in row if x and dvr.val(x) < 0)
+            # the first pivot has the minimal valuation of all entries; the
+            # error names the first negative one in row order
+            x = next(x for i in range(generators) for x in (col[i] for col in columns)
+                     if x and dvr.val(x) < 0)
             raise NonIntegralEntry(f"entry {x!r} has negative valuation")
         tors = [v for v in sf.diag_vals if v]
-        return cls(dvr, tors, m - sf.rank, gens=m, smith=sf)
+        return cls(dvr, tors, generators - sf.rank, gens=generators, smith=sf)
 
     @classmethod
     def zero(cls, dvr):
@@ -502,21 +491,20 @@ class FinOModule:
         if self.smith is None:
             raise DimensionMismatch("module carries no presentation witnesses")
 
-    def normal_coords(self, vec):
-        self._require_witness()
-        if len(vec) != self.gens:
-            raise DimensionMismatch(
-                f"coordinate length {len(vec)} != generator count {self.gens}")
-        return mat_vec(self.dvr, self.smith.L, vec)
-
     def free_indices(self):
         """The normal coordinates of the free summand: those past the
         Smith form's rank."""
         return range(self.smith.rank, self.gens)
 
     def free_coords(self, vec):
-        w = self.normal_coords(vec)
-        return [w[i] for i in self.free_indices()]
+        """The free normal coordinates of a vector on the generators: the
+        rows of L at the free indices, applied to it."""
+        self._require_witness()
+        if len(vec) != self.gens:
+            raise DimensionMismatch(
+                f"coordinate length {len(vec)} != generator count {self.gens}")
+        L = self.smith.L
+        return [_dot(self.dvr, L[i], vec) for i in self.free_indices()]
 
     def order_ideal(self, vec) -> IdealO:
         """{alpha(x) : alpha in Hom(U, O)} = (pi^min val of free coordinates);

@@ -286,7 +286,7 @@ def _regular_sequence_check(A):
     fs = A.relations
     m = len(fs)
     bound = A.config.search_degree
-    free = StdBasis(A.ring, GLOBAL, [], A.config)  # the zero ideal of O[x]
+    free = StdBasis(A.ring, GLOBAL, [], [], A.config)  # the zero ideal of O[x]
     syz = SpanSolver(A.ring, free, [(f,) for f in fs], 1, bound).kernel()
     trivial = []
     for i in range(m):

@@ -44,12 +44,16 @@ def _check_valuations(dvr, values, config, den_val=0):
             f"coefficient valuation cap {config.valuation_cap} exceeded")
 
 
-def _normalize_lead(poly: Poly, order) -> Poly:
-    """Scale by a unit so the leading coefficient is exactly pi^v."""
-    u = poly.ring.dvr.unit_part(order.leading(poly)[1])
-    if u == poly.ring.dvr.one:
-        return poly
-    return poly.scale(poly.ring.dvr.one / u)
+def _normalize_lead(poly: Poly, lead):
+    """Scale by a unit so the leading coefficient is exactly pi^v: the
+    scaled poly and its lead, given poly's lead."""
+    e, c = lead
+    dvr = poly.ring.dvr
+    u = dvr.unit_part(c)
+    if u == dvr.one:
+        return poly, lead
+    poly = poly.scale(dvr.one / u)
+    return poly, (e, poly.terms[e])
 
 
 class StdBasis:
@@ -68,15 +72,16 @@ class StdBasis:
     for every monomial multiple of a column of O[x]^r: nf on one row, the
     span solver on its columns.  The basis with no generators is the basis
     of O[x] itself, whose table holds each monomial as its own entry.  The
-    leading terms of the generators are kept (leads) for reduce_strong and
-    mora_normal_form."""
+    leading terms of the generators (leads), which the basis is built with,
+    are kept for reduce_strong and mora_normal_form."""
 
-    def __init__(self, ring: PolyRing, order: MonomialOrder, gens, config=DEFAULT_CONFIG):
+    def __init__(self, ring: PolyRing, order: MonomialOrder, gens, leads,
+                 config=DEFAULT_CONFIG):
         self.ring = ring
         self.order = order
         self.gens = list(gens)
         self.config = config
-        self.leads = [order.leading(g) for g in self.gens]
+        self.leads = list(leads)
         self.unit_leads = [e for e, c in self.leads if ring.dvr.val(c) == 0]
         self.linear = len(self.unit_leads) == len(self.leads)
         self._table = {}
@@ -295,8 +300,7 @@ def _buchberger(gens, order, config):
 
     def append(g):
         _check_caps(g, config)
-        g = _normalize_lead(g, order)
-        lg = order.leading(g)
+        g, lg = _normalize_lead(g, order.leading(g))
         for i, li in enumerate(leads):
             heapq.heappush(heap, (sum(monomial_lcm(li[0], lg[0])), i, len(G)))
         G.append(g)
@@ -332,7 +336,8 @@ def _minimal(leads, order, dvr):
 
 def _interreduce(G, leads, order, config):
     """The minimal elements of a strong basis G with leading coefficients
-    pi^v, each with its tail reduced by the others, sorted by lead."""
+    pi^v, each with its tail reduced by the others, sorted by lead, and
+    their leads (a reduced tail stays below its lead)."""
     kept = _minimal(leads, order, G[0].ring.dvr)
     out = []
     for i in kept:
@@ -343,7 +348,7 @@ def _interreduce(G, leads, order, config):
             g = head + reduce_strong(g - head, [G[k] for k in others], order,
                                      config, [leads[k] for k in others])
         out.append(g)
-    return out
+    return out, [leads[i] for i in kept]
 
 
 class _HomogenizedOrder:
@@ -390,13 +395,13 @@ def std_basis(gens, order: MonomialOrder, config=DEFAULT_CONFIG) -> StdBasis:
         if g.min_coeff_val() < 0:
             raise NonIntegralEntry(f"coefficients of {g} are not all in O")
     if not order.is_local:
-        return StdBasis(ring, order, _interreduce(*_buchberger(gens, order, config),
-                                                  order, config), config)
+        return StdBasis(ring, order, *_interreduce(*_buchberger(gens, order, config),
+                                                   order, config), config)
     hring = PolyRing(ring.dvr, ring.names + ("_h",))
     horder = _HomogenizedOrder(order)
     hgens = [_homogenize(g, hring) for g in gens]
-    hbasis = _interreduce(*_buchberger(hgens, horder, config), horder, config)
+    hbasis, _ = _interreduce(*_buchberger(hgens, horder, config), horder, config)
     basis = [g for g in (_dehomogenize(h, ring) for h in hbasis) if g.terms]
     leads = [order.leading(g) for g in basis]
-    return StdBasis(ring, order, [_normalize_lead(basis[i], order)
-                                  for i in _minimal(leads, order, ring.dvr)], config)
+    kept = [_normalize_lead(basis[i], leads[i]) for i in _minimal(leads, order, ring.dvr)]
+    return StdBasis(ring, order, [g for g, _ in kept], [lg for _, lg in kept], config)

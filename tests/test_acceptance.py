@@ -139,10 +139,10 @@ def test_criterion_5_lattice_suite():
         Op = Dvr.p_adic(p)
         n = rng.randint(2, 4)
         B = [[F(rng.randint(-9, 9)) for _ in range(n)] for _ in range(n)]
-        if smith_form(Op, B).rank != n:
+        if smith_form(Op, B, n).rank != n:  # B's rows as columns: its rank
             continue
         V = [[F(rng.randint(-15, 15)) for _ in range(n)] for _ in range(n)]
-        if smith_form(Op, V).rank != n:
+        if smith_form(Op, V, n).rank != n:
             continue
         d1 = rng.randint(1, n - 1)
         split = LatticeSplit(Op, B, [r[:d1] for r in V], [r[d1:] for r in V])

@@ -900,3 +900,18 @@ def test_probe_output_for_a_fixed_seed(capsys):
     assert out == ('{"command": "probe-fitting-question", '
                    '"containment_holds_everywhere": true, "count": 4, "p": 5, '
                    '"seed": 11, "violations": []}\n')
+
+
+def test_non_regular_congruence_module_is_not_an_engine_fault(tmp_path, capsys):
+    """O[x]/(x^2) at x = 0 with codim 0: the cotangent module is O, of rank
+    1 against codim 0, so the congruence module has a free part because the
+    algebra is not regular at the augmentation, and analyze and psi say so
+    (exit 2) rather than report an engine fault."""
+    path = tmp_path / "nonreg.cm"
+    path.write_text("[dvr]\nkind = p_adic\np = 5\n[ring]\nvars = x\n"
+                    "relations = x^2\n[augmentation]\nx = 0\ncodim = 0\n")
+    for command in ("analyze", "psi"):
+        assert main([command, str(path)]) == 2
+        err = capsys.readouterr().err
+        assert "NotRegularAtAugmentation" in err
+        assert "InternalInvariantViolation" not in err

@@ -61,8 +61,8 @@ def test_reduce_mod_p_once_per_module(monkeypatch):
     M = FpModule.ring_module(A).direct_sum(FpModule.o_module(A))
     calls = []
     real = omodule.smith_form
-    monkeypatch.setattr(omodule, "smith_form",
-                        lambda dvr, matrix: calls.append(matrix) or real(dvr, matrix))
+    monkeypatch.setattr(omodule, "smith_form", lambda dvr, matrix, nrows:
+                        calls.append(matrix) or real(dvr, matrix, nrows))
     first = M.hom_to_O_generators()
     assert M.hom_to_O_generators() == first
     assert len(calls) == 1

@@ -2,8 +2,8 @@
 ast: no module imports a name it never uses, no function imports from the
 standard library in its body, no private top-level function or class, and
 no private method, is left without a reference, no public method is
-either unless API_AND_ORACLES names it, and no function takes a parameter
-it never reads."""
+either unless API_AND_ORACLES names it, no function takes a parameter
+it never reads, and no class stores an attribute that nothing reads."""
 
 import ast
 import sys
@@ -157,6 +157,25 @@ def test_parameters_are_read():
             unread.extend(f"{name}: {prefix}{func.name}({p})" for p in params
                           if p not in ("self", "cls") and p not in read)
     assert not unread
+
+
+def test_instance_attributes_are_read():
+    """Every attribute a top-level class stores on self (self.name = ...,
+    in any of its methods) is read somewhere in the package through an
+    attribute access (x.name)."""
+    read = {node.attr for tree in MODULES.values() for node in ast.walk(tree)
+            if isinstance(node, ast.Attribute) and isinstance(node.ctx, ast.Load)}
+    unread = set()
+    for tree in MODULES.values():
+        for cls in tree.body:
+            if not isinstance(cls, ast.ClassDef):
+                continue
+            unread.update(f"{cls.name}.{node.attr}" for node in ast.walk(cls)
+                          if isinstance(node, ast.Attribute)
+                          and isinstance(node.ctx, ast.Store)
+                          and isinstance(node.value, ast.Name) and node.value.id == "self"
+                          and node.attr not in read)
+    assert sorted(unread) == []
 
 
 def test_exports_exist_once():

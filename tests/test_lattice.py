@@ -67,11 +67,11 @@ def random_split(O, n, rng, draw_basis=None, draw_subspaces=None):
     draw_subspaces = draw_subspaces or (lambda: F(rng.randint(-20, 20)))
     while True:
         B = [[draw_basis() for _ in range(n)] for _ in range(n)]
-        if smith_form(O, B).rank == n:
+        if smith_form(O, B, n).rank == n:  # B's rows as columns: its rank
             break
     while True:
         V = [[draw_subspaces() for _ in range(n)] for _ in range(n)]
-        if smith_form(O, V).rank == n:
+        if smith_form(O, V, n).rank == n:
             break
     d1 = rng.randint(1, n - 1)
     v1 = [row[:d1] for row in V]

@@ -230,7 +230,7 @@ def _expansion_basis(base, name):
         rels = EXPANSION_RELATIONS[name]
         order = MonomialOrder("global_degrevlex")
         gb = std_basis([ring.parse(r) for r in rels], order) if rels else \
-            StdBasis(ring, order, [])
+            StdBasis(ring, order, [], [])
         _EXPANSION_BUILT[key] = ring, gb
     return _EXPANSION_BUILT[key]
 
@@ -390,7 +390,7 @@ def test_valuation_cap_in_span_solver():
     # x/pi + pi^5*y: numerators 1 and 5^6 over 5, every entry within the cap
     mixed = (P("x").scale(F(1, 5)) + P("pi^5*y"),)
     assert SpanSolver(R, gb, [mixed], 1, 0).contains(mixed)
-    for absorber in (StdBasis(R, order, [], cfg),
+    for absorber in (StdBasis(R, order, [], [], cfg),
                      std_basis([P("pi*x")], order, cfg)):
         with pytest.raises(DegreeBoundExceeded, match=cap):
             SpanSolver(R, absorber, [(P("pi^6*y"),)], 1, 0)

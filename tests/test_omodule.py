@@ -35,6 +35,12 @@ def expected_invariants_via_sympy(p, matrix, generators):
     return tuple(sorted(exps)), generators - nonzero
 
 
+def _cols(matrix):
+    """The columns of a matrix given by rows: the relation columns that
+    smith_form and FinOModule.from_presentation take."""
+    return [list(col) for col in zip(*matrix)]
+
+
 def random_int_matrix(rng, rows, cols, p):
     out = []
     for _ in range(rows):
@@ -46,19 +52,19 @@ def random_int_matrix(rng, rows, cols, p):
 
 
 def test_spec_examples(O5):
-    free2 = FinOModule.from_presentation(O5, [[], []])
+    free2 = FinOModule.from_presentation(O5, [], 2)
     assert free2.signature == ((), 2)
 
-    diag = FinOModule.from_presentation(O5, [[F(1), F(0)], [F(0), F(25)]])
+    diag = FinOModule.from_presentation(O5, [[F(1), F(0)], [F(0), F(25)]], 2)
     assert diag.signature == ((2,), 0)
 
-    jac = FinOModule.from_presentation(O5, [[F(-5), F(0)], [F(25), F(0)]])
+    jac = FinOModule.from_presentation(O5, [[F(-5), F(25)], [F(0), F(0)]], 2)
     assert jac.signature == ((1,), 1)
 
 
 def test_non_integral_entry(O5):
     with pytest.raises(NonIntegralEntry):
-        FinOModule.from_presentation(O5, [[F(1, 5)]])
+        FinOModule.from_presentation(O5, [[F(1, 5)]], 1)
 
 
 def test_against_integer_smith_oracle(rng):
@@ -68,7 +74,7 @@ def test_against_integer_smith_oracle(rng):
         rows = rng.randint(1, 4)
         cols = rng.randint(0, 4)
         m = random_int_matrix(rng, rows, cols, p)
-        got = FinOModule.from_presentation(O, m)
+        got = FinOModule.from_presentation(O, _cols(m), rows)
         exps, free = expected_invariants_via_sympy(p, m, rows)
         assert got.signature == (exps, free)
 
@@ -79,13 +85,13 @@ def test_pivot_order_invariance(rng):
     for _ in range(25):
         rows, cols = rng.randint(2, 4), rng.randint(1, 4)
         m = random_int_matrix(rng, rows, cols, 5)
-        base = FinOModule.from_presentation(O, m).signature
+        base = FinOModule.from_presentation(O, _cols(m), rows).signature
         rp = list(range(rows))
         cp = list(range(cols))
         rng.shuffle(rp)
         rng.shuffle(cp)
         perm = [[m[i][j] for j in cp] for i in rp]
-        assert FinOModule.from_presentation(O, perm).signature == base
+        assert FinOModule.from_presentation(O, _cols(perm), rows).signature == base
 
 
 def test_unimodular_presentation_invariance(rng):
@@ -93,7 +99,7 @@ def test_unimodular_presentation_invariance(rng):
     for _ in range(25):
         rows, cols = rng.randint(2, 3), rng.randint(1, 3)
         m = random_int_matrix(rng, rows, cols, 5)
-        base = FinOModule.from_presentation(O, m).signature
+        base = FinOModule.from_presentation(O, _cols(m), rows).signature
         # random row operation (unimodular over O) and an extra redundant column
         i, j = rng.sample(range(rows), 2) if rows > 1 else (0, 0)
         c = F(rng.randint(-3, 3))
@@ -103,13 +109,13 @@ def test_unimodular_presentation_invariance(rng):
         if cols:
             extra = [sum(row[k] * (k + 1) for k in range(cols)) for row in m2]
             m2 = [row + [e] for row, e in zip(m2, extra)]
-        assert FinOModule.from_presentation(O, m2).signature == base
+        assert FinOModule.from_presentation(O, _cols(m2), rows).signature == base
 
 
 class TestFitting:
     def test_examples(self, O5):
-        diag = FinOModule.from_presentation(O5, [[F(5), F(0)], [F(0), F(125)]])
-        jac = FinOModule.from_presentation(O5, [[F(-5), F(0)], [F(25), F(0)]])
+        diag = FinOModule.from_presentation(O5, [[F(5), F(0)], [F(0), F(125)]], 2)
+        jac = FinOModule.from_presentation(O5, [[F(-5), F(25)], [F(0), F(0)]], 2)
         assert diag.fitting_ideal(0).exponent == 4
         assert jac.fitting_ideal(1).exponent == 1
         assert jac.fitting_ideal(2).is_unit
@@ -119,7 +125,7 @@ class TestFitting:
         for _ in range(20):
             rows = rng.randint(1, 3)
             m = random_int_matrix(rng, rows, rows + 1, 5)
-            mod = FinOModule.from_presentation(O5, m)
+            mod = FinOModule.from_presentation(O5, _cols(m), rows)
             f0 = mod.fitting_ideal(0)
             if mod.free_rank == 0:
                 assert f0.exponent == mod.torsion_length
@@ -156,13 +162,13 @@ class TestOrderIdeal:
         return best
 
     def test_zero_is_torsion(self, O5):
-        mod = FinOModule.from_presentation(O5, [[F(5), F(0)], [F(0), F(0)]])
+        mod = FinOModule.from_presentation(O5, [[F(5), F(0)], [F(0), F(0)]], 2)
         assert mod.order_ideal([F(0), F(0)]).is_zero
         assert mod.order_ideal([F(1), F(0)]).is_zero  # torsion class
         assert mod.order_ideal([F(0), F(5)]).exponent == 1
 
     def test_dimension_mismatch(self, O5):
-        mod = FinOModule.from_presentation(O5, [[F(5)]])
+        mod = FinOModule.from_presentation(O5, [[F(5)]], 1)
         with pytest.raises(DimensionMismatch):
             mod.order_ideal([F(1), F(2)])
 
@@ -171,7 +177,7 @@ class TestOrderIdeal:
         for _ in range(15):
             rows = rng.randint(1, 3)
             m = random_int_matrix(rng, rows, rng.randint(0, 2), 5)
-            mod = FinOModule.from_presentation(O, m)
+            mod = FinOModule.from_presentation(O, _cols(m), rows)
             vec = [F(rng.randint(-10, 10)) for _ in range(rows)]
             got = mod.order_ideal(vec)
             brute = self.brute_force(O, mod, vec)
@@ -212,7 +218,7 @@ def test_smith_witnesses(rng):
     for _ in range(15):
         rows, cols = rng.randint(1, 3), rng.randint(1, 3)
         m = random_int_matrix(rng, rows, cols, 5)
-        sf = smith_form(O, m)
+        sf = smith_form(O, _cols(m), rows)
         lar = mat_mul(O, mat_mul(O, sf.L, m), sf.R)
         for i in range(rows):
             for j in range(cols):
@@ -299,7 +305,7 @@ def _assert_smith_matches_reference(dvr, matrix):
     unimodular.  Witnesses are not unique, so they are not compared."""
     m = len(matrix)
     n = len(matrix[0]) if m else 0
-    sf = smith_form(dvr, matrix)
+    sf = smith_form(dvr, _cols(matrix), m)
     assert sf.diag_vals == _dense_smith_reference(dvr, matrix)[0]
     for witness in (sf.L, sf.Linv, sf.R):
         assert all(not x or dvr.val(x) >= 0 for row in witness for x in row)
@@ -371,8 +377,8 @@ def test_sparse_smith_empty_and_zero_shapes(O5, shape):
     m, n = shape
     matrix = [[O5.zero] * n for _ in range(m)]
     _assert_smith_matches_reference(O5, matrix)
-    sf = smith_form(O5, matrix)
-    assert sf.rank == 0 and sf.nrows == m
+    sf = smith_form(O5, _cols(matrix), m)
+    assert sf.rank == 0 and len(sf.L) == m
 
 
 def _sparse_product(dvr, a, b):
@@ -400,7 +406,7 @@ def test_sparse_smith_witnesses_on_large_sparse_matrix():
     for _ in range(195):
         matrix[rng.randrange(m)][rng.randrange(n)] = \
             F(rng.choice((1, -1, 2, 3, -4)), rng.choice((1, 3))) * 5 ** rng.randint(0, 1)
-    sf = smith_form(O, matrix)
+    sf = smith_form(O, _cols(matrix), m)
     assert sf.rank > 60
     lar = _sparse_product(O, _sparse_product(O, sf.L, matrix), sf.R)
     for i in range(m):
@@ -417,13 +423,13 @@ def test_free_module_from_zero_columns(O5):
     """No relations: every generator is free, and the witnesses are
     identities."""
     from congrmod.omodule import FinOModule
-    mod = FinOModule.from_presentation(O5, [[] for _ in range(3)])
+    mod = FinOModule.from_presentation(O5, [], 3)
     assert mod.signature == ((), 3)
     assert list(mod.free_indices()) == [0, 1, 2]
     assert mod.smith.diag_vals == []
     assert mod.smith.L == mod.smith.Linv == _identity(O5, 3)
     assert mod.free_generator_reps() == _identity(O5, 3)
-    assert FinOModule.from_presentation(O5, []).signature == ((), 0)
+    assert FinOModule.from_presentation(O5, [], 0).signature == ((), 0)
 
 
 # ---------------------------------------------------------------------------
@@ -569,7 +575,7 @@ def test_smith_form_answers_the_k_questions(base, data):
     matrix = data.draw(_k_matrices(dvr))
     m = len(matrix)
     n = len(matrix[0]) if m else 0
-    sf = smith_form(dvr, matrix)
+    sf = smith_form(dvr, _cols(matrix), m)
     assert sf.rank == k_rank(dvr, matrix)
     if m == n:
         det, inv = k_det(dvr, matrix), k_invert(dvr, matrix)
@@ -581,7 +587,7 @@ def test_smith_form_answers_the_k_questions(base, data):
     low = min((dvr.val(x) for row in matrix for x in row if x), default=0)
     scale = dvr.pi_pow(max(-low, 0))
     integral = [[x * scale for x in row] for row in matrix]
-    mod = FinOModule.from_presentation(dvr, integral)
+    mod = FinOModule.from_presentation(dvr, _cols(integral), m)
     for k in range(m + 2):
         expected = _fitting_by_minors(dvr, integral, k)
         assert mod.fitting_ideal(k) == expected
@@ -597,10 +603,10 @@ def test_non_integral_entry_names_the_first_entry(dvr, entry):
     worse = entry * entry
     matrix = [[dvr.one, entry], [worse, dvr.zero]]
     message = f"entry {entry!r} has negative valuation"
-    for call in (lambda: FinOModule.from_presentation(dvr, matrix),
-                 lambda: FinOModule.from_presentation(dvr, [[dvr.one], [entry]]),
-                 lambda: FinOModule.from_presentation(dvr, matrix).fitting_ideal(0),
-                 lambda: FinOModule.from_presentation(dvr, matrix).fitting_ideal(1)):
+    for call in (lambda: FinOModule.from_presentation(dvr, _cols(matrix), 2),
+                 lambda: FinOModule.from_presentation(dvr, _cols([[dvr.one], [entry]]), 2),
+                 lambda: FinOModule.from_presentation(dvr, _cols(matrix), 2).fitting_ideal(0),
+                 lambda: FinOModule.from_presentation(dvr, _cols(matrix), 2).fitting_ideal(1)):
         with pytest.raises(NonIntegralEntry) as info:
             call()
         assert str(info.value) == message
@@ -919,3 +925,92 @@ def test_echelon_matches_fraction_reference(base, data):
                 # (pivot column, y) pairs, the columns distinct
                 answer, expected = dict(answer), dict(expected)
         _assert_same_echelon(ech, ref, answer, expected)
+
+
+# ---------------------------------------------------------------------------
+# the witnesses themselves, pinned: the contract tests above check them only
+# through L * A * R = D
+
+_PIN_BASES = {"Z_(2)": Dvr.p_adic(2), "Z_(5)": Dvr.p_adic(5), "F_4[[t]]": _F4}
+
+
+def _pin_entry(dvr, rng, lo=0, hi=2):
+    """Zero a third of the time, otherwise an entry of valuation lo..hi of
+    the shape _valued_entries draws."""
+    if rng.random() < 1 / 3:
+        return dvr.zero
+    e = rng.randint(lo, hi)
+    if dvr.kind == "p_adic":
+        p = dvr.p
+        a = rng.choice([a for a in range(-6, 7) if a % p])
+        return F(a, rng.choice((1, 7, 11, 13))) * F(p) ** e
+    from congrmod.dvr import RF
+    field = dvr.field
+    elements = [tuple(code // field.p ** i % field.p for i in range(field.k))
+                for code in range(field.q)]
+    units = [x for x in elements if not field.is_zero(x)]
+    return RF(field, e, (rng.choice(units), rng.choice(elements)),
+              (field.one(), rng.choice(elements)))
+
+
+def _presentation_records(dvr, rng, count=60):
+    """Per seeded presentation (up to 5 generators and 6 relation columns;
+    no relations, zero columns and entries of valuation 0..2 among them):
+    the Smith witnesses and what FinOModule reads off them."""
+    for _ in range(count):
+        m = rng.randint(0, 5)
+        n = rng.randint(0, 6) if m else 0
+        cols = [[dvr.zero] * m if rng.random() < 0.15
+                else [_pin_entry(dvr, rng) for _ in range(m)] for _ in range(n)]
+        mod = FinOModule.from_presentation(dvr, cols, m)
+        sf = mod.smith
+        vecs = [[_pin_entry(dvr, rng) for _ in range(m)] for _ in range(3)]
+        yield (sf.diag_vals, sf.L, sf.Linv, sf.R, [mod.free_coords(v) for v in vecs],
+               mod.free_generator_reps(), mod.dual_free_rows())
+
+
+def _split_records(dvr, rng, count=25):
+    """Per seeded split of K^n (n <= 4), the split_and_congruence record and
+    split_discriminant with and without a pairing, or the error's name."""
+    from congrmod import LatticeSplit, split_and_congruence
+    from congrmod.errors import EngineError
+    from congrmod.lattice import split_discriminant
+    for _ in range(count):
+        n = rng.randint(1, 4)
+        B = [[_pin_entry(dvr, rng, -1, 1) for _ in range(n)] for _ in range(n)]
+        V = [[_pin_entry(dvr, rng, -1, 2) for _ in range(n)] for _ in range(n)]
+        d1 = rng.randint(0, n)
+        split = LatticeSplit(dvr, B, [r[:d1] for r in V], [r[d1:] for r in V])
+        pairing = [[_pin_entry(dvr, rng) for _ in range(n)] for _ in range(n)]
+        try:
+            out = split_and_congruence(split)
+        except EngineError as err:
+            yield type(err).__name__
+            continue
+        yield (out["L1"], out["L2"], out["Lsup1"], out["Lsup2"], out["coords"],
+               out["cong"].signature, split_discriminant(split, out).exponent,
+               split_discriminant(split, out, pairing).exponent)
+
+
+def _pin_digest(base):
+    import hashlib
+    import random
+    dvr = _PIN_BASES[base]
+    rng = random.Random(f"presentations {base}")
+    records = list(_presentation_records(dvr, rng)) + list(_split_records(dvr, rng))
+    return hashlib.sha256(repr(records).encode()).hexdigest()
+
+
+_PINNED_PRESENTATIONS = {
+    "Z_(2)": "8db9b3f1a41bbf66be7f57e453dd4466e644e091e998f605b3c028e40596a892",
+    "Z_(5)": "e31a50fb247c9e3ac7fc9b1b8d29965b161b9202d18a0b44624c50d3f46f1bc6",
+    "F_4[[t]]": "7dca86581989eaed80eb737d4b845bfea65c0620aa5fa85916d39b9a7aa2b730",
+}
+
+
+@pytest.mark.parametrize("base", list(_PIN_BASES))
+def test_presentations_pinned(base):
+    """Smith witnesses, free coordinates, free generator representatives,
+    dual functionals and lattice splits, byte for byte; the digests were
+    captured while presentations were still passed as rows."""
+    assert _pin_digest(base) == _PINNED_PRESENTATIONS[base]
