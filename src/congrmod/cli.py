@@ -18,7 +18,8 @@ import sys
 from .algebra import build_algebra, cotangent_invariants, regularity_at_lambda
 from .config import DEFAULT_CONFIG, EngineConfig
 from .congruence import (_plain, analyze, deformation_step, eta_raw,
-                         numerical_criterion, psi_raw, serre_check)
+                         numerical_criterion, psi_raw, require_cotangent_rank,
+                         serre_check)
 from .dvr import Dvr
 from .errors import DegreeBoundExceeded, EngineError, InputError
 from .fpmodule import FpModule
@@ -114,6 +115,8 @@ def cmd_single_invariant(args, which):
         record["phi_length"] = cot.phi.torsion_length
         record["fitt_c"] = str(cot.fitt_c)
         return record, 0
+    if which == "psi":
+        require_cotangent_rank(A)
     res = _resolution(problem, args)
     M = _module_for(problem, args)
     regularity_at_lambda(A, res)

@@ -92,11 +92,12 @@ def _ext_O(A, i, res):
     # cocycles: the kernel of the map whose columns are the rows of
     # d_(i+1) (all of O^r_i when r_(i+1) = 0)
     dnext = res.lam_rows(i + 1)  # r_i x r_(i+1)
+    cocycles = _Echelon(dvr, [_sparse(dvr, row) for row in dnext]).kernel_split()
     ker = [[v.get(j, dvr.zero) for j in range(r_i)]
-           for v in _Echelon(dvr, [_sparse(dvr, row) for row in dnext]).kernel()]
+           for v in (dvr.join(num, den) for num, den in cocycles)]
     # one echelon of the cocycle lattice gives the coordinates of the
     # coboundaries here and of every later class
-    echelon = _Echelon(dvr, [_sparse(dvr, kb) for kb in ker])
+    echelon = _Echelon(dvr, [(dict(num), den) for num, den in cocycles])
 
     def coords(w):
         y = echelon.solve(_sparse(dvr, w))
@@ -270,6 +271,18 @@ def _require_rank(A, rank, c, expected=1, what="tfree Ext^c(O,O)"):
         f"{what} does not have rank {expected} at the declared codimension")
 
 
+def require_cotangent_rank(A: AugmentedAlgebra):
+    """Refuse, before any Ext module is built, an algebra whose cotangent
+    module has free rank above its codimension: it is not regular at the
+    augmentation.  A rank below the codimension is left to
+    regularity_at_lambda, which calls it inconsistent."""
+    rank = cotangent_invariants(A).cotangent.free_rank
+    if rank > A.codim:
+        raise NotRegularAtAugmentation(
+            f"not regular at the augmentation: the cotangent module free rank "
+            f"{rank} is above codim {A.codim}")
+
+
 def eta_raw(A: AugmentedAlgebra, M, c: int, res: FreeResolution):
     """The congruence ideal of M (M=None is the ring A, not O as in
     ext_module): the ideal the pairing values generate, Fitt_(mu-1)(psi).
@@ -440,6 +453,7 @@ def numerical_criterion(A: AugmentedAlgebra, M=None, mode="defect0",
     if mode == "wld" and c != 0:
         raise InputError("the classical criterion lives at codimension 0")
     if mode in ("defect0", "wld"):
+        require_cotangent_rank(A)
         MA = _as_module(A, M)
         if res is None:
             res = resolve_O(A)
@@ -753,6 +767,7 @@ def _plain(value):
 def analyze(A: AugmentedAlgebra, modules=None, res=None) -> CongruenceReport:
     """Full report: regularity, cotangent invariants, Serre ranks, and the
     congruence data with criterion verdicts for each module."""
+    require_cotangent_rank(A)
     if res is None:
         res = resolve_O(A)
     reg = regularity_at_lambda(A, res)

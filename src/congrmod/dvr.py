@@ -6,7 +6,11 @@ F_q[t] at (t) (elements are rational functions regular at t = 0).  Elements
 of the fraction field are plain ``Fraction`` objects in the first case and
 ``RF`` objects in the second; both support the usual operators, so all
 higher layers stay generic and only consult the ``Dvr`` object for
-valuations and constants.
+valuations and constants.  Both bases also share one integer form, in which
+the linear algebra over O computes: numerators over one denominator, Python
+ints over a positive one or ``FqPoly`` polynomials over one whose lowest
+coefficient is 1.  ``Dvr`` is the one place that asks which base it is: it
+converts to and from that form and holds the numerator operations.
 """
 
 from __future__ import annotations
@@ -106,12 +110,18 @@ class Field:
     def mul(self, a, b):
         if self.k == 1:
             return (a * b) % self.p
-        prod = [0] * (2 * self.k - 1)
+        p, k, mod = self.p, self.k, self.modulus
+        prod = [0] * (2 * k - 1)
         for i, x in enumerate(a):
             if x:
                 for j, y in enumerate(b):
-                    prod[i + j] = (prod[i + j] + x * y) % self.p
-        return self._reduce(prod)
+                    prod[i + j] += x * y
+        for i in range(2 * k - 2, k - 1, -1):  # x^k = -sum mod[j] x^j
+            c = prod[i] % p
+            if c:
+                for j in range(k):
+                    prod[i - k + j] -= c * mod[j]
+        return tuple([x % p for x in prod[:k]])
 
     def inv(self, a):
         if self.k == 1:
@@ -127,19 +137,6 @@ class Field:
             e >>= 1
         return result
 
-    def is_zero(self, a):
-        return a == 0 if self.k == 1 else all(x == 0 for x in a)
-
-    def _reduce(self, prod):
-        p, k, mod = self.p, self.k, self.modulus
-        for i in range(len(prod) - 1, k - 1, -1):
-            c = prod[i]
-            if c:
-                prod[i] = 0
-                for j in range(k):
-                    prod[i - k + j] = (prod[i - k + j] - c * mod[j]) % p
-        return tuple(prod[:k])
-
     @staticmethod
     def _find_irreducible(p: int, k: int):
         """Lexicographically first monic irreducible of degree k over F_p,
@@ -148,157 +145,182 @@ class Field:
         Rabin's test: f of degree k is irreducible iff f divides
         x^(p^k) - x and is coprime to x^(p^(k/r)) - x for each prime r | k."""
         fp = Field(p)
-        mul, mod = RF._polymul, RF._polymod
-        minus_x = [0, p - 1]
+        x = FqPoly(fp, (0, 1))
         checks = {k // r for r in range(2, k + 1) if k % r == 0 and is_prime(r)}
 
         def frobenius(h, f):
             """h^p mod f, by repeated squaring."""
-            out, base, e = [1], h, p
+            out, base, e = FqPoly(fp, (1,)), h, p
             while True:
                 if e & 1:
-                    out = mod(fp, mul(fp, out, base), f)
+                    out = out * base % f
                 e >>= 1
                 if not e:
                     return out
-                base = mod(fp, mul(fp, base, base), f)
+                base = base * base % f
 
         def irreducible(f):
-            h = [0, 1]  # x^(p^j) mod f, for j = 0, 1, ..., k
+            h = x  # x^(p^j) mod f, for j = 0, 1, ..., k
             for j in range(1, k + 1):
                 h = frobenius(h, f)
-                if j in checks and len(RF._gcd(fp, f, RF._polyadd(fp, h, minus_x))) > 1:
+                if j in checks and (h == x or len(f.gcd(h - x).c) > 1):
                     return False
-            return h == [0, 1]
+            return h == x
 
         for code in range(p ** k):
             coeffs = [code // p ** i % p for i in range(k)]
-            if coeffs[0] and irreducible(coeffs + [1]):
+            if coeffs[0] and irreducible(FqPoly(fp, coeffs + [1])):
                 return tuple(coeffs)
         raise EngineError("no irreducible polynomial found")
 
 
+class FqPoly:
+    """An immutable polynomial in t over a finite field: its coefficients,
+    t^0 first, with no trailing zero (none for the zero polynomial).  It
+    equals an int n when it is the constant n."""
+
+    __slots__ = ("field", "c")
+
+    def __init__(self, field, coeffs):
+        c, z = tuple(coeffs), field.zero()
+        while c and c[-1] == z:
+            c = c[:-1]
+        self.field, self.c = field, c
+
+    def __bool__(self):
+        return bool(self.c)
+
+    def __eq__(self, other):
+        if isinstance(other, int):
+            return self.c == ((self.field.from_int(other),) if other % self.field.p else ())
+        return self.c == other.c
+
+    def __hash__(self):
+        return hash(self.c)
+
+    def order(self):
+        """The t-adic order of a nonzero polynomial."""
+        z = self.field.zero()
+        return next(i for i, x in enumerate(self.c) if x != z)
+
+    def __lshift__(self, k):  # times t^k
+        return FqPoly(self.field, (self.field.zero(),) * k + self.c) if k and self.c else self
+
+    def __rshift__(self, k):  # the exact quotient by t^k
+        return FqPoly(self.field, self.c[k:]) if k else self
+
+    def __neg__(self):
+        return FqPoly(self.field, map(self.field.neg, self.c))
+
+    def __add__(self, other):
+        a, b = self.c, other.c
+        if len(a) < len(b):
+            a, b = b, a
+        return FqPoly(self.field, tuple(map(self.field.add, a, b)) + a[len(b):])
+
+    def __sub__(self, other):
+        return self + -other
+
+    def __mul__(self, other):
+        f = self.field
+        a, b = self.c, other.c
+        if b == (f.one(),) or not a:
+            return self
+        if a == (f.one(),) or not b:
+            return other
+        z, add, mul = f.zero(), f.add, f.mul
+        out = [z] * (len(a) + len(b) - 1)
+        for i, x in enumerate(a):
+            if x != z:
+                for j, y in enumerate(b):
+                    out[i + j] = add(out[i + j], mul(x, y))
+        return FqPoly(f, out)
+
+    def __divmod__(self, other):
+        f = self.field
+        z, add, mul = f.zero(), f.add, f.mul
+        b, r = other.c, list(self.c)
+        n = len(b)
+        if b == (f.one(),):
+            return self, FqPoly(f, ())
+        q = [z] * max(len(r) - n + 1, 0)
+        minus = f.neg(f.inv(b[-1]))
+        for i in range(len(r) - n, -1, -1):
+            c = r[i + n - 1]
+            if c != z:
+                c = mul(c, minus)  # minus the quotient's coefficient
+                q[i] = f.neg(c)
+                for j, y in enumerate(b):
+                    r[i + j] = add(r[i + j], mul(c, y))
+        return FqPoly(f, q), FqPoly(f, r[:n - 1])
+
+    def __floordiv__(self, other):
+        return divmod(self, other)[0]
+
+    def __mod__(self, other):
+        return divmod(self, other)[1]
+
+    def normal(self):
+        """The unit multiple, of a nonzero one, with lowest coefficient 1."""
+        f, s = self.field, self.c[self.order()]
+        return self if s == f.one() else self * FqPoly(f, (f.inv(s),))
+
+    def gcd(self, *others):
+        """The gcd with the nonzero others, with lowest coefficient 1.  The
+        powers of t are matched apart, and Euclid's algorithm (Knuth, TAOCP
+        vol. 2, §4.6.1) runs on the t-free parts until one is constant."""
+        g = self.normal()
+        for other in others:
+            if len(g.c) == 1:
+                break
+            k, m = g.order(), other.order()
+            a, b = g >> k, other >> m
+            while len(a.c) > 1 and len(b.c) > 1:
+                a, b = b, a % b
+            g = (a.normal() if not b else FqPoly(a.field, (a.field.one(),))) << min(k, m)
+        return g
+
+
 class RF:
     """Rational function in t over a finite field, normalized as
-    t^shift * num/den with num(0) != 0, den(0) = 1."""
+    t^shift * num/den with num(0) != 0, den(0) = 1 (FqPoly, or given as
+    coefficient sequences, t^0 first)."""
 
     __slots__ = ("field", "shift", "num", "den")
 
-    def __init__(self, field, shift=0, num=None, den=None):
+    def __init__(self, field, shift=0, num=(), den=None):
         self.field = field
-        if num is None:
-            num = ()
-        num = tuple(num)
-        den = (field.one(),) if den is None else tuple(den)
-        if not num or all(field.is_zero(c) for c in num):
-            self.shift, self.num, self.den = 0, (), (field.one(),)
+        one = FqPoly(field, (field.one(),))
+        num = num if isinstance(num, FqPoly) else FqPoly(field, num)
+        den = one if den is None else den if isinstance(den, FqPoly) else FqPoly(field, den)
+        if not num:
+            self.shift, self.num, self.den = 0, num, one
             return
-        shift, num, den = self._normalize(field, shift, num, den)
-        self.shift, self.num, self.den = shift, num, den
-
-    @staticmethod
-    def _strip(field, coeffs):
-        coeffs = list(coeffs)
-        while coeffs and field.is_zero(coeffs[-1]):
-            coeffs.pop()
-        return coeffs
-
-    @classmethod
-    def _normalize(cls, field, shift, num, den):
-        num = cls._strip(field, num)
-        den = cls._strip(field, den)
         if not den:
             raise ZeroDivisionError("zero denominator")
-        while field.is_zero(num[0]):
-            num.pop(0)
-            shift += 1
-        while field.is_zero(den[0]):
-            den.pop(0)
-            shift -= 1
-        g = cls._gcd(field, num, den)
-        if len(g) > 1:
-            num = cls._polydiv(field, num, g)
-            den = cls._polydiv(field, den, g)
-        c = field.inv(den[0])
-        num = [field.mul(x, c) for x in num]
-        den = [field.mul(x, c) for x in den]
-        return shift, tuple(num), tuple(den)
-
-    # -- dense polynomial helpers over the residue field --
-    @staticmethod
-    def _polyadd(field, a, b):
-        n = max(len(a), len(b))
-        out = []
-        for i in range(n):
-            x = a[i] if i < len(a) else field.zero()
-            y = b[i] if i < len(b) else field.zero()
-            out.append(field.add(x, y))
-        return RF._strip(field, out)
-
-    @staticmethod
-    def _polymul(field, a, b):
-        if not a or not b:
-            return []
-        out = [field.zero()] * (len(a) + len(b) - 1)
-        for i, x in enumerate(a):
-            if not field.is_zero(x):
-                for j, y in enumerate(b):
-                    out[i + j] = field.add(out[i + j], field.mul(x, y))
-        return RF._strip(field, out)
-
-    @staticmethod
-    def _polydiv(field, a, b):
-        """Exact quotient a / b (remainder must vanish)."""
-        a = list(a)
-        q = [field.zero()] * (len(a) - len(b) + 1)
-        inv_lead = field.inv(b[-1])
-        for i in range(len(a) - len(b), -1, -1):
-            c = field.mul(a[i + len(b) - 1], inv_lead)
-            q[i] = c
-            if not field.is_zero(c):
-                for j, bc in enumerate(b):
-                    a[i + j] = field.add(a[i + j], field.neg(field.mul(c, bc)))
-        if any(not field.is_zero(x) for x in a):
-            raise EngineError("inexact polynomial division")
-        return RF._strip(field, q)
-
-    @staticmethod
-    def _polymod(field, a, b):
-        a = list(a)
-        inv_lead = field.inv(b[-1])
-        while len(a) >= len(b):
-            c = field.mul(a[-1], inv_lead)
-            if not field.is_zero(c):
-                for j, bc in enumerate(b):
-                    a[len(a) - len(b) + j] = field.add(
-                        a[len(a) - len(b) + j], field.neg(field.mul(c, bc)))
-            a.pop()
-            a = RF._strip(field, a)
-            if not a:
-                break
-        return a
-
-    @staticmethod
-    def _gcd(field, a, b):
-        a, b = list(a), list(b)
-        while b:
-            a, b = b, RF._polymod(field, a, b)
-        c = field.inv(a[-1])
-        return [field.mul(x, c) for x in a]
+        a, b = num.order(), den.order()
+        num, den = num >> a, den >> b
+        g = den.gcd(num) * FqPoly(field, (den.c[0],))
+        self.shift, self.num, self.den = shift + a - b, num // g, den // g
 
     # -- arithmetic --
-    def is_zero(self):
-        return not self.num
-
     def __bool__(self):
         return bool(self.num)
 
+    @property
+    def numerator(self):  # in F_q[t], in lowest terms, as Fraction has it
+        return self.num << max(self.shift, 0)
+
+    @property
+    def denominator(self):  # in lowest terms, with lowest coefficient 1
+        return self.den << max(-self.shift, 0)
+
     def __eq__(self, other):
         other = self._coerce(other)
-        return (self.shift, self.num, self.den) == (other.shift, other.num, other.den)
+        return (self.shift, self.num.c, self.den.c) == (other.shift, other.num.c, other.den.c)
 
     def __hash__(self):
-        return hash((self.shift, self.num, self.den))
+        return hash((self.shift, self.num.c, self.den.c))
 
     def _coerce(self, other):
         if isinstance(other, RF):
@@ -311,23 +333,17 @@ class RF:
         other = self._coerce(other)
         if other is NotImplemented:
             return NotImplemented
-        f = self.field
-        if self.is_zero():
+        if not self:
             return other
-        if other.is_zero():
+        if not other:
             return self
-        s = min(self.shift, other.shift)
-        a = [f.zero()] * (self.shift - s) + list(self.num)
-        b = [f.zero()] * (other.shift - s) + list(other.num)
-        num = self._polyadd(f, self._polymul(f, a, other.den),
-                            self._polymul(f, b, self.den))
-        return RF(f, s, num, self._polymul(f, self.den, other.den))
+        num = self.numerator * other.denominator + other.numerator * self.denominator
+        return RF(self.field, 0, num, self.denominator * other.denominator)
 
     __radd__ = __add__
 
     def __neg__(self):
-        f = self.field
-        return RF(f, self.shift, tuple(f.neg(c) for c in self.num), self.den)
+        return RF(self.field, self.shift, -self.num, self.den)
 
     def __sub__(self, other):
         other = self._coerce(other)
@@ -342,12 +358,8 @@ class RF:
         other = self._coerce(other)
         if other is NotImplemented:
             return NotImplemented
-        f = self.field
-        if self.is_zero() or other.is_zero():
-            return RF(f)
-        return RF(f, self.shift + other.shift,
-                  self._polymul(f, self.num, other.num),
-                  self._polymul(f, self.den, other.den))
+        return RF(self.field, self.shift + other.shift, self.num * other.num,
+                  self.den * other.den)
 
     __rmul__ = __mul__
 
@@ -355,14 +367,10 @@ class RF:
         other = self._coerce(other)
         if other is NotImplemented:
             return NotImplemented
-        if other.is_zero():
+        if not other:
             raise ZeroDivisionError
-        f = self.field
-        if self.is_zero():
-            return RF(f)
-        return RF(f, self.shift - other.shift,
-                  self._polymul(f, self.num, other.den),
-                  self._polymul(f, self.den, other.num))
+        return RF(self.field, self.shift - other.shift, self.num * other.den,
+                  self.den * other.num)
 
     def __rtruediv__(self, other):
         return self._coerce(other) / self
@@ -380,13 +388,15 @@ class RF:
         return out
 
     def __repr__(self):
-        if self.is_zero():
+        if not self:
             return "RF(0)"
-        return f"RF(t^{self.shift}*{list(self.num)}/{list(self.den)})"
+        return f"RF(t^{self.shift}*{list(self.num.c)}/{list(self.den.c)})"
 
 
 class Dvr:
-    """The base ring O together with its fraction field K."""
+    """The base ring O together with its fraction field K, and the integer
+    form of both (see above): split, join, int_one, gcd, int_val, lowest
+    and settle."""
 
     def __init__(self, kind: str, param: int):
         if param >= _PARAM_LIMIT:
@@ -398,12 +408,13 @@ class Dvr:
             self._zero = Fraction(0)
             self._one = Fraction(1)
             self._pi = Fraction(param)
+            self.int_one = 1
         elif kind == "power_series":
             self.field = Field(param)
-            self.q = param
             self._zero = RF(self.field)
             self._one = RF(self.field, 0, (self.field.one(),))
             self._pi = RF(self.field, 1, (self.field.one(),))
+            self.int_one = FqPoly(self.field, (self.field.one(),))
         else:
             raise EngineError(f"unknown DVR kind {kind!r}")
         self.kind = kind
@@ -455,26 +466,16 @@ class Dvr:
     # -- valuations --
     def val(self, x):
         """Valuation in N ∪ {inf}; negative values flag K \\ O elements."""
-        if self.kind == "p_adic":
-            if not x:
-                return INF
-            v = 0
-            num, den = x.numerator, x.denominator
-            while num % self.p == 0:
-                num //= self.p
-                v += 1
-            while den % self.p == 0:
-                den //= self.p
-                v -= 1
-            return v
-        if x.is_zero():
+        if not x:
             return INF
-        return x.shift
+        if self.kind != "p_adic":
+            return x.shift
+        return self.int_val(x.numerator) - self.int_val(x.denominator)
 
     def val_above(self, values, cap: int) -> bool:
         """Whether some value has valuation above cap, for a cap >= 0 (zero
         never does): over Z_(p) one divisibility of each numerator by
-        p^(cap + 1).  Values may be Fractions in lowest terms or integer
+        p^(cap + 1).  Values may be entries in K in lowest terms or
         numerators (whose own denominator the caller adds to the cap)."""
         if self.kind == "p_adic":
             modulus = self._cap_moduli.get(cap)
@@ -485,30 +486,88 @@ class Dvr:
                 if n and n % modulus == 0:
                     return True
             return False
-        return any(x and x.shift > cap for x in values)
+        return any(x and (x.shift if isinstance(x, RF) else x.order()) > cap
+                   for x in values)
 
     def split(self, vec):
-        """A dict of entries in K as (numerators, one positive denominator),
-        zeros dropped: over Z_(p) Python ints over the least common
-        denominator, over F_q[[t]] the entries themselves over 1."""
-        if self.kind != "p_adic":
-            return {i: x for i, x in vec.items() if x}, 1
-        den = 1
+        """A dict of entries in K in the integer form, zeros dropped: the
+        numerators over the least common denominator."""
+        den = self.int_one
         for x in vec.values():
             d = x.denominator
             if den % d:
-                den = den // math.gcd(den, d) * d
+                den = den // self.gcd(den, d) * d
         return {i: x.numerator * (den // x.denominator)
                 for i, x in vec.items() if x}, den
 
     def join(self, num, den):
-        """The entries in K of numerators over one positive denominator, as
-        split gives them."""
+        """The entries in K of numerators over one denominator, as split
+        gives them."""
         if self.kind != "p_adic":
-            return dict(num)
+            return {i: RF(self.field, 0, n, den) for i, n in num.items()}
         if den == 1:
             return {i: Fraction(n) for i, n in num.items()}
         return {i: Fraction(n, den) for i, n in num.items()}
+
+    # -- the integer form --
+    def gcd(self, *values):
+        """The gcd of numerators: positive, or with lowest coefficient 1."""
+        return (math.gcd if self.kind == "p_adic" else FqPoly.gcd)(*values)
+
+    def int_val(self, n):
+        """Valuation of a nonzero numerator or denominator."""
+        if self.kind != "p_adic":
+            return n.order()
+        p, v = self.p, 0
+        while n % p == 0:
+            n //= p
+            v += 1
+        return v
+
+    def lowest(self, num, den):
+        """Divide the numerators (in place) and den by their gcd, and by a
+        unit that makes den positive, or its lowest coefficient 1; returns
+        the new den."""
+        if self.kind == "p_adic":
+            h = math.gcd(den, *num.values())
+            h = -h if den < 0 else h
+        else:
+            h = den.gcd(*num.values()) * FqPoly(self.field, (den.c[den.order()],))
+        if h != 1:
+            for i in num:
+                num[i] //= h
+            den //= h
+        return den
+
+    def settle(self, col, den, b, r, rden):
+        """After an elimination left b * (c_k - f * c_pj) in col over den and
+        R's column alongside in r over rden (f = a/b in lowest terms),
+        divide both in place: by b over F_q[[t]]; over Z_(p) by col's p-free
+        content g/e (by b when col is zero), cancelling the powers of p col
+        shares with den.  Returns the two new denominators."""
+        if self.kind != "p_adic":
+            return self.lowest(col, den * b), self.lowest(r, rden * b)
+        p = self.p
+        e, g = 1, b
+        if col:
+            g, s = math.gcd(*col.values()), 0
+            while g % p == 0:
+                g //= p
+                s += 1
+            e, t = den, 0
+            while e % p == 0:
+                e //= p
+                t += 1
+            m = min(s, t)
+            q = g * p ** m
+            if q != 1:
+                for i in col:
+                    col[i] //= q
+            den = p ** (t - m)
+        if e != 1:
+            for i in r:
+                r[i] *= e
+        return den, self.lowest(r, rden * g)
 
     def unit_part(self, x):
         """u with x = u * pi^val(x)."""
@@ -520,11 +579,11 @@ class Dvr:
     def scalar_str(self, x) -> str:
         if self.kind == "p_adic":
             return str(x)
-        if x.is_zero():
+        if not x:
             return "0"
         v = x.shift
         body = f"t^{v}" if v else ""
-        unit = "" if (len(x.num) == 1 and len(x.den) == 1 and x.num[0] == self.field.one()) else "u"
+        unit = "" if x.num == 1 and x.den == 1 else "u"
         return (body + ("*" if body and unit else "") + unit) or "1"
 
 

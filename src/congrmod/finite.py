@@ -135,11 +135,11 @@ class FiniteModule:
         # generators kept before them; one echelon grows with what is kept
         span = _Echelon(self.dvr, [_sparse(self.dvr, r) for r in self.rel_cols])
         kept = []
-        for vec in _Echelon(self.dvr, columns).kernel():
-            v = [vec.get(j, self.dvr.zero) for j in range(self.dim)]
-            col = _sparse(self.dvr, v)
+        for num, den in _Echelon(self.dvr, columns).kernel_split():
+            col = ({j: n for j, n in num.items() if j < self.dim}, den)
             if col[0] and span.reduce(col) is None:
-                kept.append(v)
+                vec = self.dvr.join(*col)
+                kept.append([vec.get(j, self.dvr.zero) for j in range(self.dim)])
                 span.extend(col)
         return kept
 

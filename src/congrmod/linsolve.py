@@ -5,15 +5,16 @@ system on monomial coefficient vectors, and answers its kernel, solves and
 membership queries; a membership query is one forward pass through the
 echelon's pivots.  The global standard basis of I (the basis with no
 generators when A = O[x]) expands each monomial multiple of a column
-straight into the echelon's integer form: to its normal form, through the
-basis's table, when normal forms are O-linear (every leading coefficient a
-unit), and as it is otherwise, the quotient then encoded by ideal-multiple
-absorber columns.  The multipliers of degree <= D are StdBasis.multipliers:
-over such a linear basis only the standard monomials, since any other x^u is
-an O-combination of standard monomials of degree <= deg u modulo I, so that
-their multiples span the same O-module, the multiples of degree <= D modulo
-I; over any other basis, every monomial.  The solver numbers the rows and
-holds the system.
+straight into the echelon's integer form, which dvr.Dvr defines for both
+bases alike: to its normal form, through the basis's table, when normal
+forms are O-linear (every leading coefficient a unit), and as it is
+otherwise, the quotient then encoded by ideal-multiple absorber columns.
+The multipliers of degree <= D are StdBasis.multipliers: over such a linear
+basis only the standard monomials, since any other x^u is an O-combination
+of standard monomials of degree <= deg u modulo I, so that their multiples
+span the same O-module, the multiples of degree <= D modulo I; over any
+other basis, every monomial.  The solver numbers the rows and holds the
+system.
 
 Vectors over A stay in that integer form (StdBasis.int_form: rows of
 numerators over one denominator) from the kernel to the membership test.
@@ -30,7 +31,6 @@ certification status otherwise.
 from __future__ import annotations
 
 from itertools import groupby
-from math import gcd
 
 from .errors import DegreeBoundExceeded
 from .omodule import _Echelon
@@ -162,21 +162,20 @@ class SpanSolver:
     def _heads(self, n):
         """The kernel vectors cut to their first n coordinates, nonzero and
         without repeats, in the echelon's order: each as [(j, {exps:
-        numerator})], rows in order, over one positive denominator in
-        lowest terms, so that equal heads have equal keys."""
-        p_adic = self.dvr.kind == "p_adic"
+        numerator})], rows in order, over one denominator in lowest terms,
+        so that equal heads have equal keys."""
+        gcd = self.dvr.gcd
         out, seen = [], set()
         for num, den in self._ech().kernel_split():
             rows = self._cut(num, n)
             if not rows:
                 continue
-            if p_adic:
-                g = gcd(den, *(x for terms in rows.values() for x in terms.values()))
-                if g != 1:
-                    den //= g
-                    for terms in rows.values():
-                        for u in terms:
-                            terms[u] //= g
+            g = gcd(den, *(x for terms in rows.values() for x in terms.values()))
+            if g != 1:
+                den //= g
+                for terms in rows.values():
+                    for u in terms:
+                        terms[u] //= g
             rows = sorted(rows.items())
             key = (den, tuple((j, frozenset(terms.items())) for j, terms in rows))
             if key not in seen:

@@ -8,11 +8,11 @@ columns as given.  The dense witnesses L, L^-1 and R are lists of rows.
 
 There is one elimination over O: the sparse column echelon, which visits
 only the nonzero entries, tracks its column operations, answers every
-kernel and solve, and can grow one column at a time.  Over Z_(p) it
-computes on Python ints, each column a dict of integer numerators over
-one denominator, eliminating fraction-free and keeping the integers small
-with a p-free content scaling; columns and targets enter it in that form
-and entries leave it as Fractions.  Its pivots come from heaps, never
+kernel and solve, and can grow one column at a time.  It runs one code
+path on both bases, in the integer form of dvr.Dvr: each column a dict of
+numerators over one denominator (Python ints over Z_(p), polynomials in t
+over F_q[[t]]), eliminating fraction-free; columns and targets enter it in
+that form and entries leave it in K.  Its pivots come from heaps, never
 from a scan of every column or every pivot.  The Smith form is that
 echelon plus one pass of row operations, with full witnesses (L, L^-1, R)
 so cokernels remember how to transport element coordinates into normal
@@ -22,9 +22,7 @@ module's Fitting ideals are read off its invariants.
 
 from __future__ import annotations
 
-from fractions import Fraction
 from heapq import heapify, heappop, heappush
-from math import gcd
 
 from .dvr import Dvr, IdealO, INF
 from .errors import DimensionMismatch, NonIntegralEntry
@@ -52,14 +50,14 @@ def mat_mul(dvr, a, b):
 
 def _sparse(dvr, vec):
     """A dense vector of entries in K in the echelon's form: numerators by
-    index, zeros dropped, over one positive denominator."""
+    index, zeros dropped, over one denominator."""
     return dvr.split(dict(enumerate(vec)))
 
 
-def _combine(dst, dden, b, a, src, sden=1):
+def _combine(dst, dden, b, a, src, sden=1, gcd=None):
     """dst / dden <- b * dst / dden + a * src / sden, in place on the
-    numerators dst, dropping the zeros; returns the new denominator.  With
-    equal denominators and b = 1, only a * src is multiplied."""
+    numerators dst, dropping the zeros; returns the new denominator (from
+    the base's gcd).  With b = 1, only a * src is multiplied."""
     if dden != sden:
         lcm = dden // gcd(dden, sden) * sden
         b, a, dden = b * (lcm // dden), a * (lcm // sden), lcm
@@ -88,22 +86,20 @@ class _Echelon:
     pivots writes any vector on them.
 
     Each column, and each column of R, is a dict of numerators over one
-    positive denominator.  Over Z_(p) these are Python ints; over F_q[[t]]
-    the numerators are the entries themselves and every denominator is 1,
-    so the same code does no extra arithmetic there.  Columns, extend()
-    columns and reduce()/solve() targets come in that form, as a pair
-    (numerators, denominator): the span solver expands them so, and callers
-    holding entries in K convert them with Dvr.split or _sparse.  The
-    echelon takes over the dicts of the columns it is given.
+    denominator, in the integer form of dvr.Dvr, whose numerator operations
+    the echelon binds once.  Columns, extend() columns and reduce()/solve()
+    targets come in that form, as a pair (numerators, denominator): the
+    span solver expands them so, and callers holding entries in K convert
+    them with Dvr.split or _sparse.  The echelon takes over the dicts of
+    the columns it is given.
 
-    An elimination by the pivot ratio f = a/b (b > 0 and p-free, as f lies
-    in O) forms b*c_k - a*c_pj (Bareiss, Math. Comp. 22, 1968) and divides
-    it, and R with it, by its p-free content: what is left is the unique
-    representative of c_k - f*c_pj whose content is a power of p, so every
-    entry equals the one that arithmetic in K with the same unit scaling
-    gives, whatever denominator a column came in over.  cols, R, kernel(),
-    reduce() and solve() hand out entries in K, and kernel_split() the
-    kernel in the integer form.
+    An elimination by the pivot ratio f = a/b (in lowest terms) forms
+    b*c_k - a*c_pj (Bareiss, Math. Comp. 22, 1968), and Dvr.settle divides
+    it, and R with it, by b over F_q[[t]] and by its p-free content over
+    Z_(p), so every entry equals the one that arithmetic in K (with the
+    same unit scaling) gives, whatever denominator a column came in over.
+    cols, R, kernel(), reduce() and solve() hand out entries in K, and
+    kernel_split() the kernel in the integer form.
 
     The batch elimination takes each pivot, a minimal-valuation entry of
     the live columns (lowest row, then lowest column, among ties), from a
@@ -118,7 +114,7 @@ class _Echelon:
 
     def __init__(self, dvr, columns):
         self.dvr = dvr
-        self._p = dvr.p if dvr.kind == "p_adic" else None
+        self._v, self._gcd, self._lowest, self._settle = dvr.int_val, dvr.gcd, dvr.lowest, dvr.settle
         self._cols, self._den, self._R, self._Rden = [], [], [], []
         for column in columns:
             self._append(column)
@@ -142,20 +138,9 @@ class _Echelon:
         num, den = column
         self._cols.append(num)
         self._den.append(den)
-        self._R.append({j: 1 if self._p else self.dvr.one})
-        self._Rden.append(1)
+        self._R.append({j: self.dvr.int_one})
+        self._Rden.append(self.dvr.int_one)
         return j
-
-    def _v(self, n):
-        """Valuation of a nonzero numerator or denominator."""
-        p = self._p
-        if p is None:
-            return self.dvr.val(n)
-        v = 0
-        while n % p == 0:
-            n //= p
-            v += 1
-        return v
 
     def _val(self, j, i):
         """Valuation of the entry of column j in row i."""
@@ -173,15 +158,10 @@ class _Echelon:
         return (v - self._v(den), i) if den != 1 else (v, i)
 
     def _ratio(self, x, dx, y, dy):
-        """(a, b) with a/b = (x/dx) / (y/dy): in lowest terms with b > 0
-        over Z_(p), (x/y, 1) otherwise."""
-        if self._p is None:
-            return x / y, 1
-        a, b = x * dy, y * dx
-        g = gcd(a, b)
-        if b < 0:
-            g = -g
-        return a // g, b // g
+        """(a, b) with a/b = (x/dx) / (y/dy), in lowest terms."""
+        num = {0: x * dy}
+        b = self._lowest(num, y * dx)
+        return num[0], b
 
     def _eliminate(self, k, pj, pi):
         """Column k -= f * column pj, with R alongside, f the ratio of their
@@ -190,40 +170,9 @@ class _Echelon:
         ck, rk = cols[k], R[k]
         a, b = self._ratio(ck[pi], den[k], cols[pj][pi], den[pj])
         a = -a
-        den[k] = _combine(ck, den[k], b, a, cols[pj], den[pj])
-        Rden[k] = _combine(rk, Rden[k], b, a, R[pj], Rden[pj])
-        p = self._p
-        if p is None:
-            return
-        # divide the new column and R by the column's p-free content g/e
-        # (R by b when the column is zero), then cancel the powers of p the
-        # column shares with its denominator
-        e, g = 1, b
-        if ck:
-            g, s = gcd(*ck.values()), 0
-            while g % p == 0:
-                g //= p
-                s += 1
-            e, t = den[k], 0
-            while e % p == 0:
-                e //= p
-                t += 1
-            m = min(s, t)
-            q = g * p ** m
-            if q != 1:
-                for i in ck:
-                    ck[i] //= q
-            den[k] = p ** (t - m)
-        if e != 1:
-            for i in rk:
-                rk[i] *= e
-        rden = Rden[k] * g
-        h = gcd(rden, *rk.values())
-        if h != 1:
-            for i in rk:
-                rk[i] //= h
-            rden //= h
-        Rden[k] = rden
+        dk = _combine(ck, den[k], b, a, cols[pj], den[pj], self._gcd)
+        rdk = _combine(rk, Rden[k], b, a, R[pj], Rden[pj], self._gcd)
+        den[k], Rden[k] = self._settle(ck, dk, b, rk, rdk)
 
     # -- the elimination --
     def _run(self):
@@ -294,9 +243,9 @@ class _Echelon:
             pivots.append((i, j))
 
     def kernel_split(self):
-        """O-basis of the kernel of the column map, each vector as the
-        numerators (a dict col-index -> numerator) over one positive
-        denominator that Dvr.split gives; the dicts are the echelon's own."""
+        """O-basis of the kernel of the column map, each vector in the
+        integer form (a dict col-index -> numerator, over one denominator)
+        in lowest terms; the dicts are the echelon's own."""
         pivot_cols = {j for _, j in self.pivots}
         return [(self._R[j], self._Rden[j]) for j, col in enumerate(self._cols)
                 if j not in pivot_cols and not col]
@@ -309,7 +258,6 @@ class _Echelon:
         """The forward pass: (pivot column, y) pairs, y in O and nonzero,
         with rhs = sum y * column; None if rhs is outside the O-span.  rhs
         is (numerators, denominator) and is left as it is."""
-        p = self._p
         cols, den, pivots = self._cols, self._den, self.pivots
         b, d = rhs
         b = dict(b)
@@ -322,16 +270,10 @@ class _Echelon:
             if x is None:
                 continue
             y, z = self._ratio(x, d, cols[pj][pi], den[pj])
-            if (z % p == 0) if p else (self.dvr.val(y) < 0):
+            if self._v(z):  # y/z in lowest terms lies outside O
                 return None
-            ys.append((pj, Fraction(y, z) if p else y))
-            d = _combine(b, d, z, -y, cols[pj], den[pj]) * z
-            if p:
-                h = gcd(d, *b.values())
-                if h != 1:
-                    for i in b:
-                        b[i] //= h
-                    d //= h
+            ys.append((pj, self.dvr.join({pj: y}, z)[pj]))
+            d = self._lowest(b, _combine(b, d, z, -y, cols[pj], den[pj], self._gcd) * z)
             self._queue(heap, queued, cols[pj])
         return None if b else ys
 

@@ -20,7 +20,6 @@ divides its own with a coefficient of no larger valuation.
 from __future__ import annotations
 
 import heapq
-from math import gcd
 from operator import add
 
 from .config import DEFAULT_CONFIG
@@ -66,11 +65,10 @@ class StdBasis:
     reduces depends on its monomial alone, so the global normal form is
     O-linear: the basis keeps the normal form of each monomial in one table,
     filled by reduce_strong on the first request.  An entry is in the
-    integer form of the O-echelon: its terms in descending order as
-    (exps, numerator) pairs over one positive denominator, Python ints over
-    Z_(p) and the RF coefficients over 1 over F_q[[t]].  expand reads it
-    for every monomial multiple of a column of O[x]^r: nf on one row, the
-    span solver on its columns.  The basis with no generators is the basis
+    integer form of the O-echelon, which dvr.Dvr defines for both bases
+    alike: its terms in descending order as (exps, numerator) pairs over
+    one denominator.  expand reads it for every monomial multiple of a
+    column of O[x]^r: nf on one row, the span solver on its columns.  The basis with no generators is the basis
     of O[x] itself, whose table holds each monomial as its own entry.  The
     leading terms of the generators (leads), which the basis is built with,
     are kept for reduce_strong and mora_normal_form."""
@@ -112,20 +110,20 @@ class StdBasis:
 
     def form(self, rows, den):
         """The int_form of a column given as [(row, {exps: numerator})],
-        nonzero rows in order, over one positive denominator in lowest
-        terms: (rows, den, the valuation of den).  The valuation cap on the
+        nonzero rows in order, over one denominator in lowest terms:
+        (rows, den, the valuation of den).  The valuation cap on the
         coefficients is checked here, since a monomial multiplier leaves
         them as they are."""
         dvr = self.ring.dvr
-        val = dvr.val(den) if den != 1 else 0
+        val = dvr.int_val(den) if den != 1 else 0
         _check_valuations(dvr, (n for _, terms in rows for n in terms.values()),
                           self.config, val)
         return rows, den, val
 
     def polys(self, rows, den, size):
         """The column of size polynomials whose rows are given as (row,
-        {exps: numerator}) pairs over one positive denominator, as int_form
-        and expand give them: the inverse of int_form."""
+        {exps: numerator}) pairs over one denominator, as int_form and
+        expand give them: the inverse of int_form."""
         ring = self.ring
         out = [ring.zero] * size
         for i, terms in rows:
@@ -134,7 +132,7 @@ class StdBasis:
 
     def expand(self, form, u=None):
         """u * col (col itself when u is None) from col's int_form, as
-        [(row, {exps: numerator})] over one positive denominator.  For a
+        [(row, {exps: numerator})] over one denominator.  For a
         linear global basis this is the normal form: each term n * x^e adds
         n times the table entry of x^e * u, the table's denominators join
         the common one, and every entry is held to the valuation cap.
@@ -143,13 +141,14 @@ class StdBasis:
         they are found: a one-term row in its table order, a multi-term row
         in the basis order, descending."""
         entries, cden, cval = form
+        dvr = self.ring.dvr
         if not self.linear:
             if u is None:
                 return entries, cden
             return [(i, {tuple(map(add, e, u)): n for e, n in terms.items()})
                     for i, terms in entries], cden
         table = self._table
-        out, den = [], 1  # den: the lcm of the table denominators met
+        out, den = [], dvr.int_one  # den: the lcm of the table denominators met
         for i, row_terms in entries:
             acc = {}
             for e, n in row_terms.items():
@@ -158,7 +157,7 @@ class StdBasis:
                 nf, d = table.get(e) or self.monomial_nf(e)
                 if d != den:
                     if den % d:
-                        m = d // gcd(den, d)
+                        m = d // dvr.gcd(den, d)
                         den *= m
                         for _, part in out + [(i, acc)]:
                             for k in part:
@@ -168,7 +167,7 @@ class StdBasis:
                 for e2, n2 in nf:
                     prev = acc.get(e2)
                     acc[e2] = n * n2 if prev is None else prev + n * n2
-            _check_valuations(self.ring.dvr, acc.values(), self.config, cval)
+            _check_valuations(dvr, acc.values(), self.config, cval)
             if len(row_terms) > 1:
                 acc = {e: acc[e] for e in
                        sorted(acc, key=self.order.key, reverse=True) if acc[e]}
@@ -178,7 +177,7 @@ class StdBasis:
     def monomial_nf(self, e):
         """The table entry of x^e, for a linear global basis: its normal
         form's terms in descending order as (exps, numerator) pairs, and
-        their one positive denominator."""
+        their one denominator."""
         r = self._table.get(e)
         if r is None:
             nf = reduce_strong(Poly(self.ring, {e: self.ring.dvr.one}),

@@ -4,7 +4,7 @@ import sys
 
 import pytest
 
-from congrmod import resolution
+from congrmod import congruence, resolution
 from congrmod.cli import main
 from conftest import child_env, run_python
 from test_fuzz_front_end import FULL_FILE
@@ -915,3 +915,23 @@ def test_non_regular_congruence_module_is_not_an_engine_fault(tmp_path, capsys):
         err = capsys.readouterr().err
         assert "NotRegularAtAugmentation" in err
         assert "InternalInvariantViolation" not in err
+
+
+def test_non_regular_algebra_is_refused_before_any_ext_module(tmp_path, capsys,
+                                                              monkeypatch):
+    """a*b - c*d, b*c - d*e, a*e - pi*c^2 at codim 2 has cotangent free rank
+    5: analyze and psi refuse it (exit 2, naming both ranks) from that rank
+    alone, and never build an Ext module."""
+    def no_ext(*args):
+        raise AssertionError("an Ext module was built")
+
+    monkeypatch.setattr(congruence, "ext_module", no_ext)
+    path = tmp_path / "five.cm"
+    path.write_text("[dvr]\nkind = p_adic\np = 5\n[ring]\nvars = a, b, c, d, e\n"
+                    "relations = a*b - c*d, b*c - d*e, a*e - pi*c^2\n"
+                    "[augmentation]\na = 0\nb = 0\nc = 0\nd = 0\ne = 0\ncodim = 2\n")
+    for command in ("analyze", "psi"):
+        assert main([command, str(path)]) == 2
+        err = capsys.readouterr().err
+        assert "NotRegularAtAugmentation" in err
+        assert "free rank 5 is above codim 2" in err

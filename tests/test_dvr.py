@@ -5,7 +5,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from congrmod import Dvr, IdealO, INF
-from congrmod.dvr import Field, is_prime, split_prime_power
+from congrmod.dvr import RF, Field, FqPoly, is_prime, split_prime_power
 from congrmod.errors import EngineError
 
 
@@ -155,3 +155,89 @@ class TestIdealO:
         assert (a * z).is_zero
         assert (a + z).exponent == 2
         assert z.colength is INF
+
+
+# ---------------------------------------------------------------------------
+# the F_q[t] polynomials of the integer form, against RF arithmetic
+
+def _field_elements(field):
+    """Every element of a small field, as the field stores it."""
+    if field.k == 1:
+        return list(range(field.p))
+    return [tuple(code // field.p ** i % field.p for i in range(field.k))
+            for code in range(field.q)]
+
+
+def _check_against_rf(field, a, b):
+    """FqPoly's sum, product, exact quotient, remainder, gcd and t-order
+    agree with the same computation on RFs (b nonzero)."""
+    def rf(f, d=None):
+        return RF(field, 0, f, d)
+
+    assert rf(a + b) == rf(a) + rf(b) and rf(-a) == -rf(a)
+    assert rf(a * b) == rf(a) * rf(b)
+    assert (a * b) // b == a and (a * b) % b == 0
+    q, r = divmod(a, b)
+    assert len(r.c) < len(b.c) and rf(q) == (rf(a) - rf(r)) / rf(b)
+    if not a:
+        return
+    g = b.gcd(a)
+    assert g.c[g.order()] == field.one() and b % g == 0 and a % g == 0
+    # RF keeps a/b in lowest terms: its denominator is b/g, t-free and
+    # scaled to constant term 1
+    head = b // g
+    assert rf(a, b).den == (head >> head.order()).normal()
+    # the order is the largest k with t^k dividing a
+    k = a.order()
+    t = [FqPoly(field, (field.zero(),) * e + (field.one(),)) for e in (k, k + 1)]
+    assert a % t[0] == 0 and a % t[1] != 0
+    assert (a * b).order() == k + b.order() and rf(a).shift == k
+
+
+@pytest.mark.parametrize("q", [4, 9, 5])
+@given(data=st.data())
+@settings(max_examples=60, deadline=None)
+def test_fq_polynomials_match_rf_arithmetic(q, data):
+    field = Dvr.power_series(q).field
+    coeffs = st.lists(st.sampled_from(_field_elements(field)), max_size=5)
+    a = FqPoly(field, data.draw(coeffs))
+    b = FqPoly(field, data.draw(coeffs.filter(lambda c: any(x != field.zero() for x in c))))
+    _check_against_rf(field, a, b)
+    _check_against_rf(field, a * b, b * b)  # a common factor for gcd
+
+
+def test_fq_polynomials_match_rf_arithmetic_at_q_2_40():
+    """One case over F_(2^40), whose elements are 40-tuples of bits."""
+    field = Dvr.power_series(2 ** 40).field
+    one, x = field.one(), (0, 1) + (0,) * 38
+    xx = field.mul(x, x)
+    a = FqPoly(field, (field.zero(), x, one, xx))
+    b = FqPoly(field, (one, xx))
+    _check_against_rf(field, a, b)
+    _check_against_rf(field, a * b, b * b)
+
+
+def _k_entries(dvr):
+    """Entries of K, zero among them: over Z_(p) with p-free and p-power
+    denominators, over F_q[[t]] t^e (a + b t) / (1 + c t) with poles."""
+    if dvr.kind == "p_adic":
+        return st.fractions(max_denominator=50)
+    field = dvr.field
+    elements = _field_elements(field)
+    return st.builds(lambda e, a, b, c: RF(field, e, (a, b), (field.one(), c)),
+                     st.integers(-2, 2), st.sampled_from(elements),
+                     st.sampled_from(elements), st.sampled_from(elements))
+
+
+@pytest.mark.parametrize("dvr", [Dvr.p_adic(3), Dvr.p_adic(5), Dvr.power_series(4),
+                                 Dvr.power_series(9), Dvr.power_series(5)], ids=repr)
+@given(data=st.data())
+@settings(max_examples=40, deadline=None)
+def test_split_then_join_is_the_identity(dvr, data):
+    """split gives numerators over one denominator in lowest terms, positive
+    or with lowest coefficient 1, and join gives the nonzero entries back."""
+    vec = data.draw(st.dictionaries(st.integers(0, 6), _k_entries(dvr), max_size=5))
+    num, den = dvr.split(vec)
+    assert dvr.join(num, den) == {i: x for i, x in vec.items() if x}
+    assert dvr.gcd(den, *num.values()) == 1
+    assert den > 0 if dvr.kind == "p_adic" else den.normal() == den

@@ -3,7 +3,8 @@ ast: no module imports a name it never uses, no function imports from the
 standard library in its body, no private top-level function or class, and
 no private method, is left without a reference, no public method is
 either unless API_AND_ORACLES names it, no function takes a parameter
-it never reads, and no class stores an attribute that nothing reads."""
+it never reads, no class stores an attribute that nothing reads, and no
+module but dvr.py asks which base ring it computes over."""
 
 import ast
 import sys
@@ -184,3 +185,26 @@ def test_exports_exist_once():
     names = congrmod.__all__
     assert [n for n in names if not hasattr(congrmod, n)] == []
     assert len(set(names)) == len(names)
+
+
+BASE_KINDS = {"p_adic", "power_series"}
+
+
+def test_only_dvr_asks_for_the_base():
+    """No module other than dvr.py compares a value with a base kind
+    ("p_adic" or "power_series", alone or in a tuple, list or set): each
+    base's arithmetic lives in dvr.Dvr, so that no second path forks on
+    the base elsewhere."""
+    forks = []
+    for name, tree in MODULES.items():
+        if name == "dvr.py":
+            continue
+        for node in ast.walk(tree):
+            if not isinstance(node, ast.Compare):
+                continue
+            operands = [node.left] + node.comparators
+            operands += [e for o in operands if isinstance(o, (ast.Tuple, ast.List, ast.Set))
+                         for e in o.elts]
+            if any(isinstance(o, ast.Constant) and o.value in BASE_KINDS for o in operands):
+                forks.append(f"{name}:{node.lineno}")
+    assert not forks

@@ -257,20 +257,14 @@ def _poly_vectors(draw, ring, nrows, max_degree):
     return tuple(Poly(ring, draw(entry)) for _ in range(nrows))
 
 
-def _value(dvr, n, den):
-    if dvr.kind == "p_adic":
-        return F(n, den)
-    assert den == 1
-    return n
-
-
 def _assert_same_vector(dvr, got, want):
     """The integer vector has the Fraction vector's rows, in its order, and
-    equal entries."""
+    equal entries, over a positive denominator (over F_q[[t]], one whose
+    lowest coefficient is 1)."""
     num, den = got
-    assert den > 0
+    assert den > 0 if dvr.kind == "p_adic" else den.normal() == den
     assert list(num) == list(want)
-    assert all(_value(dvr, n, den) == want[r] for r, n in num.items())
+    assert dvr.join(num, den) == want
 
 
 def _multiple(ring, col, u):
