@@ -187,15 +187,13 @@ class AugmentedAlgebra:
             return max(self.finite.maxdeg, 0)
         return self.config.search_degree
 
-    def span_solver(self, columns, nrows, per_bounds=None, target_degree=0):
+    def span_solver(self, columns, per_bounds=None):
         """The A-span of the columns, searched at the algebra's bound (its
-        certificate is A.cert).  A None in per_bounds takes that bound.  A
-        solver built for one target passes that target's degree."""
+        certificate is A.cert).  A None in per_bounds takes that bound."""
         b = self._search_bound
         if per_bounds is not None:
             per_bounds = [b if x is None else x for x in per_bounds]
-        return SpanSolver(self.ring, self.gb_global, columns, nrows, b,
-                          target_degree, per_bounds)
+        return SpanSolver(self.ring, self.gb_global, columns, b, per_bounds)
 
     # -- derived algebras --
     def quotient_by(self, f: Poly) -> "AugmentedAlgebra":

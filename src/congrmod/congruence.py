@@ -167,7 +167,7 @@ def _ext_general(A, M, i, res):
                 for s in range(g * r_i)]
     else:
         reps = _syzygies(A, _hom_block(zero, g, res.differential(i + 1), r_i),
-                         g * r_n, relations=_relation_block(zero, M, r_n))
+                         relations=_relation_block(zero, M, r_n))
 
     # coboundaries, then the relations of M in each of the r_i slots
     cob = []
@@ -180,7 +180,7 @@ def _ext_general(A, M, i, res):
     if s == 0:
         return ExtModule(i, FinOModule.zero(dvr), [], cert)
     per_bounds = [0] * s + [None] * (len(all_cols) - s)
-    class_solver = A.span_solver(all_cols, g * r_i, per_bounds=per_bounds)
+    class_solver = A.span_solver(all_cols, per_bounds=per_bounds)
     coeffs = ([A.lam(x) for x in v[:s]] for v in class_solver.kernel())
     structure = FinOModule.from_presentation(dvr, [c for c in coeffs if any(c)], s)
 
@@ -537,10 +537,9 @@ def deformation_step(A: AugmentedAlgebra, M, f: Poly) -> dict:
     zero = A.ring.zero
     cols = [tuple(f if k == l else zero for k in range(g)) for l in range(g)]
     cols_p = [tuple(col) for col in MA.columns]
-    heads = _syzygies(A, cols, g, relations=cols_p)
+    heads = _syzygies(A, cols, relations=cols_p)
     if heads and cols_p:
-        pres = A.span_solver(cols_p, g, target_degree=max(
-            p.degree() for head in heads for p in head))
+        pres = A.span_solver(cols_p)
         ok = all(pres.contains(head) for head in heads)
     else:
         ok = all(A.in_ideal(p) for head in heads for p in head)
@@ -612,8 +611,7 @@ def _product_check(A, res, c):
         return False
     ring = A.ring
     # one solver of d_k per level k, shared by the generators lifted there
-    solvers = [A.span_solver(res.differential(k), res.rank(k - 1))
-               for k in range(1, c)]
+    solvers = [A.span_solver(res.differential(k)) for k in range(1, c)]
     # chain lift of each phi: u_k with d_k u_k = u_(k-1) d_(k+1)
     lifts = []
     for t, w in enumerate(gens):

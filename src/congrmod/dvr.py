@@ -82,15 +82,17 @@ class Field:
         self.q = q
         self.p = p
         self.k = k
+        self._zero, self._one = (0, 1) if k == 1 else \
+            ((0,) * k, (1,) + (0,) * (k - 1))
         if k > 1:
             self.modulus = self._find_irreducible(p, k)
 
     # -- k = 1 fast path uses ints mod p throughout --
     def zero(self):
-        return 0 if self.k == 1 else (0,) * self.k
+        return self._zero
 
     def one(self):
-        return 1 if self.k == 1 else (1,) + (0,) * (self.k - 1)
+        return self._one
 
     def from_int(self, n: int):
         if self.k == 1:

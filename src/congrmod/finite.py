@@ -59,9 +59,7 @@ class FiniteStructure:
         the quotient has O-torsion, e.g. a relation pi^m * x)."""
         if self._relations is None:
             cols = [(Poly(self.ring, {e: self.dvr.one}),) for e in self.box]
-            maxg = max((g.degree() for g in self.gb.gens), default=0)
-            solver = SpanSolver(self.ring, self.gb, cols, 1, 0,
-                                self.maxdeg + maxg)
+            solver = SpanSolver(self.ring, self.gb, cols, 0)
             self._relations = [[p.constant_value() for p in vec]
                                for vec in solver.kernel()]
         return self._relations

@@ -8,8 +8,9 @@ generators when A = O[x]) expands each monomial multiple of a column
 straight into the echelon's integer form, which dvr.Dvr defines for both
 bases alike: to its normal form, through the basis's table, when normal
 forms are O-linear (every leading coefficient a unit), and as it is
-otherwise, the quotient then encoded by ideal-multiple absorber columns.
-The multipliers of degree <= D are StdBasis.multipliers: over such a linear
+otherwise, the quotient then encoded by ideal-multiple absorber columns
+that the solver adds as its columns and targets call for.  The
+multipliers of degree <= D are StdBasis.multipliers: over such a linear
 basis only the standard monomials, since any other x^u is an O-combination
 of standard monomials of degree <= deg u modulo I, so that their multiples
 span the same O-module, the multiples of degree <= D modulo I; over any
@@ -30,19 +31,12 @@ certification status otherwise.
 
 from __future__ import annotations
 
+import threading
 from itertools import groupby
 
 from .errors import DegreeBoundExceeded
 from .omodule import _Echelon
-from .poly import Poly, monomials_up_to
-
-
-def _max_degree(columns):
-    d = 0
-    for col in columns:
-        for p in col:
-            d = max(d, p.degree())
-    return d
+from .poly import Poly
 
 
 class SpanSolver:
@@ -60,40 +54,34 @@ class SpanSolver:
     for every expanded entry; the degree cap is checked as the basis's
     table fills.  extend() adds a column; only the solver's owner calls it,
     never a solver shared by later readers.  When gb's normal forms are not
-    O-linear, the absorber columns g * e_i * u reach degree deg_bound plus
-    the larger of target_degree and the largest column degree: a solver
-    meant for a target of higher degree than its columns passes that
-    degree, or the target reads as outside.
+    O-linear, the solver adds the absorber columns g * e_i * u in every row
+    a column or a target touches, to degree deg_bound plus the largest
+    column or target degree seen (a target's once it reads as outside).
+    These suffice: a strong standard basis over a DVR, under a
+    degree-compatible order, writes f in I of degree <= d as sum q_i g_i
+    with deg(q_i g_i) <= d (Adams and Loustaunau, GSM 3, Ch. 4).
     """
 
-    def __init__(self, ring, gb, columns, nrows, deg_bound, target_degree=0,
-                 per_bounds=None):
+    def __init__(self, ring, gb, columns, deg_bound, per_bounds=None):
         columns = list(columns)
         self.ring = ring
         self.dvr = ring.dvr
         self.gb = gb
+        self.deg_bound = deg_bound
         self._echelon = None
         bounds = per_bounds if per_bounds is not None else \
             [deg_bound] * len(columns)
-        self._check_bound(max(bounds, default=0))
+        self._check_bound(max(bounds, default=deg_bound))  # extend() uses deg_bound
         self.row_index = {}
         self.sparse_cols = []
         self.meta = []  # ("var", j, exps) | ("abs", i, exps) per echelon column
         self.ncols = 0
-        for col, bound in zip(columns, bounds):
-            self._add(gb.int_form(col), bound)
-        if not gb.linear:
-            absorb = deg_bound + max(target_degree, _max_degree(columns))
-            for i in range(nrows):
-                for g in gb.gens:
-                    lim = absorb - g.degree()
-                    if lim < 0:
-                        continue
-                    form = gb.int_form((ring.zero,) * i + (g,))
-                    for u in monomials_up_to(ring.nvars, lim):
-                        self.sparse_cols.append(
-                            self._vector(*gb.expand(form, u), grow=True))
-                        self.meta.append(("abs", i, u))
+        self._absorbed, self._top = set(), 0  # absorbed rows; degree seen
+        self._lock = threading.Lock()  # a query may extend the echelon
+        forms = [gb.int_form(col) for col in columns]
+        for form, bound in zip(forms, bounds):
+            self._add(form, bound)
+        self._absorb([row for rows, _, _ in forms for row in rows])
 
     def _check_bound(self, degree):
         cap = self.gb.config.degree_cap
@@ -102,25 +90,48 @@ class SpanSolver:
 
     def _add(self, form, bound):
         """Append the multiples of degree <= bound of one more column, given
-        as its int_form, to the system (to the echelon once it is built)."""
+        as its int_form, to the system."""
         j = self.ncols
         self.ncols += 1
-        ech = self._echelon
-        for u in self.gb.multipliers(bound):
-            self.meta.append(("var", j, u))
-            vec = self._vector(*self.gb.expand(form, u), grow=True)
-            if ech is None:
-                self.sparse_cols.append(vec)
-            else:
-                ech.extend(vec)
+        self._put(form, [("var", j, u) for u in self.gb.multipliers(bound)])
 
-    def extend(self, form, deg_bound):
+    def _absorb(self, rows):
+        """Add the absorbers that the rows of a column or a target,
+        [(row, {exps: numerator})], call for; whether there were any."""
+        gb, old = self.gb, self._top
+        if gb.linear:
+            return False
+        self._top = max([old] + [sum(e) for _, terms in rows for e in terms])
+        new = {i for i, _ in rows} - self._absorbed
+        if self._top == old and not new:
+            return False
+        self._absorbed |= new
+        for i in sorted(self._absorbed):
+            low = -1 if i in new else self.deg_bound + old
+            for g in gb.gens:
+                form, d = gb.int_form((self.ring.zero,) * i + (g,)), g.degree()
+                us = gb.multipliers(self.deg_bound + self._top - d)
+                self._put(form, [("abs", i, u) for u in us if sum(u) + d > low])
+        return True
+
+    def _put(self, form, meta):
+        """Append the multiples of an int_form that meta lists to the system."""
+        self.meta += meta
+        expand, vector = self.gb.expand, self._vector
+        vecs = [vector(*expand(form, u), grow=True) for _, _, u in meta]
+        if self._echelon is None:
+            self.sparse_cols += vecs
+        else:
+            for vec in vecs:
+                self._echelon.extend(vec)
+
+    def extend(self, form):
         """Add a column, given as its int_form, with multipliers of degree
-        <= deg_bound.  Only its multiples are expanded, and each is appended
-        to the one echelon; the absorber degree stays as it was built."""
-        self._check_bound(deg_bound)
+        <= deg_bound.  Only its multiples, and the absorbers it calls for,
+        are expanded, and each is appended to the one echelon."""
+        self._absorb(form[0])
         self._ech()
-        self._add(form, deg_bound)
+        self._add(form, self.deg_bound)
 
     def _vector(self, rows, den, grow=False):
         """An expansion by gb in the echelon's form, (numerators by row,
@@ -196,10 +207,7 @@ class SpanSolver:
 
     def solve(self, target):
         """Multipliers a with sum a_j col_j = target mod I, or None."""
-        rhs = self._vector(*self.gb.expand(self.gb.int_form(target)))
-        if rhs is None:
-            return None
-        sol = self._ech().solve(rhs)
+        sol = self._query(_Echelon.solve, *self.gb.expand(self.gb.int_form(target)))
         if sol is None:
             return None
         rows = self._cut(sol, self.ncols)
@@ -215,8 +223,17 @@ class SpanSolver:
         in A when gb is linear, the zero vector otherwise) always does."""
         if not any(terms for _, terms in rows):
             return True
-        rhs = self._vector(rows, den)
-        return rhs is not None and self._ech().reduce(rhs) is not None
+        return self._query(_Echelon.reduce, rows, den) is not None
+
+    def _query(self, query, rows, den):
+        """query, _Echelon.solve or reduce, on an expansion by gb; None
+        outside the span, once the absorbers it calls for are in."""
+        with self._lock:
+            while True:
+                rhs = self._vector(rows, den)
+                out = None if rhs is None else query(self._ech(), rhs)
+                if out is not None or not self._absorb(rows):
+                    return out
 
 
 def _render(ring, form, nrows):
@@ -239,13 +256,13 @@ def prune_generators(gb, forms, nrows, deg_bound):
     is empty (zero in A) or lies in the span of the vectors kept.
 
     One solver serves the call: it is built when the second vector is
-    tested, its absorbers reaching every vector, and each vector kept is
-    appended to its echelon with SpanSolver.extend before the next one is
-    tested.  Membership in an O-span does not depend on the echelon's
-    basis, so the vectors kept are those a solver built afresh on the kept
-    list would keep.  Returns (index in forms, rows, den) for each vector
-    kept, in order, with its expansion: its normal form when gb is linear,
-    the vector itself otherwise."""
+    tested, with the absorbers that all the vectors call for in one batch,
+    and each vector kept is appended to its echelon with SpanSolver.extend
+    before the next one is tested.  Membership in an O-span does not
+    depend on the echelon's basis, so the vectors kept are those a solver
+    built afresh on the kept list would keep.  Returns (index in forms,
+    rows, den) for each vector kept, in order, with its expansion: its
+    normal form when gb is linear, the vector itself otherwise."""
     ring = gb.ring
     sizes = []
     for rows, _, _ in forms:
@@ -258,14 +275,14 @@ def prune_generators(gb, forms, nrows, deg_bound):
         if len(run) > 1:
             run.sort(key=lambda k: _render(ring, forms[k], nrows))
         order += run
-    max_degree = max([0] + [d for d, _ in sizes])
     kept, solver = [], None
     for k in order:
         if kept:
             if solver is None:
-                solver = SpanSolver(ring, gb, [], nrows, deg_bound, max_degree)
+                solver = SpanSolver(ring, gb, [], deg_bound)
+                solver._absorb([row for rows, _, _ in forms for row in rows])
             for j, _, _ in kept[solver.ncols:]:
-                solver.extend(forms[j], deg_bound)
+                solver.extend(forms[j])
         rows, den = gb.expand(forms[k])
         if kept and solver._holds(rows, den):
             continue

@@ -287,7 +287,7 @@ def _regular_sequence_check(A):
     m = len(fs)
     bound = A.config.search_degree
     free = StdBasis(A.ring, GLOBAL, [], [], A.config)  # the zero ideal of O[x]
-    syz = SpanSolver(A.ring, free, [(f,) for f in fs], 1, bound).kernel()
+    syz = SpanSolver(A.ring, free, [(f,) for f in fs], bound).kernel()
     trivial = []
     for i in range(m):
         for j in range(i + 1, m):
@@ -295,7 +295,7 @@ def _regular_sequence_check(A):
             vec[i] = fs[j]
             vec[j] = -fs[i]
             trivial.append(tuple(vec))
-    solver = SpanSolver(A.ring, free, trivial, m,
+    solver = SpanSolver(A.ring, free, trivial,
                         bound + max(f.degree() for f in fs))
     return all(solver.contains(v) for v in syz)
 
@@ -303,7 +303,7 @@ def _regular_sequence_check(A):
 # ---------------------------------------------------------------------------
 # syzygy strategy
 
-def _syzygies(A, columns, nrows, relations=()):
+def _syzygies(A, columns, relations=()):
     """The one kernel over A: pruned generators, in normal form, of the
     vectors a with sum a_j columns_j in the A-span of the relation columns,
     searched at the algebra's bound (so as certain as A.cert).  One solver
@@ -317,7 +317,7 @@ def _syzygies(A, columns, nrows, relations=()):
     n = len(columns)
     gb = A.gb_global
     # the kernel solver is dropped once its kernel is read
-    heads = A.span_solver(list(columns) + list(relations), nrows).kernel_forms(n)
+    heads = A.span_solver(list(columns) + list(relations)).kernel_forms(n)
     out = []
     for _, rows, den in prune_generators(gb, heads, n, A._search_bound):
         v = gb.polys(rows, den, n)
@@ -334,7 +334,7 @@ def _syzygy_resolution(A):
     def step(t, diffs, ranks):
         if t == 1:
             return [(g,) for g in A.p_gens()]
-        return _syzygies(A, diffs[-1], ranks[-2]) if diffs[-1] else []
+        return _syzygies(A, diffs[-1]) if diffs[-1] else []
     return step
 
 
@@ -455,8 +455,7 @@ def verify_resolution(res: FreeResolution) -> Cert:
     for col in d1:
         if A.lam(col[0]):
             raise VerificationFailed("a column of d_1 is not in the augmentation ideal")
-    # the generators x_i - a_i all have degree one
-    solver = A.span_solver(d1, 1, target_degree=1)
+    solver = A.span_solver(d1)
     if not all(solver.contains((g,)) for g in A.p_gens()):
         raise VerificationFailed(
             "image of d_1 does not generate the augmentation ideal")
@@ -468,8 +467,8 @@ def verify_resolution(res: FreeResolution) -> Cert:
             kernel_solver = None
             continue
         if kernel_solver is None:
-            kernel_solver = A.span_solver(di, res.rank(i - 1))
-        solver = A.span_solver(res.differential(i + 1), res.rank(i))
+            kernel_solver = A.span_solver(di)
+        solver = A.span_solver(res.differential(i + 1))
         for v in kernel_solver.kernel():
             if not solver.contains(v):
                 raise VerificationFailed(
@@ -480,11 +479,9 @@ def verify_resolution(res: FreeResolution) -> Cert:
     return res.cert
 
 
-def syzygy_module(A: AugmentedAlgebra, columns, nrows=None):
-    """Generators of the syzygies of the given columns over A, pruned and
-    exactly verified, with the certificate of the search (A.cert)."""
-    if nrows is None:
-        nrows = len(columns[0]) if columns else 0
-    out = _syzygies(A, columns, nrows)
+def syzygy_module(A: AugmentedAlgebra, columns):
+    """Generators of the syzygies over A of columns of one length, pruned
+    and exactly verified, with the certificate of the search (A.cert)."""
+    out = _syzygies(A, columns)
     _check_d_squared(A, columns, out, 1)
     return out, A.cert

@@ -1,3 +1,4 @@
+import random
 import sys
 import threading
 from collections import Counter
@@ -13,12 +14,14 @@ from congrmod import (Dvr, FpModule, PolyRing, build_algebra,
                       numerical_criterion, psi, psi_direct_codim0, psi_raw,
                       regularity_at_lambda, resolve_O, serre_check,
                       symbolic_power_test, deformation_step, analyze)
+from congrmod.cli import random_grammar_algebra
+from congrmod.config import EngineConfig
 from congrmod.congruence import RegularityWarning
 from congrmod import congruence, omodule
 from congrmod.dvr import INF, IdealO
-from congrmod.errors import (InconsistentCodim, InputError, InSymbolicSquare,
-                             NotRegularAtAugmentation, NotSameCodim,
-                             ZeroDivisorSuspected)
+from congrmod.errors import (EngineError, InconsistentCodim, InputError,
+                             InSymbolicSquare, NotRegularAtAugmentation,
+                             NotSameCodim, ZeroDivisorSuspected)
 from congrmod.probfile import load_problem
 from conftest import (make_An, make_depth_zero_example, make_hypersurface_2var,
                       make_ring_B)
@@ -706,13 +709,50 @@ def test_strategy_independence_power_series(q, n):
         assert values[0] == values[1], (q, n, k)
 
 
-def _unpruned_kernel(A, columns, nrows, relations=()):
+_AGREEMENT_BASES = {"Z_(2)": lambda: Dvr.p_adic(2), "Z_(5)": lambda: Dvr.p_adic(5),
+                    "F_4[[t]]": lambda: Dvr.power_series(4)}
+
+
+def _eta_psi(dvr, seed, degree):
+    """(eta, psi) of the ring over itself, for the random grammar algebra
+    of seed at search degree degree, or None when a cap or a refusal ends
+    the run; and whether the algebra is module-finite."""
+    config = EngineConfig(search_degree=degree)
+    A = random_grammar_algebra(dvr, random.Random(seed), config=config)
+    try:
+        res = resolve_O(A)
+        eta_value, _ = eta_raw(A, None, A.codim, res)
+        psi_value, _, _ = psi_raw(A, None, A.codim, res)
+    except EngineError:
+        return None, A.is_module_finite
+    return (eta_value.exponent, psi_value.signature), A.is_module_finite
+
+
+@pytest.mark.parametrize("base", sorted(_AGREEMENT_BASES))
+def test_eta_psi_agree_across_search_degrees(base):
+    """The bounded regime has an oracle too: random grammar algebras drawn
+    without finite_only give the same eta and psi at search degree 2 and 3
+    wherever both complete, among them algebras that are not
+    module-finite, whose searches are bounded_search."""
+    dvr = _AGREEMENT_BASES[base]()
+    compared = bounded = 0
+    for seed in range(20):
+        (low, finite), (high, _) = (_eta_psi(dvr, seed, d) for d in (2, 3))
+        if low is None or high is None:
+            continue
+        assert low == high, seed
+        compared += 1
+        bounded += not finite
+    assert compared and bounded
+
+
+def _unpruned_kernel(A, columns, relations=()):
     """Reference cocycle search: every distinct nonzero head of the bounded
     kernel of columns + relations, neither pruned nor reduced."""
     cols = list(columns)
     nvar = len(cols)
     cols += list(relations)
-    solver = A.span_solver(cols, nrows)
+    solver = A.span_solver(cols)
     reps = []
     seen = set()
     for v in solver.kernel():

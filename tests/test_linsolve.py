@@ -1,8 +1,11 @@
 """SpanSolver grown with extend() and prune_generators, against solvers built
 afresh, the rebuild-per-keep pruning loop and the pruning loop on
-polynomials; kernel_forms against kernel()."""
+polynomials; kernel_forms against kernel(); absorbers added on demand
+against a reference that holds them in every row."""
 
 import random
+import sys
+import threading
 from fractions import Fraction as F
 from operator import add
 
@@ -14,7 +17,8 @@ from congrmod import Dvr, PolyRing, build_algebra
 from congrmod.config import DEFAULT_CONFIG, EngineConfig
 from congrmod.dvr import RF
 from congrmod.errors import DegreeBoundExceeded
-from congrmod.linsolve import SpanSolver, _max_degree, prune_generators
+from congrmod.linsolve import SpanSolver, prune_generators
+from congrmod.omodule import _Echelon
 from congrmod.poly import MonomialOrder, Poly, monomial_divides, monomials_up_to
 from congrmod.stdbasis import StdBasis, reduce_strong, std_basis
 from conftest import make_An, make_depth_zero_example, make_hypersurface_2var, make_ring_B
@@ -39,8 +43,7 @@ def prune_by_rebuilding(ring, gb_global, vectors, deg_bound):
     for v in vecs:
         if kept:
             if solver is None:
-                solver = SpanSolver(ring, gb_global, kept, nrows, deg_bound,
-                                    _max_degree(vecs))
+                solver = SpanSolver(ring, gb_global, kept, deg_bound)
             if solver.contains(v):
                 continue
         kept.append(v)
@@ -99,7 +102,7 @@ def test_prune_matches_rebuild_per_keep(name):
     for _ in range(2):
         # the staircase degree when A is module-finite, else search degree 1
         bound = max(A.finite.maxdeg, 0) if A.is_module_finite else 1
-        solver = SpanSolver(ring, gb, prev, nrows, bound)
+        solver = SpanSolver(ring, gb, prev, bound)
         vecs = solver.kernel()
         kept = _prune(gb, vecs, 1)
         assert kept == prune_by_rebuilding(ring, gb, vecs, 1)
@@ -122,10 +125,10 @@ def test_extended_solver_matches_fresh_solver(name):
     A = ALGEBRAS[name]()
     rng = random.Random(7)
     columns = _random_vectors(A, rng, 2, 3)[:4]
-    fresh = SpanSolver(A.ring, A.gb_global, columns, 2, 1, 3)
-    grown = SpanSolver(A.ring, A.gb_global, columns[:1], 2, 1, 3)
+    fresh = SpanSolver(A.ring, A.gb_global, columns, 1)
+    grown = SpanSolver(A.ring, A.gb_global, columns[:1], 1)
     for col in columns[1:]:
-        grown.extend(A.gb_global.int_form(col), 1)
+        grown.extend(A.gb_global.int_form(col))
     targets = _random_vectors(A, rng, 2, 6)
     for target in targets:
         inside = grown.contains(target)
@@ -191,15 +194,18 @@ def _multipliers(gb, ring, bound):
             if not any(monomial_divides(e, u) for e in leads)]
 
 
-def _fraction_expansion(gb, ring, columns, nrows, bound, absorb):
+def _fraction_expansion(gb, ring, columns, bound, absorb, rows=None):
     """The row index and the column vectors of a SpanSolver's system, in
-    the order SpanSolver.__init__ expands them."""
+    the order SpanSolver.__init__ expands them: absorbers up to degree
+    absorb in each row that a column touches (in each of rows, if given)."""
     row_index, vecs = {}, []
     for col in columns:
         for u in _multipliers(gb, ring, bound):
             vecs.append(_fraction_vector(gb, ring, col, u, row_index))
+    if rows is None:
+        rows = sorted({i for col in columns for i, p in enumerate(col) if p.terms})
     if not gb.linear:
-        for i in range(nrows):
+        for i in rows:
             for g in gb.gens:
                 for u in monomials_up_to(ring.nvars, absorb - g.degree()):
                     unit = (ring.zero,) * i + (g,)
@@ -288,9 +294,9 @@ def test_integer_expansion_matches_fraction_expansion(base, name, data):
     nrows = data.draw(st.integers(1, 2))
     bound = data.draw(st.integers(0, 2))
     columns = data.draw(st.lists(_poly_vectors(ring, nrows, 2), min_size=1, max_size=3))
-    solver = SpanSolver(ring, gb, columns, nrows, bound)
-    absorb = bound + _max_degree(columns)
-    row_index, vecs = _fraction_expansion(gb, ring, columns, nrows, bound, absorb)
+    solver = SpanSolver(ring, gb, columns, bound)
+    absorb = bound + _degree(columns)
+    row_index, vecs = _fraction_expansion(gb, ring, columns, bound, absorb)
     assert list(solver.row_index.items()) == list(row_index.items())
     assert len(solver.sparse_cols) == len(vecs)
     for got, want in zip(solver.sparse_cols, vecs):
@@ -322,7 +328,7 @@ def test_skipped_multiples_lie_in_the_span(base, name, data):
     nrows = data.draw(st.integers(1, 2))
     bound = data.draw(st.integers(0, 3))
     columns = data.draw(st.lists(_poly_vectors(ring, nrows, 2), min_size=1, max_size=2))
-    solver = SpanSolver(ring, gb, columns, nrows, bound)
+    solver = SpanSolver(ring, gb, columns, bound)
     kept = _multipliers(gb, ring, bound)
     assert [u for _, _, u in solver.meta[:len(kept)]] == kept
     skipped = [u for u in monomials_up_to(ring.nvars, bound) if u not in kept]
@@ -343,12 +349,141 @@ def test_integer_expansion_joins_table_denominators(base):
     P = ring.parse
     columns = [(P("x + x^2 + y"), P("x^2 + x^4")), (P("x*y"), P("7*x^3"))]
     assert gb.linear
-    solver = SpanSolver(ring, gb, columns, 2, 2)
-    row_index, vecs = _fraction_expansion(gb, ring, columns, 2, 2, None)
+    solver = SpanSolver(ring, gb, columns, 2)
+    row_index, vecs = _fraction_expansion(gb, ring, columns, 2, None)
     assert list(solver.row_index.items()) == list(row_index.items())
     assert 49 in [den for _, den in solver.sparse_cols]
     for got, want in zip(solver.sparse_cols, vecs, strict=True):
         _assert_same_vector(ring.dvr, got, want)
+
+
+# ---------------------------------------------------------------------------
+# absorbers added on demand
+
+def _absorber_basis(base, name):
+    """D and E of EXPANSION_RELATIONS, and O[x, y]/(pi*x)."""
+    if name != "pi*x":
+        return _expansion_basis(base, name)
+    key = (base, name)
+    if key not in _EXPANSION_BUILT:
+        ring = PolyRing(EXPANSION_BASES[base], ("x", "y"))
+        gb = std_basis([ring.parse("pi*x")], MonomialOrder("global_degrevlex"))
+        _EXPANSION_BUILT[key] = ring, gb
+    return _EXPANSION_BUILT[key]
+
+
+def _degree(vectors):
+    return max([0] + [p.degree() for v in vectors for p in v])
+
+
+def _reference_contains(gb, ring, columns, bound, target):
+    """Membership through an _Echelon over the Fraction expansion that
+    holds absorbers in every row, to degree bound plus the larger of the
+    target's and the columns' degrees."""
+    dvr = ring.dvr
+    absorb = bound + _degree(columns + [target])
+    row_index, vecs = _fraction_expansion(gb, ring, columns, bound, absorb,
+                                          range(len(target)))
+    rhs = _fraction_vector(gb, ring, target, None, row_index)
+    if rhs is None:
+        return False
+    return _Echelon(dvr, [dvr.split(v) for v in vecs]).reduce(dvr.split(rhs)) is not None
+
+
+@st.composite
+def _absorber_targets(draw, ring, gb, columns, bound):
+    """Targets for a solver of columns: multiples of a column plus an
+    element of I of higher degree than the columns, elements of I alone
+    (in any row, the rows no column touches among them), and drawn
+    vectors."""
+    nrows = len(columns[0])
+    col = draw(st.sampled_from(columns))
+    out = []
+    for _ in range(draw(st.integers(1, 3))):
+        g = draw(st.sampled_from(gb.gens))
+        e = draw(st.sampled_from(monomials_up_to(ring.nvars, 3)))
+        i = draw(st.integers(0, nrows - 1))
+        zero_in_A = g * Poly(ring, {e: draw(_coefficients(ring.dvr))})
+        unit = (ring.zero,) * i + (zero_in_A,) + (ring.zero,) * (nrows - 1 - i)
+        u = draw(st.sampled_from(monomials_up_to(ring.nvars, bound)))
+        out += [unit, tuple(a + b for a, b in zip(_multiple(ring, col, u), unit))]
+    out += draw(st.lists(_poly_vectors(ring, nrows, 3), max_size=2))
+    return draw(st.permutations(out))
+
+
+@pytest.mark.parametrize("name", ["D", "E", "pi*x"])
+@pytest.mark.parametrize("base", ["Z_(2)", "Z_(3)", "Z_(5)"])
+@given(data=st.data())
+@settings(max_examples=10, deadline=None)
+def test_absorbers_added_on_demand(base, name, data):
+    """A solver over a basis with absorbers adds them as its columns and
+    targets call for, and contains() and solve() agree with a reference
+    that holds them in every row to the target's degree: for targets in
+    rows no column touches, and of higher degree than the columns, asked
+    of one solver in turn, so that later targets meet absorbers of earlier
+    ones."""
+    ring, gb = _absorber_basis(base, name)
+    assert not gb.linear
+    nrows = data.draw(st.integers(1, 2))
+    bound = data.draw(st.integers(0, 2))
+    columns = data.draw(st.lists(_poly_vectors(ring, nrows, 2), min_size=1, max_size=2))
+    if nrows == 2 and data.draw(st.booleans()):
+        columns = [(col[0], ring.zero) for col in columns]  # row 1 untouched
+    solver = SpanSolver(ring, gb, columns, bound)
+    for target in data.draw(_absorber_targets(ring, gb, columns, bound)):
+        inside = _reference_contains(gb, ring, columns, bound, target)
+        assert solver.contains(target) == inside
+        a = solver.solve(target)
+        assert (a is not None) == inside
+        if inside:
+            for r in range(nrows):
+                total = -target[r]
+                for aj, col in zip(a, columns):
+                    assert aj.degree() <= bound
+                    total = total + aj * col[r]
+                assert all(ring.dvr.val(c) >= 0 for c in total.terms.values())
+                assert gb.nf(total).is_zero
+
+
+def test_threads_share_one_absorbing_solver():
+    """Threads asking one solver over O[x, y]/(pi*x) about targets that
+    call for absorbers (of higher degree than the column, in a row it does
+    not touch) get the answers a solver asked in turn gives."""
+    ring, gb = _absorber_basis("Z_(3)", "pi*x")
+    P = ring.parse
+    columns = [(P("x + y"), ring.zero)]
+    targets = [(P(f"pi*x^{k}"), ring.zero) for k in range(1, 7)]
+    targets += [(ring.zero, P(f"pi*x*y^{k}")) for k in range(4)]
+    targets += [(P("x^5"), ring.zero), (P("y^2 + x*y"), P("y"))]
+    want = [SpanSolver(ring, gb, columns, 1).contains(t) for t in targets]
+    assert any(want) and not all(want)
+    old = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        for _ in range(5):
+            solver = SpanSolver(ring, gb, columns, 1)
+            solver.kernel()  # the echelon exists before the threads start
+            start = threading.Barrier(4)
+            got, errors = [], []
+
+            def work(order):
+                try:
+                    start.wait(timeout=60)
+                    answers = {k: solver.solve(targets[k]) is not None for k in order}
+                    got.append([answers[k] for k in range(len(targets))])
+                except Exception as exc:  # pragma: no cover
+                    errors.append(exc)
+
+            orders = [list(range(len(targets)))[::step] for step in (1, -1)] * 2
+            threads = [threading.Thread(target=work, args=(o,)) for o in orders]
+            for t in threads:
+                t.start()
+            for t in threads:
+                t.join(timeout=120)
+            assert not any(t.is_alive() for t in threads)
+            assert not errors and got == [want] * 4
+    finally:
+        sys.setswitchinterval(old)
 
 
 # ---------------------------------------------------------------------------
@@ -368,26 +503,26 @@ def test_valuation_cap_in_span_solver():
     gb = std_basis([P("x^2 - pi^3*x"), P("y^2")], order, cfg)
     assert gb.linear
     cap = "coefficient valuation cap 5 exceeded"
-    SpanSolver(R, gb, [(P("pi^3*x"),)], 1, 0)  # pi^3*x itself is fine
+    SpanSolver(R, gb, [(P("pi^3*x"),)], 0)  # pi^3*x itself is fine
     for col, bound in [(P("pi^3*x"), 1),  # x * pi^3*x -> pi^6*x
                        (P("pi^6*y^2"), 0)]:  # a zero normal form
         with pytest.raises(DegreeBoundExceeded, match=cap):
-            SpanSolver(R, gb, [(col,)], 1, bound)
-        solver = SpanSolver(R, gb, [(P("x"),)], 1, 1)
+            SpanSolver(R, gb, [(col,)], bound)
+        solver = SpanSolver(R, gb, [(P("x"),)], bound)
         with pytest.raises(DegreeBoundExceeded, match=cap):
-            solver.extend(gb.int_form((col,)), bound)
-    solver = SpanSolver(R, gb, [(P("x"),)], 1, 1)
+            solver.extend(gb.int_form((col,)))
+    solver = SpanSolver(R, gb, [(P("x"),)], 1)
     for target in [P("pi^3*x^2"), P("pi^6*x"), P("x + pi^6*y^2")]:
         for query in (solver.contains, solver.solve):
             with pytest.raises(DegreeBoundExceeded, match=cap):
                 query((target,))
     # x/pi + pi^5*y: numerators 1 and 5^6 over 5, every entry within the cap
     mixed = (P("x").scale(F(1, 5)) + P("pi^5*y"),)
-    assert SpanSolver(R, gb, [mixed], 1, 0).contains(mixed)
+    assert SpanSolver(R, gb, [mixed], 0).contains(mixed)
     for absorber in (StdBasis(R, order, [], [], cfg),
                      std_basis([P("pi*x")], order, cfg)):
         with pytest.raises(DegreeBoundExceeded, match=cap):
-            SpanSolver(R, absorber, [(P("pi^6*y"),)], 1, 0)
+            SpanSolver(R, absorber, [(P("pi^6*y"),)], 0)
 
 
 # ---------------------------------------------------------------------------
@@ -411,10 +546,9 @@ def prune_on_polys(ring, gb_global, vectors, deg_bound):
     solver = None
     for v in vecs[1:]:
         if solver is None:
-            solver = SpanSolver(ring, gb_global, kept, len(v), deg_bound,
-                                _max_degree(vecs))
+            solver = SpanSolver(ring, gb_global, kept, deg_bound)
         elif solver.ncols < len(kept):
-            solver.extend(gb_global.int_form(kept[-1]), deg_bound)
+            solver.extend(gb_global.int_form(kept[-1]))
         if not solver.contains(v):
             kept.append(v)
     return kept
@@ -479,7 +613,7 @@ def test_kernel_forms_are_the_kernel_heads(name):
     gb = A.gb_global
     gens = [(g,) for g in A.p_gens()]
     n = len(gens)
-    solver = A.span_solver(gens + [(f,) for f in A.relations], 1)
+    solver = A.span_solver(gens + [(f,) for f in A.relations])
     want = []
     for v in solver.kernel():
         if any(p.terms for p in v[:n]) and v[:n] not in want:
