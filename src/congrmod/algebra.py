@@ -187,13 +187,10 @@ class AugmentedAlgebra:
             return max(self.finite.maxdeg, 0)
         return self.config.search_degree
 
-    def span_solver(self, columns, per_bounds=None):
+    def span_solver(self, columns):
         """The A-span of the columns, searched at the algebra's bound (its
-        certificate is A.cert).  A None in per_bounds takes that bound."""
-        b = self._search_bound
-        if per_bounds is not None:
-            per_bounds = [b if x is None else x for x in per_bounds]
-        return SpanSolver(self.ring, self.gb_global, columns, b, per_bounds)
+        certificate is A.cert)."""
+        return SpanSolver(self.ring, self.gb_global, columns, self._search_bound)
 
     # -- derived algebras --
     def quotient_by(self, f: Poly) -> "AugmentedAlgebra":

@@ -2,12 +2,13 @@
 
 For O-valued coefficients the Hom complex of a resolution has augmented
 differentials over O and cohomology is pure Smith-form linear algebra.  For
-module coefficients, the cocycles are pruned A-generators from the one
-kernel over A (resolution._syzygies, with the relations of M as relation
-columns), and the relations among their classes come from one bounded
-class solver; since every Ext class here is killed by the augmentation
-ideal, evaluating an A-presentation of the cohomology under the
-augmentation presents it over O.
+module coefficients, every Ext class is killed by the augmentation ideal,
+so Ext needs O-generators modulo the coboundaries, not A-generators: the
+cocycle heads come from one kernel solver over A (with the relations of M
+as relation columns), and one bounded class solver on the coboundary and
+relation columns keeps each head outside its span as a representative,
+at multiplier bound 0.  The constant coordinates of the representatives
+in that solver's kernel present Ext over O.
 """
 
 from __future__ import annotations
@@ -41,9 +42,12 @@ class RegularityWarning(UserWarning):
 class ExtModule:
     """One Ext^i_A(O, M), kept on its resolution and holding no reference
     back; ext_module hands every caller the same one, read-only once built.
-    _coords maps a cocycle to its coordinates on reps (None when it is out
-    of their reach): the cocycle echelon for M = O, the class solver for
-    any other M, and none when Ext is zero."""
+    reps are O-generators of the cocycles modulo the coboundaries: a basis
+    of the cocycle lattice for M = O, and for any other M the cocycle heads
+    that the class solver kept, in kernel order.  _coords maps a cocycle
+    to its coordinates on reps (None when it is out of their reach): the
+    cocycle echelon for M = O, the class solver for any other M, and none
+    when Ext is zero."""
 
     degree: int
     structure: FinOModule
@@ -147,10 +151,16 @@ def _relation_block(zero, M, width):
 
 
 def _ext_general(A, M, i, res):
-    """Ext^i(O, M) on cocycles that are pruned A-generators, from the one
-    kernel over A.  p kills every class, so the class solver (which also
-    gives the coordinates of later classes) gives them constant multipliers
-    and only the coboundary and relation columns polynomial ones."""
+    """Ext^i(O, M) on cocycles pruned over O, modulo the coboundaries, in
+    one class solver.  The cocycle heads are the kernel over A of the
+    precompositions with d_(i+1) and the relations of M (every vector of
+    O^(g r_i) when r_(i+1) = 0).  The class solver holds the coboundary
+    and relation columns at the algebra's bound and grows by each head
+    outside its span with multiplier bound 0; those heads are the reps.
+    The dropped heads lie in the O-span of the reps plus the coboundaries,
+    so the module presented is the one every head would present.  p kills
+    every class, so a rep's coordinates in the kernel, and in the
+    coordinates of later classes, are constants."""
     ring = A.ring
     g = M.gens
     r_i = res.rank(i)
@@ -160,33 +170,37 @@ def _ext_general(A, M, i, res):
         return ExtModule(i, FinOModule.zero(dvr), [], res.cert)
     zero = ring.zero
     cert = res.cert.merge(A.cert)
+    gb = A.gb_global
+    n = g * r_i
 
-    # cocycles: psi with psi . d_(i+1) = 0 in M^(r_(i+1))
+    # cocycle heads: psi with psi . d_(i+1) = 0 in M^(r_(i+1)); the kernel
+    # solver is dropped once its kernel is read
     if r_n == 0:
-        reps = [tuple(ring.one if t == s else zero for t in range(g * r_i))
-                for s in range(g * r_i)]
+        heads = [gb.int_form(tuple(ring.one if t == s else zero for t in range(n)))
+                 for s in range(n)]
     else:
-        reps = _syzygies(A, _hom_block(zero, g, res.differential(i + 1), r_i),
-                         relations=_relation_block(zero, M, r_n))
+        heads = A.span_solver(
+            _hom_block(zero, g, res.differential(i + 1), r_i)
+            + _relation_block(zero, M, r_n)).kernel_forms(n)
 
     # coboundaries, then the relations of M in each of the r_i slots
     cob = []
     if i > 0 and res.rank(i - 1):
         cob = _hom_block(zero, g, res.differential(i), res.rank(i - 1))
-    pblocks = _relation_block(zero, M, r_i)
-
-    all_cols = list(reps) + cob + pblocks
-    s = len(reps)
-    if s == 0:
+    class_solver = A.span_solver(cob + _relation_block(zero, M, r_i))
+    base = class_solver.ncols
+    reps = []
+    for rows, den in class_solver.grow(heads, 0):
+        v = gb.polys(rows, den, n)
+        reps.append(v if gb.linear else tuple(A.nf(p) for p in v))
+    if not reps:
         return ExtModule(i, FinOModule.zero(dvr), [], cert)
-    per_bounds = [0] * s + [None] * (len(all_cols) - s)
-    class_solver = A.span_solver(all_cols, per_bounds=per_bounds)
-    coeffs = ([A.lam(x) for x in v[:s]] for v in class_solver.kernel())
-    structure = FinOModule.from_presentation(dvr, [c for c in coeffs if any(c)], s)
+    structure = FinOModule.from_presentation(
+        dvr, class_solver.kernel_constants(base), len(reps))
 
     def coords(w):
         sol = class_solver.solve(w)
-        return None if sol is None else [A.lam(sol[j]) for j in range(s)]
+        return None if sol is None else [A.lam(x) for x in sol[base:]]
 
     return ExtModule(i, structure, reps, cert, coords)
 

@@ -298,10 +298,15 @@ class RF:
         if not num:
             self.shift, self.num, self.den = 0, num, one
             return
+        a = num.order()
+        num = num >> a
+        if den.c == one.c:  # already in lowest terms: no gcd to take
+            self.shift, self.num, self.den = shift + a, num, den
+            return
         if not den:
             raise ZeroDivisionError("zero denominator")
-        a, b = num.order(), den.order()
-        num, den = num >> a, den >> b
+        b = den.order()
+        den = den >> b
         g = den.gcd(num) * FqPoly(field, (den.c[0],))
         self.shift, self.num, self.den = shift + a - b, num // g, den // g
 
@@ -344,8 +349,10 @@ class RF:
 
     __radd__ = __add__
 
-    def __neg__(self):
-        return RF(self.field, self.shift, -self.num, self.den)
+    def __neg__(self):  # -num keeps num(0) != 0 and the lowest terms
+        out = RF.__new__(RF)
+        out.field, out.shift, out.num, out.den = self.field, self.shift, -self.num, self.den
+        return out
 
     def __sub__(self, other):
         other = self._coerce(other)

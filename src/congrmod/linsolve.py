@@ -22,11 +22,13 @@ numerators over one denominator) from the kernel to the membership test.
 kernel_forms() cuts each kernel vector to its first n coordinates, brings it
 to lowest terms and drops repeats on integer keys; prune_generators orders
 such candidates and keeps each one outside the span of those kept before
-it, in one solver grown with extend().  Polynomials are built
-(StdBasis.polys) only for the vectors a caller keeps.  Completeness holds
-only up to the multiplier degree bound; callers supply bounds that are
-provably sufficient for module-finite algebras and record a bounded
-certification status otherwise.
+it, in one solver grown with extend().  grow() keeps, in the order given,
+each candidate outside the span of a solver's columns and of those kept
+before it, which Ext uses to prune cocycles modulo coboundaries.
+Polynomials are built (StdBasis.polys) only for the vectors a caller
+keeps.  Completeness holds only up to the multiplier degree bound; callers
+supply bounds that are provably sufficient for module-finite algebras and
+record a bounded certification status otherwise.
 """
 
 from __future__ import annotations
@@ -52,26 +54,25 @@ class SpanSolver:
     so one instance answers kernel(), solve() and contains() for many
     targets.  The valuation cap holds for each column's coefficients and
     for every expanded entry; the degree cap is checked as the basis's
-    table fills.  extend() adds a column; only the solver's owner calls it,
-    never a solver shared by later readers.  When gb's normal forms are not
-    O-linear, the solver adds the absorber columns g * e_i * u in every row
-    a column or a target touches, to degree deg_bound plus the largest
-    column or target degree seen (a target's once it reads as outside).
+    table fills.  extend() adds a column at a multiplier bound of its own,
+    and grow() each of several that lies outside the span; only the
+    solver's owner calls them, never a solver shared by later readers.
+    When gb's normal forms are not O-linear, the solver adds the absorber
+    columns g * e_i * u in every row a column or a target touches, to
+    degree deg_bound plus the largest column or target degree seen (a
+    target's once it reads as outside).
     These suffice: a strong standard basis over a DVR, under a
     degree-compatible order, writes f in I of degree <= d as sum q_i g_i
     with deg(q_i g_i) <= d (Adams and Loustaunau, GSM 3, Ch. 4).
     """
 
-    def __init__(self, ring, gb, columns, deg_bound, per_bounds=None):
-        columns = list(columns)
+    def __init__(self, ring, gb, columns, deg_bound):
         self.ring = ring
         self.dvr = ring.dvr
         self.gb = gb
         self.deg_bound = deg_bound
         self._echelon = None
-        bounds = per_bounds if per_bounds is not None else \
-            [deg_bound] * len(columns)
-        self._check_bound(max(bounds, default=deg_bound))  # extend() uses deg_bound
+        self._check_bound(deg_bound)
         self.row_index = {}
         self.sparse_cols = []
         self.meta = []  # ("var", j, exps) | ("abs", i, exps) per echelon column
@@ -79,8 +80,8 @@ class SpanSolver:
         self._absorbed, self._top = set(), 0  # absorbed rows; degree seen
         self._lock = threading.Lock()  # a query may extend the echelon
         forms = [gb.int_form(col) for col in columns]
-        for form, bound in zip(forms, bounds):
-            self._add(form, bound)
+        for form in forms:
+            self._add(form, deg_bound)
         self._absorb([row for rows, _, _ in forms for row in rows])
 
     def _check_bound(self, degree):
@@ -125,13 +126,30 @@ class SpanSolver:
             for vec in vecs:
                 self._echelon.extend(vec)
 
-    def extend(self, form):
+    def extend(self, form, bound):
         """Add a column, given as its int_form, with multipliers of degree
-        <= deg_bound.  Only its multiples, and the absorbers it calls for,
-        are expanded, and each is appended to the one echelon."""
+        <= bound (at most deg_bound, which sizes the absorbers).  Only its
+        multiples, and the absorbers it calls for, are expanded, and each
+        is appended to the one echelon."""
         self._absorb(form[0])
         self._ech()
-        self._add(form, self.deg_bound)
+        self._add(form, bound)
+
+    def grow(self, forms, bound):
+        """Walk forms, int_forms of columns, in order, and extend the
+        solver, with multipliers of degree <= bound, by each one whose
+        expansion by gb lies outside the span so far; an empty expansion
+        (zero in A) lies inside.  Returns the expansion (rows, den) of each
+        column added, in order.  Membership in an O-span does not depend on
+        the echelon's basis, so the columns added are those a solver built
+        afresh on the ones before would add."""
+        kept = []
+        for form in forms:
+            rows, den = self.gb.expand(form)
+            if not self._holds(rows, den):
+                self.extend(form, bound)
+                kept.append((rows, den))
+        return kept
 
     def _vector(self, rows, den, grow=False):
         """An expansion by gb in the echelon's form, (numerators by row,
@@ -198,6 +216,25 @@ class SpanSolver:
         """Generators of {a : sum a_j col_j = 0 mod I}, without repeats."""
         return [self.gb.polys(rows, den, self.ncols)
                 for rows, den in self._heads(self.ncols)]
+
+    def kernel_constants(self, start):
+        """The kernel's coordinates on the columns from start on, each of
+        which entered with bound 0, so that its coordinate is a constant:
+        one list of them per kernel vector, in K, read off the echelon's
+        integer form with no polynomial built; lists of zeros are dropped."""
+        meta, zero = self.meta, self.dvr.zero
+        width = self.ncols - start
+        out = []
+        for num, den in self._ech().kernel_split():
+            coords = {}
+            for cid, x in num.items():
+                kind, j, _ = meta[cid]
+                if kind == "var" and j >= start:
+                    coords[j - start] = x
+            if coords:
+                coords = self.dvr.join(coords, den)
+                out.append([coords.get(j, zero) for j in range(width)])
+        return out
 
     def kernel_forms(self, n):
         """The kernel cut to its first n coordinates, nonzero and without
@@ -282,7 +319,7 @@ def prune_generators(gb, forms, nrows, deg_bound):
                 solver = SpanSolver(ring, gb, [], deg_bound)
                 solver._absorb([row for rows, _, _ in forms for row in rows])
             for j, _, _ in kept[solver.ncols:]:
-                solver.extend(forms[j])
+                solver.extend(forms[j], deg_bound)
         rows, den = gb.expand(forms[k])
         if kept and solver._holds(rows, den):
             continue

@@ -304,9 +304,11 @@ def _regular_sequence_check(A):
 # syzygy strategy
 
 def _syzygies(A, columns, relations=()):
-    """The one kernel over A: pruned generators, in normal form, of the
+    """The one kernel over A with pruned A-generators: in normal form, the
     vectors a with sum a_j columns_j in the A-span of the relation columns,
-    searched at the algebra's bound (so as certain as A.cert).  One solver
+    searched at the algebra's bound (so as certain as A.cert).  The syzygy
+    strategy and syzygy_module pass no relations; deformation_step's
+    annihilator search passes the relations of M.  One solver
     finds the kernel of columns + relations; each kernel vector keeps its
     first len(columns) coordinates, in integer form, and prune_generators
     keeps generators among them.  Only the vectors kept become polynomials:

@@ -4,9 +4,17 @@ import subprocess
 import sys
 
 import pytest
+from hypothesis import settings
 
 from congrmod import Dvr, PolyRing, build_algebra
 from congrmod.config import EngineConfig
+
+# HYPOTHESIS_PROFILE=repro draws the same examples on every run (and reads
+# no example database), so that two timings of the suite run the same
+# tests; without it the property tests draw fresh examples each run.
+settings.register_profile("repro", derandomize=True, database=None)
+if os.environ.get("HYPOTHESIS_PROFILE"):
+    settings.load_profile(os.environ["HYPOTHESIS_PROFILE"])
 
 
 @pytest.fixture

@@ -128,7 +128,7 @@ def test_extended_solver_matches_fresh_solver(name):
     fresh = SpanSolver(A.ring, A.gb_global, columns, 1)
     grown = SpanSolver(A.ring, A.gb_global, columns[:1], 1)
     for col in columns[1:]:
-        grown.extend(A.gb_global.int_form(col))
+        grown.extend(A.gb_global.int_form(col), 1)
     targets = _random_vectors(A, rng, 2, 6)
     for target in targets:
         inside = grown.contains(target)
@@ -510,7 +510,7 @@ def test_valuation_cap_in_span_solver():
             SpanSolver(R, gb, [(col,)], bound)
         solver = SpanSolver(R, gb, [(P("x"),)], bound)
         with pytest.raises(DegreeBoundExceeded, match=cap):
-            solver.extend(gb.int_form((col,)))
+            solver.extend(gb.int_form((col,)), bound)
     solver = SpanSolver(R, gb, [(P("x"),)], 1)
     for target in [P("pi^3*x^2"), P("pi^6*x"), P("x + pi^6*y^2")]:
         for query in (solver.contains, solver.solve):
@@ -548,7 +548,7 @@ def prune_on_polys(ring, gb_global, vectors, deg_bound):
         if solver is None:
             solver = SpanSolver(ring, gb_global, kept, deg_bound)
         elif solver.ncols < len(kept):
-            solver.extend(gb_global.int_form(kept[-1]))
+            solver.extend(gb_global.int_form(kept[-1]), deg_bound)
         if not solver.contains(v):
             kept.append(v)
     return kept

@@ -50,8 +50,9 @@ def test_tracer_reads_span_solver(tmp_path, capsys):
 
 
 def test_tracer_on_absorber_solvers():
-    """D's solvers hold absorbers, and Ext with coefficients in D builds its
-    class solver with per_bounds; the tracer reads both constructors."""
+    """D's solvers hold absorbers, and Ext with coefficients in D grows its
+    class solver with extend() by representatives at multiplier bound 0;
+    the tracer reads every constructor."""
     plain = _analyze_d()
     tracer = Tracer()
     with tracer:
