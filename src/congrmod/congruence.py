@@ -190,7 +190,7 @@ def _ext_general(A, M, i, res):
     class_solver = A.span_solver(cob + _relation_block(zero, M, r_i))
     base = class_solver.ncols
     reps = []
-    for rows, den in class_solver.grow(heads, 0):
+    for _, rows, den in class_solver.grow(heads, 0):
         v = gb.polys(rows, den, n)
         reps.append(v if gb.linear else tuple(A.nf(p) for p in v))
     if not reps:

@@ -20,11 +20,11 @@ system.
 Vectors over A stay in that integer form (StdBasis.int_form: rows of
 numerators over one denominator) from the kernel to the membership test.
 kernel_forms() cuts each kernel vector to its first n coordinates, brings it
-to lowest terms and drops repeats on integer keys; prune_generators orders
-such candidates and keeps each one outside the span of those kept before
-it, in one solver grown with extend().  grow() keeps, in the order given,
-each candidate outside the span of a solver's columns and of those kept
-before it, which Ext uses to prune cocycles modulo coboundaries.
+to lowest terms and drops repeats on integer keys.  grow() is the one
+pruning loop: it keeps each candidate outside the span so far and adds it
+when the solver is next read, so the last one kept is expanded only if
+read.  prune_generators orders candidates and grows an empty solver by
+them; Ext grows its class solver by the cocycles, modulo coboundaries.
 Polynomials are built (StdBasis.polys) only for the vectors a caller
 keeps.  Completeness holds only up to the multiplier degree bound; callers
 supply bounds that are provably sufficient for module-finite algebras and
@@ -55,7 +55,8 @@ class SpanSolver:
     targets.  The valuation cap holds for each column's coefficients and
     for every expanded entry; the degree cap is checked as the basis's
     table fills.  extend() adds a column at a multiplier bound of its own,
-    and grow() each of several that lies outside the span; only the
+    at once, and grow() keeps each of several that lies outside the span
+    and adds it through extend() on the next read (_ech); only the
     solver's owner calls them, never a solver shared by later readers.
     When gb's normal forms are not O-linear, the solver adds the absorber
     columns g * e_i * u in every row a column or a target touches, to
@@ -76,13 +77,19 @@ class SpanSolver:
         self.row_index = {}
         self.sparse_cols = []
         self.meta = []  # ("var", j, exps) | ("abs", i, exps) per echelon column
-        self.ncols = 0
+        self._added = 0  # columns in the system
+        self._pending = []  # (form, bound) per kept column not yet added
         self._absorbed, self._top = set(), 0  # absorbed rows; degree seen
         self._lock = threading.Lock()  # a query may extend the echelon
         forms = [gb.int_form(col) for col in columns]
         for form in forms:
             self._add(form, deg_bound)
         self._absorb([row for rows, _, _ in forms for row in rows])
+
+    @property
+    def ncols(self):
+        """The number of columns, grow()'s pending ones included."""
+        return self._added + len(self._pending)
 
     def _check_bound(self, degree):
         cap = self.gb.config.degree_cap
@@ -92,8 +99,8 @@ class SpanSolver:
     def _add(self, form, bound):
         """Append the multiples of degree <= bound of one more column, given
         as its int_form, to the system."""
-        j = self.ncols
-        self.ncols += 1
+        j = self._added
+        self._added += 1
         self._put(form, [("var", j, u) for u in self.gb.multipliers(bound)])
 
     def _absorb(self, rows):
@@ -110,9 +117,11 @@ class SpanSolver:
         for i in sorted(self._absorbed):
             low = -1 if i in new else self.deg_bound + old
             for g in gb.gens:
-                form, d = gb.int_form((self.ring.zero,) * i + (g,)), g.degree()
+                d = g.degree()
                 us = gb.multipliers(self.deg_bound + self._top - d)
-                self._put(form, [("abs", i, u) for u in us if sum(u) + d > low])
+                meta = [("abs", i, u) for u in us if sum(u) + d > low]
+                if meta:
+                    self._put(gb.int_form((self.ring.zero,) * i + (g,)), meta)
         return True
 
     def _put(self, form, meta):
@@ -136,19 +145,24 @@ class SpanSolver:
         self._add(form, bound)
 
     def grow(self, forms, bound):
-        """Walk forms, int_forms of columns, in order, and extend the
-        solver, with multipliers of degree <= bound, by each one whose
-        expansion by gb lies outside the span so far; an empty expansion
-        (zero in A) lies inside.  Returns the expansion (rows, den) of each
-        column added, in order.  Membership in an O-span does not depend on
-        the echelon's basis, so the columns added are those a solver built
-        afresh on the ones before would add."""
+        """Walk forms, int_forms of columns, in order, and keep each one
+        whose expansion by gb lies outside the span of the solver's columns
+        and of those kept before it; a vector zero in A lies in every span
+        (its expansion is empty, or the absorbers cover it).  A kept column
+        joins the solver, with multipliers of degree <= bound, through
+        extend() the next time the solver is read, so the multiples of the
+        last one are expanded only if the solver is read again.  Returns
+        (index in forms, rows, den) for each column kept, in order, with
+        its expansion: its normal form when gb is linear, the column itself
+        otherwise.  Membership in an O-span does not depend on the
+        echelon's basis, so the columns kept are those a solver built
+        afresh on the ones before would keep."""
         kept = []
-        for form in forms:
+        for k, form in enumerate(forms):
             rows, den = self.gb.expand(form)
             if not self._holds(rows, den):
-                self.extend(form, bound)
-                kept.append((rows, den))
+                self._pending.append((form, bound))
+                kept.append((k, rows, den))
         return kept
 
     def _vector(self, rows, den, grow=False):
@@ -183,6 +197,11 @@ class SpanSolver:
         return rows
 
     def _ech(self):
+        """The echelon, built on first use, once the columns grow() kept
+        are added, each as extend() would have added it when kept."""
+        pending, self._pending = self._pending, []
+        for form, bound in pending:
+            self.extend(form, bound)
         if self._echelon is None:
             self._echelon = _Echelon(self.dvr, self.sparse_cols)
             self.sparse_cols = None  # the echelon takes them over
@@ -267,6 +286,8 @@ class SpanSolver:
         outside the span, once the absorbers it calls for are in."""
         with self._lock:
             while True:
+                if self._pending:
+                    self._ech()  # the kept columns' rows join the index
                 rhs = self._vector(rows, den)
                 out = None if rhs is None else query(self._ech(), rhs)
                 if out is not None or not self._absorb(rows):
@@ -288,18 +309,10 @@ def prune_generators(gb, forms, nrows, deg_bound):
     over the algebra of gb, the vectors given as the int_forms of columns
     of length nrows.  They are tested in the order of their degree, then
     their number of terms, then their rows as strings, which are rendered
-    only inside ties of the first two; the sort is stable.  The first is
-    kept.  Each later one is expanded by gb and kept unless its expansion
-    is empty (zero in A) or lies in the span of the vectors kept.
-
-    One solver serves the call: it is built when the second vector is
-    tested, with the absorbers that all the vectors call for in one batch,
-    and each vector kept is appended to its echelon with SpanSolver.extend
-    before the next one is tested.  Membership in an O-span does not
-    depend on the echelon's basis, so the vectors kept are those a solver
-    built afresh on the kept list would keep.  Returns (index in forms,
-    rows, den) for each vector kept, in order, with its expansion: its
-    normal form when gb is linear, the vector itself otherwise."""
+    only inside ties of the first two; the sort is stable.  One solver,
+    empty at first, grows by them (SpanSolver.grow): each is kept iff it
+    lies outside the span of those kept before it, so a vector zero in A
+    never is.  Returns what grow() returns, indices into forms."""
     ring = gb.ring
     sizes = []
     for rows, _, _ in forms:
@@ -312,16 +325,6 @@ def prune_generators(gb, forms, nrows, deg_bound):
         if len(run) > 1:
             run.sort(key=lambda k: _render(ring, forms[k], nrows))
         order += run
-    kept, solver = [], None
-    for k in order:
-        if kept:
-            if solver is None:
-                solver = SpanSolver(ring, gb, [], deg_bound)
-                solver._absorb([row for rows, _, _ in forms for row in rows])
-            for j, _, _ in kept[solver.ncols:]:
-                solver.extend(forms[j], deg_bound)
-        rows, den = gb.expand(forms[k])
-        if kept and solver._holds(rows, den):
-            continue
-        kept.append((k, rows, den))
-    return kept
+    solver = SpanSolver(ring, gb, [], deg_bound)
+    return [(order[i], rows, den) for i, rows, den
+            in solver.grow([forms[k] for k in order], deg_bound)]

@@ -313,9 +313,8 @@ def _syzygies(A, columns, relations=()):
     first len(columns) coordinates, in integer form, and prune_generators
     keeps generators among them.  Only the vectors kept become polynomials:
     the expansion pruning made of each is its normal form when the basis
-    is linear, and reduce_strong (A.nf) gives it otherwise.  Pruning keeps
-    its first vector unconditionally, so a vector zero in A is dropped
-    after."""
+    is linear, and reduce_strong (A.nf) gives it otherwise; none is zero
+    in A, since pruning keeps no vector zero in A."""
     n = len(columns)
     gb = A.gb_global
     # the kernel solver is dropped once its kernel is read
@@ -323,10 +322,7 @@ def _syzygies(A, columns, relations=()):
     out = []
     for _, rows, den in prune_generators(gb, heads, n, A._search_bound):
         v = gb.polys(rows, den, n)
-        if not gb.linear:
-            v = tuple(A.nf(p) for p in v)
-        if any(p.terms for p in v):
-            out.append(v)
+        out.append(v if gb.linear else tuple(A.nf(p) for p in v))
     return out
 
 

@@ -1,7 +1,8 @@
 """SpanSolver grown with extend() and prune_generators, against solvers built
 afresh, the rebuild-per-keep pruning loop and the pruning loop on
-polynomials; kernel_forms against kernel(); absorbers added on demand
-against a reference that holds them in every row."""
+polynomials; the columns grow() keeps, added when the solver is next
+read; kernel_forms against kernel(); absorbers added on demand against a
+reference that holds them in every row."""
 
 import random
 import sys
@@ -20,12 +21,14 @@ from congrmod.errors import DegreeBoundExceeded
 from congrmod.linsolve import SpanSolver, prune_generators
 from congrmod.omodule import _Echelon
 from congrmod.poly import MonomialOrder, Poly, monomial_divides, monomials_up_to
+from congrmod.resolution import _syzygies
 from congrmod.stdbasis import StdBasis, reduce_strong, std_basis
 from conftest import make_An, make_depth_zero_example, make_hypersurface_2var, make_ring_B
 
 
 def prune_by_rebuilding(ring, gb_global, vectors, deg_bound):
-    """Greedy removal of vectors lying in the span of the ones kept; the
+    """Greedy removal of vectors lying in the span of the ones kept (the
+    first too, when the empty solver contains it: zero in A); the
     membership oracle is rebuilt only when a vector is actually kept, and
     candidates in between reuse its echelon."""
 
@@ -34,18 +37,13 @@ def prune_by_rebuilding(ring, gb_global, vectors, deg_bound):
                 sum(len(p.terms) for p in v),
                 tuple(str(p) for p in v))
 
-    vecs = sorted(vectors, key=sort_key)
-    if not vecs:
-        return []
-    nrows = len(vecs[0])
     kept = []
     solver = None
-    for v in vecs:
-        if kept:
-            if solver is None:
-                solver = SpanSolver(ring, gb_global, kept, deg_bound)
-            if solver.contains(v):
-                continue
+    for v in sorted(vectors, key=sort_key):
+        if solver is None:
+            solver = SpanSolver(ring, gb_global, kept, deg_bound)
+        if solver.contains(v):
+            continue
         kept.append(v)
         solver = None
     return kept
@@ -531,20 +529,17 @@ def test_valuation_cap_in_span_solver():
 def prune_on_polys(ring, gb_global, vectors, deg_bound):
     """The pruning loop as it ran on polynomials: every candidate a Poly
     vector, ordered by degree, number of terms and its rendered rows, and
-    tested with SpanSolver.contains; one solver, grown by the vectors
-    kept."""
+    tested with SpanSolver.contains; one solver, empty at first (so a
+    vector zero in A is never kept), grown by the vectors kept."""
 
     def sort_key(v):
         return (max((p.degree() for p in v), default=-1),
                 sum(len(p.terms) for p in v),
                 tuple(str(p) for p in v))
 
-    vecs = sorted(vectors, key=sort_key)
-    if not vecs:
-        return []
-    kept = vecs[:1]
+    kept = []
     solver = None
-    for v in vecs[1:]:
+    for v in sorted(vectors, key=sort_key):
         if solver is None:
             solver = SpanSolver(ring, gb_global, kept, deg_bound)
         elif solver.ncols < len(kept):
@@ -601,6 +596,101 @@ def test_prune_matches_prune_on_polys(base, name, data):
     for k, rows, den in kept:
         nf = tuple(gb.nf(p) for p in vecs[k]) if gb.linear else vecs[k]
         assert gb.polys(rows, den, nrows) == nf
+
+
+def _count_extends(monkeypatch):
+    """The forms SpanSolver.extend is called with, from now on."""
+    calls, real = [], SpanSolver.extend
+
+    def extend(self, form, bound):
+        calls.append(form)
+        return real(self, form, bound)
+
+    monkeypatch.setattr(SpanSolver, "extend", extend)
+    return calls
+
+
+@pytest.mark.parametrize("name", ["H(2)", "E"])
+def test_prune_never_adds_its_last_kept_vector(name, monkeypatch):
+    """grow() adds a kept column only when the solver is next read, so
+    prune_generators, whose solver no one reads after its last candidate,
+    calls extend() at most len(kept) - 1 times, and never for a single
+    candidate: on H(2) (a linear basis) and E (pi*x, absorbers)."""
+    A = ALGEBRAS[name]()
+    R, gb = A.ring, A.gb_global
+    P, zero = R.parse, R.zero
+    # tested as (1, 0) kept, (pi, 0) and (x, 0) in its span, (0, x + y) kept
+    vecs = [(P("x"), zero), (zero, P("x + y")), (P("pi"), zero), (R.one, zero)]
+    forms = [gb.int_form(v) for v in vecs]
+    calls = _count_extends(monkeypatch)
+    kept = prune_generators(gb, forms, 2, 1)
+    assert [k for k, _, _ in kept] == [3, 1]
+    assert len(calls) <= len(kept) - 1
+    for v in vecs + [(A.relations[0], zero)]:
+        del calls[:]
+        kept = prune_generators(gb, [gb.int_form(v)], 2, 1)
+        assert len(kept) == (v[0] != A.relations[0])
+        assert calls == []
+
+
+@pytest.mark.parametrize("name", list(ALGEBRAS))
+def test_readers_see_the_columns_grow_kept(name):
+    """After grow(), each reader of the solver (ncols, kernel(),
+    kernel_forms(), kernel_constants(), solve() and contains()), the first
+    to read it, answers as on a solver extended by each candidate outside
+    its span as soon as it was tested; both keep the same candidates.  The
+    candidates end with one kept, so that its column is not yet added
+    when the reader comes."""
+    A = ALGEBRAS[name]()
+    ring, gb = A.ring, A.gb_global
+    rng = random.Random(20261020)
+    columns = _random_vectors(A, rng, 2, 2)[:2]
+    candidates = _random_vectors(A, rng, 2, 3)
+    targets = _random_vectors(A, rng, 2, 3)[:6]
+    n = len(columns)
+
+    def eager():
+        solver, kept = SpanSolver(ring, gb, columns, 1), []
+        for k, v in enumerate(candidates):
+            if not solver.contains(v):
+                solver.extend(gb.int_form(v), 0)
+                kept.append(k)
+        return solver, kept
+
+    def grown():
+        solver = SpanSolver(ring, gb, columns, 1)
+        kept = solver.grow([gb.int_form(v) for v in candidates], 0)
+        return solver, [k for k, _, _ in kept]
+
+    candidates = candidates[:eager()[1][-1] + 1]
+    readers = [lambda s: s.ncols, lambda s: s.kernel(),
+               lambda s: s.kernel_forms(n), lambda s: s.kernel_constants(n),
+               lambda s: [s.solve(t) for t in targets],
+               lambda s: [s.contains(t) for t in targets]]
+    for read in readers:
+        (want, want_kept), (got, got_kept) = eager(), grown()
+        assert got_kept == want_kept and got_kept
+        assert read(got) == read(want)
+
+
+@pytest.mark.parametrize("name", ["D", "E"])
+def test_syzygies_keep_no_vector_zero_in_A(name):
+    """Pruning keeps no vector zero in A, so _syzygies returns none, with
+    no filter after it: over two steps of the syzygy resolution of D and
+    E, whose bounded kernels hold many heads zero in A."""
+    A = ALGEBRAS[name]()
+    gb = A.gb_global
+    columns = [(g,) for g in A.p_gens()]
+    for _ in range(2):
+        n = len(columns)
+        heads = [gb.polys(rows, den, n)
+                 for rows, den, _ in A.span_solver(columns).kernel_forms(n)]
+        assert any(all(A.nf(p).is_zero for p in v) for v in heads)
+        out = _syzygies(A, columns)
+        assert out
+        assert all(any(not p.is_zero for p in v) for v in out)
+        assert all(A.nf(p) == p for v in out for p in v)
+        columns = out
 
 
 @pytest.mark.parametrize("name", list(ALGEBRAS))
