@@ -161,7 +161,11 @@ class AugmentedAlgebra:
 
     # -- reduction and membership --
     def nf(self, poly: Poly) -> Poly:
-        """Global-order strong normal form: a canonical representative."""
+        """Global-order strong normal form: an irreducible remainder of
+        poly, zero exactly when poly lies in I.  It is a canonical
+        representative of the class of poly only when every leading
+        coefficient of the basis is a unit: in O[x]/(5x, x^2) over Z_(5),
+        nf(x) is x and nf(6*x) is 6*x, though 5x lies in I."""
         return self.gb_global.nf(poly)
 
     def in_ideal(self, poly: Poly) -> bool:

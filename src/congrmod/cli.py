@@ -202,14 +202,14 @@ def cmd_serre(args):
     return record, 0 if out["verdict"] == "holds" else 1
 
 
-def random_grammar_algebra(dvr, rng, max_vars=3, config=DEFAULT_CONFIG,
-                           finite_only=False):
-    """A random member of C_O(c) by construction: every variable is either
-    cut out at the augmentation (a unit times x_i survives localization) or
-    left free; mixed monomials always touch a cut variable.  With
-    finite_only every variable is cut, so the result is module-finite over
-    the base and its codimension is zero."""
-    n = rng.randint(1, max_vars)
+def random_grammar_algebra(dvr, rng, config=DEFAULT_CONFIG, finite_only=False):
+    """A random member of C_O(c) in one to three variables, by
+    construction: every variable is either cut out at the augmentation (a
+    unit times x_i survives localization) or left free; mixed monomials
+    always touch a cut variable.  With finite_only every variable is cut,
+    so the result is module-finite over the base and its codimension is
+    zero."""
+    n = rng.randint(1, 3)
     ring = PolyRing(dvr, tuple(f"x{i + 1}" for i in range(n)))
     relations = []
     killed = set()

@@ -474,7 +474,7 @@ def numerical_criterion(A: AugmentedAlgebra, M=None, mode="defect0",
         cot = cotangent_invariants(A)
         eta_M, cert = eta_raw(A, MA, c, res)
         psi_M, _, mu = psi_raw(A, MA, c, res)
-        ext_tfree = MA.is_O or not ext_module(A, MA, c, res).structure.torsion_exponents
+        ext_tfree = not ext_module(A, MA, c, res).structure.torsion_exponents
         phi_len = cot.phi.torsion_length
         cond2 = cot.fitt_c.exponent == eta_M.exponent
         cond3 = mu * phi_len == psi_M.torsion_length
@@ -544,19 +544,18 @@ def deformation_step(A: AugmentedAlgebra, M, f: Poly) -> dict:
             "the element lies in the second symbolic power; its cotangent "
             "class is torsion")
     MA = _as_module(A, M)
-    # bounded annihilator search for zero divisors on M: the heads a with
-    # f*a in the relations, each tested against one solver of the relations
-    # (or locally, when M is free)
+    # bounded annihilator search for zero divisors on M: the solver of the
+    # relations keeps none of the heads a with f*a in the relations (when
+    # M is free, the annihilators of f vanish locally)
     g = MA.gens
     zero = A.ring.zero
     cols = [tuple(f if k == l else zero for k in range(g)) for l in range(g)]
     cols_p = [tuple(col) for col in MA.columns]
-    heads = _syzygies(A, cols, relations=cols_p)
-    if heads and cols_p:
-        pres = A.span_solver(cols_p)
-        ok = all(pres.contains(head) for head in heads)
+    if cols_p:
+        heads = A.span_solver(cols + cols_p).kernel_forms(g)
+        ok = not A.span_solver(cols_p).grow(heads, 0)
     else:
-        ok = all(A.in_ideal(p) for head in heads for p in head)
+        ok = all(A.in_ideal(p) for head in _syzygies(A, cols) for p in head)
     if not ok:
         raise ZeroDivisorSuspected(
             "a bounded search found an annihilator of the element on M")
@@ -587,22 +586,23 @@ def deformation_step(A: AugmentedAlgebra, M, f: Poly) -> dict:
 # Serre-type rank structure
 
 def serre_check(A: AugmentedAlgebra, res=None, with_products=False) -> dict:
+    """The free ranks of Ext^i_A(O, O), i <= c + 1 (within the matrices of
+    a file resolution), against comb(c, i): r_i - rho_i - rho_(i+1), rho_i
+    the pivot count of one echelon of the rows of lambda(d_i), so no Ext
+    module is built unless products are asked for."""
     c = A.codim
     if res is None:
         res = resolve_O(A)
-    ranks = []
-    # Ext^0..Ext^(c+1), within the matrices of a file resolution
     top = min(res.length - 1, c + 1) if res.strategy == "file" else c + 1
-    ok = True
-    for i in range(top + 1):
-        ext = ext_module(A, None, i, res)
-        r = ext.structure.free_rank
-        ranks.append(r)
-        if r != comb(c, i):
-            ok = False
-    out = {"ranks": ranks, "expected": [comb(c, i) for i in range(top + 1)],
-           "verdict": "holds" if ok else "fails"}
-    if with_products and ok and c >= 1:
+    rho = [0]
+    for i in range(1, top + 2):
+        rows = [_sparse(A.dvr, row) for row in res.lam_rows(i)]
+        rho.append(len(_Echelon(A.dvr, rows).pivots))
+    ranks = [res.rank(i) - rho[i] - rho[i + 1] for i in range(top + 1)]
+    expected = [comb(c, i) for i in range(top + 1)]
+    out = {"ranks": ranks, "expected": expected,
+           "verdict": "holds" if ranks == expected else "fails"}
+    if with_products and ranks == expected and c >= 1:
         out["product_generates"] = _product_check(A, res, c)
         if not out["product_generates"]:
             out["verdict"] = "fails"
@@ -626,28 +626,24 @@ def _product_check(A, res, c):
     ring = A.ring
     # one solver of d_k per level k, shared by the generators lifted there
     solvers = [A.span_solver(res.differential(k)) for k in range(1, c)]
-    # chain lift of each phi: u_k with d_k u_k = u_(k-1) d_(k+1)
+    # chain lift of each phi: u_k with d_k u_k = u_(k-1) d_(k+1); generator
+    # t composes at level t (0-indexed), so only its u_t is kept
     lifts = []
     for t, w in enumerate(gens):
-        levels_needed = t  # generator t composes at level t (0-indexed)
-        u_prev = [(ring.const(x),) for x in w]  # columns of F_1 -> F_0
-        u_levels = [u_prev]
-        for k in range(1, levels_needed + 1):
+        u = [(ring.const(x),) for x in w]  # columns of F_1 -> F_0
+        for k in range(1, t + 1):
             cols = []
             for col in res.differential(k + 1):
-                target = _apply_columns(ring, u_prev, col)
-                sol = solvers[k - 1].solve(target)
+                sol = solvers[k - 1].solve(_apply_columns(ring, u, col))
                 if sol is None:
                     raise ProductLiftFailed(
                         f"chain lift at level {k} did not complete")
                 cols.append(tuple(sol))
-            u_prev = cols
-            u_levels.append(cols)
-        lifts.append(u_levels)
+            u = cols
+        lifts.append(u)
     # composite F_c -> F_0: u^(0)_0 o u^(1)_1 o ... o u^(c-1)_(c-1)
-    composite = lifts[c - 1][c - 1]
-    for t in range(c - 2, -1, -1):
-        upper = lifts[t][t]
+    composite = lifts[c - 1]
+    for upper in reversed(lifts[:c - 1]):
         composite = [tuple(_apply_columns(ring, upper, col)) for col in composite]
     ext_c = ext_module(A, None, c, res)
     w = [A.lam(col[0]) for col in composite]

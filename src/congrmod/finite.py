@@ -58,10 +58,16 @@ class FiniteStructure:
         """O-relations among the box monomials inside A (nonzero only when
         the quotient has O-torsion, e.g. a relation pi^m * x)."""
         if self._relations is None:
+            n = len(self.box)
             cols = [(Poly(self.ring, {e: self.dvr.one}),) for e in self.box]
             solver = SpanSolver(self.ring, self.gb, cols, 0)
-            self._relations = [[p.constant_value() for p in vec]
-                               for vec in solver.kernel()]
+            out = []
+            for rows, den, _ in solver.kernel_forms(n):
+                # at multiplier bound 0 each row is one constant
+                num = {j: x for j, terms in rows for x in terms.values()}
+                vec = self.dvr.join(num, den)
+                out.append([vec.get(j, self.dvr.zero) for j in range(n)])
+            self._relations = out
         return self._relations
 
     def mult_matrix(self, poly: Poly):

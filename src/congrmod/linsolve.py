@@ -24,7 +24,8 @@ to lowest terms and drops repeats on integer keys.  grow() is the one
 pruning loop: it keeps each candidate outside the span so far and adds it
 when the solver is next read, so the last one kept is expanded only if
 read.  prune_generators orders candidates and grows an empty solver by
-them; Ext grows its class solver by the cocycles, modulo coboundaries.
+them; Ext grows its class solver by the cocycles, modulo coboundaries;
+several vectors lie in a span exactly when grow() keeps none of them.
 Polynomials are built (StdBasis.polys) only for the vectors a caller
 keeps.  Completeness holds only up to the multiplier degree bound; callers
 supply bounds that are provably sufficient for module-finite algebras and
@@ -51,13 +52,14 @@ class SpanSolver:
 
     The columns are expanded once, on construction, by gb (see
     StdBasis.expand); the echelon is built on the first query and reused,
-    so one instance answers kernel(), solve() and contains() for many
-    targets.  The valuation cap holds for each column's coefficients and
-    for every expanded entry; the degree cap is checked as the basis's
-    table fills.  extend() adds a column at a multiplier bound of its own,
-    at once, and grow() keeps each of several that lies outside the span
-    and adds it through extend() on the next read (_ech); only the
-    solver's owner calls them, never a solver shared by later readers.
+    so one instance answers kernel_forms(), kernel_constants(), solve()
+    and contains() for many targets.  The valuation cap holds for each
+    column's coefficients and for every expanded entry; the degree cap is
+    checked as the basis's table fills.  extend() adds a column at a
+    multiplier bound of its own, at once, and grow() keeps each of several
+    that lies outside the span and adds it through extend() on the next
+    read (_ech); only the solver's owner calls them, never a solver shared
+    by later readers.
     When gb's normal forms are not O-linear, the solver adds the absorber
     columns g * e_i * u in every row a column or a target touches, to
     degree deg_bound plus the largest column or target degree seen (a
@@ -207,35 +209,6 @@ class SpanSolver:
             self.sparse_cols = None  # the echelon takes them over
         return self._echelon
 
-    def _heads(self, n):
-        """The kernel vectors cut to their first n coordinates, nonzero and
-        without repeats, in the echelon's order: each as [(j, {exps:
-        numerator})], rows in order, over one denominator in lowest terms,
-        so that equal heads have equal keys."""
-        gcd = self.dvr.gcd
-        out, seen = [], set()
-        for num, den in self._ech().kernel_split():
-            rows = self._cut(num, n)
-            if not rows:
-                continue
-            g = gcd(den, *(x for terms in rows.values() for x in terms.values()))
-            if g != 1:
-                den //= g
-                for terms in rows.values():
-                    for u in terms:
-                        terms[u] //= g
-            rows = sorted(rows.items())
-            key = (den, tuple((j, frozenset(terms.items())) for j, terms in rows))
-            if key not in seen:
-                seen.add(key)
-                out.append((rows, den))
-        return out
-
-    def kernel(self):
-        """Generators of {a : sum a_j col_j = 0 mod I}, without repeats."""
-        return [self.gb.polys(rows, den, self.ncols)
-                for rows, den in self._heads(self.ncols)]
-
     def kernel_constants(self, start):
         """The kernel's coordinates on the columns from start on, each of
         which entered with bound 0, so that its coordinate is a constant:
@@ -256,10 +229,29 @@ class SpanSolver:
         return out
 
     def kernel_forms(self, n):
-        """The kernel cut to its first n coordinates, nonzero and without
-        repeats: the int_form of each as a column of length n, held to the
-        valuation cap."""
-        return [self.gb.form(rows, den) for rows, den in self._heads(n)]
+        """The kernel vectors cut to their first n coordinates, nonzero and
+        without repeats, in the echelon's order: the int_form of each as a
+        column of length n, held to the valuation cap, its rows in order
+        over one denominator in lowest terms, so that equal heads have
+        equal keys."""
+        gcd = self.dvr.gcd
+        out, seen = [], set()
+        for num, den in self._ech().kernel_split():
+            rows = self._cut(num, n)
+            if not rows:
+                continue
+            g = gcd(den, *(x for terms in rows.values() for x in terms.values()))
+            if g != 1:
+                den //= g
+                for terms in rows.values():
+                    for u in terms:
+                        terms[u] //= g
+            rows = sorted(rows.items())
+            key = (den, tuple((j, frozenset(terms.items())) for j, terms in rows))
+            if key not in seen:
+                seen.add(key)
+                out.append(self.gb.form(rows, den))
+        return out
 
     def solve(self, target):
         """Multipliers a with sum a_j col_j = target mod I, or None."""

@@ -280,14 +280,15 @@ def _shamash_resolution(A):
 
 
 def _regular_sequence_check(A):
-    """Bounded Koszul-H1 corroboration: every bounded syzygy of the
-    relations over the ambient ring lies in the span of the trivial ones.
-    Both kernels are over O[x], not A, so _syzygies does not serve here."""
+    """Bounded Koszul-H1 corroboration: the solver of the trivial syzygies
+    of the relations over the ambient ring keeps none of their bounded
+    syzygies.  Both kernels are over O[x], not A, so _syzygies does not
+    serve here."""
     fs = A.relations
     m = len(fs)
     bound = A.config.search_degree
     free = StdBasis(A.ring, GLOBAL, [], [], A.config)  # the zero ideal of O[x]
-    syz = SpanSolver(A.ring, free, [(f,) for f in fs], bound).kernel()
+    syz = SpanSolver(A.ring, free, [(f,) for f in fs], bound).kernel_forms(m)
     trivial = []
     for i in range(m):
         for j in range(i + 1, m):
@@ -297,28 +298,26 @@ def _regular_sequence_check(A):
             trivial.append(tuple(vec))
     solver = SpanSolver(A.ring, free, trivial,
                         bound + max(f.degree() for f in fs))
-    return all(solver.contains(v) for v in syz)
+    return not solver.grow(syz, 0)
 
 
 # ---------------------------------------------------------------------------
 # syzygy strategy
 
-def _syzygies(A, columns, relations=()):
+def _syzygies(A, columns):
     """The one kernel over A with pruned A-generators: in normal form, the
-    vectors a with sum a_j columns_j in the A-span of the relation columns,
-    searched at the algebra's bound (so as certain as A.cert).  The syzygy
-    strategy and syzygy_module pass no relations; deformation_step's
-    annihilator search passes the relations of M.  One solver
-    finds the kernel of columns + relations; each kernel vector keeps its
-    first len(columns) coordinates, in integer form, and prune_generators
-    keeps generators among them.  Only the vectors kept become polynomials:
-    the expansion pruning made of each is its normal form when the basis
-    is linear, and reduce_strong (A.nf) gives it otherwise; none is zero
-    in A, since pruning keeps no vector zero in A."""
+    vectors a with sum a_j columns_j = 0 in A, searched at the algebra's
+    bound (so as certain as A.cert), for the syzygy strategy,
+    syzygy_module and deformation_step's annihilator search on a free
+    module.  One solver finds the kernel, in integer form, and
+    prune_generators keeps generators among its vectors.  Only the vectors
+    kept become polynomials: the expansion pruning made of each is its
+    normal form when the basis is linear, and reduce_strong (A.nf) gives it
+    otherwise; none is zero in A, since pruning keeps no vector zero in A."""
     n = len(columns)
     gb = A.gb_global
     # the kernel solver is dropped once its kernel is read
-    heads = A.span_solver(list(columns) + list(relations)).kernel_forms(n)
+    heads = A.span_solver(columns).kernel_forms(n)
     out = []
     for _, rows, den in prune_generators(gb, heads, n, A._search_bound):
         v = gb.polys(rows, den, n)
@@ -443,11 +442,11 @@ def _file_resolution(A, matrices):
 
 def verify_resolution(res: FreeResolution) -> Cert:
     """d_1 generates the augmentation ideal, and exactness is witnessed
-    through degree codim+1 (d^2 = 0 is checked as each step is built).  The
-    solver of d_(i+1) that tests membership at step i gives the kernel at
-    step i+1.  The Shamash family is exact by theory once its relations are
-    a regular sequence, so its certificate stands; any other resolution is
-    then as certain as the searches over A."""
+    through degree codim+1 (d^2 = 0 is checked as each step is built): the
+    solver of d_(i+1) keeps none of the kernel of d_i, and gives the kernel
+    at step i+1.  The Shamash family is exact by theory once its relations
+    are a regular sequence, so its certificate stands; any other resolution
+    is then as certain as the searches over A."""
     A = res.algebra
     d1 = res.differential(1)
     for col in d1:
@@ -467,10 +466,8 @@ def verify_resolution(res: FreeResolution) -> Cert:
         if kernel_solver is None:
             kernel_solver = A.span_solver(di)
         solver = A.span_solver(res.differential(i + 1))
-        for v in kernel_solver.kernel():
-            if not solver.contains(v):
-                raise VerificationFailed(
-                    f"exactness fails at homological degree {i}")
+        if solver.grow(kernel_solver.kernel_forms(len(di)), 0):
+            raise VerificationFailed(f"exactness fails at homological degree {i}")
         kernel_solver = solver
     if res.strategy not in _SHAMASH_FAMILY:
         res.cert = res.cert.merge(A.cert)

@@ -32,10 +32,16 @@ def rng():
     return random.Random(20240613)
 
 
+def _base(p):
+    """The base of a ring builder below: Z_(p) for a prime p, or a Dvr given
+    as it is (F_q[[t]] too, whose uniformizer the relations' pi names)."""
+    return p if isinstance(p, Dvr) else Dvr.p_adic(p)
+
+
 def make_An(p, n, branch=0):
     """The congruence ring {(a, b) : a = b mod pi^n} with one of its two
     augmentations (x -> 0 or x -> pi^n)."""
-    O = Dvr.p_adic(p)
+    O = _base(p)
     R = PolyRing(O, ("x",))
     f = R.parse(f"x*(x - pi^{n})")
     aug = [O.zero if branch == 0 else O.pi_pow(n)]
@@ -45,7 +51,7 @@ def make_An(p, n, branch=0):
 
 def make_ring_B(p):
     """Triple congruence ring {(a, b, c) : a = b = c mod pi}."""
-    O = Dvr.p_adic(p)
+    O = _base(p)
     R = PolyRing(O, ("x", "y"))
     rels = [R.parse("x*(x - pi)"), R.parse("y*(y - pi)"), R.parse("x*y")]
     return build_algebra(R, rels, [O.zero, O.zero], 0, claimed_depth=1,
@@ -55,7 +61,7 @@ def make_ring_B(p):
 def make_depth_zero_example(p):
     """The dimension-two, depth-zero ring with codimension-one augmentation
     whose congruence ideal still matches the Fitting ideal."""
-    O = Dvr.p_adic(p)
+    O = _base(p)
     R = PolyRing(O, ("x", "y"))
     rels = [R.parse("x*(x - pi)"), R.parse("pi^2*x"), R.parse("x*y")]
     return build_algebra(R, rels, [O.zero, O.zero], 1, name="D")
@@ -63,7 +69,7 @@ def make_depth_zero_example(p):
 
 def make_hypersurface_2var(p, n):
     """O[[x, y]]/(x(x - pi^n)) with the zero augmentation, codimension 1."""
-    O = Dvr.p_adic(p)
+    O = _base(p)
     R = PolyRing(O, ("x", "y"))
     return build_algebra(R, [R.parse(f"x*(x - pi^{n})")], [O.zero, O.zero], 1,
                          claimed_mcm=True, claimed_depth=2,
@@ -73,7 +79,7 @@ def make_hypersurface_2var(p, n):
 def make_ring_C(p, l, m, n, search_degree=2):
     """Criterion 8's Cohen-Macaulay determinantal ring C(l, m, n) in six
     variables, codimension 3, at search degree 2 unless given."""
-    O = Dvr.p_adic(p)
+    O = _base(p)
     R = PolyRing(O, ("a", "b", "c", "al", "be", "ga"))
     P = R.parse
     rels = [

@@ -25,8 +25,10 @@ from congrmod.errors import (EngineError, InconsistentCodim, InputError,
                              NotSameCodim, ZeroDivisorSuspected)
 from congrmod.probfile import load_problem
 from conftest import (make_An, make_depth_zero_example, make_hypersurface_2var,
-                      make_ring_B)
+                      make_ring_B, make_ring_C)
 from test_cli import A2_FILE
+from test_fuzz_front_end import FULL_FILE
+from test_linsolve import kernel_vectors
 
 
 def periodic_complex_cohomology(p, n, degree):
@@ -489,6 +491,18 @@ class TestCriterion:
         assert out["status"] == "hypothesis_unverified"
         assert not out["ext_torsion_free"]
 
+    def test_ext_torsion_free_is_computed_for_O(self, O5):
+        """For M = O the flag is read off Ext^c(O, O), not assumed: on
+        O[x, y, z]/(x*y - pi^2*z) at codim 2, Ext^2(O, O) = O/pi^2 (+) O.
+        The status stays as it was, since O carries no depth assertion."""
+        R = PolyRing(O5, ("x", "y", "z"))
+        A = build_algebra(R, [R.parse("x*y - pi^2*z")], [O5.zero] * 3, 2,
+                          name="xy - pi^2 z")
+        assert str(ext_module(A, None, 2, resolve_O(A)).structure) == "O/pi^2 (+) O"
+        out = numerical_criterion(A, FpModule.o_module(A), mode="defect0")
+        assert out["ext_torsion_free"] is False
+        assert out["status"] == "hypothesis_unverified"
+
     def test_iso_mode(self):
         A = make_An(5, 2)
         out = numerical_criterion(A, None, mode="iso",
@@ -570,6 +584,19 @@ class TestDeformation:
         assert out["lhs"] == out["rhs"] == 1
 
 
+def _readme(strategy):
+    """The README example's algebra, strategy and [resolution] matrices."""
+    problem = load_problem(FULL_FILE)
+    return problem.algebra, strategy, problem.resolution_matrices
+
+
+SERRE_CASES = {"A(1)": lambda: make_An(5, 1), "A(2)'": lambda: make_An(3, 2, branch=1),
+               "B": lambda: make_ring_B(5), "D": lambda: make_depth_zero_example(5),
+               "H(2)": lambda: make_hypersurface_2var(5, 2),
+               "C(1,1,1)": lambda: make_ring_C(5, 1, 1, 1),
+               "README": lambda: _readme("auto"), "README file": lambda: _readme("file")}
+
+
 class TestSerre:
     def test_regular_exterior_algebra(self, O5):
         R = PolyRing(O5, ("x", "y", "z"))
@@ -591,6 +618,25 @@ class TestSerre:
         out = serre_check(D)
         assert out["ranks"][:2] == [1, 1]
         assert out["verdict"] == "holds"
+
+    @pytest.mark.parametrize("name", list(SERRE_CASES))
+    def test_ranks_are_the_free_ranks_of_ext(self, name, monkeypatch):
+        """serre_check reads its ranks off the lambda-ranks of the
+        differentials and builds no Ext module; they are the free ranks of
+        the Ext^i(O, O) that ext_module builds, for every i <= c + 1."""
+        case = SERRE_CASES[name]()
+        A, strategy, matrices = case if isinstance(case, tuple) else (case, "auto", None)
+        res = resolve_O(A, strategy=strategy, user_matrices=matrices)
+        real_ext_module = congruence.ext_module
+
+        def no_ext(*args):
+            raise AssertionError("serre_check built an Ext module")
+
+        monkeypatch.setattr(congruence, "ext_module", no_ext)
+        ranks = serre_check(A, res=res)["ranks"]
+        assert len(ranks) == A.codim + 2
+        assert ranks == [real_ext_module(A, None, i, res).structure.free_rank
+                         for i in range(len(ranks))]
 
 
 class TestInvariance:
@@ -768,7 +814,7 @@ def _every_head_ext(A, M, i, res):
             congruence._hom_block(zero, g, res.differential(i + 1), res.rank(i))
             + congruence._relation_block(zero, M, r_n))
         reps = []
-        for v in solver.kernel():
+        for v in kernel_vectors(solver):
             head = tuple(v[:n])
             if any(not p.is_zero for p in head) and head not in reps:
                 reps.append(head)
@@ -782,7 +828,7 @@ def _every_head_ext(A, M, i, res):
     base = solver.ncols
     for rep in reps:
         solver.extend(A.gb_global.int_form(rep), 0)
-    coeffs = ([A.lam(x) for x in v[base:]] for v in solver.kernel())
+    coeffs = ([A.lam(x) for x in v[base:]] for v in kernel_vectors(solver))
     structure = omodule.FinOModule.from_presentation(
         A.dvr, [c for c in coeffs if any(c)], len(reps))
 

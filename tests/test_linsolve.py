@@ -1,8 +1,8 @@
 """SpanSolver grown with extend() and prune_generators, against solvers built
 afresh, the rebuild-per-keep pruning loop and the pruning loop on
 polynomials; the columns grow() keeps, added when the solver is next
-read; kernel_forms against kernel(); absorbers added on demand against a
-reference that holds them in every row."""
+read; kernel_forms(n) against the kernel on all columns; absorbers added
+on demand against a reference that holds them in every row."""
 
 import random
 import sys
@@ -24,6 +24,13 @@ from congrmod.poly import MonomialOrder, Poly, monomial_divides, monomials_up_to
 from congrmod.resolution import _syzygies
 from congrmod.stdbasis import StdBasis, reduce_strong, std_basis
 from conftest import make_An, make_depth_zero_example, make_hypersurface_2var, make_ring_B
+
+
+def kernel_vectors(solver):
+    """The kernel of a solver on all its columns, without repeats, as
+    vectors of polynomials rebuilt from kernel_forms."""
+    n = solver.ncols
+    return [solver.gb.polys(rows, den, n) for rows, den, _ in solver.kernel_forms(n)]
 
 
 def prune_by_rebuilding(ring, gb_global, vectors, deg_bound):
@@ -101,7 +108,7 @@ def test_prune_matches_rebuild_per_keep(name):
         # the staircase degree when A is module-finite, else search degree 1
         bound = max(A.finite.maxdeg, 0) if A.is_module_finite else 1
         solver = SpanSolver(ring, gb, prev, bound)
-        vecs = solver.kernel()
+        vecs = kernel_vectors(solver)
         kept = _prune(gb, vecs, 1)
         assert kept == prune_by_rebuilding(ring, gb, vecs, 1)
         prev, nrows = [tuple(A.nf(p) for p in v) for v in kept], len(prev)
@@ -118,7 +125,7 @@ def test_prune_matches_rebuild_per_keep(name):
 def test_extended_solver_matches_fresh_solver(name):
     """A solver built on one column and extended by the others answers
     contains() as a solver built on all of them, its solve() gives
-    multipliers that reach the target modulo I, and its kernel() gives
+    multipliers that reach the target modulo I, and its kernel gives
     syzygies."""
     A = ALGEBRAS[name]()
     rng = random.Random(7)
@@ -140,7 +147,7 @@ def test_extended_solver_matches_fresh_solver(name):
                     total = total + aj * col[r]
                 assert A.nf(total).is_zero
     assert any(grown.contains(t) for t in targets)
-    for a in grown.kernel():
+    for a in kernel_vectors(grown):
         for r in range(2):
             total = A.ring.zero
             for aj, col in zip(a, columns):
@@ -460,7 +467,7 @@ def test_threads_share_one_absorbing_solver():
     try:
         for _ in range(5):
             solver = SpanSolver(ring, gb, columns, 1)
-            solver.kernel()  # the echelon exists before the threads start
+            kernel_vectors(solver)  # the echelon exists before the threads start
             start = threading.Barrier(4)
             got, errors = [], []
 
@@ -635,12 +642,12 @@ def test_prune_never_adds_its_last_kept_vector(name, monkeypatch):
 
 @pytest.mark.parametrize("name", list(ALGEBRAS))
 def test_readers_see_the_columns_grow_kept(name):
-    """After grow(), each reader of the solver (ncols, kernel(),
-    kernel_forms(), kernel_constants(), solve() and contains()), the first
-    to read it, answers as on a solver extended by each candidate outside
-    its span as soon as it was tested; both keep the same candidates.  The
-    candidates end with one kept, so that its column is not yet added
-    when the reader comes."""
+    """After grow(), each reader of the solver (ncols, the kernel on all
+    columns, kernel_forms(), kernel_constants(), solve() and contains()),
+    the first to read it, answers as on a solver extended by each candidate
+    outside its span as soon as it was tested; both keep the same
+    candidates.  The candidates end with one kept, so that its column is
+    not yet added when the reader comes."""
     A = ALGEBRAS[name]()
     ring, gb = A.ring, A.gb_global
     rng = random.Random(20261020)
@@ -663,7 +670,7 @@ def test_readers_see_the_columns_grow_kept(name):
         return solver, [k for k, _, _ in kept]
 
     candidates = candidates[:eager()[1][-1] + 1]
-    readers = [lambda s: s.ncols, lambda s: s.kernel(),
+    readers = [lambda s: s.ncols, kernel_vectors,
                lambda s: s.kernel_forms(n), lambda s: s.kernel_constants(n),
                lambda s: [s.solve(t) for t in targets],
                lambda s: [s.contains(t) for t in targets]]
@@ -696,16 +703,15 @@ def test_syzygies_keep_no_vector_zero_in_A(name):
 @pytest.mark.parametrize("name", list(ALGEBRAS))
 def test_kernel_forms_are_the_kernel_heads(name):
     """kernel_forms(n) gives, in lowest terms, the nonzero heads of the
-    vectors kernel() gives, each once, in the order they first come: on
-    the kernel of the p generators and the relations, as _syzygies builds
-    it."""
+    kernel vectors on all columns, each once, in the order they first come:
+    on the kernel of the p generators and the relations."""
     A = ALGEBRAS[name]()
     gb = A.gb_global
     gens = [(g,) for g in A.p_gens()]
     n = len(gens)
     solver = A.span_solver(gens + [(f,) for f in A.relations])
     want = []
-    for v in solver.kernel():
+    for v in kernel_vectors(solver):
         if any(p.terms for p in v[:n]) and v[:n] not in want:
             want.append(v[:n])
     forms = solver.kernel_forms(n)

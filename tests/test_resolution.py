@@ -328,36 +328,6 @@ def test_auto_result_is_stored_once(O5, monkeypatch):
     assert len(calls) == 1
 
 
-@pytest.mark.parametrize("make", [lambda: make_hypersurface_2var(5, 1),
-                                  lambda: make_hypersurface_2var(3, 2),
-                                  lambda: make_An(5, 1), lambda: make_An(3, 2),
-                                  lambda: make_ring_B(5)],
-                         ids=["H5(1)", "H3(2)", "A5(1)", "A3(2)", "B5"])
-def test_syzygies_modulo_relations(make, rng):
-    """Every head _syzygies returns for columns modulo relation columns R is
-    nonzero, in normal form, and maps the columns into the A-span of R."""
-    A = make()
-    R = A.ring
-    found = 0
-    for _ in range(4):
-        g = rng.choice([1, 2])
-        columns = [tuple(_random_poly(R, rng, rng.choice([1, 2]))
-                         for _ in range(g)) for _ in range(rng.choice([1, 2]))]
-        rels = [tuple(_random_poly(R, rng, 1) for _ in range(g))
-                for _ in range(rng.choice([1, 2]))]
-        rels = [col for col in rels if any(p.terms for p in col)] or [
-            (R.parse("pi*x"),) + (R.zero,) * (g - 1)]
-        heads = resolution._syzygies(A, columns, relations=rels)
-        found += len(heads)
-        for head in heads:
-            assert any(p.terms for p in head)
-            assert all(A.nf(p) == p for p in head)
-            image = _apply_columns(R, columns, head)
-            solver = A.span_solver(rels)
-            assert solver.contains(tuple(image))
-    assert found
-
-
 def test_syzygies_drop_heads_zero_in_A():
     """y is a nonzerodivisor on H(2), so the column (x, y) has no syzygy;
     the bounded kernel still holds multiples of the relation, which are
