@@ -8,7 +8,10 @@ cocycle heads come from one kernel solver over A (with the relations of M
 as relation columns), and one bounded class solver on the coboundary and
 relation columns keeps each head outside its span as a representative,
 at multiplier bound 0.  The constant coordinates of the representatives
-in that solver's kernel present Ext over O.
+in that solver's kernel present Ext over O.  Both hand out and take back
+cocycles in one form, vectors over A (see ExtModule), so the pairing,
+the Kunneth map and the product lifts never ask which kind of Ext module
+they read.
 """
 
 from __future__ import annotations
@@ -42,12 +45,16 @@ class RegularityWarning(UserWarning):
 class ExtModule:
     """One Ext^i_A(O, M), kept on its resolution and holding no reference
     back; ext_module hands every caller the same one, read-only once built.
-    reps are O-generators of the cocycles modulo the coboundaries: a basis
-    of the cocycle lattice for M = O, and for any other M the cocycle heads
-    that the class solver kept, in kernel order.  _coords maps a cocycle
-    to its coordinates on reps (None when it is out of their reach): the
-    cocycle echelon for M = O, the class solver for any other M, and none
-    when Ext is zero."""
+    Every Ext module has one cocycle form: a vector over A, g blocks of r_i
+    polynomials for M with g generators.  reps are O-generators of the
+    cocycles modulo the coboundaries, in that form: for M = O a basis of
+    the cocycle lattice over O, as constant polynomials, and for any other
+    M the cocycle heads that the class solver kept, in kernel order.
+    _coords maps a cocycle over A to its coordinates on reps (None when it
+    is out of their reach): for M = O it applies lambda, which is the map
+    Hom_A(F_i, A) -> Hom_A(F_i, O), and solves on the cocycle echelon; for
+    any other M it solves in the class solver; there is none when Ext is
+    zero."""
 
     degree: int
     structure: FinOModule
@@ -56,10 +63,9 @@ class ExtModule:
     _coords: object = None
 
     def class_free_values(self, w):
-        """Free (torsion-free quotient) coordinates of the class of the
-        cocycle w: a vector in O^(r_i) for M = O, and for any other M the
-        M-valued cocycle flattened as (generator, resolution index) ->
-        polynomial."""
+        """Free (torsion-free quotient) coordinates of the class of w, a
+        cocycle over A in the one form of every Ext module; for M = O,
+        _coords applies lambda to it first."""
         if self._coords is None:  # Ext is zero
             return []
         y = self._coords(w)
@@ -67,6 +73,16 @@ class ExtModule:
             raise InternalInvariantViolation(
                 "cocycle not reachable from the computed generators")
         return self.structure.free_coords(y)
+
+    def free_cocycles(self):
+        """The cocycles over A of the free normal-form generators, in
+        order: the reps combined by the columns of L^-1."""
+        out = []
+        for coords in self.structure.free_generator_reps():
+            parts = [[p.scale(x) for p in rep]
+                     for x, rep in zip(coords, self.reps) if x]
+            out.append(tuple(sum(col[1:], col[0]) for col in zip(*parts)))
+        return out
 
 
 def ext_module(A: AugmentedAlgebra, M, i: int, res: FreeResolution) -> ExtModule:
@@ -89,6 +105,9 @@ def ext_module(A: AugmentedAlgebra, M, i: int, res: FreeResolution) -> ExtModule
 
 
 def _ext_O(A, i, res):
+    """Ext^i(O, O) by linear algebra over O on the augmented differentials.
+    Its reps are the cocycle lattice's basis as constant polynomials; the
+    coboundaries, rows of lambda(d_i), are solved as they are, in K."""
     dvr = A.dvr
     r_i = res.rank(i)
     if r_i == 0:
@@ -97,28 +116,30 @@ def _ext_O(A, i, res):
     # d_(i+1) (all of O^r_i when r_(i+1) = 0)
     dnext = res.lam_rows(i + 1)  # r_i x r_(i+1)
     cocycles = _Echelon(dvr, [_sparse(dvr, row) for row in dnext]).kernel_split()
-    ker = [[v.get(j, dvr.zero) for j in range(r_i)]
-           for v in (dvr.join(num, den) for num, den in cocycles)]
     # one echelon of the cocycle lattice gives the coordinates of the
     # coboundaries here and of every later class
     echelon = _Echelon(dvr, [(dict(num), den) for num, den in cocycles])
 
-    def coords(w):
-        y = echelon.solve(_sparse(dvr, w))
-        return None if y is None else [y.get(j, dvr.zero) for j in range(len(ker))]
+    def solve(v):
+        y = echelon.solve(_sparse(dvr, v))
+        return None if y is None else [y.get(j, dvr.zero)
+                                       for j in range(len(cocycles))]
 
     im_coords = []
     if i > 0 and res.rank(i - 1):
         for row in res.lam_rows(i):  # r_(i-1) x r_i
             if not any(row):
                 continue
-            y = coords(row)
+            y = solve(row)
             if y is None:
                 raise InternalInvariantViolation(
                     "coboundary escapes the cocycle lattice")
             im_coords.append(y)
-    structure = FinOModule.from_presentation(dvr, im_coords, len(ker))
-    return ExtModule(i, structure, ker, res.cert, coords)
+    structure = FinOModule.from_presentation(dvr, im_coords, len(cocycles))
+    reps = [tuple(A.ring.const(v.get(j, dvr.zero)) for j in range(r_i))
+            for v in (dvr.join(num, den) for num, den in cocycles)]
+    return ExtModule(i, structure, reps, res.cert,
+                     lambda w: solve([A.lam(p) for p in w]))
 
 
 def _hom_block(zero, g, d, rows):
@@ -181,7 +202,7 @@ def _ext_general(A, M, i, res):
     else:
         heads = A.span_solver(
             _hom_block(zero, g, res.differential(i + 1), r_i)
-            + _relation_block(zero, M, r_n)).kernel_forms(n)
+            + _relation_block(zero, M, r_n)).kernel_forms(range(n))
 
     # coboundaries, then the relations of M in each of the r_i slots
     cob = []
@@ -215,22 +236,14 @@ def _as_module(A, M):
     return M
 
 
-def _push_values(A, ext_OO, r_c, M, rep, row):
-    """Push an Ext^c(O,M) representative through a functional row, landing
-    in the free part of Ext^c(O,O); r_c is the rank of F_c."""
-    dvr = A.dvr
-    if M.is_O:
-        w = [row[0] * x for x in rep]
-    else:
-        g = M.gens
-        w = []
-        for k in range(r_c):
-            acc = dvr.zero
-            for l in range(g):
-                p = rep[l * r_c + k]
-                if p.terms:
-                    acc = acc + row[l] * A.lam(p)
-            w.append(acc)
+def _push_values(A, ext_OO, r_c, rep, row):
+    """Push an Ext^c(O,M) representative, a cocycle over A, through a
+    functional row on M's generators: the cocycle w_k = sum_l rep[l r_c +
+    k] row[l] over A, whose free values in Ext^c(O,O) are returned; r_c is
+    the rank of F_c."""
+    zero = A.ring.zero
+    w = [sum((rep[l * r_c + k].scale(x) for l, x in enumerate(row)), zero)
+         for k in range(r_c)]
     return ext_OO.class_free_values(w)
 
 
@@ -254,7 +267,7 @@ def _pairing(A, MA, c, res) -> _Pairing:
         ext_OM = ext_module(A, MA, c, res)
         rows = MA.hom_to_O_generators()
         r_c = res.rank(c)
-        values = [[_push_values(A, ext_OO, r_c, MA, rep, row) for row in rows]
+        values = [[_push_values(A, ext_OO, r_c, rep, row) for row in rows]
                   for rep in ext_OM.reps]
         rank, mu = ext_OO.structure.free_rank, len(rows)
         psi = None
@@ -400,15 +413,8 @@ def kappa_defect(A: AugmentedAlgebra, M, res=None) -> dict:
     ext_OA = ext_module(A, FpModule.ring_module(A), c, res)
     dvr = A.dvr
     _require_rank(A, ext_OA.structure.free_rank, c, what="tfree Ext^c(O,A)")
-    # representative of the rank-one generator of tfree Ext^c(O,A)
-    gen_coords = ext_OA.structure.free_generator_reps()[0]
-    r_c = res.rank(c)
-    zeta = [A.ring.zero] * r_c
-    for coef, rep in zip(gen_coords, ext_OA.reps):
-        if coef:
-            for k in range(r_c):
-                if rep[k].terms:
-                    zeta[k] = zeta[k] + rep[k].scale(coef)
+    # the cocycle of the rank-one generator of tfree Ext^c(O,A)
+    zeta = ext_OA.free_cocycles()[0]
     pairing = _pairing(A, MA, c, res)
     mu = pairing.mu
     if mu == 0:
@@ -418,13 +424,9 @@ def kappa_defect(A: AugmentedAlgebra, M, res=None) -> dict:
     ext_OM = ext_module(A, MA, c, res)
     _require_rank(A, ext_OM.structure.free_rank, c, mu, "tfree Ext^c(O,M)")
     kappa_cols = []
-    for ms in free_reps:
-        if MA.is_O:
-            w = [A.lam(p) * ms[0] for p in zeta]
-        else:
-            w = tuple(zeta[k].scale(ms[l]) if ms[l] else A.ring.zero
-                      for l in range(MA.gens) for k in range(r_c))
-        kappa_cols.append(ext_OM.class_free_values(w))
+    for ms in free_reps:  # w = zeta (x) ms over A
+        kappa_cols.append(ext_OM.class_free_values(
+            tuple(p.scale(x) for x in ms for p in zeta)))
     sf = smith_form(dvr, kappa_cols, mu)
     if sf.rank < mu:
         raise KappaNotInjective("the Kunneth comparison map is not injective")
@@ -552,7 +554,7 @@ def deformation_step(A: AugmentedAlgebra, M, f: Poly) -> dict:
     cols = [tuple(f if k == l else zero for k in range(g)) for l in range(g)]
     cols_p = [tuple(col) for col in MA.columns]
     if cols_p:
-        heads = A.span_solver(cols + cols_p).kernel_forms(g)
+        heads = A.span_solver(cols + cols_p).kernel_forms(range(g))
         ok = not A.span_solver(cols_p).grow(heads, 0)
     else:
         ok = all(A.in_ideal(p) for head in _syzygies(A, cols) for p in head)
@@ -612,15 +614,7 @@ def serre_check(A: AugmentedAlgebra, res=None, with_products=False) -> dict:
 def _product_check(A, res, c):
     """Lift a basis of degree-one classes to chain self-maps and test that
     the c-fold composite generates the top torsion-free part."""
-    ext1 = ext_module(A, None, 1, res)
-    gens = []
-    for coords in ext1.structure.free_generator_reps():
-        w = [A.dvr.zero] * res.rank(1)
-        for coef, kb in zip(coords, ext1.reps):
-            if coef:
-                for t in range(len(w)):
-                    w[t] = w[t] + coef * kb[t]
-        gens.append(w)
+    gens = ext_module(A, None, 1, res).free_cocycles()
     if len(gens) != c:
         return False
     ring = A.ring
@@ -630,7 +624,7 @@ def _product_check(A, res, c):
     # t composes at level t (0-indexed), so only its u_t is kept
     lifts = []
     for t, w in enumerate(gens):
-        u = [(ring.const(x),) for x in w]  # columns of F_1 -> F_0
+        u = [(x,) for x in w]  # columns of F_1 -> F_0
         for k in range(1, t + 1):
             cols = []
             for col in res.differential(k + 1):
@@ -645,9 +639,8 @@ def _product_check(A, res, c):
     composite = lifts[c - 1]
     for upper in reversed(lifts[:c - 1]):
         composite = [tuple(_apply_columns(ring, upper, col)) for col in composite]
-    ext_c = ext_module(A, None, c, res)
-    w = [A.lam(col[0]) for col in composite]
-    vals = ext_c.class_free_values(w)
+    vals = ext_module(A, None, c, res).class_free_values(
+        [col[0] for col in composite])
     return any(x and A.dvr.val(x) == 0 for x in vals)
 
 

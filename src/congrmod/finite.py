@@ -58,16 +58,9 @@ class FiniteStructure:
         """O-relations among the box monomials inside A (nonzero only when
         the quotient has O-torsion, e.g. a relation pi^m * x)."""
         if self._relations is None:
-            n = len(self.box)
             cols = [(Poly(self.ring, {e: self.dvr.one}),) for e in self.box]
             solver = SpanSolver(self.ring, self.gb, cols, 0)
-            out = []
-            for rows, den, _ in solver.kernel_forms(n):
-                # at multiplier bound 0 each row is one constant
-                num = {j: x for j, terms in rows for x in terms.values()}
-                vec = self.dvr.join(num, den)
-                out.append([vec.get(j, self.dvr.zero) for j in range(n)])
-            self._relations = out
+            self._relations = solver.kernel_constants(0)
         return self._relations
 
     def mult_matrix(self, poly: Poly):

@@ -19,8 +19,10 @@ system.
 
 Vectors over A stay in that integer form (StdBasis.int_form: rows of
 numerators over one denominator) from the kernel to the membership test.
-kernel_forms() cuts each kernel vector to its first n coordinates, brings it
-to lowest terms and drops repeats on integer keys.  grow() is the one
+kernel_forms() cuts each kernel vector to a range of columns, brings it to
+lowest terms and drops repeats on integer keys; kernel_constants() reads
+those on columns of multiplier bound 0 as lists of constants in K, so it
+drops the same repeats and raises at the same caps.  grow() is the one
 pruning loop: it keeps each candidate outside the span so far and adds it
 when the solver is next read, so the last one kept is expanded only if
 read.  prune_generators orders candidates and grows an empty solver by
@@ -52,9 +54,11 @@ class SpanSolver:
 
     The columns are expanded once, on construction, by gb (see
     StdBasis.expand); the echelon is built on the first query and reused,
-    so one instance answers kernel_forms(), kernel_constants(), solve()
-    and contains() for many targets.  The valuation cap holds for each
-    column's coefficients and for every expanded entry; the degree cap is
+    so one instance answers kernel_forms() on any range of columns,
+    kernel_constants() (kernel_forms on the columns of bound 0 from some
+    index on, read in K), solve() and contains() for many targets.  The
+    valuation cap holds for each column's coefficients and for every
+    expanded entry; the degree cap is
     checked as the basis's table fills.  extend() adds a column at a
     multiplier bound of its own, at once, and grow() keeps each of several
     that lies outside the span and adds it through extend() on the next
@@ -186,16 +190,16 @@ class SpanSolver:
                 vec[rid] = c
         return vec, den
 
-    def _cut(self, vec, n):
-        """The entries of an echelon vector on the multiples of the first n
-        columns, as {j: {exps: entry}} in the vector's order; absorber
-        entries are dropped."""
+    def _cut(self, vec, cols):
+        """The entries of an echelon vector on the multiples of the columns
+        in cols, a range, as {j - cols.start: {exps: entry}} in the
+        vector's order; absorber entries are dropped."""
         meta = self.meta
         rows = {}
         for cid, x in vec.items():
             kind, j, u = meta[cid]
-            if kind == "var" and j < n:
-                rows.setdefault(j, {})[u] = x
+            if kind == "var" and j in cols:
+                rows.setdefault(j - cols.start, {})[u] = x
         return rows
 
     def _ech(self):
@@ -212,32 +216,25 @@ class SpanSolver:
     def kernel_constants(self, start):
         """The kernel's coordinates on the columns from start on, each of
         which entered with bound 0, so that its coordinate is a constant:
-        one list of them per kernel vector, in K, read off the echelon's
-        integer form with no polynomial built; lists of zeros are dropped."""
-        meta, zero = self.meta, self.dvr.zero
-        width = self.ncols - start
+        kernel_forms on those columns, each read as a list in K, so nonzero,
+        without repeats and held to the valuation cap."""
+        dvr, width = self.dvr, self.ncols - start
         out = []
-        for num, den in self._ech().kernel_split():
-            coords = {}
-            for cid, x in num.items():
-                kind, j, _ = meta[cid]
-                if kind == "var" and j >= start:
-                    coords[j - start] = x
-            if coords:
-                coords = self.dvr.join(coords, den)
-                out.append([coords.get(j, zero) for j in range(width)])
+        for rows, den, _ in self.kernel_forms(range(start, self.ncols)):
+            vec = dvr.join({j: x for j, terms in rows for x in terms.values()}, den)
+            out.append([vec.get(j, dvr.zero) for j in range(width)])
         return out
 
-    def kernel_forms(self, n):
-        """The kernel vectors cut to their first n coordinates, nonzero and
-        without repeats, in the echelon's order: the int_form of each as a
-        column of length n, held to the valuation cap, its rows in order
-        over one denominator in lowest terms, so that equal heads have
-        equal keys."""
+    def kernel_forms(self, cols):
+        """The kernel vectors cut to the columns in cols, a range, nonzero
+        and without repeats, in the echelon's order: the int_form of each
+        as a column of length len(cols), held to the valuation cap, its
+        rows in order over one denominator in lowest terms, so that equal
+        heads have equal keys."""
         gcd = self.dvr.gcd
         out, seen = [], set()
         for num, den in self._ech().kernel_split():
-            rows = self._cut(num, n)
+            rows = self._cut(num, cols)
             if not rows:
                 continue
             g = gcd(den, *(x for terms in rows.values() for x in terms.values()))
@@ -258,7 +255,7 @@ class SpanSolver:
         sol = self._query(_Echelon.solve, *self.gb.expand(self.gb.int_form(target)))
         if sol is None:
             return None
-        rows = self._cut(sol, self.ncols)
+        rows = self._cut(sol, range(self.ncols))
         return tuple(Poly(self.ring, rows.get(j, {})) for j in range(self.ncols))
 
     def contains(self, target):

@@ -288,7 +288,7 @@ def _regular_sequence_check(A):
     m = len(fs)
     bound = A.config.search_degree
     free = StdBasis(A.ring, GLOBAL, [], [], A.config)  # the zero ideal of O[x]
-    syz = SpanSolver(A.ring, free, [(f,) for f in fs], bound).kernel_forms(m)
+    syz = SpanSolver(A.ring, free, [(f,) for f in fs], bound).kernel_forms(range(m))
     trivial = []
     for i in range(m):
         for j in range(i + 1, m):
@@ -317,7 +317,7 @@ def _syzygies(A, columns):
     n = len(columns)
     gb = A.gb_global
     # the kernel solver is dropped once its kernel is read
-    heads = A.span_solver(columns).kernel_forms(n)
+    heads = A.span_solver(columns).kernel_forms(range(n))
     out = []
     for _, rows, den in prune_generators(gb, heads, n, A._search_bound):
         v = gb.polys(rows, den, n)
@@ -444,31 +444,29 @@ def verify_resolution(res: FreeResolution) -> Cert:
     """d_1 generates the augmentation ideal, and exactness is witnessed
     through degree codim+1 (d^2 = 0 is checked as each step is built): the
     solver of d_(i+1) keeps none of the kernel of d_i, and gives the kernel
-    at step i+1.  The Shamash family is exact by theory once its relations
-    are a regular sequence, so its certificate stands; any other resolution
-    is then as certain as the searches over A."""
+    at step i+1, so each differential has one solver.  The Shamash family
+    is exact by theory once its relations are a regular sequence, so its
+    certificate stands; any other resolution is then as certain as the
+    searches over A."""
     A = res.algebra
     d1 = res.differential(1)
     for col in d1:
         if A.lam(col[0]):
             raise VerificationFailed("a column of d_1 is not in the augmentation ideal")
     solver = A.span_solver(d1)
+    # read before the membership queries, which may add absorbers, so that
+    # the bounded kernel is the one a fresh solver gives
+    heads = solver.kernel_forms(range(len(d1)))
     if not all(solver.contains((g,)) for g in A.p_gens()):
         raise VerificationFailed(
             "image of d_1 does not generate the augmentation ideal")
     top = min(res.length - 1, A.codim + 1)
-    kernel_solver = None
     for i in range(1, top + 1):
-        di = res.differential(i)
-        if not di:
-            kernel_solver = None
-            continue
-        if kernel_solver is None:
-            kernel_solver = A.span_solver(di)
         solver = A.span_solver(res.differential(i + 1))
-        if solver.grow(kernel_solver.kernel_forms(len(di)), 0):
+        if solver.grow(heads, 0):
             raise VerificationFailed(f"exactness fails at homological degree {i}")
-        kernel_solver = solver
+        if i < top:
+            heads = solver.kernel_forms(range(res.rank(i + 1)))
     if res.strategy not in _SHAMASH_FAMILY:
         res.cert = res.cert.merge(A.cert)
     return res.cert

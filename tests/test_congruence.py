@@ -8,7 +8,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from congrmod import (Dvr, FpModule, PolyRing, build_algebra,
+from congrmod import (Dvr, FpModule, Poly, PolyRing, build_algebra,
                       cotangent_invariants, ext_module, eta, eta_codim0_oracle,
                       eta_raw, invariance_check, kappa_defect,
                       numerical_criterion, psi, psi_direct_codim0, psi_raw,
@@ -243,7 +243,7 @@ def _reference_eta(A, M, c, res):
     ext_OM = ext_OO if M.is_O else ext_module(A, M, c, res)
     rows = M.hom_to_O_generators()
     values = [x for rep in ext_OM.reps for row in rows
-              for x in congruence._push_values(A, ext_OO, res.rank(c), M, rep, row)]
+              for x in congruence._push_values(A, ext_OO, res.rank(c), rep, row)]
     return IdealO(A.dvr, min((A.dvr.val(x) for x in values if x), default=INF))
 
 
@@ -637,6 +637,41 @@ class TestSerre:
         assert len(ranks) == A.codim + 2
         assert ranks == [real_ext_module(A, None, i, res).structure.free_rank
                          for i in range(len(ranks))]
+
+
+def _common_form_case(name):
+    """A SERRE_CASES algebra, its resolution and a presented module over
+    it: the README's module M on the README example, A^2/((pi*x, 0)) on a
+    fixture."""
+    if name.startswith("README"):
+        problem = load_problem(FULL_FILE)
+        A = problem.algebra
+        res = resolve_O(A, strategy="file" if name.endswith("file") else "auto",
+                        user_matrices=problem.resolution_matrices)
+        return A, res, problem.modules["M"]
+    A = SERRE_CASES[name]()
+    return A, resolve_O(A), FpModule(A, 2, [(A.ring.parse("pi*x"), A.ring.zero)])
+
+
+@pytest.mark.parametrize("name", [n for n in SERRE_CASES if n != "C(1,1,1)"])
+def test_every_ext_module_has_one_cocycle_form(name):
+    """For M = O, the ring and a presented module, every Ext^i(O, M) with
+    i <= c + 1 hands out its reps as cocycles over A, tuples of Poly, and
+    takes such cocycles back: the class of its k-th free cocycle has the
+    k-th unit vector as its free values."""
+    A, res, presented = _common_form_case(name)
+    modules = [FpModule.o_module(A), FpModule.ring_module(A), presented]
+    for M in modules:
+        for i in range(A.codim + 2):
+            ext = ext_module(A, M, i, res)
+            assert all(isinstance(rep, tuple) and all(isinstance(p, Poly) for p in rep)
+                       for rep in ext.reps), (M.name, i)
+            if not ext.structure.gens:
+                continue
+            rank = ext.structure.free_rank
+            for k, w in enumerate(ext.free_cocycles()):
+                assert len(w) == M.gens * res.rank(i)
+                assert ext.class_free_values(w) == [int(t == k) for t in range(rank)]
 
 
 class TestInvariance:

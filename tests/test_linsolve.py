@@ -1,8 +1,9 @@
 """SpanSolver grown with extend() and prune_generators, against solvers built
 afresh, the rebuild-per-keep pruning loop and the pruning loop on
 polynomials; the columns grow() keeps, added when the solver is next
-read; kernel_forms(n) against the kernel on all columns; absorbers added
-on demand against a reference that holds them in every row."""
+read; kernel_forms(range(n)) against the kernel on all columns;
+kernel_constants without repeats; absorbers added on demand against a
+reference that holds them in every row."""
 
 import random
 import sys
@@ -15,6 +16,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from congrmod import Dvr, PolyRing, build_algebra
+from congrmod.cli import random_grammar_algebra
 from congrmod.config import DEFAULT_CONFIG, EngineConfig
 from congrmod.dvr import RF
 from congrmod.errors import DegreeBoundExceeded
@@ -30,7 +32,8 @@ def kernel_vectors(solver):
     """The kernel of a solver on all its columns, without repeats, as
     vectors of polynomials rebuilt from kernel_forms."""
     n = solver.ncols
-    return [solver.gb.polys(rows, den, n) for rows, den, _ in solver.kernel_forms(n)]
+    return [solver.gb.polys(rows, den, n)
+            for rows, den, _ in solver.kernel_forms(range(n))]
 
 
 def prune_by_rebuilding(ring, gb_global, vectors, deg_bound):
@@ -671,7 +674,7 @@ def test_readers_see_the_columns_grow_kept(name):
 
     candidates = candidates[:eager()[1][-1] + 1]
     readers = [lambda s: s.ncols, kernel_vectors,
-               lambda s: s.kernel_forms(n), lambda s: s.kernel_constants(n),
+               lambda s: s.kernel_forms(range(n)), lambda s: s.kernel_constants(n),
                lambda s: [s.solve(t) for t in targets],
                lambda s: [s.contains(t) for t in targets]]
     for read in readers:
@@ -691,7 +694,7 @@ def test_syzygies_keep_no_vector_zero_in_A(name):
     for _ in range(2):
         n = len(columns)
         heads = [gb.polys(rows, den, n)
-                 for rows, den, _ in A.span_solver(columns).kernel_forms(n)]
+                 for rows, den, _ in A.span_solver(columns).kernel_forms(range(n))]
         assert any(all(A.nf(p).is_zero for p in v) for v in heads)
         out = _syzygies(A, columns)
         assert out
@@ -702,7 +705,7 @@ def test_syzygies_keep_no_vector_zero_in_A(name):
 
 @pytest.mark.parametrize("name", list(ALGEBRAS))
 def test_kernel_forms_are_the_kernel_heads(name):
-    """kernel_forms(n) gives, in lowest terms, the nonzero heads of the
+    """kernel_forms(range(n)) gives, in lowest terms, the nonzero heads of the
     kernel vectors on all columns, each once, in the order they first come:
     on the kernel of the p generators and the relations."""
     A = ALGEBRAS[name]()
@@ -714,6 +717,59 @@ def test_kernel_forms_are_the_kernel_heads(name):
     for v in kernel_vectors(solver):
         if any(p.terms for p in v[:n]) and v[:n] not in want:
             want.append(v[:n])
-    forms = solver.kernel_forms(n)
+    forms = solver.kernel_forms(range(n))
     assert [gb.polys(rows, den, n) for rows, den, _ in forms] == want
     assert forms == [gb.int_form(v) for v in want]
+
+
+def _box_solver(A):
+    """The solver of the box monomials of a module-finite algebra, each
+    column at multiplier bound 0."""
+    fs = A.finite
+    cols = [(Poly(A.ring, {e: A.dvr.one}),) for e in fs.box]
+    return SpanSolver(A.ring, A.gb_global, cols, 0)
+
+
+def _distinct_kernel_values(solver):
+    """The kernel vectors on all columns of a solver whose columns entered
+    at bound 0, read off the echelon as lists in K: nonzero, each once, in
+    the order they first come."""
+    dvr, out = solver.dvr, []
+    for num, den in solver._ech().kernel_split():
+        coords = {solver.meta[cid][1]: x for cid, x in num.items()
+                  if solver.meta[cid][0] == "var"}
+        vec = dvr.join(coords, den)
+        v = [vec.get(j, dvr.zero) for j in range(solver.ncols)]
+        if any(v) and v not in out:
+            out.append(v)
+    return out
+
+
+def test_kernel_constants_drop_repeats_on_absorber_bases():
+    """Over a basis whose leads are not all units, the bounded kernel of the
+    box monomials holds one relation vector twice; kernel_constants gives
+    each of its four distinct vectors once, and they are the algebra's
+    relations."""
+    O = Dvr.p_adic(2)
+    R = PolyRing(O, ("x1", "x2", "x3"))
+    rels = ["x1^2 - 4*x1", "2*x2", "x2^2 - 4*x2", "2*x3", "x3^2 - 2*x3", "x1*x2"]
+    A = build_algebra(R, [R.parse(f) for f in rels], [O.zero] * 3, 0)
+    assert not A.gb_global.linear
+    constants = _box_solver(A).kernel_constants(0)
+    assert len(constants) == 4
+    assert constants == _distinct_kernel_values(_box_solver(A))
+    assert constants == A.finite.algebra_relations()
+
+
+def test_kernel_constants_are_the_distinct_kernel_vectors():
+    """On fifty random module-finite algebras across four bases (seeds 84
+    and 101 among them hold a repeated kernel vector), kernel_constants(0)
+    of the box monomials is the kernel read off the echelon with each
+    vector once, and it is the algebra's relations."""
+    bases = [Dvr.p_adic(2), Dvr.p_adic(3), Dvr.p_adic(5), Dvr.power_series(4)]
+    for seed in range(60, 110):
+        A = random_grammar_algebra(bases[seed % 4], random.Random(seed),
+                                   finite_only=True)
+        constants = _box_solver(A).kernel_constants(0)
+        assert constants == _distinct_kernel_values(_box_solver(A)), seed
+        assert constants == A.finite.algebra_relations(), seed
