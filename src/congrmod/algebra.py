@@ -80,6 +80,7 @@ class AugmentedAlgebra:
         self._cotangent = None
         self._resolutions = weakref.WeakValueDictionary()  # strategy -> res, see resolve_O
         self._ci_cert = _NOTSET  # see resolution._complete_intersection
+        self._lam_table = {}  # exps -> lambda(x^exps) in integer form, see lam_int
         self._validate()
 
     def assertion_notes(self):
@@ -122,6 +123,34 @@ class AugmentedAlgebra:
     def lam(self, poly: Poly):
         """The augmentation, applied to any representative polynomial."""
         return poly.evaluate(self.augmentation)
+
+    def lam_int(self, rows):
+        """The augmentation of a column in the integer form of
+        StdBasis.int_form, given by its rows [(row, {exps: numerator})],
+        times a nonzero constant (the column's denominator and those of the
+        values): {row: numerator}, zeros dropped, so its K-span is that of
+        lambda of the column.  One table per algebra holds lambda(x^u) in
+        the integer form, None for a zero value."""
+        dvr, table = self.dvr, self._lam_table
+        parts, den = [], dvr.int_one
+        for i, terms in rows:
+            for e, n in terms.items():
+                entry = table.get(e)
+                if entry is None:  # a racing thread stores an equal entry
+                    num, d = dvr.split({0: self.lam(Poly(self.ring, {e: dvr.one}))})
+                    entry = table[e] = num.get(0), d
+                x, d = entry
+                if x is not None:
+                    parts.append((i, n * x, d))
+                    if den % d:
+                        den = den // dvr.gcd(den, d) * d
+        out = {}
+        for i, x, d in parts:
+            if d != den:
+                x = x * (den // d)
+            prev = out.get(i)
+            out[i] = x if prev is None else prev + x
+        return {i: x for i, x in out.items() if x}
 
     def p_gens(self):
         return [self.ring.var(i) - self.ring.const(a)

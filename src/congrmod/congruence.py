@@ -590,15 +590,21 @@ def deformation_step(A: AugmentedAlgebra, M, f: Poly) -> dict:
 def serre_check(A: AugmentedAlgebra, res=None, with_products=False) -> dict:
     """The free ranks of Ext^i_A(O, O), i <= c + 1 (within the matrices of
     a file resolution), against comb(c, i): r_i - rho_i - rho_(i+1), rho_i
-    the pivot count of one echelon of the rows of lambda(d_i), so no Ext
-    module is built unless products are asked for."""
+    = rk_K lambda(d_i), the pivot count of one echelon of its rows, so no
+    Ext module is built unless products are asked for.  When the top
+    differential of a syzygy resolution is not built, its rho is read off
+    the unpruned kernel heads of the one below (_head_lam_rows), and the
+    top step is never built."""
     c = A.codim
     if res is None:
         res = resolve_O(A)
     top = min(res.length - 1, c + 1) if res.strategy == "file" else c + 1
     rho = [0]
     for i in range(1, top + 2):
-        rows = [_sparse(A.dvr, row) for row in res.lam_rows(i)]
+        if i > top and res.strategy == "syzygy" and not res.built(i):
+            rows = _head_lam_rows(A, res.differential(top))
+        else:
+            rows = [_sparse(A.dvr, row) for row in res.lam_rows(i)]
         rho.append(len(_Echelon(A.dvr, rows).pivots))
     ranks = [res.rank(i) - rho[i] - rho[i + 1] for i in range(top + 1)]
     expected = [comb(c, i) for i in range(top + 1)]
@@ -609,6 +615,21 @@ def serre_check(A: AugmentedAlgebra, res=None, with_products=False) -> dict:
         if not out["product_generates"]:
             out["verdict"] = "fails"
     return out
+
+
+def _head_lam_rows(A, columns):
+    """The rows of lambda over the unpruned kernel heads of columns, in
+    the echelon's form, each head scaled by a nonzero constant
+    (A.lam_int).  _syzygies prunes the same heads, at the same bound, into
+    the next differential, which generates the same A-module; lambda is a
+    ring map, so the two sets have one K-span after lambda, and one
+    K-rank."""
+    heads = A.span_solver(columns).kernel_forms(range(len(columns)))
+    rows = [{} for _ in columns]
+    for k, (head, _, _) in enumerate(heads):
+        for j, x in A.lam_int(head).items():
+            rows[j][k] = x
+    return [(row, A.dvr.int_one) for row in rows]
 
 
 def _product_check(A, res, c):
@@ -814,7 +835,8 @@ def analyze(A: AugmentedAlgebra, modules=None, res=None) -> CongruenceReport:
         regularity=reg,
         cotangent={"cotangent": cot.cotangent, "phi": cot.phi,
                    "phi_length": cot.phi.torsion_length, "fitt_c": cot.fitt_c},
-        resolution=res.describe(),
+        resolution=res.describe(
+            res.length if res.strategy == "file" else A.codim + 1),
         serre=serre,
         modules=out_modules,
     )

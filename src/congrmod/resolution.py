@@ -43,8 +43,9 @@ class FreeResolution:
     holds its algebra and Ext modules, and the algebra keeps it weakly.
     Step i is built from the steps before it when d_1..d_i is first read,
     and d^2 is checked once, as it is added.  The whole-complex readers
-    (ranks, diffs, describe) build through `length`, the largest length
-    asked of resolve_O.  A file resolution raises past its matrices."""
+    (ranks, diffs) build through `length`, the largest length asked of
+    resolve_O; describe(top) builds through the top it is given.  A file
+    resolution raises past its matrices."""
 
     def __init__(self, algebra, strategy, cert: Cert, step, length=0):
         self.algebra = algebra
@@ -85,6 +86,10 @@ class FreeResolution:
         self._build_through(i)
         return self._ranks[i]
 
+    def built(self, i):
+        """Whether d_i is built already, so that reading it costs nothing."""
+        return i <= len(self._diffs)
+
     def differential(self, i):
         """Columns of d_i: F_i -> F_(i-1), 1-indexed."""
         if i < 1:
@@ -98,9 +103,12 @@ class FreeResolution:
         A = self.algebra
         return [[A.lam(col[r]) for col in cols] for r in range(self.rank(i - 1))]
 
-    def describe(self):
+    def describe(self, top):
+        """The report's resolution line: the strategy, the ranks of F_0 to
+        F_top and the certificate.  It lists what top asks for, whichever
+        steps are built already."""
         return {"strategy": self.strategy,
-                "ranks": self.ranks,
+                "ranks": [self.rank(i) for i in range(top + 1)],
                 "certification": self.cert.label()}
 
 
@@ -441,32 +449,35 @@ def _file_resolution(A, matrices):
 
 
 def verify_resolution(res: FreeResolution) -> Cert:
-    """d_1 generates the augmentation ideal, and exactness is witnessed
-    through degree codim+1 (d^2 = 0 is checked as each step is built): the
-    solver of d_(i+1) keeps none of the kernel of d_i, and gives the kernel
-    at step i+1, so each differential has one solver.  The Shamash family
-    is exact by theory once its relations are a regular sequence, so its
-    certificate stands; any other resolution is then as certain as the
-    searches over A."""
+    """d_1 generates the augmentation ideal, d^2 = 0 holds on every step
+    through res.length (checked as each step is built), and exactness is
+    witnessed through degree codim+1: the solver of d_(i+1) keeps none of
+    the kernel of d_i, and gives the kernel at step i+1, so each
+    differential has one solver, and d_1's kernel is read only when there
+    is a d_2 to test it against.  The Shamash family is exact by theory
+    once its relations are a regular sequence, so its certificate stands;
+    any other resolution is then as certain as the searches over A."""
     A = res.algebra
+    ranks = res.ranks  # every step through res.length, each d^2-checked
+    top = min(len(ranks) - 2, A.codim + 1)
     d1 = res.differential(1)
     for col in d1:
         if A.lam(col[0]):
             raise VerificationFailed("a column of d_1 is not in the augmentation ideal")
     solver = A.span_solver(d1)
-    # read before the membership queries, which may add absorbers, so that
-    # the bounded kernel is the one a fresh solver gives
-    heads = solver.kernel_forms(range(len(d1)))
+    if top >= 1:
+        # read before the membership queries, which may add absorbers, so
+        # that the bounded kernel is the one a fresh solver gives
+        heads = solver.kernel_forms(range(ranks[1]))
     if not all(solver.contains((g,)) for g in A.p_gens()):
         raise VerificationFailed(
             "image of d_1 does not generate the augmentation ideal")
-    top = min(res.length - 1, A.codim + 1)
     for i in range(1, top + 1):
         solver = A.span_solver(res.differential(i + 1))
         if solver.grow(heads, 0):
             raise VerificationFailed(f"exactness fails at homological degree {i}")
         if i < top:
-            heads = solver.kernel_forms(range(res.rank(i + 1)))
+            heads = solver.kernel_forms(range(ranks[i + 1]))
     if res.strategy not in _SHAMASH_FAMILY:
         res.cert = res.cert.merge(A.cert)
     return res.cert

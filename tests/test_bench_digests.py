@@ -20,9 +20,9 @@ _spec.loader.exec_module(bench_run)
 
 DIGESTS = {
     "analyze-finite-padic":
-        "08e571db72749638a8c7e1b3bfcf1497b2453cd46e590c7d6cae32f5f3b23e2c",
+        "d76c96ed31976719add40c74e8ed217aabe108b452f68e19762c555a432529dd",
     "analyze-finite-pseries":
-        "1bdd85df8d736484071acfb9027bc62c366e7115260c041d80bc0262115cee4d",
+        "bb26538b6e6a6996d96d5a94cf2effafb6c9a2fddd910ed3c11126c1ac60fc5c",
     "hypersurface-strategies":
         "d1f62891d8f17fb8b22e5e0a3996a9aae0c29646b7d1002810750fc57f835682",
     "determinantal-resolution":

@@ -471,10 +471,9 @@ def test_length_asks_for_at_least_that_many_steps(h3_path, capsys):
             assert run(capsys, argv + ["--length", "1"]) == default
 
 
-def test_eta_never_builds_past_d_c_plus_1(tmp_path, capsys, monkeypatch):
-    """eta at codimension 3 reads d_4 at most, so on criterion 8's ring
-    C(1, 1, 1) the syzygy resolution stops at F_4 (rank 64) and never
-    builds F_5 (rank 576 at search degree 2)."""
+def _run_recording_syzygy_steps(tmp_path, capsys, monkeypatch, command):
+    """command on criterion 8's ring C(1, 1, 1) at search degree 2, its
+    exit code and record, and the syzygy steps it built, in order."""
     built = []
     real = resolution._syzygy_resolution
 
@@ -485,11 +484,31 @@ def test_eta_never_builds_past_d_c_plus_1(tmp_path, capsys, monkeypatch):
     monkeypatch.setattr(resolution, "_syzygy_resolution", recorded)
     f = tmp_path / "c111.cm"
     f.write_text(C111_FILE)
-    code, out = run(capsys, ["eta", str(f), "--degree-bound", "2",
+    code, out = run(capsys, [command, str(f), "--degree-bound", "2",
                              "--format", "structured"])
+    return code, json.loads(out), built
+
+
+def test_eta_never_builds_past_d_c_plus_1(tmp_path, capsys, monkeypatch):
+    """eta at codimension 3 reads d_4 at most, so on criterion 8's ring
+    C(1, 1, 1) the syzygy resolution stops at F_4 (rank 192) and never
+    builds F_5 (rank 576 at search degree 2)."""
+    code, rec, built = _run_recording_syzygy_steps(tmp_path, capsys, monkeypatch, "eta")
     assert code == 0
-    rec = json.loads(out)
     assert (rec["eta"], rec["certification"]) == ("(pi)", "bounded_search(degree 2)")
+    assert built == [1, 2, 3, 4]
+
+
+def test_analyze_never_builds_past_d_c_plus_1(tmp_path, capsys, monkeypatch):
+    """analyze reads the Serre check's top rank off the kernel heads of
+    d_4, so on C(1, 1, 1) it builds F_4 at most too, and its ranks line
+    stops there; the Serre ranks are those of the whole complex."""
+    code, rec, built = _run_recording_syzygy_steps(tmp_path, capsys, monkeypatch,
+                                                   "analyze")
+    assert code == 0
+    assert rec["resolution"]["ranks"] == [1, 6, 21, 64, 192]
+    assert rec["serre"] == {"expected": [1, 3, 3, 1, 0], "ranks": [1, 3, 3, 1, 0],
+                            "verdict": "holds"}
     assert built == [1, 2, 3, 4]
 
 

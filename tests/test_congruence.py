@@ -639,6 +639,78 @@ class TestSerre:
                          for i in range(len(ranks))]
 
 
+def _top_rho_twice(A):
+    """rho_(c+2) = rk_K lambda(d_(c+2)) of A's syzygy resolution twice:
+    from the unpruned kernel heads of d_(c+1) while d_(c+2) is not built,
+    and from the built, pruned d_(c+2); with serre_check's output before
+    and after the build."""
+    res = resolve_O(A, strategy="syzygy")
+    top = A.codim + 1
+
+    def rank(rows):
+        return len(omodule._Echelon(A.dvr, rows).pivots)
+
+    before = serre_check(A, res=res)
+    from_heads = rank(congruence._head_lam_rows(A, res.differential(top)))
+    assert not res.built(top + 1)
+    from_step = rank([omodule._sparse(A.dvr, row) for row in res.lam_rows(top + 1)])
+    return from_heads, from_step, before, serre_check(A, res=res)
+
+
+@pytest.mark.parametrize("name", [n for n in SERRE_CASES if n != "README file"])
+def test_top_rho_from_the_heads_is_that_of_the_pruned_step(name):
+    """d_(c+2) is the pruned subset of the kernel heads of d_(c+1), so
+    lambda gives both one K-rank, and serre_check, which reads the heads
+    until d_(c+2) is built, reports the same before and after."""
+    case = SERRE_CASES[name]()
+    A = case[0] if isinstance(case, tuple) else case
+    from_heads, from_step, before, after = _top_rho_twice(A)
+    assert from_heads == from_step
+    assert before == after
+
+
+_HEAD_BASES = [Dvr.p_adic(2), Dvr.p_adic(3), Dvr.p_adic(5), Dvr.power_series(4)]
+
+
+@pytest.mark.parametrize("base", _HEAD_BASES, ids=repr)
+def test_top_rho_from_the_heads_on_random_rings(base):
+    """The same on eight random grammar algebras per base at search degree
+    2, module-finite or not, codimension 0 to 2; the seeds of different
+    bases differ, since the draws do not depend on the Dvr."""
+    start = 8 * _HEAD_BASES.index(base)
+    for seed in range(start, start + 8):
+        A = random_grammar_algebra(base, random.Random(seed),
+                                   config=EngineConfig(search_degree=2))
+        from_heads, from_step, before, after = _top_rho_twice(A)
+        assert from_heads == from_step, seed
+        assert before == after, seed
+
+
+@pytest.mark.parametrize("base", [Dvr.p_adic(5), Dvr.power_series(4)], ids=repr)
+def test_lam_int_is_lambda_up_to_a_unit_of_k(base):
+    """A.lam_int of a column's integer form is lambda of the column times
+    one nonzero constant, on augmentation values with denominators."""
+    O = base
+    R = PolyRing(O, ("x", "y"))
+    unit = O.one + O.pi
+    aug = [O.pi / unit, O.pi_pow(2) / (unit * unit + O.pi)]
+    A = build_algebra(R, [], aug, 2, name="free")
+    rng = random.Random(3)
+    for _ in range(40):
+        col = tuple(Poly(R, {(rng.randint(0, 3), rng.randint(0, 2)):
+                             O.pi_pow(rng.randint(0, 2)) / unit ** rng.randint(0, 2)
+                             for _ in range(rng.randint(0, 3))})
+                    for _ in range(3))
+        rows, _, _ = A.gb_global.int_form(col)
+        got = O.join(A.lam_int(rows), O.int_one)
+        want = [A.lam(p) for p in col]
+        nonzero = [i for i, x in enumerate(want) if x]
+        assert sorted(got) == nonzero
+        if nonzero:
+            scale = got[nonzero[0]] / want[nonzero[0]]
+            assert all(got[i] == scale * want[i] for i in nonzero)
+
+
 def _common_form_case(name):
     """A SERRE_CASES algebra, its resolution and a presented module over
     it: the README's module M on the README example, A^2/((pi*x, 0)) on a

@@ -429,6 +429,25 @@ def test_resolution_too_short():
     assert res.ranks == [1, 1, 1]
 
 
+def test_verify_reads_the_kernel_of_d1_only_when_d2_tests_it(monkeypatch):
+    """A file resolution with one matrix has no d_2 to test d_1's kernel
+    against, so verify_resolution reads no kernel; with two it reads d_1's
+    alone, before its membership queries."""
+    reads = []
+    real = SpanSolver.kernel_forms
+    monkeypatch.setattr(SpanSolver, "kernel_forms",
+                        lambda self, cols: reads.append(cols) or real(self, cols))
+    counts = []
+    for k in (1, 2):
+        A = make_An(5, 2)  # a fresh algebra, which holds no file resolution yet
+        mats = [[(A.ring.parse("x"),)], [(A.ring.parse("x - pi^2"),)]]
+        reads.clear()
+        res = resolve_O(A, strategy="file", user_matrices=mats[:k])
+        assert res.ranks == [1] * (k + 1)
+        counts.append(len(reads))
+    assert counts == [0, 1]
+
+
 def test_one_resolution_per_strategy_grown_on_demand(O5, monkeypatch):
     """A longer request grows the stored resolution: the same object under
     one key, the regular-sequence check run once, d^2 checked once per
@@ -452,7 +471,7 @@ def test_one_resolution_per_strategy_grown_on_demand(O5, monkeypatch):
     assert list(A._resolutions) == ["shamash"] and len(checks) == 1
     assert res.length == 5 and res.ranks == [1, 2, 3, 4, 5, 6]
     res.differential(4)
-    res.describe()
+    assert res.describe(5)["ranks"] == res.ranks
     assert squares == [1, 2, 3, 4]
     once = resolve_O(_ci(O5), length=5)
     assert [[tuple(map(str, c)) for c in d] for d in res.diffs] == \
