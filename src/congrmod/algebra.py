@@ -124,33 +124,35 @@ class AugmentedAlgebra:
         """The augmentation, applied to any representative polynomial."""
         return poly.evaluate(self.augmentation)
 
-    def lam_int(self, rows):
-        """The augmentation of a column in the integer form of
-        StdBasis.int_form, given by its rows [(row, {exps: numerator})],
-        times a nonzero constant (the column's denominator and those of the
-        values): {row: numerator}, zeros dropped, so its K-span is that of
-        lambda of the column.  One table per algebra holds lambda(x^u) in
-        the integer form, None for a zero value."""
+    def lam_int(self, forms, nrows):
+        """The augmentation of the columns whose StdBasis.int_forms are
+        given, exactly, as its nrows rows in the integer form of the
+        O-echelon: ({column: numerator}, den), zeros dropped, every row
+        over one denominator (the lcm of the columns' denominators times
+        those of the values).  The engine's only lambda in that form; one
+        table per algebra holds lambda(x^u) in it, None for a zero value."""
         dvr, table = self.dvr, self._lam_table
         parts, den = [], dvr.int_one
-        for i, terms in rows:
-            for e, n in terms.items():
-                entry = table.get(e)
-                if entry is None:  # a racing thread stores an equal entry
-                    num, d = dvr.split({0: self.lam(Poly(self.ring, {e: dvr.one}))})
-                    entry = table[e] = num.get(0), d
-                x, d = entry
-                if x is not None:
-                    parts.append((i, n * x, d))
-                    if den % d:
-                        den = den // dvr.gcd(den, d) * d
-        out = {}
-        for i, x, d in parts:
+        for k, (rows, cden, _) in enumerate(forms):
+            for i, terms in rows:
+                for e, n in terms.items():
+                    entry = table.get(e)
+                    if entry is None:  # a racing thread stores an equal entry
+                        num, d = dvr.split({0: self.lam(Poly(self.ring, {e: dvr.one}))})
+                        entry = table[e] = num.get(0), d
+                    x, d = entry
+                    if x is not None:
+                        d = d * cden
+                        parts.append((i, k, n * x, d))
+                        if den % d:
+                            den = den // dvr.gcd(den, d) * d
+        out = [{} for _ in range(nrows)]
+        for i, k, x, d in parts:
             if d != den:
                 x = x * (den // d)
-            prev = out.get(i)
-            out[i] = x if prev is None else prev + x
-        return {i: x for i, x in out.items() if x}
+            prev = out[i].get(k)
+            out[i][k] = x if prev is None else prev + x
+        return [({k: x for k, x in row.items() if x}, den) for row in out]
 
     def p_gens(self):
         return [self.ring.var(i) - self.ring.const(a)

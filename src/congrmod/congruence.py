@@ -105,30 +105,31 @@ def ext_module(A: AugmentedAlgebra, M, i: int, res: FreeResolution) -> ExtModule
 
 
 def _ext_O(A, i, res):
-    """Ext^i(O, O) by linear algebra over O on the augmented differentials.
-    Its reps are the cocycle lattice's basis as constant polynomials; the
-    coboundaries, rows of lambda(d_i), are solved as they are, in K."""
+    """Ext^i(O, O) by linear algebra over O on the augmented differentials,
+    whose rows the resolution hands out in the echelon's integer form
+    (FreeResolution.lam_rows).  Its reps are the cocycle lattice's basis as
+    constant polynomials; the coboundaries, rows of lambda(d_i), are solved
+    as they are."""
     dvr = A.dvr
     r_i = res.rank(i)
     if r_i == 0:
         return ExtModule(i, FinOModule.zero(dvr), [], res.cert)
     # cocycles: the kernel of the map whose columns are the rows of
     # d_(i+1) (all of O^r_i when r_(i+1) = 0)
-    dnext = res.lam_rows(i + 1)  # r_i x r_(i+1)
-    cocycles = _Echelon(dvr, [_sparse(dvr, row) for row in dnext]).kernel_split()
+    cocycles = _Echelon(dvr, res.lam_rows(i + 1)).kernel_split()
     # one echelon of the cocycle lattice gives the coordinates of the
     # coboundaries here and of every later class
     echelon = _Echelon(dvr, [(dict(num), den) for num, den in cocycles])
 
     def solve(v):
-        y = echelon.solve(_sparse(dvr, v))
+        y = echelon.solve(v)
         return None if y is None else [y.get(j, dvr.zero)
                                        for j in range(len(cocycles))]
 
     im_coords = []
     if i > 0 and res.rank(i - 1):
         for row in res.lam_rows(i):  # r_(i-1) x r_i
-            if not any(row):
+            if not row[0]:
                 continue
             y = solve(row)
             if y is None:
@@ -139,7 +140,7 @@ def _ext_O(A, i, res):
     reps = [tuple(A.ring.const(v.get(j, dvr.zero)) for j in range(r_i))
             for v in (dvr.join(num, den) for num, den in cocycles)]
     return ExtModule(i, structure, reps, res.cert,
-                     lambda w: solve([A.lam(p) for p in w]))
+                     lambda w: solve(_sparse(dvr, [A.lam(p) for p in w])))
 
 
 def _hom_block(zero, g, d, rows):
@@ -589,24 +590,18 @@ def deformation_step(A: AugmentedAlgebra, M, f: Poly) -> dict:
 
 def serre_check(A: AugmentedAlgebra, res=None, with_products=False) -> dict:
     """The free ranks of Ext^i_A(O, O), i <= c + 1 (within the matrices of
-    a file resolution), against comb(c, i): r_i - rho_i - rho_(i+1), rho_i
-    = rk_K lambda(d_i), the pivot count of one echelon of its rows, so no
-    Ext module is built unless products are asked for.  When the top
-    differential of a syzygy resolution is not built, its rho is read off
-    the unpruned kernel heads of the one below (_head_lam_rows), and the
-    top step is never built."""
+    a file resolution), against comb(c, i): r_i - rho_i - rho_(i+1), with
+    rho_i = rk_K lambda(d_i) as the resolution gives it (lam_rank), so no
+    Ext module is built unless products are asked for.  r_0..r_top are read
+    first, so that only the top rho may find its step unbuilt; a syzygy
+    resolution then reads it without building that step."""
     c = A.codim
     if res is None:
         res = resolve_O(A)
     top = min(res.length - 1, c + 1) if res.strategy == "file" else c + 1
-    rho = [0]
-    for i in range(1, top + 2):
-        if i > top and res.strategy == "syzygy" and not res.built(i):
-            rows = _head_lam_rows(A, res.differential(top))
-        else:
-            rows = [_sparse(A.dvr, row) for row in res.lam_rows(i)]
-        rho.append(len(_Echelon(A.dvr, rows).pivots))
-    ranks = [res.rank(i) - rho[i] - rho[i + 1] for i in range(top + 1)]
+    r = [res.rank(i) for i in range(top + 1)]
+    rho = [0] + [res.lam_rank(i) for i in range(1, top + 2)]
+    ranks = [r[i] - rho[i] - rho[i + 1] for i in range(top + 1)]
     expected = [comb(c, i) for i in range(top + 1)]
     out = {"ranks": ranks, "expected": expected,
            "verdict": "holds" if ranks == expected else "fails"}
@@ -615,21 +610,6 @@ def serre_check(A: AugmentedAlgebra, res=None, with_products=False) -> dict:
         if not out["product_generates"]:
             out["verdict"] = "fails"
     return out
-
-
-def _head_lam_rows(A, columns):
-    """The rows of lambda over the unpruned kernel heads of columns, in
-    the echelon's form, each head scaled by a nonzero constant
-    (A.lam_int).  _syzygies prunes the same heads, at the same bound, into
-    the next differential, which generates the same A-module; lambda is a
-    ring map, so the two sets have one K-span after lambda, and one
-    K-rank."""
-    heads = A.span_solver(columns).kernel_forms(range(len(columns)))
-    rows = [{} for _ in columns]
-    for k, (head, _, _) in enumerate(heads):
-        for j, x in A.lam_int(head).items():
-            rows[j][k] = x
-    return [(row, A.dvr.int_one) for row in rows]
 
 
 def _product_check(A, res, c):

@@ -75,13 +75,10 @@ class FpModule:
         """An O-basis of Hom_O(tfree(M/pM), O) as functional rows on the
         generators; each row annihilates every presentation relation."""
         rows = self.reduce_mod_p().dual_free_rows()
-        A = self.algebra
+        lam, zero = self.lam_presentation(), self.algebra.dvr.zero
         for row in rows:
-            for col in self.columns:
-                val = A.dvr.zero
-                for c, p in zip(row, col):
-                    val = val + c * A.lam(p)
-                if val:
+            for col in lam:
+                if sum((c * x for c, x in zip(row, col)), zero):
                     raise InternalInvariantViolation(
                         "functional fails to annihilate a presentation relation")
         return rows

@@ -34,18 +34,20 @@ from .algebra import (_NOTSET, CERTIFIED, USER_VERIFIED, AugmentedAlgebra,
 from .errors import (InternalInvariantViolation, ResolutionTooShort,
                      StrategyInapplicable, VerificationFailed)
 from .linsolve import SpanSolver, prune_generators
+from .omodule import _Echelon
 from .poly import GLOBAL, Poly
 from .stdbasis import StdBasis
 
 
 class FreeResolution:
-    """One resolution per (algebra, strategy) while a caller holds it: it
-    holds its algebra and Ext modules, and the algebra keeps it weakly.
-    Step i is built from the steps before it when d_1..d_i is first read,
-    and d^2 is checked once, as it is added.  The whole-complex readers
-    (ranks, diffs) build through `length`, the largest length asked of
-    resolve_O; describe(top) builds through the top it is given.  A file
-    resolution raises past its matrices."""
+    """One resolution per (algebra, strategy) while a caller holds it (a
+    file resolution per call of resolve_O): it holds its algebra and Ext
+    modules, and the algebra keeps it weakly.  Step i is built from the
+    steps before it when d_1..d_i is first read, and d^2 is checked once,
+    as it is added.  The whole-complex readers (ranks, diffs) build through
+    `length`, the largest length asked of resolve_O; describe(top) builds
+    through the top it is given.  A file resolution raises past its
+    matrices.  lam_rows and lam_rank answer lambda(d_i) and its K-rank."""
 
     def __init__(self, algebra, strategy, cert: Cert, step, length=0):
         self.algebra = algebra
@@ -86,10 +88,6 @@ class FreeResolution:
         self._build_through(i)
         return self._ranks[i]
 
-    def built(self, i):
-        """Whether d_i is built already, so that reading it costs nothing."""
-        return i <= len(self._diffs)
-
     def differential(self, i):
         """Columns of d_i: F_i -> F_(i-1), 1-indexed."""
         if i < 1:
@@ -98,10 +96,26 @@ class FreeResolution:
         return self._diffs[i - 1]
 
     def lam_rows(self, i):
-        """Rows of the augmented differential over O; r_(i-1) x r_i."""
-        cols = self.differential(i)
+        """The r_(i-1) rows of lambda(d_i) over O, each ({column:
+        numerator}, den) as AugmentedAlgebra.lam_int gives them: new dicts
+        on every call, which an _Echelon may take over."""
+        gb = self.algebra.gb_global
+        return self.algebra.lam_int([gb.int_form(col) for col in self.differential(i)],
+                                    self.rank(i - 1))
+
+    def lam_rank(self, i):
+        """rho_i = rk_K lambda(d_i), the pivot count of one _Echelon of its
+        rows.  A syzygy step i >= 2 not built yet stays unbuilt: rho_i is
+        read off the unpruned kernel heads of d_(i-1), which _syzygies
+        prunes, at the same bound, into d_i.  Both generate one A-module
+        and lambda is a ring map, so their images have one K-span."""
         A = self.algebra
-        return [[A.lam(col[r]) for col in cols] for r in range(self.rank(i - 1))]
+        if self.strategy == "syzygy" and 1 < i and len(self._diffs) < i:
+            prev = self.differential(i - 1)
+            rows = A.lam_int(A.span_solver(prev).kernel_forms(range(len(prev))), len(prev))
+        else:
+            rows = self.lam_rows(i)
+        return len(_Echelon(A.dvr, rows).pivots)
 
     def describe(self, top):
         """The report's resolution line: the strategy, the ranks of F_0 to
@@ -350,14 +364,17 @@ def resolve_O(A: AugmentedAlgebra, length=None, strategy="auto",
     """The resolution of O over A by one strategy, shared by every caller
     (and racing thread) while one holds it: A keeps it weakly.  length asks
     for at least that many steps and builds them now; without it the whole
-    complex runs to c + 2, built as it is read."""
+    complex runs to c + 2, built as it is read.  A file resolution is built
+    and verified on each call: A's cache cannot tell matrices apart."""
     with A._lock:
         if strategy == "auto":
             strategy = _pick_strategy(A)
-        res = A._resolutions.get(strategy)
-        if res is None:
-            res = A._resolutions[strategy] = _new_resolution(A, strategy, user_matrices)
-        if strategy != "file":
+        if strategy == "file":
+            res = _new_resolution(A, strategy, user_matrices)
+        else:
+            res = A._resolutions.get(strategy)
+            if res is None:
+                res = A._resolutions[strategy] = _new_resolution(A, strategy, user_matrices)
             res.length = max(res.length, A.codim + 2 if length is None else length)
         if length is not None:
             res._build_through(length)

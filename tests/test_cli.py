@@ -512,6 +512,15 @@ def test_analyze_never_builds_past_d_c_plus_1(tmp_path, capsys, monkeypatch):
     assert built == [1, 2, 3, 4]
 
 
+def test_serre_never_builds_past_d_c_plus_1(tmp_path, capsys, monkeypatch):
+    """serre reads its top rank off the kernel heads of d_4 too, so on
+    C(1, 1, 1) it builds F_4 at most."""
+    code, rec, built = _run_recording_syzygy_steps(tmp_path, capsys, monkeypatch, "serre")
+    assert code == 0
+    assert (rec["ranks"], rec["verdict"]) == ([1, 3, 3, 1, 0], "holds")
+    assert built == [1, 2, 3, 4]
+
+
 @pytest.mark.parametrize("bound", ["0", "-1"])
 @pytest.mark.parametrize("command", [["eta", "FILE"], ["deform", "FILE", "--element", "y"],
                                      ["probe-fitting-question", "--count", "3"]])

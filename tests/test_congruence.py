@@ -23,6 +23,7 @@ from congrmod.errors import (EngineError, InconsistentCodim, InputError,
                              InSymbolicSquare, InternalInvariantViolation,
                              NotRegularAtAugmentation,
                              NotSameCodim, ZeroDivisorSuspected)
+from congrmod.linsolve import SpanSolver
 from congrmod.probfile import load_problem
 from conftest import (make_An, make_depth_zero_example, make_hypersurface_2var,
                       make_ring_B, make_ring_C)
@@ -641,20 +642,16 @@ class TestSerre:
 
 def _top_rho_twice(A):
     """rho_(c+2) = rk_K lambda(d_(c+2)) of A's syzygy resolution twice:
-    from the unpruned kernel heads of d_(c+1) while d_(c+2) is not built,
-    and from the built, pruned d_(c+2); with serre_check's output before
-    and after the build."""
+    from res.lam_rank while d_(c+2) is not built, which reads the unpruned
+    kernel heads of d_(c+1), and once res.differential(c + 2) has built
+    the pruned step; with serre_check's output before and after the build."""
     res = resolve_O(A, strategy="syzygy")
     top = A.codim + 1
-
-    def rank(rows):
-        return len(omodule._Echelon(A.dvr, rows).pivots)
-
     before = serre_check(A, res=res)
-    from_heads = rank(congruence._head_lam_rows(A, res.differential(top)))
-    assert not res.built(top + 1)
-    from_step = rank([omodule._sparse(A.dvr, row) for row in res.lam_rows(top + 1)])
-    return from_heads, from_step, before, serre_check(A, res=res)
+    from_heads = res.lam_rank(top + 1)
+    assert len(res._diffs) == top  # d_(c+2) is not built
+    res.differential(top + 1)
+    return from_heads, res.lam_rank(top + 1), before, serre_check(A, res=res)
 
 
 @pytest.mark.parametrize("name", [n for n in SERRE_CASES if n != "README file"])
@@ -667,6 +664,20 @@ def test_top_rho_from_the_heads_is_that_of_the_pruned_step(name):
     from_heads, from_step, before, after = _top_rho_twice(A)
     assert from_heads == from_step
     assert before == after
+
+
+def test_serre_check_reads_each_kernel_once(monkeypatch):
+    """serre_check reads r_0..r_(c+1) before any rho, so on C(1, 1, 1) at
+    D = 2 it reads four kernels, those that build d_2, d_3 and d_4 and the
+    heads of d_5, and builds four steps."""
+    reads = []
+    real = SpanSolver.kernel_forms
+    monkeypatch.setattr(SpanSolver, "kernel_forms",
+                        lambda self, cols: reads.append(cols) or real(self, cols))
+    A = make_ring_C(5, 1, 1, 1)
+    res = resolve_O(A, strategy="syzygy")
+    assert serre_check(A, res=res)["verdict"] == "holds"
+    assert len(reads) == 4 and len(res._diffs) == 4
 
 
 _HEAD_BASES = [Dvr.p_adic(2), Dvr.p_adic(3), Dvr.p_adic(5), Dvr.power_series(4)]
@@ -687,9 +698,10 @@ def test_top_rho_from_the_heads_on_random_rings(base):
 
 
 @pytest.mark.parametrize("base", [Dvr.p_adic(5), Dvr.power_series(4)], ids=repr)
-def test_lam_int_is_lambda_up_to_a_unit_of_k(base):
-    """A.lam_int of a column's integer form is lambda of the column times
-    one nonzero constant, on augmentation values with denominators."""
+def test_lam_int_is_lambda_exactly(base):
+    """Dvr.join of each row of A.lam_int on the integer forms of some
+    columns is that row of lambda, as A.lam gives it entry by entry, on
+    augmentation values with denominators."""
     O = base
     R = PolyRing(O, ("x", "y"))
     unit = O.one + O.pi
@@ -697,18 +709,30 @@ def test_lam_int_is_lambda_up_to_a_unit_of_k(base):
     A = build_algebra(R, [], aug, 2, name="free")
     rng = random.Random(3)
     for _ in range(40):
-        col = tuple(Poly(R, {(rng.randint(0, 3), rng.randint(0, 2)):
-                             O.pi_pow(rng.randint(0, 2)) / unit ** rng.randint(0, 2)
-                             for _ in range(rng.randint(0, 3))})
-                    for _ in range(3))
-        rows, _, _ = A.gb_global.int_form(col)
-        got = O.join(A.lam_int(rows), O.int_one)
-        want = [A.lam(p) for p in col]
-        nonzero = [i for i, x in enumerate(want) if x]
-        assert sorted(got) == nonzero
-        if nonzero:
-            scale = got[nonzero[0]] / want[nonzero[0]]
-            assert all(got[i] == scale * want[i] for i in nonzero)
+        cols = [tuple(Poly(R, {(rng.randint(0, 3), rng.randint(0, 2)):
+                               O.pi_pow(rng.randint(0, 2)) / unit ** rng.randint(0, 2)
+                               for _ in range(rng.randint(0, 3))})
+                      for _ in range(3))
+                for _ in range(rng.randint(0, 3))]
+        rows = A.lam_int([A.gb_global.int_form(col) for col in cols], 3)
+        want = [{k: A.lam(col[i]) for k, col in enumerate(cols) if A.lam(col[i])}
+                for i in range(3)]
+        assert [O.join(num, den) for num, den in rows] == want
+
+
+@pytest.mark.parametrize("name", list(SERRE_CASES))
+def test_lam_rows_are_lambda_of_the_differentials(name):
+    """res.lam_rows(i), joined into K, is lambda(d_i) as A.lam gives it
+    entry by entry, for every differential through c + 2 (through the
+    last matrix of a file resolution)."""
+    case = SERRE_CASES[name]()
+    A, strategy, matrices = case if isinstance(case, tuple) else (case, "auto", None)
+    res = resolve_O(A, strategy=strategy, user_matrices=matrices)
+    for i in range(1, res.length + 1):
+        cols = res.differential(i)
+        want = [{k: A.lam(col[r]) for k, col in enumerate(cols) if A.lam(col[r])}
+                for r in range(res.rank(i - 1))]
+        assert [A.dvr.join(num, den) for num, den in res.lam_rows(i)] == want, i
 
 
 def _common_form_case(name):

@@ -363,7 +363,6 @@ def test_file_strategy_verified():
 
 def test_file_strategy_corrupted_rejected():
     A = make_An(5, 2)
-    A._resolutions.clear()
     R = A.ring
     bad = [
         [(R.parse("x"),)],
@@ -371,6 +370,20 @@ def test_file_strategy_corrupted_rejected():
     ]
     with pytest.raises(VerificationFailed):
         resolve_O(A, length=2, strategy="file", user_matrices=bad)
+
+
+def test_file_strategy_reads_the_matrices_of_every_call():
+    """A file resolution is built and verified from the matrices of each
+    call, though an earlier one is still held: A's cache, keyed by
+    strategy, cannot tell two sets of matrices apart."""
+    A = make_An(5, 2)
+    R = A.ring
+    x = R.parse("x")
+    held = resolve_O(A, strategy="file", user_matrices=[[(x,)], [(R.parse("x - pi^2"),)]])
+    res = resolve_O(A, strategy="file", user_matrices=[[(x,)]])
+    assert res is not held and res.ranks == [1, 1] and held.ranks == [1, 1, 1]
+    with pytest.raises(VerificationFailed):
+        resolve_O(A, strategy="file", user_matrices=[[(R.parse("x + 1"),)]])
 
 
 def test_corrupted_exactness_detected():
