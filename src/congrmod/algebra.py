@@ -81,6 +81,7 @@ class AugmentedAlgebra:
         self._resolutions = weakref.WeakValueDictionary()  # strategy -> res, see resolve_O
         self._ci_cert = _NOTSET  # see resolution._complete_intersection
         self._lam_table = {}  # exps -> lambda(x^exps) in integer form, see lam_int
+        self._pruned = None  # (columns, the solver that pruned them), see resolution._kernel_heads
         self._validate()
 
     def assertion_notes(self):

@@ -106,17 +106,17 @@ def ext_module(A: AugmentedAlgebra, M, i: int, res: FreeResolution) -> ExtModule
 
 def _ext_O(A, i, res):
     """Ext^i(O, O) by linear algebra over O on the augmented differentials,
-    whose rows the resolution hands out in the echelon's integer form
-    (FreeResolution.lam_rows).  Its reps are the cocycle lattice's basis as
-    constant polynomials; the coboundaries, rows of lambda(d_i), are solved
-    as they are."""
+    whose rows the resolution keeps in the echelon's integer form, with
+    one echelon of them (FreeResolution.lam, lam_echelon).  Its reps are
+    the cocycle lattice's basis as constant polynomials; the coboundaries,
+    rows of lambda(d_i), are solved as they are."""
     dvr = A.dvr
     r_i = res.rank(i)
     if r_i == 0:
         return ExtModule(i, FinOModule.zero(dvr), [], res.cert)
     # cocycles: the kernel of the map whose columns are the rows of
     # d_(i+1) (all of O^r_i when r_(i+1) = 0)
-    cocycles = _Echelon(dvr, res.lam_rows(i + 1)).kernel_split()
+    cocycles = res.lam_echelon(i + 1).kernel_split()
     # one echelon of the cocycle lattice gives the coordinates of the
     # coboundaries here and of every later class
     echelon = _Echelon(dvr, [(dict(num), den) for num, den in cocycles])
@@ -128,7 +128,7 @@ def _ext_O(A, i, res):
 
     im_coords = []
     if i > 0 and res.rank(i - 1):
-        for row in res.lam_rows(i):  # r_(i-1) x r_i
+        for row in res.lam(i):  # r_(i-1) x r_i
             if not row[0]:
                 continue
             y = solve(row)

@@ -15,7 +15,11 @@ basis only the standard monomials, since any other x^u is an O-combination
 of standard monomials of degree <= deg u modulo I, so that their multiples
 span the same O-module, the multiples of degree <= D modulo I; over any
 other basis, every monomial.  The solver numbers the rows and holds the
-system.
+system.  Its echelon is built at its first read (a kernel, a solve, or a
+target on rows some column reaches; a target that touches another row is
+outside before any elimination), in one batch elimination of every column
+added before it; a column added later is appended by the incremental
+Hermite step.
 
 Vectors over A stay in that integer form (StdBasis.int_form: rows of
 numerators over one denominator) from the kernel to the membership test.
@@ -26,7 +30,10 @@ drops the same repeats and raises at the same caps.  grow() is the one
 pruning loop: it keeps each candidate outside the span so far and adds it
 when the solver is next read, so the last one kept is expanded only if
 read.  prune_generators orders candidates and grows an empty solver by
-them; Ext grows its class solver by the cocycles, modulo coboundaries;
+them, and hands that solver on with the candidates kept: where every kept
+column entered its batch, its echelon is the one a solver constructed on
+them builds, and the syzygy strategy reads the next kernel off it; Ext
+grows its class solver by the cocycles, modulo coboundaries;
 several vectors lie in a span exactly when grow() keeps none of them.
 Polynomials are built (StdBasis.polys) only for the vectors a caller
 keeps.  Completeness holds only up to the multiplier degree bound; callers
@@ -52,22 +59,28 @@ class SpanSolver:
     the standard monomials of degree <= bound, whose multiples reach every
     multiple of degree <= bound modulo I, and every monomial otherwise.
 
-    The columns are expanded once, on construction, by gb (see
-    StdBasis.expand); the echelon is built on the first query and reused,
-    so one instance answers kernel_forms() on any range of columns,
+    The columns are expanded once, as they are added, by gb (see
+    StdBasis.expand); the echelon is built at the first read that needs
+    it, in one batch from every column added before it, and reused, so
+    one instance answers kernel_forms() on any range of columns,
     kernel_constants() (kernel_forms on the columns of bound 0 from some
-    index on, read in K), solve() and contains() for many targets.  The
-    valuation cap holds for each column's coefficients and for every
-    expanded entry; the degree cap is
-    checked as the basis's table fills.  extend() adds a column at a
-    multiplier bound of its own, at once, and grow() keeps each of several
-    that lies outside the span and adds it through extend() on the next
-    read (_ech); only the solver's owner calls them, never a solver shared
-    by later readers.
+    index on, read in K), solve() and contains() for many targets.  A
+    target that touches a row no column reaches is outside without an
+    echelon.  The valuation cap holds for each column's coefficients and
+    for every expanded entry; the degree cap is checked as the basis's
+    table fills.  extend() adds a column at a multiplier bound of its own,
+    at once, and grow() keeps each of several that lies outside the span
+    and adds it through extend() on the next read (_ready); a column added
+    before the echelon is built joins its batch, one added after is
+    appended to it, and batched() tells whether every column entered the
+    batch.  Only the solver's owner calls them, never a solver shared by
+    later readers.
     When gb's normal forms are not O-linear, the solver adds the absorber
     columns g * e_i * u in every row a column or a target touches, to
     degree deg_bound plus the largest column or target degree seen (a
-    target's once it reads as outside).
+    column's before the next read, a target's once it reads as outside),
+    so a solver extended by some columns before its first read holds what
+    one constructed on them holds, in the same order.
     These suffice: a strong standard basis over a DVR, under a
     degree-compatible order, writes f in I of degree <= d as sum q_i g_i
     with deg(q_i g_i) <= d (Adams and Loustaunau, GSM 3, Ch. 4).
@@ -81,16 +94,17 @@ class SpanSolver:
         self._echelon = None
         self._check_bound(deg_bound)
         self.row_index = {}
-        self.sparse_cols = []
+        self.sparse_cols = []  # the batch, until the echelon is built
         self.meta = []  # ("var", j, exps) | ("abs", i, exps) per echelon column
         self._added = 0  # columns in the system
         self._pending = []  # (form, bound) per kept column not yet added
+        self._unabsorbed = []  # the rows of columns added, until absorbed
         self._absorbed, self._top = set(), 0  # absorbed rows; degree seen
+        self._batched = True  # no column was appended to a built echelon
         self._lock = threading.Lock()  # a query may extend the echelon
-        forms = [gb.int_form(col) for col in columns]
-        for form in forms:
-            self._add(form, deg_bound)
-        self._absorb([row for rows, _, _ in forms for row in rows])
+        for col in columns:
+            self._add(gb.int_form(col), deg_bound)
+        self._ready()
 
     @property
     def ncols(self):
@@ -108,6 +122,8 @@ class SpanSolver:
         j = self._added
         self._added += 1
         self._put(form, [("var", j, u) for u in self.gb.multipliers(bound)])
+        if not self.gb.linear:
+            self._unabsorbed += form[0]
 
     def _absorb(self, rows):
         """Add the absorbers that the rows of a column or a target,
@@ -138,16 +154,20 @@ class SpanSolver:
         if self._echelon is None:
             self.sparse_cols += vecs
         else:
+            self._batched = False
             for vec in vecs:
                 self._echelon.extend(vec)
 
     def extend(self, form, bound):
         """Add a column, given as its int_form, with multipliers of degree
-        <= bound (at most deg_bound, which sizes the absorbers).  Only its
-        multiples, and the absorbers it calls for, are expanded, and each
-        is appended to the one echelon."""
-        self._absorb(form[0])
-        self._ech()
+        <= bound (at most deg_bound, which sizes the absorbers), after the
+        columns grow() kept.  Only its multiples are expanded: they join
+        the batch while the echelon is not built, and are appended to it
+        after; the absorbers its rows call for are added at the next
+        read."""
+        pending, self._pending = self._pending, []
+        for earlier, earlier_bound in pending:
+            self._add(earlier, earlier_bound)
         self._add(form, bound)
 
     def grow(self, forms, bound):
@@ -160,9 +180,11 @@ class SpanSolver:
         last one are expanded only if the solver is read again.  Returns
         (index in forms, rows, den) for each column kept, in order, with
         its expansion: its normal form when gb is linear, the column itself
-        otherwise.  Membership in an O-span does not depend on the
-        echelon's basis, so the columns kept are those a solver built
-        afresh on the ones before would keep."""
+        otherwise.  A candidate that touches a row no column reaches is
+        kept without an echelon, so the kept columns join the batch until
+        a candidate needs the echelon.  Membership in an O-span does not
+        depend on the echelon's basis or history, so the columns kept are
+        those a solver built afresh on the ones before would keep."""
         kept = []
         for k, form in enumerate(forms):
             rows, den = self.gb.expand(form)
@@ -202,16 +224,36 @@ class SpanSolver:
                 rows.setdefault(j - cols.start, {})[u] = x
         return rows
 
-    def _ech(self):
-        """The echelon, built on first use, once the columns grow() kept
-        are added, each as extend() would have added it when kept."""
+    def _ready(self):
+        """Before a read: add the columns grow() kept, through extend(),
+        and the absorbers that the columns added call for."""
         pending, self._pending = self._pending, []
         for form, bound in pending:
             self.extend(form, bound)
+        rows, self._unabsorbed = self._unabsorbed, []
+        self._absorb(rows)
+
+    def _ech(self):
+        """The echelon, built on first use from every column added before
+        it, in one batch elimination."""
+        self._ready()
         if self._echelon is None:
             self._echelon = _Echelon(self.dvr, self.sparse_cols)
             self.sparse_cols = None  # the echelon takes them over
         return self._echelon
+
+    def batched(self):
+        """Whether every column, the ones grow() kept included, enters the
+        one batch elimination, so that over a linear basis (no absorbers)
+        the echelon is the one a solver constructed on the same columns,
+        in the same order, builds.  While the echelon is not built, the
+        columns waiting to be added join the batch now; after, a column
+        still waiting would be appended to it, so the answer is no without
+        adding it."""
+        with self._lock:
+            if self._echelon is None:
+                self._ready()
+            return self._batched and not (self._pending or self._unabsorbed)
 
     def kernel_constants(self, start):
         """The kernel's coordinates on the columns from start on, each of
@@ -272,11 +314,13 @@ class SpanSolver:
 
     def _query(self, query, rows, den):
         """query, _Echelon.solve or reduce, on an expansion by gb; None
-        outside the span, once the absorbers it calls for are in."""
+        outside the span, once the absorbers it calls for are in.  A target
+        that touches a row no column reaches is outside before any
+        elimination, so the echelon is built only for a target on known
+        rows."""
         with self._lock:
             while True:
-                if self._pending:
-                    self._ech()  # the kept columns' rows join the index
+                self._ready()  # the added columns' rows join the index
                 rhs = self._vector(rows, den)
                 out = None if rhs is None else query(self._ech(), rhs)
                 if out is not None or not self._absorb(rows):
@@ -301,7 +345,9 @@ def prune_generators(gb, forms, nrows, deg_bound):
     only inside ties of the first two; the sort is stable.  One solver,
     empty at first, grows by them (SpanSolver.grow): each is kept iff it
     lies outside the span of those kept before it, so a vector zero in A
-    never is.  Returns what grow() returns, indices into forms."""
+    never is.  Returns what grow() returns, indices into forms, as a list
+    that also holds that solver (solver), whose columns are the vectors
+    kept, in order, each at deg_bound."""
     ring = gb.ring
     sizes = []
     for rows, _, _ in forms:
@@ -315,5 +361,13 @@ def prune_generators(gb, forms, nrows, deg_bound):
             run.sort(key=lambda k: _render(ring, forms[k], nrows))
         order += run
     solver = SpanSolver(ring, gb, [], deg_bound)
-    return [(order[i], rows, den) for i, rows, den
-            in solver.grow([forms[k] for k in order], deg_bound)]
+    return _Pruned([(order[i], rows, den) for i, rows, den
+                    in solver.grow([forms[k] for k in order], deg_bound)], solver)
+
+
+class _Pruned(list):
+    """prune_generators' answer, with the solver it grew (solver)."""
+
+    def __init__(self, kept, solver):
+        super().__init__(kept)
+        self.solver = solver

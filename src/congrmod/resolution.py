@@ -47,7 +47,11 @@ class FreeResolution:
     as it is added.  The whole-complex readers (ranks, diffs) build through
     `length`, the largest length asked of resolve_O; describe(top) builds
     through the top it is given.  A file resolution raises past its
-    matrices.  lam_rows and lam_rank answer lambda(d_i) and its K-rank."""
+    matrices.  lam_rows builds lambda(d_i), which lam keeps with one
+    echelon of it (lam_echelon), and lam_rank answers its K-rank.  A
+    syzygy step's kernel is read once per build, off the solver that
+    pruned the step where that solver's echelon is a fresh one's
+    (_kernel_heads)."""
 
     def __init__(self, algebra, strategy, cert: Cert, step, length=0):
         self.algebra = algebra
@@ -58,6 +62,7 @@ class FreeResolution:
         self._diffs = []
         self._ranks = [1]
         self._ext = {}  # Ext modules and pairings, see congruence.ext_module
+        self._lam, self._lam_ech = {}, {}  # i -> lam(i), lam_echelon(i)
 
     def _build_through(self, i):
         if i <= len(self._diffs):
@@ -103,19 +108,37 @@ class FreeResolution:
         return self.algebra.lam_int([gb.int_form(col) for col in self.differential(i)],
                                     self.rank(i - 1))
 
+    def lam(self, i):
+        """lambda(d_i) as lam_rows gives it, built once and kept: shared by
+        every reader, so read only."""
+        rows = self._lam.get(i)
+        if rows is None:
+            rows = self._lam.setdefault(i, self.lam_rows(i))  # a racer's are equal
+        return rows
+
+    def lam_echelon(self, i):
+        """One _Echelon of copies of the rows of lam(i), built once and
+        kept: its pivots give rho_i, and its kernel the cocycles of degree
+        i - 1."""
+        ech = self._lam_ech.get(i)
+        if ech is None:
+            rows = [(dict(num), den) for num, den in self.lam(i)]
+            ech = self._lam_ech.setdefault(i, _Echelon(self.algebra.dvr, rows))
+        return ech
+
     def lam_rank(self, i):
-        """rho_i = rk_K lambda(d_i), the pivot count of one _Echelon of its
-        rows.  A syzygy step i >= 2 not built yet stays unbuilt: rho_i is
-        read off the unpruned kernel heads of d_(i-1), which _syzygies
-        prunes, at the same bound, into d_i.  Both generate one A-module
-        and lambda is a ring map, so their images have one K-span."""
+        """rho_i = rk_K lambda(d_i), the pivot count of lam_echelon(i).  A
+        syzygy step i >= 2 not built yet stays unbuilt: rho_i is read off
+        the unpruned kernel heads of d_(i-1) (_kernel_heads), which
+        _syzygies prunes, at the same bound, into d_i.  Both generate one
+        A-module and lambda is a ring map, so their images have one
+        K-span."""
         A = self.algebra
         if self.strategy == "syzygy" and 1 < i and len(self._diffs) < i:
             prev = self.differential(i - 1)
-            rows = A.lam_int(A.span_solver(prev).kernel_forms(range(len(prev))), len(prev))
-        else:
-            rows = self.lam_rows(i)
-        return len(_Echelon(A.dvr, rows).pivots)
+            rows = A.lam_int(_kernel_heads(A, prev), len(prev))
+            return len(_Echelon(A.dvr, rows).pivots)
+        return len(self.lam_echelon(i).pivots)
 
     def describe(self, top):
         """The report's resolution line: the strategy, the ranks of F_0 to
@@ -331,20 +354,42 @@ def _syzygies(A, columns):
     vectors a with sum a_j columns_j = 0 in A, searched at the algebra's
     bound (so as certain as A.cert), for the syzygy strategy,
     syzygy_module and deformation_step's annihilator search on a free
-    module.  One solver finds the kernel, in integer form, and
-    prune_generators keeps generators among its vectors.  Only the vectors
-    kept become polynomials: the expansion pruning made of each is its
-    normal form when the basis is linear, and reduce_strong (A.nf) gives it
-    otherwise; none is zero in A, since pruning keeps no vector zero in A."""
+    module.  The kernel heads (_kernel_heads) are pruned by
+    prune_generators, and over a linear basis its solver is left on A for
+    the kernel of the vectors kept.  Only the vectors kept become
+    polynomials: the expansion pruning made of each is its normal form
+    when the basis is linear, and reduce_strong (A.nf) gives it otherwise;
+    none is zero in A, since pruning keeps no vector zero in A."""
     n = len(columns)
     gb = A.gb_global
-    # the kernel solver is dropped once its kernel is read
-    heads = A.span_solver(columns).kernel_forms(range(n))
+    kept = prune_generators(gb, _kernel_heads(A, columns), n, A._search_bound)
     out = []
-    for _, rows, den in prune_generators(gb, heads, n, A._search_bound):
+    for _, rows, den in kept:
         v = gb.polys(rows, den, n)
         out.append(v if gb.linear else tuple(A.nf(p) for p in v))
+    A._pruned = (out, kept.solver) if gb.linear else None
     return out
+
+
+def _kernel_heads(A, columns):
+    """The kernel of columns over A at the algebra's bound, kernel_forms on
+    all of them: the one read of a syzygy step's kernel, for the next step
+    and for FreeResolution.lam_rank.  It is read off the solver that
+    pruned columns (_syzygies) when that solver's echelon is the one
+    A.span_solver(columns) builds: the basis is linear, so that it holds no
+    absorbers, and every column, the last ones kept added, entered its one
+    batch elimination (SpanSolver.batched); its columns are then columns,
+    in order, at the same bound, with the same rows and multipliers.
+    Otherwise that solver is built.  Either is dropped once its kernel is
+    read: the pruning solver is taken off A, so a second read of the same
+    kernel builds a fresh solver."""
+    with A._lock:  # one reader takes the pruning solver
+        pruned, A._pruned = A._pruned, None
+    if pruned is not None and pruned[0] is columns and pruned[1].batched():
+        solver = pruned[1]
+    else:
+        solver = A.span_solver(columns)
+    return solver.kernel_forms(range(len(columns)))
 
 
 def _syzygy_resolution(A):

@@ -25,6 +25,7 @@ from congrmod.errors import (EngineError, InconsistentCodim, InputError,
                              NotSameCodim, ZeroDivisorSuspected)
 from congrmod.linsolve import SpanSolver
 from congrmod.probfile import load_problem
+from congrmod.resolution import FreeResolution
 from conftest import (make_An, make_depth_zero_example, make_hypersurface_2var,
                       make_ring_B, make_ring_C)
 from test_cli import A2_FILE
@@ -678,6 +679,24 @@ def test_serre_check_reads_each_kernel_once(monkeypatch):
     res = resolve_O(A, strategy="syzygy")
     assert serre_check(A, res=res)["verdict"] == "holds"
     assert len(reads) == 4 and len(res._diffs) == 4
+
+
+def test_analyze_builds_lambda_of_each_differential_once(monkeypatch):
+    """The resolution keeps lambda(d_i) and one echelon of it
+    (FreeResolution.lam, lam_echelon), so serre_check's rho_i and
+    Ext^i(O, O) share them: one analyze of the README example builds
+    lam_rows(i) at most once for each i."""
+    reads = Counter()
+    real = FreeResolution.lam_rows
+
+    def lam_rows(self, i):
+        reads[i] += 1
+        return real(self, i)
+
+    monkeypatch.setattr(FreeResolution, "lam_rows", lam_rows)
+    problem = load_problem(FULL_FILE)
+    analyze(problem.algebra, problem.modules)
+    assert reads and set(reads.values()) == {1}
 
 
 _HEAD_BASES = [Dvr.p_adic(2), Dvr.p_adic(3), Dvr.p_adic(5), Dvr.power_series(4)]

@@ -1,7 +1,9 @@
 """SpanSolver grown with extend() and prune_generators, against solvers built
 afresh, the rebuild-per-keep pruning loop and the pruning loop on
 polynomials; the columns grow() keeps, added when the solver is next
-read; kernel_forms(range(n)) against the kernel on all columns;
+read; columns added before the first read, in the one batch elimination
+of a solver constructed on them; kernel_forms(range(n)) against the
+kernel on all columns;
 kernel_constants without repeats; absorbers added on demand against a
 reference that holds them in every row."""
 
@@ -681,6 +683,52 @@ def test_readers_see_the_columns_grow_kept(name):
         (want, want_kept), (got, got_kept) = eager(), grown()
         assert got_kept == want_kept and got_kept
         assert read(got) == read(want)
+
+
+def _reads(solver, n, targets):
+    """Every read of a solver on n columns, rendered so that equal reads
+    are equal byte for byte: kernel_forms, kernel_constants (columns of
+    bound 0 only), solve and contains on each target."""
+    out = [repr(solver.kernel_forms(range(n)))]
+    if solver.deg_bound == 0:
+        out.append(repr(solver.kernel_constants(0)))
+    for t in targets:
+        sol = solver.solve(t)
+        out.append(None if sol is None else [str(p) for p in sol])
+        out.append(solver.contains(t))
+    return out
+
+
+@pytest.mark.parametrize("name", list(ALGEBRAS))
+def test_columns_added_before_the_first_read_join_the_batch(name):
+    """A solver built empty and extended by some columns before its first
+    read (and, over a linear basis, one grown by candidates whose rows no
+    earlier candidate reaches, so that grow() builds no echelon) holds
+    every column in its one batch elimination: each read equals, byte
+    for byte, that of a solver constructed on the same columns, on a
+    linear basis and on the absorber rings D and E."""
+    A = ALGEBRAS[name]()
+    ring, gb = A.ring, A.gb_global
+    rng = random.Random(20261021)
+    columns = [v for v in _random_vectors(A, rng, 2, 3) if any(p.terms for p in v)][:4]
+    targets = _random_vectors(A, rng, 2, 3)[:6]
+    n = len(columns)
+    for bound in (0, 1):
+        extended = SpanSolver(ring, gb, [], bound)
+        for col in columns:
+            extended.extend(gb.int_form(col), bound)
+        assert extended.batched()
+        assert _reads(extended, n, targets) == _reads(SpanSolver(ring, gb, columns, bound),
+                                                      n, targets)
+    if not gb.linear:
+        return
+    P, zero = ring.parse, ring.zero
+    candidates = [(P("x + pi"), zero), (zero, P("x^2 + 1"))]
+    grown = SpanSolver(ring, gb, [], 1)
+    assert len(grown.grow([gb.int_form(v) for v in candidates], 1)) == 2
+    assert grown._echelon is None and grown.batched()
+    assert _reads(grown, 2, targets) == _reads(SpanSolver(ring, gb, candidates, 1),
+                                               2, targets)
 
 
 @pytest.mark.parametrize("name", ["D", "E"])

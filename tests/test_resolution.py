@@ -17,6 +17,7 @@ from congrmod.config import EngineConfig
 from congrmod.errors import (InternalInvariantViolation, ResolutionTooShort,
                              StrategyInapplicable, VerificationFailed)
 from congrmod.linsolve import SpanSolver
+from congrmod.omodule import _Echelon
 from congrmod.poly import Poly, monomials_up_to
 from congrmod.probfile import load_problem
 from congrmod.resolution import (_add_into, _apply_columns, _koszul_contraction,
@@ -263,6 +264,120 @@ def test_verify_builds_each_solver_once(monkeypatch):
     monkeypatch.setattr(SpanSolver, "__init__", counted)
     assert verify_resolution(res).label() == "certified"
     assert len(builds) == 3
+
+
+def _hypersurface_3var(k, search_degree=4):
+    """x0*(x0 - pi^k) in x0, x1, x2 over Z_(5), codimension 2, with the zero
+    augmentation: not module-finite, so searched at the given degree."""
+    O = Dvr.p_adic(5)
+    R = PolyRing(O, ("x0", "x1", "x2"))
+    return build_algebra(R, [R.parse(f"x0*(x0 - pi^{k})")], [O.zero] * 3, 2,
+                         config=EngineConfig(search_degree=search_degree), name="hyp3")
+
+
+def _linear_grammar_algebras(base, count=3):
+    """The first count random grammar algebras with a linear global basis
+    from the seed of _PINNED_SYZYGY, at its search degree 3."""
+    seed, out = _PINNED_SYZYGY[base][0], []
+    while len(out) < count:
+        A = random_grammar_algebra(_PINNED_BASES[base](), random.Random(seed),
+                                   config=EngineConfig(search_degree=3))
+        seed += 1
+        if A.gb_global.linear:
+            out.append(A)
+    return out
+
+
+def _in_order(forms):
+    """int_forms with every dict listed in its order, so that equal results
+    are equal entry for entry and in the same order."""
+    return [([(i, list(terms.items())) for i, terms in rows], den, val)
+            for rows, den, val in forms]
+
+
+def _handoffs(A, length):
+    """Build the syzygy resolution of A step by step through length; after
+    each pruned step d_t: whether the solver that pruned it hands its
+    echelon on (SpanSolver.batched), the heads of d_t read off that solver
+    and those of a fresh A.span_solver(d_t), both listed in order
+    (_in_order).  The heads the next step reads (_kernel_heads) are the
+    fresh solver's at every step."""
+    res = resolve_O(A, strategy="syzygy")
+    out = []
+    for t in range(2, length + 1):
+        d = res.differential(t)
+        if not d:
+            break
+        cols, solver = A._pruned
+        assert cols is d
+        r = range(len(d))
+        batched = solver.batched()
+        fresh = _in_order(A.span_solver(d).kernel_forms(r))
+        assert _in_order(resolution._kernel_heads(A, d)) == fresh
+        out.append((batched, _in_order(solver.kernel_forms(r)), fresh))
+    return out
+
+
+@pytest.mark.parametrize("base", sorted(_PINNED_SYZYGY))
+def test_pruning_solver_hands_on_the_kernel_of_its_step(base):
+    """Over a linear basis, the solver that pruned d_t holds the kept
+    columns in one batch elimination wherever every keep was decided before
+    its echelon was built; its echelon is then the one a fresh solver on
+    d_t builds, and the heads read off it, the candidates of d_(t+1), are
+    byte for byte those of the fresh solver: at every step t >= 2 of the
+    linear grammar algebras of test_syzygy_differentials_pinned and of
+    x0*(x0 - pi^k) in three variables."""
+    algebras = _linear_grammar_algebras(base)
+    if base == "Z_(5)":
+        algebras += [_hypersurface_3var(k) for k in (1, 2, 3)]
+    taken = 0
+    for A in algebras:
+        for batched, handed, fresh in _handoffs(A, A.codim + 2):
+            if batched:
+                assert handed == fresh
+                taken += 1
+    assert taken
+
+
+def test_fresh_solver_where_pruning_needed_its_echelon():
+    """On C(5; 1,1,1) at D = 2 some keeps of a step come after a candidate
+    that needed the pruning echelon, so the kept columns after it were
+    appended to it one by one, and the heads that echelon gives are not a
+    fresh solver's: that step's kernel is read off a fresh solver, and the
+    differentials stay as pinned (test_determinantal_syzygy_prune_path)."""
+    A = make_ring_C(5, 1, 1, 1)
+    steps = _handoffs(A, 3)
+    assert any(not batched and handed != fresh for batched, handed, fresh in steps)
+    res = resolve_O(A, length=3, strategy="syzygy")
+    text = repr([[[str(p) for p in col] for col in d] for d in res.diffs])
+    digest = "a015d03b2008567ce2508b55e96aefb83f1950c97e70aae1187bfec7c69556c5"
+    assert hashlib.sha256(text.encode()).hexdigest() == digest
+
+
+def test_syzygy_steps_build_one_solver_each(monkeypatch):
+    """The syzygy resolution of x0*(x0 - pi^2) in three variables at D = 4,
+    to length c + 2 = 4, builds four span solvers: the kernel solver of d_1
+    and the solver that prunes each of d_2, d_3 and d_4, whose echelon then
+    gives the next kernel; and pruning adds every kept column to the batch,
+    never to a built echelon (_Echelon.extend)."""
+    builds, extends = [], []
+    real_init, real_extend = SpanSolver.__init__, _Echelon.extend
+
+    def counted(self, *args, **kwargs):
+        builds.append(1)
+        real_init(self, *args, **kwargs)
+
+    def extend(self, column):
+        extends.append(1)
+        real_extend(self, column)
+
+    monkeypatch.setattr(SpanSolver, "__init__", counted)
+    monkeypatch.setattr(_Echelon, "extend", extend)
+    A = _hypersurface_3var(2)
+    res = resolve_O(A, length=A.codim + 2, strategy="syzygy")
+    assert res.ranks == [1, 3, 4, 4, 4]
+    assert len(builds) == 4
+    assert extends == []
 
 
 def test_syzygy_strategy_on_B():
