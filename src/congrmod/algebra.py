@@ -15,8 +15,8 @@ from dataclasses import dataclass
 
 from .config import DEFAULT_CONFIG
 from .dvr import IdealO
-from .errors import (AugmentationNotWellDefined, InconsistentCodim,
-                     NonIntegralEntry, NonLocalAugmentation)
+from .errors import (AugmentationNotWellDefined, DegreeBoundExceeded,
+                     InconsistentCodim, NonIntegralEntry, NonLocalAugmentation)
 from .finite import FiniteStructure
 from .linsolve import SpanSolver
 from .omodule import FinOModule
@@ -81,7 +81,6 @@ class AugmentedAlgebra:
         self._resolutions = weakref.WeakValueDictionary()  # strategy -> res, see resolve_O
         self._ci_cert = _NOTSET  # see resolution._complete_intersection
         self._lam_table = {}  # exps -> lambda(x^exps) in integer form, see lam_int
-        self._pruned = None  # (columns, the solver that pruned them), see resolution._kernel_heads
         self._validate()
 
     def assertion_notes(self):
@@ -307,6 +306,11 @@ def regularity_at_lambda(A: AugmentedAlgebra, res=None) -> dict:
     rank_test = rank == A.codim
     eta_test = not eta.is_zero
     if rank_test != eta_test:
+        if rank_test and cert.kind == "bounded":  # a bounded eta lies inside the true one
+            raise DegreeBoundExceeded(
+                f"the bounded search at degree {cert.degree} found eta = 0 where the "
+                f"cotangent rank is the declared codim {A.codim}; retry with a "
+                f"larger --degree-bound")
         raise InconsistentCodim(
             f"cotangent rank test ({rank_test}) and eta test ({eta_test}) disagree "
             f"at declared codim {A.codim}")

@@ -558,7 +558,7 @@ def deformation_step(A: AugmentedAlgebra, M, f: Poly) -> dict:
         heads = A.span_solver(cols + cols_p).kernel_forms(range(g))
         ok = not A.span_solver(cols_p).grow(heads, 0)
     else:
-        ok = all(A.in_ideal(p) for head in _syzygies(A, cols) for p in head)
+        ok = all(A.in_ideal(p) for head in _syzygies(A, cols)[0] for p in head)
     if not ok:
         raise ZeroDivisorSuspected(
             "a bounded search found an annihilator of the element on M")

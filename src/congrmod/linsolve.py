@@ -30,10 +30,10 @@ drops the same repeats and raises at the same caps.  grow() is the one
 pruning loop: it keeps each candidate outside the span so far and adds it
 when the solver is next read, so the last one kept is expanded only if
 read.  prune_generators orders candidates and grows an empty solver by
-them, and hands that solver on with the candidates kept: where every kept
+them, and returns that solver with the candidates kept: where every kept
 column entered its batch, its echelon is the one a solver constructed on
-them builds, and the syzygy strategy reads the next kernel off it; Ext
-grows its class solver by the cocycles, modulo coboundaries;
+them builds, and the syzygy resolution keeps it to read the next kernel
+off it; Ext grows its class solver by the cocycles, modulo coboundaries;
 several vectors lie in a span exactly when grow() keeps none of them.
 Polynomials are built (StdBasis.polys) only for the vectors a caller
 keeps.  Completeness holds only up to the multiplier degree bound; callers
@@ -345,9 +345,9 @@ def prune_generators(gb, forms, nrows, deg_bound):
     only inside ties of the first two; the sort is stable.  One solver,
     empty at first, grows by them (SpanSolver.grow): each is kept iff it
     lies outside the span of those kept before it, so a vector zero in A
-    never is.  Returns what grow() returns, indices into forms, as a list
-    that also holds that solver (solver), whose columns are the vectors
-    kept, in order, each at deg_bound."""
+    never is.  Returns what grow() returns, indices into forms, and that
+    solver, whose columns are the vectors kept, in order, each at
+    deg_bound."""
     ring = gb.ring
     sizes = []
     for rows, _, _ in forms:
@@ -361,13 +361,5 @@ def prune_generators(gb, forms, nrows, deg_bound):
             run.sort(key=lambda k: _render(ring, forms[k], nrows))
         order += run
     solver = SpanSolver(ring, gb, [], deg_bound)
-    return _Pruned([(order[i], rows, den) for i, rows, den
-                    in solver.grow([forms[k] for k in order], deg_bound)], solver)
-
-
-class _Pruned(list):
-    """prune_generators' answer, with the solver it grew (solver)."""
-
-    def __init__(self, kept, solver):
-        super().__init__(kept)
-        self.solver = solver
+    kept = solver.grow([forms[k] for k in order], deg_bound)
+    return [(order[i], rows, den) for i, rows, den in kept], solver

@@ -49,32 +49,51 @@ class FreeResolution:
     through the top it is given.  A file resolution raises past its
     matrices.  lam_rows builds lambda(d_i), which lam keeps with one
     echelon of it (lam_echelon), and lam_rank answers its K-rank.  A
-    syzygy step's kernel is read once per build, off the solver that
-    pruned the step where that solver's echelon is a fresh one's
-    (_kernel_heads)."""
+    syzygy resolution owns the state of its next step: the solver that
+    pruned its top step and that step's kernel heads, read once
+    (_top_kernel) for both lam_rank and the next step's build."""
 
     def __init__(self, algebra, strategy, cert: Cert, step, length=0):
         self.algebra = algebra
         self.strategy = strategy
         self.cert = cert
         self.length = length
-        self._step = step  # (t, diffs, ranks) -> the columns of d_t
+        self._step = step  # (res, t) -> the columns of d_t
         self._diffs = []
         self._ranks = [1]
+        self._pruner = None  # the solver that pruned the top step, see _top_kernel
+        self._heads = None  # the kernel heads of the top step, see _top_kernel
         self._ext = {}  # Ext modules and pairings, see congruence.ext_module
         self._lam, self._lam_ech = {}, {}  # i -> lam(i), lam_echelon(i)
 
-    def _build_through(self, i):
+    def _build_through(self, i, heads=False):
+        """Build d_1..d_i; with heads, leave an unbuilt d_i unbuilt and
+        return the kernel heads of d_(i-1) it is pruned from (_top_kernel)."""
         if i <= len(self._diffs):
-            return
+            return None
         with self.algebra._lock:  # racing readers share one list of steps
             while len(self._diffs) < i:
                 t = len(self._diffs) + 1
-                cols = self._step(t, self._diffs, self._ranks)
+                if heads and t == i:
+                    return self._top_kernel()
+                cols = self._step(self, t)
                 if t > 1:
                     _check_d_squared(self.algebra, self._diffs[-1], cols, t - 1)
                 self._ranks.append(len(cols))  # a reader that sees d_t sees r_t
                 self._diffs.append(cols)
+                self._heads = None  # ker d_(t-1) is read no more
+
+    def _top_kernel(self):
+        """The kernel heads of the top step d_t, read once and kept until
+        d_(t+1) is built: off the solver that pruned d_t where its echelon
+        is the one A.span_solver(d_t) builds (_syzygies, SpanSolver.batched),
+        and off that fresh solver otherwise; either is dropped once read."""
+        if self._heads is None:
+            cols, solver, self._pruner = self._diffs[-1], self._pruner, None
+            if solver is None or not solver.batched():
+                solver = self.algebra.span_solver(cols)
+            self._heads = solver.kernel_forms(range(len(cols)))
+        return self._heads
 
     @property
     def ranks(self):
@@ -129,15 +148,14 @@ class FreeResolution:
     def lam_rank(self, i):
         """rho_i = rk_K lambda(d_i), the pivot count of lam_echelon(i).  A
         syzygy step i >= 2 not built yet stays unbuilt: rho_i is read off
-        the unpruned kernel heads of d_(i-1) (_kernel_heads), which
-        _syzygies prunes, at the same bound, into d_i.  Both generate one
-        A-module and lambda is a ring map, so their images have one
-        K-span."""
+        the unpruned kernel heads of d_(i-1) (_top_kernel), which the build
+        of d_i then prunes into d_i.  Both generate one A-module and lambda
+        is a ring map, so their images have one K-span."""
         A = self.algebra
-        if self.strategy == "syzygy" and 1 < i and len(self._diffs) < i:
-            prev = self.differential(i - 1)
-            rows = A.lam_int(_kernel_heads(A, prev), len(prev))
-            return len(_Echelon(A.dvr, rows).pivots)
+        if self.strategy == "syzygy" and i > 1:
+            heads = self._build_through(i, heads=True)
+            if heads is not None:
+                return len(_Echelon(A.dvr, A.lam_int(heads, self._ranks[i - 1])).pivots)
         return len(self.lam_echelon(i).pivots)
 
     def describe(self, top):
@@ -318,7 +336,7 @@ def _shamash_resolution(A):
     shift_back = [A.ring.var(i) - A.ring.const(a)
                   for i, a in enumerate(A.augmentation)]
 
-    def step(t, diffs, ranks):
+    def step(res, t):
         return [tuple(A.nf(p.substitute(A.ring, shift_back)) for p in col)
                 for col in sh.differential(t)]
     return step
@@ -349,56 +367,40 @@ def _regular_sequence_check(A):
 # ---------------------------------------------------------------------------
 # syzygy strategy
 
-def _syzygies(A, columns):
+def _syzygies(A, columns, heads=None):
     """The one kernel over A with pruned A-generators: in normal form, the
     vectors a with sum a_j columns_j = 0 in A, searched at the algebra's
     bound (so as certain as A.cert), for the syzygy strategy,
     syzygy_module and deformation_step's annihilator search on a free
-    module.  The kernel heads (_kernel_heads) are pruned by
-    prune_generators, and over a linear basis its solver is left on A for
-    the kernel of the vectors kept.  Only the vectors kept become
-    polynomials: the expansion pruning made of each is its normal form
-    when the basis is linear, and reduce_strong (A.nf) gives it otherwise;
-    none is zero in A, since pruning keeps no vector zero in A."""
+    module.  The kernel heads (heads, else a fresh solver's) are pruned by
+    prune_generators, whose solver comes back with the vectors kept, for
+    their kernel, over a linear basis (else None).  Only the vectors kept
+    become polynomials: the expansion pruning made of each is its normal
+    form when the basis is linear, and reduce_strong (A.nf) gives it
+    otherwise; none is zero in A, since pruning keeps no vector zero in A."""
     n = len(columns)
     gb = A.gb_global
-    kept = prune_generators(gb, _kernel_heads(A, columns), n, A._search_bound)
+    if heads is None:
+        heads = A.span_solver(columns).kernel_forms(range(n))
+    kept, solver = prune_generators(gb, heads, n, A._search_bound)
     out = []
     for _, rows, den in kept:
         v = gb.polys(rows, den, n)
         out.append(v if gb.linear else tuple(A.nf(p) for p in v))
-    A._pruned = (out, kept.solver) if gb.linear else None
-    return out
-
-
-def _kernel_heads(A, columns):
-    """The kernel of columns over A at the algebra's bound, kernel_forms on
-    all of them: the one read of a syzygy step's kernel, for the next step
-    and for FreeResolution.lam_rank.  It is read off the solver that
-    pruned columns (_syzygies) when that solver's echelon is the one
-    A.span_solver(columns) builds: the basis is linear, so that it holds no
-    absorbers, and every column, the last ones kept added, entered its one
-    batch elimination (SpanSolver.batched); its columns are then columns,
-    in order, at the same bound, with the same rows and multipliers.
-    Otherwise that solver is built.  Either is dropped once its kernel is
-    read: the pruning solver is taken off A, so a second read of the same
-    kernel builds a fresh solver."""
-    with A._lock:  # one reader takes the pruning solver
-        pruned, A._pruned = A._pruned, None
-    if pruned is not None and pruned[0] is columns and pruned[1].batched():
-        solver = pruned[1]
-    else:
-        solver = A.span_solver(columns)
-    return solver.kernel_forms(range(len(columns)))
+    return out, solver if gb.linear else None
 
 
 def _syzygy_resolution(A):
     """The step builder of the syzygy resolution: d_1 holds the generators
-    x_i - a_i, and d_t the pruned syzygies of d_(t-1)."""
-    def step(t, diffs, ranks):
+    x_i - a_i, and d_t the pruned syzygies of d_(t-1), from its kernel
+    heads (FreeResolution._top_kernel); res keeps the pruning solver."""
+    def step(res, t):
         if t == 1:
             return [(g,) for g in A.p_gens()]
-        return _syzygies(A, diffs[-1]) if diffs[-1] else []
+        if not res._diffs[-1]:
+            return []
+        out, res._pruner = _syzygies(A, res._diffs[-1], res._top_kernel())
+        return out
     return step
 
 
@@ -496,16 +498,16 @@ def _new_resolution(A, strategy, user_matrices):
 def _file_resolution(A, matrices):
     """The step builder of user differentials: d_t is the t-th matrix in
     normal form, and there is none past the last."""
-    def step(t, diffs, ranks):
+    def step(res, t):
         if t > len(matrices):
             raise ResolutionTooShort(
                 f"resolution of length {len(matrices)} has no differential d_{t}")
         cols = [tuple(A.nf(p) for p in col) for col in matrices[t - 1]]
         for col in cols:
-            if len(col) != ranks[-1]:
+            if len(col) != res._ranks[-1]:
                 raise VerificationFailed(
                     f"differential d_{t} has columns of length {len(col)}, "
-                    f"expected {ranks[-1]}")
+                    f"expected {res._ranks[-1]}")
         return cols
     return step
 
@@ -548,6 +550,6 @@ def verify_resolution(res: FreeResolution) -> Cert:
 def syzygy_module(A: AugmentedAlgebra, columns):
     """Generators of the syzygies over A of columns of one length, pruned
     and exactly verified, with the certificate of the search (A.cert)."""
-    out = _syzygies(A, columns)
+    out, _ = _syzygies(A, columns)
     _check_d_squared(A, columns, out, 1)
     return out, A.cert

@@ -479,7 +479,7 @@ def _run_recording_syzygy_steps(tmp_path, capsys, monkeypatch, command):
 
     def recorded(A):
         step = real(A)
-        return lambda t, diffs, ranks: built.append(t) or step(t, diffs, ranks)
+        return lambda res, t: built.append(t) or step(res, t)
 
     monkeypatch.setattr(resolution, "_syzygy_resolution", recorded)
     f = tmp_path / "c111.cm"
@@ -567,6 +567,37 @@ def test_degree_bound_one_finds_linear_syzygies(tmp_path, capsys):
                              "--format", "structured"])
     assert code == 0
     assert json.loads(out)["certification"] == "bounded_search(degree 1)"
+
+
+CUSP_FILE = """
+[dvr]
+kind = p_adic
+p = 5
+
+[ring]
+vars = x, y
+relations = x^2 - y^3 - pi^2*x
+
+[augmentation]
+x = 0
+y = 0
+codim = 1
+"""
+
+
+@pytest.mark.parametrize("strategy", [[], ["--strategy", "syzygy"]])
+def test_zero_eta_at_a_low_degree_bound_exits_3(tmp_path, capsys, strategy):
+    """The cusp x^2 - y^3 - pi^2*x has cotangent rank 1 = codim, but the
+    search at degree 1 finds no nonzero eta: a bound reached (exit 3) that
+    names the degree and the flag to raise, not an input error."""
+    f = tmp_path / "cusp.cm"
+    f.write_text(CUSP_FILE)
+    assert main(["eta", str(f), "--degree-bound", "1", *strategy]) == 3
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == (
+        "error: the bounded search at degree 1 found eta = 0 where the cotangent "
+        "rank is the declared codim 1; retry with a larger --degree-bound\n")
 
 
 @pytest.mark.parametrize("unbuffered", ["1", ""])

@@ -19,7 +19,7 @@ from congrmod.config import EngineConfig
 from congrmod.congruence import RegularityWarning
 from congrmod import congruence, omodule
 from congrmod.dvr import INF, IdealO
-from congrmod.errors import (EngineError, InconsistentCodim, InputError,
+from congrmod.errors import (DegreeBoundExceeded, EngineError, InconsistentCodim, InputError,
                              InSymbolicSquare, InternalInvariantViolation,
                              NotRegularAtAugmentation,
                              NotSameCodim, ZeroDivisorSuspected)
@@ -440,6 +440,27 @@ class TestRegularity:
         A = build_algebra(R, [R.parse("x^2")], [O5.zero], 1, name="dual")
         with pytest.raises(InconsistentCodim):
             regularity_at_lambda(A)
+
+    def test_zero_eta_of_a_bounded_search_is_a_shortfall(self):
+        """Where the rank test passes, a bounded search that finds eta = 0
+        has hit its degree bound, and says so: of 100 grammar rings per base
+        Z_(2), Z_(3), Z_(5) at search degree 1, 29 end so, naming the
+        degree, and none raises InconsistentCodim."""
+        errors = []
+        for p in (2, 3, 5):
+            rng = random.Random(11 * p)
+            for _ in range(100):
+                A = random_grammar_algebra(Dvr.p_adic(p), rng,
+                                           config=EngineConfig(search_degree=1))
+                try:
+                    regularity_at_lambda(A)
+                except EngineError as exc:
+                    errors.append(exc)
+        assert len(errors) == 29
+        for exc in errors:
+            assert isinstance(exc, DegreeBoundExceeded)
+            assert "search at degree 1 found eta = 0" in str(exc)
+            assert "larger --degree-bound" in str(exc)
 
     def test_equivalence_on_random_family(self, rng):
         """th:regular-eta: eta(A) != 0 iff the cotangent rank matches the

@@ -138,7 +138,7 @@ def test_parameters_are_read():
     """Every parameter of a top-level function or of a method of a
     top-level class, other than self and cls, is read in its body.  Nested
     functions are not checked: the resolution step builders share the
-    signature step(t, diffs, ranks) whether or not each reads all three."""
+    signature step(res, t) whether or not each reads both."""
     unread = []
     for name, tree in MODULES.items():
         funcs = []

@@ -66,7 +66,8 @@ def _prune(gb, vectors, deg_bound):
     vectors kept."""
     forms = [gb.int_form(v) for v in vectors]
     nrows = len(vectors[0]) if vectors else 0
-    return [vectors[k] for k, _, _ in prune_generators(gb, forms, nrows, deg_bound)]
+    kept, _ = prune_generators(gb, forms, nrows, deg_bound)
+    return [vectors[k] for k, _, _ in kept]
 
 
 def _pi_x_ring():
@@ -602,7 +603,7 @@ def test_prune_matches_prune_on_polys(base, name, data):
     bound = data.draw(st.integers(0, 1))
     vecs = data.draw(_candidates(ring, gb, nrows))
     forms = [gb.int_form(v) for v in vecs]
-    kept = prune_generators(gb, forms, nrows, bound)
+    kept, _ = prune_generators(gb, forms, nrows, bound)
     want = prune_on_polys(ring, gb, vecs, bound)
     assert [id(vecs[k]) for k, _, _ in kept] == [id(v) for v in want]
     for k, rows, den in kept:
@@ -635,12 +636,12 @@ def test_prune_never_adds_its_last_kept_vector(name, monkeypatch):
     vecs = [(P("x"), zero), (zero, P("x + y")), (P("pi"), zero), (R.one, zero)]
     forms = [gb.int_form(v) for v in vecs]
     calls = _count_extends(monkeypatch)
-    kept = prune_generators(gb, forms, 2, 1)
+    kept, _ = prune_generators(gb, forms, 2, 1)
     assert [k for k, _, _ in kept] == [3, 1]
     assert len(calls) <= len(kept) - 1
     for v in vecs + [(A.relations[0], zero)]:
         del calls[:]
-        kept = prune_generators(gb, [gb.int_form(v)], 2, 1)
+        kept, _ = prune_generators(gb, [gb.int_form(v)], 2, 1)
         assert len(kept) == (v[0] != A.relations[0])
         assert calls == []
 
@@ -744,7 +745,7 @@ def test_syzygies_keep_no_vector_zero_in_A(name):
         heads = [gb.polys(rows, den, n)
                  for rows, den, _ in A.span_solver(columns).kernel_forms(range(n))]
         assert any(all(A.nf(p).is_zero for p in v) for v in heads)
-        out = _syzygies(A, columns)
+        out, _ = _syzygies(A, columns)
         assert out
         assert all(any(not p.is_zero for p in v) for v in out)
         assert all(A.nf(p) == p for v in out for p in v)

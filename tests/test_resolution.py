@@ -10,7 +10,7 @@ from math import comb
 import pytest
 
 from congrmod import (Dvr, FpModule, PolyRing, build_algebra, ext_module, resolve_O,
-                      syzygy_module, verify_resolution)
+                      serre_check, syzygy_module, verify_resolution)
 from congrmod import resolution
 from congrmod.cli import random_grammar_algebra
 from congrmod.config import EngineConfig
@@ -297,23 +297,22 @@ def _in_order(forms):
 
 def _handoffs(A, length):
     """Build the syzygy resolution of A step by step through length; after
-    each pruned step d_t: whether the solver that pruned it hands its
-    echelon on (SpanSolver.batched), the heads of d_t read off that solver
-    and those of a fresh A.span_solver(d_t), both listed in order
-    (_in_order).  The heads the next step reads (_kernel_heads) are the
-    fresh solver's at every step."""
+    each pruned step d_t: whether the solver that pruned it, which the
+    resolution keeps, hands its echelon on (SpanSolver.batched), the heads
+    of d_t read off that solver and those of a fresh A.span_solver(d_t),
+    both listed in order (_in_order).  The heads the next step reads
+    (FreeResolution._top_kernel) are the fresh solver's at every step."""
     res = resolve_O(A, strategy="syzygy")
     out = []
     for t in range(2, length + 1):
         d = res.differential(t)
         if not d:
             break
-        cols, solver = A._pruned
-        assert cols is d
+        solver = res._pruner
         r = range(len(d))
         batched = solver.batched()
         fresh = _in_order(A.span_solver(d).kernel_forms(r))
-        assert _in_order(resolution._kernel_heads(A, d)) == fresh
+        assert _in_order(res._top_kernel()) == fresh
         out.append((batched, _in_order(solver.kernel_forms(r)), fresh))
     return out
 
@@ -354,12 +353,30 @@ def test_fresh_solver_where_pruning_needed_its_echelon():
     assert hashlib.sha256(text.encode()).hexdigest() == digest
 
 
-def test_syzygy_steps_build_one_solver_each(monkeypatch):
+def _syzygy_module_between_steps(res, builds):
+    """d_2, then a syzygy_module call on the algebra, then d_4; the solvers
+    that call builds are its own, and are not counted."""
+    A = res.algebra
+    res.differential(2)
+    before = len(builds)
+    syzygy_module(A, [(g,) for g in A.p_gens()])
+    del builds[before:]
+    res.differential(4)
+
+
+@pytest.mark.parametrize("read", [
+    lambda res, builds: res.ranks,
+    lambda res, builds: (serre_check(res.algebra, res), res.ranks),
+    _syzygy_module_between_steps], ids=["ranks", "serre_check-ranks", "d2-syzygy_module-d4"])
+def test_syzygy_steps_build_one_solver_each(read, monkeypatch):
     """The syzygy resolution of x0*(x0 - pi^2) in three variables at D = 4,
     to length c + 2 = 4, builds four span solvers: the kernel solver of d_1
     and the solver that prunes each of d_2, d_3 and d_4, whose echelon then
     gives the next kernel; and pruning adds every kept column to the batch,
-    never to a built echelon (_Echelon.extend)."""
+    never to a built echelon (_Echelon.extend).  That holds in each reading
+    order: the ranks alone; serre_check, which reads rho_4 off the kernel
+    heads of d_3 before d_4 is built, then the ranks; and d_2, a
+    syzygy_module call, then d_4."""
     builds, extends = [], []
     real_init, real_extend = SpanSolver.__init__, _Echelon.extend
 
@@ -373,8 +390,8 @@ def test_syzygy_steps_build_one_solver_each(monkeypatch):
 
     monkeypatch.setattr(SpanSolver, "__init__", counted)
     monkeypatch.setattr(_Echelon, "extend", extend)
-    A = _hypersurface_3var(2)
-    res = resolve_O(A, length=A.codim + 2, strategy="syzygy")
+    res = resolve_O(_hypersurface_3var(2), strategy="syzygy")
+    read(res, builds)
     assert res.ranks == [1, 3, 4, 4, 4]
     assert len(builds) == 4
     assert extends == []
@@ -451,7 +468,7 @@ def test_syzygies_drop_heads_zero_in_A():
     zero in A and must not come back as a zero generator."""
     H = make_hypersurface_2var(5, 2)
     R = H.ring
-    assert resolution._syzygies(H, [(R.parse("x"), R.parse("y"))]) == []
+    assert resolution._syzygies(H, [(R.parse("x"), R.parse("y"))])[0] == []
 
 
 def test_strategy_inapplicable(O5):
@@ -539,6 +556,52 @@ def test_threads_share_one_resolution():
             assert not any(t.is_alive() for t in threads)
             assert not errors and len(got) == 6
             assert all(res is got[0] for res in got)
+    finally:
+        sys.setswitchinterval(old)
+
+
+def test_threads_share_one_syzygy_step(monkeypatch):
+    """Threads racing to read rho_4 and d_4 of one fresh syzygy resolution
+    of x0*(x0 - pi^2) in three variables read the kernel of each step
+    once: four span solvers per resolution, rho_4 = 2 and d_4 as a lone
+    reader builds it."""
+    lone = resolve_O(_hypersurface_3var(2), strategy="syzygy").differential(4)
+    builds, real_init = [], SpanSolver.__init__
+
+    def counted(self, *args, **kwargs):
+        builds.append(1)
+        real_init(self, *args, **kwargs)
+
+    monkeypatch.setattr(SpanSolver, "__init__", counted)
+    old = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        for _ in range(10):
+            res = resolve_O(_hypersurface_3var(2), strategy="syzygy")
+            del builds[:]
+            got, errors = [], []
+            start = threading.Barrier(6)
+
+            def work(k):
+                try:
+                    start.wait(timeout=60)
+                    if k % 2:
+                        got.append((res.lam_rank(4), res.differential(4)))
+                    else:
+                        d = res.differential(4)
+                        got.append((res.lam_rank(4), d))
+                except Exception as exc:  # pragma: no cover
+                    errors.append(exc)
+
+            threads = [threading.Thread(target=work, args=(k,)) for k in range(6)]
+            for t in threads:
+                t.start()
+            for t in threads:
+                t.join(timeout=120)
+            assert not any(t.is_alive() for t in threads)
+            assert not errors and len(got) == 6
+            assert all(rho == 2 and d == lone for rho, d in got)
+            assert len(builds) == 4
     finally:
         sys.setswitchinterval(old)
 
@@ -712,8 +775,8 @@ class TestSyzygyModule:
 
     def test_non_syzygy_is_caught(self, monkeypatch):
         """The d^2 check, not the syzygy step, vouches for every syzygy."""
-        def not_syzygies(A, columns):
-            return [(A.ring.one,) + (A.ring.zero,) * (len(columns) - 1)]
+        def not_syzygies(A, columns, heads=None):
+            return [(A.ring.one,) + (A.ring.zero,) * (len(columns) - 1)], None
 
         monkeypatch.setattr(resolution, "_syzygies", not_syzygies)
         B = make_ring_B(5)
@@ -769,9 +832,9 @@ def test_syzygy_prune_builds_polys_for_kept_vectors_only(make, monkeypatch):
             inside.pop()
 
     def prune(gb, forms, nrows, deg_bound):
-        kept = real_prune(gb, forms, nrows, deg_bound)
+        kept, solver = real_prune(gb, forms, nrows, deg_bound)
         pruned.append((gb, forms, nrows, kept))
-        return kept
+        return kept, solver
 
     def polys(self, rows, den, size):
         calls["polys"] += bool(inside)
