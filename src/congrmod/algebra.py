@@ -125,8 +125,8 @@ class AugmentedAlgebra:
         return poly.evaluate(self.augmentation)
 
     def lam_int(self, forms, nrows):
-        """The augmentation of the columns whose StdBasis.int_forms are
-        given, exactly, as its nrows rows in the integer form of the
+        """The augmentation of the columns given as their int_forms
+        (StdBasis.int_form), exactly, as its nrows rows in the integer form of the
         O-echelon: ({column: numerator}, den), zeros dropped, every row
         over one denominator (the lcm of the columns' denominators times
         those of the values).  The engine's only lambda in that form; one

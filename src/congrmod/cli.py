@@ -1,8 +1,9 @@
 """File-driven front end.
 
 Exit codes: 0 computed, 1 a verdict fails, 2 input error (or an internal
-error, reported as one `error: internal:` line), 3 a degree or valuation
-bound was exceeded.  Structured output is a single JSON record;
+error, an engine fault such as InternalInvariantViolation included,
+reported as one `error: internal:` line), 3 a degree or valuation bound
+was exceeded.  Structured output is a single JSON record;
 the text rendering prints exactly the same data.
 """
 
@@ -21,7 +22,8 @@ from .congruence import (_plain, analyze, deformation_step, eta_raw,
                          numerical_criterion, psi_raw, require_cotangent_rank,
                          serre_check)
 from .dvr import Dvr
-from .errors import DegreeBoundExceeded, EngineError, InputError
+from .errors import (DegreeBoundExceeded, EngineError, InputError,
+                     InternalInvariantViolation)
 from .fpmodule import FpModule
 from .lattice import LatticeSplit, split_and_congruence, split_discriminant
 from .poly import PolyRing, parse_poly
@@ -348,12 +350,12 @@ def main(argv=None) -> int:
             os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
         print(f"error: {exc}", file=sys.stderr)
         return 2
-    except EngineError as exc:
-        print(f"error: {type(exc).__name__}: {exc}", file=sys.stderr)
-        return 2
-    except Exception as exc:  # a bug, still reported as one line, not a traceback
-        message = " ".join(str(exc).splitlines())
-        print(f"error: internal: {type(exc).__name__}: {message}", file=sys.stderr)
+    except Exception as exc:
+        if isinstance(exc, EngineError) and not isinstance(exc, InternalInvariantViolation):
+            print(f"error: {type(exc).__name__}: {exc}", file=sys.stderr)
+        else:  # a bug or an engine fault, still one line, not a traceback
+            message = " ".join(str(exc).splitlines())
+            print(f"error: internal: {type(exc).__name__}: {message}", file=sys.stderr)
         return 2
     return code
 

@@ -211,10 +211,7 @@ def _ext_general(A, M, i, res):
         cob = _hom_block(zero, g, res.differential(i), res.rank(i - 1))
     class_solver = A.span_solver(cob + _relation_block(zero, M, r_i))
     base = class_solver.ncols
-    reps = []
-    for _, rows, den in class_solver.grow(heads, 0):
-        v = gb.polys(rows, den, n)
-        reps.append(v if gb.linear else tuple(A.nf(p) for p in v))
+    reps = [gb.nf_polys(rows, den, n) for _, rows, den in class_solver.grow(heads, 0)]
     if not reps:
         return ExtModule(i, FinOModule.zero(dvr), [], cert)
     structure = FinOModule.from_presentation(

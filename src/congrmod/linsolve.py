@@ -28,17 +28,18 @@ lowest terms and drops repeats on integer keys; kernel_constants() reads
 those on columns of multiplier bound 0 as lists of constants in K, so it
 drops the same repeats and raises at the same caps.  grow() is the one
 pruning loop: it keeps each candidate outside the span so far and adds it
-when the solver is next read, so the last one kept is expanded only if
-read.  prune_generators orders candidates and grows an empty solver by
-them, and returns that solver with the candidates kept: where every kept
-column entered its batch, its echelon is the one a solver constructed on
-them builds, and the syzygy resolution keeps it to read the next kernel
-off it; Ext grows its class solver by the cocycles, modulo coboundaries;
-several vectors lie in a span exactly when grow() keeps none of them.
-Polynomials are built (StdBasis.polys) only for the vectors a caller
-keeps.  Completeness holds only up to the multiplier degree bound; callers
-supply bounds that are provably sufficient for module-finite algebras and
-record a bounded certification status otherwise.
+at once, through extend(), the one way a column enters the system.
+prune_generators orders candidates and grows an empty solver by them, and
+returns the candidates kept with that solver where its echelon is the one
+a solver constructed on them builds (a linear basis, and every kept
+column in the batch), so that the syzygy resolution reads the next kernel
+off it, and with None otherwise; Ext grows its class solver by the
+cocycles, modulo coboundaries; several vectors lie in a span exactly when
+grow() keeps none of them.  Polynomials are built (StdBasis.polys) only
+for the vectors a caller keeps.  Completeness holds only up to the
+multiplier degree bound; callers supply bounds that are provably
+sufficient for module-finite algebras and record a bounded certification
+status otherwise.
 """
 
 from __future__ import annotations
@@ -69,16 +70,15 @@ class SpanSolver:
     echelon.  The valuation cap holds for each column's coefficients and
     for every expanded entry; the degree cap is checked as the basis's
     table fills.  extend() adds a column at a multiplier bound of its own,
-    at once, and grow() keeps each of several that lies outside the span
-    and adds it through extend() on the next read (_ready); a column added
-    before the echelon is built joins its batch, one added after is
-    appended to it, and batched() tells whether every column entered the
-    batch.  Only the solver's owner calls them, never a solver shared by
-    later readers.
+    and grow() keeps each of several that lies outside the span and adds
+    it through extend() at once; a column added before the echelon is
+    built joins its batch, one added after is appended to it, and
+    _batched holds while no column was appended.  Only the solver's owner
+    calls them, never a solver shared by later readers.
     When gb's normal forms are not O-linear, the solver adds the absorber
     columns g * e_i * u in every row a column or a target touches, to
     degree deg_bound plus the largest column or target degree seen (a
-    column's before the next read, a target's once it reads as outside),
+    column's at the next read, a target's once it reads as outside),
     so a solver extended by some columns before its first read holds what
     one constructed on them holds, in the same order.
     These suffice: a strong standard basis over a DVR, under a
@@ -96,34 +96,19 @@ class SpanSolver:
         self.row_index = {}
         self.sparse_cols = []  # the batch, until the echelon is built
         self.meta = []  # ("var", j, exps) | ("abs", i, exps) per echelon column
-        self._added = 0  # columns in the system
-        self._pending = []  # (form, bound) per kept column not yet added
+        self.ncols = 0  # columns in the system
         self._unabsorbed = []  # the rows of columns added, until absorbed
         self._absorbed, self._top = set(), 0  # absorbed rows; degree seen
         self._batched = True  # no column was appended to a built echelon
         self._lock = threading.Lock()  # a query may extend the echelon
         for col in columns:
-            self._add(gb.int_form(col), deg_bound)
+            self.extend(gb.int_form(col), deg_bound)
         self._ready()
-
-    @property
-    def ncols(self):
-        """The number of columns, grow()'s pending ones included."""
-        return self._added + len(self._pending)
 
     def _check_bound(self, degree):
         cap = self.gb.config.degree_cap
         if degree > cap:
             raise DegreeBoundExceeded(f"multiplier degree {degree} above cap {cap}")
-
-    def _add(self, form, bound):
-        """Append the multiples of degree <= bound of one more column, given
-        as its int_form, to the system."""
-        j = self._added
-        self._added += 1
-        self._put(form, [("var", j, u) for u in self.gb.multipliers(bound)])
-        if not self.gb.linear:
-            self._unabsorbed += form[0]
 
     def _absorb(self, rows):
         """Add the absorbers that the rows of a column or a target,
@@ -160,36 +145,35 @@ class SpanSolver:
 
     def extend(self, form, bound):
         """Add a column, given as its int_form, with multipliers of degree
-        <= bound (at most deg_bound, which sizes the absorbers), after the
-        columns grow() kept.  Only its multiples are expanded: they join
-        the batch while the echelon is not built, and are appended to it
-        after; the absorbers its rows call for are added at the next
-        read."""
-        pending, self._pending = self._pending, []
-        for earlier, earlier_bound in pending:
-            self._add(earlier, earlier_bound)
-        self._add(form, bound)
+        <= bound (at most deg_bound, which sizes the absorbers).  Only its
+        multiples are expanded: they join the batch while the echelon is
+        not built, and are appended to it after; the absorbers its rows
+        call for are added at the next read."""
+        j = self.ncols
+        self.ncols += 1
+        self._put(form, [("var", j, u) for u in self.gb.multipliers(bound)])
+        if not self.gb.linear:
+            self._unabsorbed += form[0]
 
     def grow(self, forms, bound):
         """Walk forms, int_forms of columns, in order, and keep each one
         whose expansion by gb lies outside the span of the solver's columns
         and of those kept before it; a vector zero in A lies in every span
         (its expansion is empty, or the absorbers cover it).  A kept column
-        joins the solver, with multipliers of degree <= bound, through
-        extend() the next time the solver is read, so the multiples of the
-        last one are expanded only if the solver is read again.  Returns
-        (index in forms, rows, den) for each column kept, in order, with
-        its expansion: its normal form when gb is linear, the column itself
-        otherwise.  A candidate that touches a row no column reaches is
-        kept without an echelon, so the kept columns join the batch until
-        a candidate needs the echelon.  Membership in an O-span does not
-        depend on the echelon's basis or history, so the columns kept are
-        those a solver built afresh on the ones before would keep."""
+        joins the solver at once, with multipliers of degree <= bound,
+        through extend().  Returns (index in forms, rows, den) for each
+        column kept, in order, with its expansion: its normal form when gb
+        is linear, the column itself otherwise.  A candidate that touches a
+        row no column reaches is kept without an echelon, so the kept
+        columns join the batch until a candidate needs the echelon.
+        Membership in an O-span does not depend on the echelon's basis or
+        history, so the columns kept are those a solver built afresh on
+        the ones before would keep."""
         kept = []
         for k, form in enumerate(forms):
             rows, den = self.gb.expand(form)
             if not self._holds(rows, den):
-                self._pending.append((form, bound))
+                self.extend(form, bound)
                 kept.append((k, rows, den))
         return kept
 
@@ -225,11 +209,8 @@ class SpanSolver:
         return rows
 
     def _ready(self):
-        """Before a read: add the columns grow() kept, through extend(),
-        and the absorbers that the columns added call for."""
-        pending, self._pending = self._pending, []
-        for form, bound in pending:
-            self.extend(form, bound)
+        """Before a read: add the absorbers that the columns added call
+        for."""
         rows, self._unabsorbed = self._unabsorbed, []
         self._absorb(rows)
 
@@ -241,19 +222,6 @@ class SpanSolver:
             self._echelon = _Echelon(self.dvr, self.sparse_cols)
             self.sparse_cols = None  # the echelon takes them over
         return self._echelon
-
-    def batched(self):
-        """Whether every column, the ones grow() kept included, enters the
-        one batch elimination, so that over a linear basis (no absorbers)
-        the echelon is the one a solver constructed on the same columns,
-        in the same order, builds.  While the echelon is not built, the
-        columns waiting to be added join the batch now; after, a column
-        still waiting would be appended to it, so the answer is no without
-        adding it."""
-        with self._lock:
-            if self._echelon is None:
-                self._ready()
-            return self._batched and not (self._pending or self._unabsorbed)
 
     def kernel_constants(self, start):
         """The kernel's coordinates on the columns from start on, each of
@@ -347,7 +315,10 @@ def prune_generators(gb, forms, nrows, deg_bound):
     lies outside the span of those kept before it, so a vector zero in A
     never is.  Returns what grow() returns, indices into forms, and that
     solver, whose columns are the vectors kept, in order, each at
-    deg_bound."""
+    deg_bound, where its echelon is the one a solver constructed on them
+    builds: the basis is linear (no absorbers) and every kept column
+    entered the one batch elimination, since no candidate needed the
+    echelon before the last keep.  Otherwise None comes back for it."""
     ring = gb.ring
     sizes = []
     for rows, _, _ in forms:
@@ -362,4 +333,6 @@ def prune_generators(gb, forms, nrows, deg_bound):
         order += run
     solver = SpanSolver(ring, gb, [], deg_bound)
     kept = solver.grow([forms[k] for k in order], deg_bound)
+    if not (gb.linear and solver._batched):
+        solver = None
     return [(order[i], rows, den) for i, rows, den in kept], solver

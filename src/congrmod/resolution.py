@@ -50,8 +50,9 @@ class FreeResolution:
     matrices.  lam_rows builds lambda(d_i), which lam keeps with one
     echelon of it (lam_echelon), and lam_rank answers its K-rank.  A
     syzygy resolution owns the state of its next step: the solver that
-    pruned its top step and that step's kernel heads, read once
-    (_top_kernel) for both lam_rank and the next step's build."""
+    pruned its top step, where prune_generators hands it on, and that
+    step's kernel heads, read once (_top_kernel) for both lam_rank and the
+    next step's build."""
 
     def __init__(self, algebra, strategy, cert: Cert, step, length=0):
         self.algebra = algebra
@@ -61,21 +62,18 @@ class FreeResolution:
         self._step = step  # (res, t) -> the columns of d_t
         self._diffs = []
         self._ranks = [1]
-        self._pruner = None  # the solver that pruned the top step, see _top_kernel
+        self._pruner = None  # the solver that pruned the top step, or None
         self._heads = None  # the kernel heads of the top step, see _top_kernel
         self._ext = {}  # Ext modules and pairings, see congruence.ext_module
         self._lam, self._lam_ech = {}, {}  # i -> lam(i), lam_echelon(i)
 
-    def _build_through(self, i, heads=False):
-        """Build d_1..d_i; with heads, leave an unbuilt d_i unbuilt and
-        return the kernel heads of d_(i-1) it is pruned from (_top_kernel)."""
+    def _build_through(self, i):
+        """Build d_1..d_i."""
         if i <= len(self._diffs):
-            return None
+            return
         with self.algebra._lock:  # racing readers share one list of steps
             while len(self._diffs) < i:
                 t = len(self._diffs) + 1
-                if heads and t == i:
-                    return self._top_kernel()
                 cols = self._step(self, t)
                 if t > 1:
                     _check_d_squared(self.algebra, self._diffs[-1], cols, t - 1)
@@ -85,13 +83,13 @@ class FreeResolution:
 
     def _top_kernel(self):
         """The kernel heads of the top step d_t, read once and kept until
-        d_(t+1) is built: off the solver that pruned d_t where its echelon
-        is the one A.span_solver(d_t) builds (_syzygies, SpanSolver.batched),
-        and off that fresh solver otherwise; either is dropped once read."""
+        d_(t+1) is built: off the solver that pruned d_t, which
+        prune_generators hands on only where its echelon is the one
+        A.span_solver(d_t) builds, and off that fresh solver otherwise;
+        either is dropped once read."""
         if self._heads is None:
             cols, solver, self._pruner = self._diffs[-1], self._pruner, None
-            if solver is None or not solver.batched():
-                solver = self.algebra.span_solver(cols)
+            solver = solver or self.algebra.span_solver(cols)
             self._heads = solver.kernel_forms(range(len(cols)))
         return self._heads
 
@@ -147,13 +145,16 @@ class FreeResolution:
 
     def lam_rank(self, i):
         """rho_i = rk_K lambda(d_i), the pivot count of lam_echelon(i).  A
-        syzygy step i >= 2 not built yet stays unbuilt: rho_i is read off
-        the unpruned kernel heads of d_(i-1) (_top_kernel), which the build
-        of d_i then prunes into d_i.  Both generate one A-module and lambda
-        is a ring map, so their images have one K-span."""
+        syzygy step i >= 2 not built yet stays unbuilt: d_1..d_(i-1) are
+        built, and rho_i is read off the unpruned kernel heads of d_(i-1)
+        (_top_kernel), which the build of d_i then prunes into d_i.  Both
+        generate one A-module and lambda is a ring map, so their images
+        have one K-span."""
         A = self.algebra
-        if self.strategy == "syzygy" and i > 1:
-            heads = self._build_through(i, heads=True)
+        if self.strategy == "syzygy" and i > 1 and len(self._diffs) < i:
+            with A._lock:  # a racing reader may build d_i meanwhile
+                self._build_through(i - 1)
+                heads = self._top_kernel() if len(self._diffs) < i else None
             if heads is not None:
                 return len(_Echelon(A.dvr, A.lam_int(heads, self._ranks[i - 1])).pivots)
         return len(self.lam_echelon(i).pivots)
@@ -373,27 +374,24 @@ def _syzygies(A, columns, heads=None):
     bound (so as certain as A.cert), for the syzygy strategy,
     syzygy_module and deformation_step's annihilator search on a free
     module.  The kernel heads (heads, else a fresh solver's) are pruned by
-    prune_generators, whose solver comes back with the vectors kept, for
-    their kernel, over a linear basis (else None).  Only the vectors kept
-    become polynomials: the expansion pruning made of each is its normal
-    form when the basis is linear, and reduce_strong (A.nf) gives it
-    otherwise; none is zero in A, since pruning keeps no vector zero in A."""
+    prune_generators, and its solver comes back as it gives it, with the
+    vectors kept: the solver for their kernel where its echelon is a fresh
+    solver's, None otherwise.  Only the vectors kept become polynomials,
+    in normal form (StdBasis.nf_polys); none is zero in A, since pruning
+    keeps no vector zero in A."""
     n = len(columns)
     gb = A.gb_global
     if heads is None:
         heads = A.span_solver(columns).kernel_forms(range(n))
     kept, solver = prune_generators(gb, heads, n, A._search_bound)
-    out = []
-    for _, rows, den in kept:
-        v = gb.polys(rows, den, n)
-        out.append(v if gb.linear else tuple(A.nf(p) for p in v))
-    return out, solver if gb.linear else None
+    return [gb.nf_polys(rows, den, n) for _, rows, den in kept], solver
 
 
 def _syzygy_resolution(A):
     """The step builder of the syzygy resolution: d_1 holds the generators
     x_i - a_i, and d_t the pruned syzygies of d_(t-1), from its kernel
-    heads (FreeResolution._top_kernel); res keeps the pruning solver."""
+    heads (FreeResolution._top_kernel); res keeps the pruning solver
+    _syzygies gives, or None."""
     def step(res, t):
         if t == 1:
             return [(g,) for g in A.p_gens()]

@@ -130,6 +130,14 @@ class StdBasis:
             out[i] = Poly(ring, ring.dvr.join(terms, den))
         return tuple(out)
 
+    def nf_polys(self, rows, den, size):
+        """The normal form of the column an expansion by the basis gives
+        (expand), as size polynomials: over a linear basis the expansion is
+        its normal form already, and over any other basis each row is
+        reduced by nf."""
+        col = self.polys(rows, den, size)
+        return col if self.linear else tuple(self.nf(p) for p in col)
+
     def expand(self, form, u=None):
         """u * col (col itself when u is None) from col's int_form, as
         [(row, {exps: numerator})] over one denominator.  For a

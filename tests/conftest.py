@@ -67,6 +67,15 @@ def make_depth_zero_example(p):
     return build_algebra(R, rels, [O.zero, O.zero], 1, name="D")
 
 
+def make_pi_x_ring():
+    """O[x, y]/(pi*x, y^2 - pi*y) over Z_(3): a basis whose leads are not
+    all units, so span solvers over it add absorbers."""
+    O = Dvr.p_adic(3)
+    R = PolyRing(O, ("x", "y"))
+    return build_algebra(R, [R.parse("pi*x"), R.parse("y^2 - pi*y")],
+                         [O.zero, O.zero], 1, name="E")
+
+
 def make_hypersurface_2var(p, n):
     """O[[x, y]]/(x(x - pi^n)) with the zero augmentation, codimension 1."""
     O = _base(p)

@@ -6,6 +6,7 @@ import pytest
 
 from congrmod import congruence, resolution
 from congrmod.cli import main
+from congrmod.errors import KappaNotInjective
 from conftest import child_env, run_python
 from test_fuzz_front_end import FULL_FILE
 
@@ -829,6 +830,20 @@ def test_internal_error_exit_2(a2_path, capsys, monkeypatch):
     monkeypatch.setattr(cli, "cmd_analyze", interrupt)
     with pytest.raises(KeyboardInterrupt):
         main(["analyze", a2_path])
+
+
+def test_engine_fault_is_an_internal_error(a2_path, capsys, monkeypatch):
+    """An InternalInvariantViolation, KappaNotInjective included, is an
+    engine fault, not an input error: one `error: internal:` line on
+    stderr, and exit 2 as for any other internal error."""
+    import congrmod.cli as cli
+
+    def fault(args):
+        raise KappaNotInjective("x")
+
+    monkeypatch.setattr(cli, "cmd_analyze", fault)
+    assert main(["analyze", a2_path]) == 2
+    assert capsys.readouterr().err == "error: internal: KappaNotInjective: x\n"
 
 
 def test_parser_built_once_per_process(a2_path, tmp_path, capsys, monkeypatch):

@@ -3,11 +3,17 @@ ast: no module imports a name it never uses, no function imports from the
 standard library in its body, no private top-level function or class, and
 no private method, is left without a reference, no public method is
 either unless API_AND_ORACLES names it, no function takes a parameter
-it never reads, no class stores an attribute that nothing reads, and no
-module but dvr.py asks which base ring it computes over."""
+it never reads, no class stores an attribute that nothing reads, no
+docstring or comment names a call or a class attribute the package does
+not define, and no module but dvr.py asks which base ring it computes
+over."""
 
 import ast
+import builtins
+import io
+import re
 import sys
+import tokenize
 from pathlib import Path
 
 import congrmod
@@ -208,3 +214,67 @@ def test_only_dvr_asks_for_the_base():
             if any(isinstance(o, ast.Constant) and o.value in BASE_KINDS for o in operands):
                 forks.append(f"{name}:{node.lineno}")
     assert not forks
+
+
+def _prose():
+    """(module, text) for every docstring and comment of the package."""
+    out = []
+    for name, tree in MODULES.items():
+        out.extend((name, doc) for node in ast.walk(tree)
+                   if isinstance(node, (ast.Module, ast.ClassDef, ast.FunctionDef,
+                                        ast.AsyncFunctionDef))
+                   and (doc := ast.get_docstring(node, clean=False)))
+        source = io.StringIO((SRC / name).read_text()).readline
+        out.extend((name, tok.string) for tok in tokenize.generate_tokens(source)
+                   if tok.type == tokenize.COMMENT)
+    return out
+
+
+def _members():
+    """{class name: the names it defines}: its methods, class-level
+    assignments and the attributes it stores on self, with those of its
+    bases in the package."""
+    own, bases = {}, {}
+    for tree in MODULES.values():
+        for cls in tree.body:
+            if not isinstance(cls, ast.ClassDef):
+                continue
+            bases[cls.name] = [b.id for b in cls.bases if isinstance(b, ast.Name)]
+            names = own[cls.name] = set()
+            for node in cls.body:
+                if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
+                    names.add(node.name)
+                elif isinstance(node, (ast.Assign, ast.AnnAssign)):
+                    targets = node.targets if isinstance(node, ast.Assign) else [node.target]
+                    names.update(t.id for t in targets if isinstance(t, ast.Name))
+            names.update(node.attr for node in ast.walk(cls)
+                         if isinstance(node, ast.Attribute) and isinstance(node.ctx, ast.Store)
+                         and isinstance(node.value, ast.Name) and node.value.id == "self")
+
+    def members(name):
+        return own[name].union(*(members(b) for b in bases[name] if b in own))
+    return {name: members(name) for name in own}
+
+
+def test_prose_names_what_the_package_defines():
+    """Every call written as name() (or x.name()) and every Class.attr in a
+    docstring or comment names something the package defines: a function,
+    method or class of it, a builtin or a str method for a call, and a
+    member of a class of the package (or of object) for Class.attr.  A
+    one-letter capital (A.nf) is a variable, not a class, and is not read
+    as one.  So a mention of a method that is gone fails here."""
+    members = _members()
+    defined = set(members).union(*members.values())
+    defined |= {node.name for tree in MODULES.values() for node in ast.walk(tree)
+                if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef))}
+    callable_names = defined | set(dir(builtins)) | set(dir(str))
+    stale = []
+    for name, text in _prose():
+        for m in re.finditer(r"(?<![\w.])(?:\w+\.)*(\w+)\(\)", text):
+            if m.group(1) not in callable_names:
+                stale.append(f"{name}: {m.group()}")
+        for m in re.finditer(r"\b([A-Z]\w+)\.(\w+)", text):
+            cls, attr = m.groups()
+            if attr not in members.get(cls, ()) and not hasattr(object, attr):
+                stale.append(f"{name}: {m.group()}")
+    assert not stale

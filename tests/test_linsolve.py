@@ -1,8 +1,8 @@
 """SpanSolver grown with extend() and prune_generators, against solvers built
 afresh, the rebuild-per-keep pruning loop and the pruning loop on
-polynomials; the columns grow() keeps, added when the solver is next
-read; columns added before the first read, in the one batch elimination
-of a solver constructed on them; kernel_forms(range(n)) against the
+polynomials; the columns grow() keeps, added as they are kept; columns
+added before the first read, in the one batch elimination of a solver
+constructed on them; kernel_forms(range(n)) against the
 kernel on all columns;
 kernel_constants without repeats; absorbers added on demand against a
 reference that holds them in every row."""
@@ -27,7 +27,8 @@ from congrmod.omodule import _Echelon
 from congrmod.poly import MonomialOrder, Poly, monomial_divides, monomials_up_to
 from congrmod.resolution import _syzygies
 from congrmod.stdbasis import StdBasis, reduce_strong, std_basis
-from conftest import make_An, make_depth_zero_example, make_hypersurface_2var, make_ring_B
+from conftest import (make_An, make_depth_zero_example, make_hypersurface_2var,
+                      make_pi_x_ring, make_ring_B)
 
 
 def kernel_vectors(solver):
@@ -70,17 +71,10 @@ def _prune(gb, vectors, deg_bound):
     return [vectors[k] for k, _, _ in kept]
 
 
-def _pi_x_ring():
-    O = Dvr.p_adic(3)
-    R = PolyRing(O, ("x", "y"))
-    return build_algebra(R, [R.parse("pi*x"), R.parse("y^2 - pi*y")],
-                         [O.zero, O.zero], 1, name="E")
-
-
 # unit-lead bases (normal forms are O-linear) and absorber bases
 ALGEBRAS = {"A(2)": lambda: make_An(5, 2), "B": lambda: make_ring_B(5),
             "H(2)": lambda: make_hypersurface_2var(5, 2),
-            "D": lambda: make_depth_zero_example(5), "E": _pi_x_ring}
+            "D": lambda: make_depth_zero_example(5), "E": make_pi_x_ring}
 LINEAR = {"A(2)": True, "B": True, "H(2)": True, "D": False, "E": False}
 
 
@@ -611,49 +605,14 @@ def test_prune_matches_prune_on_polys(base, name, data):
         assert gb.polys(rows, den, nrows) == nf
 
 
-def _count_extends(monkeypatch):
-    """The forms SpanSolver.extend is called with, from now on."""
-    calls, real = [], SpanSolver.extend
-
-    def extend(self, form, bound):
-        calls.append(form)
-        return real(self, form, bound)
-
-    monkeypatch.setattr(SpanSolver, "extend", extend)
-    return calls
-
-
-@pytest.mark.parametrize("name", ["H(2)", "E"])
-def test_prune_never_adds_its_last_kept_vector(name, monkeypatch):
-    """grow() adds a kept column only when the solver is next read, so
-    prune_generators, whose solver no one reads after its last candidate,
-    calls extend() at most len(kept) - 1 times, and never for a single
-    candidate: on H(2) (a linear basis) and E (pi*x, absorbers)."""
-    A = ALGEBRAS[name]()
-    R, gb = A.ring, A.gb_global
-    P, zero = R.parse, R.zero
-    # tested as (1, 0) kept, (pi, 0) and (x, 0) in its span, (0, x + y) kept
-    vecs = [(P("x"), zero), (zero, P("x + y")), (P("pi"), zero), (R.one, zero)]
-    forms = [gb.int_form(v) for v in vecs]
-    calls = _count_extends(monkeypatch)
-    kept, _ = prune_generators(gb, forms, 2, 1)
-    assert [k for k, _, _ in kept] == [3, 1]
-    assert len(calls) <= len(kept) - 1
-    for v in vecs + [(A.relations[0], zero)]:
-        del calls[:]
-        kept, _ = prune_generators(gb, [gb.int_form(v)], 2, 1)
-        assert len(kept) == (v[0] != A.relations[0])
-        assert calls == []
-
-
 @pytest.mark.parametrize("name", list(ALGEBRAS))
 def test_readers_see_the_columns_grow_kept(name):
     """After grow(), each reader of the solver (ncols, the kernel on all
     columns, kernel_forms(), kernel_constants(), solve() and contains()),
     the first to read it, answers as on a solver extended by each candidate
     outside its span as soon as it was tested; both keep the same
-    candidates.  The candidates end with one kept, so that its column is
-    not yet added when the reader comes."""
+    candidates.  The candidates end with one kept, so that the reader
+    comes right after a keep."""
     A = ALGEBRAS[name]()
     ring, gb = A.ring, A.gb_global
     rng = random.Random(20261020)
@@ -718,7 +677,6 @@ def test_columns_added_before_the_first_read_join_the_batch(name):
         extended = SpanSolver(ring, gb, [], bound)
         for col in columns:
             extended.extend(gb.int_form(col), bound)
-        assert extended.batched()
         assert _reads(extended, n, targets) == _reads(SpanSolver(ring, gb, columns, bound),
                                                       n, targets)
     if not gb.linear:
@@ -727,7 +685,7 @@ def test_columns_added_before_the_first_read_join_the_batch(name):
     candidates = [(P("x + pi"), zero), (zero, P("x^2 + 1"))]
     grown = SpanSolver(ring, gb, [], 1)
     assert len(grown.grow([gb.int_form(v) for v in candidates], 1)) == 2
-    assert grown._echelon is None and grown.batched()
+    assert grown._echelon is None
     assert _reads(grown, 2, targets) == _reads(SpanSolver(ring, gb, candidates, 1),
                                                2, targets)
 

@@ -24,7 +24,7 @@ from congrmod.resolution import (_add_into, _apply_columns, _koszul_contraction,
                                  _Shamash)
 from congrmod.stdbasis import StdBasis
 from conftest import (make_An, make_ring_B, make_ring_C, make_depth_zero_example,
-                      make_hypersurface_2var, run_python)
+                      make_hypersurface_2var, make_pi_x_ring, run_python)
 
 BASES = [("Z_(3)", lambda: Dvr.p_adic(3)), ("Z_(5)", lambda: Dvr.p_adic(5)),
          ("F_4[[t]]", lambda: Dvr.power_series(4))]
@@ -297,10 +297,10 @@ def _in_order(forms):
 
 def _handoffs(A, length):
     """Build the syzygy resolution of A step by step through length; after
-    each pruned step d_t: whether the solver that pruned it, which the
-    resolution keeps, hands its echelon on (SpanSolver.batched), the heads
-    of d_t read off that solver and those of a fresh A.span_solver(d_t),
-    both listed in order (_in_order).  The heads the next step reads
+    each pruned step d_t: the heads of d_t read off the solver that
+    prune_generators handed on, which the resolution keeps (None where none
+    came back), and those of a fresh A.span_solver(d_t), both listed in
+    order (_in_order).  The heads the next step reads
     (FreeResolution._top_kernel) are the fresh solver's at every step."""
     res = resolve_O(A, strategy="syzygy")
     out = []
@@ -310,43 +310,56 @@ def _handoffs(A, length):
             break
         solver = res._pruner
         r = range(len(d))
-        batched = solver.batched()
         fresh = _in_order(A.span_solver(d).kernel_forms(r))
+        handed = None if solver is None else _in_order(solver.kernel_forms(r))
         assert _in_order(res._top_kernel()) == fresh
-        out.append((batched, _in_order(solver.kernel_forms(r)), fresh))
+        out.append((handed, fresh))
     return out
 
 
 @pytest.mark.parametrize("base", sorted(_PINNED_SYZYGY))
 def test_pruning_solver_hands_on_the_kernel_of_its_step(base):
-    """Over a linear basis, the solver that pruned d_t holds the kept
-    columns in one batch elimination wherever every keep was decided before
-    its echelon was built; its echelon is then the one a fresh solver on
-    d_t builds, and the heads read off it, the candidates of d_(t+1), are
-    byte for byte those of the fresh solver: at every step t >= 2 of the
-    linear grammar algebras of test_syzygy_differentials_pinned and of
-    x0*(x0 - pi^k) in three variables."""
+    """Where prune_generators hands on the solver that pruned d_t, the
+    heads read off it, the candidates of d_(t+1), are byte for byte those
+    of a fresh solver on d_t: at every step t >= 2 of the linear grammar
+    algebras of test_syzygy_differentials_pinned and of x0*(x0 - pi^k) in
+    three variables, where a solver comes back at some step."""
     algebras = _linear_grammar_algebras(base)
     if base == "Z_(5)":
         algebras += [_hypersurface_3var(k) for k in (1, 2, 3)]
     taken = 0
     for A in algebras:
-        for batched, handed, fresh in _handoffs(A, A.codim + 2):
-            if batched:
+        for handed, fresh in _handoffs(A, A.codim + 2):
+            if handed is not None:
                 assert handed == fresh
                 taken += 1
     assert taken
 
 
+@pytest.mark.parametrize("make", [lambda: make_depth_zero_example(5),
+                                  make_pi_x_ring], ids=["D", "E"])
+def test_no_pruning_solver_comes_back_over_absorbers(make):
+    """Over a basis with absorbers the pruning echelon holds absorber
+    columns a fresh solver on the kept vectors may lack, so
+    prune_generators hands on no solver, and every kernel of the syzygy
+    resolution is read off a fresh solver."""
+    A = make()
+    assert not A.gb_global.linear
+    steps = _handoffs(A, A.codim + 2)
+    assert steps and all(handed is None for handed, _ in steps)
+
+
 def test_fresh_solver_where_pruning_needed_its_echelon():
-    """On C(5; 1,1,1) at D = 2 some keeps of a step come after a candidate
-    that needed the pruning echelon, so the kept columns after it were
-    appended to it one by one, and the heads that echelon gives are not a
-    fresh solver's: that step's kernel is read off a fresh solver, and the
-    differentials stay as pinned (test_determinantal_syzygy_prune_path)."""
+    """On C(5; 1,1,1) at D = 2, a linear basis, some keeps of d_2 and of
+    d_3 come after a candidate that needed the pruning echelon, so the kept
+    columns after it were appended to it one by one: prune_generators
+    hands on no solver at either step, and each kernel is read off a fresh
+    solver.  The differentials stay as pinned
+    (test_determinantal_syzygy_prune_path)."""
     A = make_ring_C(5, 1, 1, 1)
+    assert A.gb_global.linear
     steps = _handoffs(A, 3)
-    assert any(not batched and handed != fresh for batched, handed, fresh in steps)
+    assert len(steps) == 2 and all(handed is None for handed, _ in steps)
     res = resolve_O(A, length=3, strategy="syzygy")
     text = repr([[[str(p) for p in col] for col in d] for d in res.diffs])
     digest = "a015d03b2008567ce2508b55e96aefb83f1950c97e70aae1187bfec7c69556c5"
